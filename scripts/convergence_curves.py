@@ -9,10 +9,16 @@ import argparse
 from pathlib import Path
 
 from qdgm.algorithm import run_experiment
-from qdgm.cli import write_gnuplot_series
 from qdgm.diagnostics import fit_loglog_slope
 from qdgm.graph import generate_random_connected_graph, lazy_metropolis
 from qdgm.objective import generate_instance
+
+
+def write_gnuplot_series(path, ks, values) -> None:
+    """Two-column whitespace-separated series, directly plottable."""
+    with Path(path).open("w") as fh:
+        for k, v in zip(ks, values):
+            fh.write(f"{int(k)} {v:.17g}\n")
 
 
 def main() -> None:

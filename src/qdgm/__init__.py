@@ -8,8 +8,7 @@ to verify its convergence behavior.
 
 __version__ = "0.1.0"
 
-from .algorithm import (AgentState, RoundState, averaged_output, initial_state,
-                        run_experiment, run_round)
+from .algorithm import RoundState, initial_state, run_experiment, run_round
 from .config import ExperimentConfig, load_config
 from .diagnostics import (RateBoundInputs, Trace, TraceRecord, consensus_error,
                           gamma_k, lyapunov_value, rate_bound)
@@ -17,18 +16,17 @@ from .graph import (MixingMatrix, NetworkTopology, generate_random_connected_gra
                     lazy_metropolis, spectral_gap)
 from .objective import (RegressionObjective, generate_instance, global_value,
                         gradient, well_conditioned_instance)
-from .quantizer import (QuantizedMessage, QuantizerConfig, QuantizerSchedule,
-                        decode, delta_k, quantize_scalar, quantize_vector)
+from .quantizer import (QuantizerConfig, QuantizerSchedule, decode_matrix,
+                        pack_index_rows, quantize_matrix, unpack_indices)
 from .schedules import StepSchedule
 
 __all__ = [
-    "AgentState", "ExperimentConfig", "MixingMatrix", "NetworkTopology",
-    "QuantizedMessage", "QuantizerConfig", "QuantizerSchedule",
-    "RateBoundInputs", "RegressionObjective", "RoundState", "StepSchedule",
-    "Trace", "TraceRecord", "averaged_output", "consensus_error", "decode",
-    "delta_k", "gamma_k", "generate_instance",
-    "generate_random_connected_graph", "global_value", "gradient",
-    "initial_state", "lazy_metropolis", "load_config", "lyapunov_value",
-    "quantize_scalar", "quantize_vector", "rate_bound", "run_experiment",
-    "run_round", "spectral_gap", "well_conditioned_instance",
+    "ExperimentConfig", "MixingMatrix", "NetworkTopology", "QuantizerConfig",
+    "QuantizerSchedule", "RateBoundInputs", "RegressionObjective", "RoundState",
+    "StepSchedule", "Trace", "TraceRecord", "consensus_error", "decode_matrix",
+    "gamma_k", "generate_instance", "generate_random_connected_graph",
+    "global_value", "gradient", "initial_state", "lazy_metropolis",
+    "load_config", "lyapunov_value", "pack_index_rows", "quantize_matrix",
+    "rate_bound", "run_experiment", "run_round", "spectral_gap",
+    "unpack_indices", "well_conditioned_instance",
 ]

@@ -1,14 +1,18 @@
 """Synchronized round-based two-time-scale iteration.
 
 Every round k each agent quantizes its iterate onto the shared round-k
-grid, exchanges the packed indices with its neighbors, and applies
+grid and applies
 
     x_{k+1} = (1 - beta_k) x_k + beta_k * (A q_k) - alpha_k * grad_i(x_k)
 
 where the mixing row includes the agent's own weight applied to its own
 *quantized* value, so the doubly stochastic matrix acts on the decoded
-matrix as a whole. The reported output per agent is the (t+1)-weighted
-running average of its past iterates.
+matrix as a whole. The hot loop carries the round as the (n, d) endpoint
+index matrix and never packs bytes: the packed MSB-first indices are the
+wire contract, checked at the boundary by the codec tests and ``qdgm
+verify``, and decoding them gives the same values bit for bit. The
+reported output per agent is the (t+1)-weighted running average of its
+past iterates.
 
 All quantization randomness for round k of replica r comes from one
 generator keyed by (seed, r, k) and is consumed in fixed
@@ -23,54 +27,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, quantizer
-from .errors import GradientBoundError, NonFiniteIterateError
+from .errors import NonFiniteIterateError, QuantizationSupportError
 from .graph import MixingMatrix, spectral_gap
 from .objective import RegressionObjective, gradient_matrix
-from .quantizer import QuantizedMessage, QuantizerConfig, QuantizerSchedule
+from .quantizer import QuantizerConfig, QuantizerSchedule
+# the per-round invariant is the quantizer's own range check; bench/child.py
+# traces it under this name
+from .quantizer import check_range as _check_range_invariant
 from .schedules import StepSchedule
 
 
 @dataclass
-class AgentState:
-    """One agent's view of a round: iterate, averaged output, weight mass."""
-
-    x: np.ndarray
-    z: np.ndarray
-    weight_sum: int
-
-
-@dataclass
 class RoundState:
-    """Lockstep snapshot of all agents after ``k`` completed rounds.
-
-    ``messages`` holds the transmissions of the round that produced this
-    state (empty at initialization).
-    """
+    """Lockstep snapshot of all agents after ``k`` completed rounds."""
 
     k: int
     x: np.ndarray
     z: np.ndarray
     weight_sum: int
-    messages: tuple[QuantizedMessage, ...] = ()
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
 
-    def agent(self, i: int) -> AgentState:
-        return AgentState(self.x[i].copy(), self.z[i].copy(), self.weight_sum)
-
 
 def initial_state(n: int, d: int) -> RoundState:
     """All iterates start at exactly zero; the range schedule depends on it."""
     return RoundState(0, np.zeros((n, d)), np.zeros((n, d)), 0)
-
-
-def averaged_output(agent: AgentState) -> np.ndarray:
-    """The (t+1)-weighted running average; defined after one completed round."""
-    if agent.weight_sum < 1:
-        raise ValueError("averaged output needs at least one completed round")
-    return agent.z.copy()
 
 
 def run_round(state: RoundState, mixing: MixingMatrix,
@@ -86,33 +69,25 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     alpha, beta = steps.alpha(k), steps.beta(k)
     if quantized:
         rng = np.random.default_rng([seed, replica, k])
-        messages = quantizer.quantize_matrix(x, qsched, k, rng)
-        q = quantizer.decode_matrix(messages, qsched)
+        q = quantizer.decode_matrix(quantizer.quantize_matrix(x, qsched, k, rng),
+                                    qsched, k)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
-        assert np.abs(q - x).max() <= \
-            qsched.delta_at(k) + 2.0 * qsched.range_at(k) * quantizer.CLAMP_BAND
+        support = qsched.delta_at(k) + 2.0 * qsched.range_at(k) * quantizer.CLAMP_BAND
+        err = float(np.abs(q - x).max())
+        if not err <= support:  # NaN fails too
+            raise QuantizationSupportError(
+                f"decoded value {err} away from its input at round {k}, "
+                f"beyond the support bound {support}")
     else:
-        messages = ()
         q = x
     grads = gradient_matrix(objective, x)
     x_next = (1.0 - beta) * x + beta * (mixing.entries @ q) - alpha * grads
     if not np.isfinite(x_next).all():
         raise NonFiniteIterateError(f"non-finite iterate at round {k}")
-    _check_range_invariant(x_next, qsched, k + 1)
+    _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1)
     z_next = (state.z * state.weight_sum + (k + 1) * x) / (state.weight_sum + (k + 1))
-    return RoundState(k + 1, x_next, z_next, state.weight_sum + (k + 1), messages)
-
-
-def _check_range_invariant(x: np.ndarray, qsched: QuantizerSchedule, k: int) -> None:
-    """max_i ||x_k^i||_inf must stay within the growing quantization range."""
-    rangek = qsched.range_at(k)
-    worst = float(np.abs(x).max())
-    if worst > rangek * (1.0 + quantizer.CLAMP_BAND):
-        row = int(np.unravel_index(np.argmax(np.abs(x)), x.shape)[0])
-        raise GradientBoundError(
-            f"gradient-bound violation: agent {row} reached {worst} at round "
-            f"{k}, outside quantization range +-{rangek}")
+    return RoundState(k + 1, x_next, z_next, state.weight_sum + (k + 1))
 
 
 def record_points(iterations: int, stride: int | None = None,

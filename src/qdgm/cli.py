@@ -32,7 +32,7 @@ from .graph import (NetworkTopology, generate_random_connected_graph,
 from .objective import (RegressionObjective, generate_instance,
                         save_instance_csv, well_conditioned_instance)
 from .quantizer import (QuantizerConfig, QuantizerSchedule, decode_matrix,
-                        quantize_matrix, unpack_indices)
+                        pack_index_rows, quantize_matrix, unpack_indices)
 from .schedules import StepSchedule
 
 EXIT_OK = 0
@@ -124,7 +124,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]:
     """Spot checks of the rounding rule: exact support bound, unbiasedness,
-    variance bound, codec round-trip."""
+    variance bound, and the wire contract (packed indices unpack to the
+    same indices and decode to the same values bit for bit)."""
     rng = np.random.default_rng(seed)
     steps = StepSchedule(mu=4.0, spectral_gap=0.5)
     checks = []
@@ -134,16 +135,17 @@ def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]
         rangek, delta = qsched.range_at(k), qsched.delta_at(k)
         x = rng.uniform(-rangek, rangek, size=dims)
         block = np.repeat(x[None, :], draws // 10, axis=0)
-        msgs = quantize_matrix(block, qsched, k, rng)
-        decoded = decode_matrix(msgs, qsched)
+        indices = quantize_matrix(block, qsched, k, rng)
+        decoded = decode_matrix(indices, qsched, k)
         err = decoded - block
         support_ok = bool(np.abs(err).max() <= delta)
         se = delta / (2.0 * np.sqrt(len(block)))
         mean_ok = bool(np.abs(err.mean(axis=0)).max() <= 3.0 * se)
         var_ok = bool((err ** 2).mean() <= delta ** 2 / 4.0 + 3.0 * se * delta)
-        roundtrip_ok = all(
-            np.array_equal(unpack_indices(m.payload, bits, dims), m.indices)
-            for m in msgs[:100])
+        received = np.array([unpack_indices(payload, bits, dims)
+                             for payload in pack_index_rows(indices[:100], bits)])
+        roundtrip_ok = (np.array_equal(received, indices[:100]) and np.array_equal(
+            decode_matrix(received, qsched, k), decoded[:100]))
         checks.append({"name": f"quantizer_b{bits}_d{dims}",
                        "passed": support_ok and mean_ok and var_ok and roundtrip_ok,
                        "detail": {"support": support_ok, "mean": mean_ok,
@@ -212,13 +214,6 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
         bound = rate_bound(inputs, horizon)
         print(f"{horizon},{measured:.17g},{bound:.17g},{measured / bound:.17g}")
     return EXIT_OK
-
-
-def write_gnuplot_series(path, ks, values) -> None:
-    """Two-column whitespace-separated series, directly plottable."""
-    with Path(path).open("w") as fh:
-        for k, v in zip(ks, values):
-            fh.write(f"{int(k)} {v:.17g}\n")
 
 
 def cmd_graph(args) -> int:

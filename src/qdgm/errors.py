@@ -14,8 +14,9 @@ class MixingError(ValueError):
     """Raised for mixing matrices with no usable spectral gap."""
 
 
-class QuantizationRangeError(ValueError):
-    """Scalar input lies outside the quantization interval (beyond the clamp band)."""
+class QuantizationSupportError(RuntimeError):
+    """A decoded value lies farther from its input than one bin width plus
+    the clamp band; the quantizer broke its support bound."""
 
 
 class GradientBoundError(RuntimeError):

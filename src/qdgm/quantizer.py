@@ -11,10 +11,17 @@ For the distributed iteration the interval at round k is
 a link derive the identical interval from shared configuration, so a
 message needs only the b-bit endpoint indices and no side information.
 Index 0 is round 0, where every iterate is exactly zero and the range is
-empty; its message is all-zero indices with an empty payload.
+empty: every index is zero, no randomness is drawn and nothing needs to
+cross a link.
 
-Wire format: the d endpoint indices are packed MSB-first in coordinate
-order and zero-padded to a whole number of bytes, ceil(d*b/8) in total.
+The round engine carries one round as an (n, d) int64 index matrix:
+:func:`quantize_matrix` produces it and :func:`decode_matrix` rebuilds the
+values with the shared expression -range(k) + index * delta(k). The wire
+contract sits at the boundary: :func:`pack_index_rows` packs each row's d
+indices MSB-first in coordinate order, zero-padded to a whole number of
+bytes, ceil(d*b/8) in total, and :func:`unpack_indices` is its exact
+inverse, so a receiver decoding the unpacked indices gets the sender's
+values bit for bit.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradientBoundError, QuantizationRangeError
+from .errors import GradientBoundError
 from .schedules import StepSchedule
 
 # relative width of the band around the interval ends that is clamped
@@ -58,7 +65,9 @@ class QuantizerSchedule:
 
     range_at(k) = gradient_bound * sum_{t<k} alpha_t, nondecreasing with
     range_at(0) = 0; delta_at(k) is the per-coordinate bin width
-    2 * range_at(k) / (2^bits - 1).
+    2 * range_at(k) / (2^bits - 1). The Euclidean error of one vector draw
+    is bounded by sqrt(d) * delta_at(k) (the coarser d * delta_at(k) bound
+    is what the convergence constants use).
     """
 
     gradient_bound: float
@@ -84,25 +93,15 @@ class QuantizerSchedule:
         return 2.0 * self.range_at(k) / self.config.bin_count
 
 
-@dataclass(frozen=True)
-class QuantizedMessage:
-    """One agent's transmission for one round."""
-
-    iteration: int
-    indices: np.ndarray
-    payload: bytes
-
-    def __post_init__(self):
-        self.indices.setflags(write=False)
-
-
-def delta_k(schedule: QuantizerSchedule, k: int) -> float:
-    """Scalar bin width at round k; the Euclidean vector error is bounded by
-    sqrt(d) * delta_k per draw (the coarser d * delta_k bound is what the
-    convergence constants use)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return schedule.delta_at(k)
+def check_range(x: np.ndarray, rangek: float, k: int) -> None:
+    """Raise GradientBoundError when max_i ||x^i||_inf exceeds the round-k
+    range by more than the clamp band."""
+    worst = float(np.abs(x).max())
+    if worst > rangek * (1.0 + CLAMP_BAND):
+        row = int(np.unravel_index(np.argmax(np.abs(x)), x.shape)[0])
+        raise GradientBoundError(
+            f"gradient-bound violation: agent {row} reached {worst} at round "
+            f"{k}, outside quantization range +-{rangek}")
 
 
 def _stochastic_round(values: np.ndarray, lower: float, delta: float,
@@ -124,105 +123,37 @@ def _stochastic_round(values: np.ndarray, lower: float, delta: float,
     return idx.astype(np.int64)
 
 
-def quantize_scalar(x: float, lower: float, upper: float, bits: int,
-                    rng: np.random.Generator) -> tuple[int, float]:
-    """Stochastically round x onto the 2^bits endpoint grid of [lower, upper].
-
-    Returns (endpoint index, reconstructed value lower + index * delta).
-    Inputs inside the clamp band around the interval are snapped to it;
-    farther out raises QuantizationRangeError.
-    """
-    if not lower < upper:
-        raise ValueError("need lower < upper")
-    span = upper - lower
-    eps = CLAMP_BAND * span
-    if x < lower - eps or x > upper + eps:
-        raise QuantizationRangeError(
-            f"out of range: {x} not in [{lower}, {upper}]")
-    x = min(max(x, lower), upper)
-    nbins = (1 << bits) - 1
-    delta = span / nbins
-    idx = _stochastic_round(np.asarray([x]), lower, delta, nbins, rng.random(1))
-    m = int(idx[0])
-    return m, lower + m * delta
-
-
 def quantize_matrix(x: np.ndarray, schedule: QuantizerSchedule, k: int,
-                    rng: np.random.Generator) -> tuple[QuantizedMessage, ...]:
-    """Quantize one row vector per agent over the round-k interval.
+                    rng: np.random.Generator) -> np.ndarray:
+    """Quantize one row vector per agent onto the round-k grid.
 
-    Randomness is drawn as one uniform per (row, coordinate) in row-major
-    order from ``rng``, so results do not depend on any per-agent call
-    order. Raises GradientBoundError when a coordinate falls outside the
-    round's range beyond the clamp band.
+    Returns the (n, d) int64 matrix of endpoint indices. Randomness is drawn
+    as one uniform per (row, coordinate) in row-major order from ``rng``,
+    so results do not depend on any per-agent call order. Inputs inside the
+    clamp band are snapped to the interval; farther out raises
+    GradientBoundError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m, d = x.shape
     if d != schedule.dims:
         raise ValueError(f"expected dimension {schedule.dims}, got {d}")
     if k == 0:
-        zeros = np.zeros(d, dtype=np.int64)
-        return tuple(QuantizedMessage(0, zeros.copy(), b"") for _ in range(m))
+        return np.zeros((m, d), dtype=np.int64)
     rangek = schedule.range_at(k)
-    eps = CLAMP_BAND * 2.0 * rangek
-    worst = float(np.abs(x).max())
-    if worst > rangek + eps:
-        row, col = np.unravel_index(np.argmax(np.abs(x)), x.shape)
-        raise GradientBoundError(
-            f"gradient-bound violation: agent {row} coordinate {col} is "
-            f"{x[row, col]} at round {k}, outside quantization range "
-            f"+-{rangek} (configured bound C too small)")
+    check_range(x, rangek, k)
     clamped = np.clip(x, -rangek, rangek)
-    delta = schedule.delta_at(k)
-    nbins = schedule.config.bin_count
-    idx = _stochastic_round(clamped, -rangek, delta, nbins, rng.random((m, d)))
-    packed = pack_index_rows(idx, schedule.bits)
-    return tuple(
-        QuantizedMessage(k, idx[i], packed[i]) for i in range(m))
+    return _stochastic_round(clamped, -rangek, schedule.delta_at(k),
+                             schedule.config.bin_count, rng.random((m, d)))
 
 
-def quantize_vector(x: np.ndarray, schedule: QuantizerSchedule, k: int,
-                    rng: np.random.Generator) -> QuantizedMessage:
-    """Single-vector convenience wrapper around :func:`quantize_matrix`."""
-    return quantize_matrix(np.asarray(x)[None, :], schedule, k, rng)[0]
+def decode_matrix(indices: np.ndarray, schedule: QuantizerSchedule,
+                  k: int) -> np.ndarray:
+    """Rebuild the endpoint values -range(k) + index * delta(k).
 
-
-def decode(message: QuantizedMessage, schedule: QuantizerSchedule) -> np.ndarray:
-    """Reconstruct the endpoint vector -range(k) + m * delta_k from payload bytes.
-
-    Bit-exact inverse of the encoder: both sides evaluate the identical
-    reconstruction expression on the shared schedule.
+    Encoder and decoder evaluate this one expression on the shared
+    schedule, so decoding unpacked wire indices is bit-exact.
     """
-    k = message.iteration
-    d = schedule.dims
-    if k == 0:
-        if message.payload != b"":
-            raise ValueError("payload length mismatch")
-        return np.zeros(d)
-    idx = unpack_indices(message.payload, schedule.bits, d)
-    rangek = schedule.range_at(k)
-    return -rangek + idx * schedule.delta_at(k)
-
-
-def decode_matrix(messages, schedule: QuantizerSchedule) -> np.ndarray:
-    """Decode a round's messages (all with equal iteration) into one matrix."""
-    k = messages[0].iteration
-    if any(msg.iteration != k for msg in messages):
-        raise ValueError("messages from mixed rounds")
-    d = schedule.dims
-    if k == 0:
-        return np.zeros((len(messages), d))
-    blob = b"".join(msg.payload for msg in messages)
-    per = schedule.config.payload_nbytes
-    if len(blob) != per * len(messages):
-        raise ValueError("payload length mismatch")
-    bits = schedule.bits
-    raw = np.unpackbits(np.frombuffer(blob, np.uint8).reshape(len(messages), per),
-                        axis=1)[:, : d * bits]
-    weights = (np.uint64(1) << np.arange(bits - 1, -1, -1, dtype=np.uint64))
-    idx = raw.reshape(len(messages), d, bits).astype(np.uint64) @ weights
-    rangek = schedule.range_at(k)
-    return -rangek + idx.astype(np.float64) * schedule.delta_at(k)
+    return -schedule.range_at(k) + np.asarray(indices) * schedule.delta_at(k)
 
 
 def pack_indices(indices, bits: int) -> bytes:

@@ -22,7 +22,8 @@ from qdgm.graph import (NetworkTopology, generate_random_connected_graph,
                         lazy_metropolis, path_topology)
 from qdgm.objective import (build_objective, generate_instance,
                             well_conditioned_instance)
-from qdgm.quantizer import (QuantizerConfig, QuantizerSchedule, pack_indices,
+from qdgm.quantizer import (QuantizerConfig, QuantizerSchedule, decode_matrix,
+                            pack_index_rows, pack_indices, quantize_matrix,
                             unpack_indices, _stochastic_round)
 from qdgm.schedules import StepSchedule
 
@@ -222,6 +223,21 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
                     report_acceptance(8, False, f"codec mismatch b={bits} d={dims}")
                     raise AssertionError("codec round-trip failed")
                 checked += 1
+    # at the wire boundary the engine's index matrix survives packing: the
+    # receiver unpacks the same indices and decodes the same values bitwise
+    for bits in (1, 2, 8, 16):
+        qsched = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5),
+                                   QuantizerConfig(bits, 5))
+        rangek = qsched.range_at(9)
+        idx = quantize_matrix(rng.uniform(-rangek, rangek, size=(40, 5)),
+                              qsched, 9, rng)
+        received = np.array([unpack_indices(payload, bits, 5)
+                             for payload in pack_index_rows(idx, bits)])
+        if not (np.array_equal(received, idx) and np.array_equal(
+                decode_matrix(received, qsched, 9), decode_matrix(idx, qsched, 9))):
+            report_acceptance(8, False, f"engine index round-trip failed b={bits}")
+            raise AssertionError("engine index round-trip failed")
+        checked += len(idx)
     # single agent, iterate on the transmission grid: the update collapses
     # to an exact gradient step
     obj = build_objective(np.array([[1.0]]), np.array([0.8]))

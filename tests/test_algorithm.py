@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qdgm.algorithm import (averaged_output, collect_ensemble, initial_state,
-                            record_points, run_experiment, run_round, RoundState)
-from qdgm.errors import GradientBoundError, NonFiniteIterateError
+from qdgm import quantizer
+from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
+                            run_experiment, run_round, RoundState)
+from qdgm.errors import (GradientBoundError, NonFiniteIterateError,
+                         QuantizationSupportError)
 from qdgm.graph import NetworkTopology, lazy_metropolis
 from qdgm.objective import build_objective
 from qdgm.quantizer import QuantizerConfig, QuantizerSchedule
@@ -107,10 +109,11 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(6, 2))
-    nxt = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, steps,
-                    qsched, seed=5, quantized=True)
-    assert len(nxt.messages) == obj.n
-    assert all(m.payload == b"" and m.iteration == 0 for m in nxt.messages)
+    state = initial_state(obj.n, obj.dims)
+    sent = quantizer.quantize_matrix(state.x, qsched, 0, np.random.default_rng(5))
+    assert sent.shape == (obj.n, obj.dims) and np.all(sent == 0)
+    nxt = run_round(state, small_mixing, obj, steps, qsched, seed=5,
+                    quantized=True)
     # first move is the pure gradient step from zero
     expected = -steps.alpha(0) * 2.0 * obj.features * (-obj.targets[:, None])
     assert np.abs(nxt.x - expected).max() <= 1e-15
@@ -124,7 +127,6 @@ def test_averaged_output_hand_values():
     forced = RoundState(1, np.array([[2.0]]), s1.z, s1.weight_sum)
     s2 = run_round(forced, mixing, obj, steps, qsched, seed=0, quantized=False)
     assert s2.z[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
-    assert averaged_output(s2.agent(0))[0] == s2.z[0, 0]
 
 
 def test_averaged_output_of_constant_trajectory():
@@ -135,12 +137,6 @@ def test_averaged_output_of_constant_trajectory():
         state = run_round(state, mixing, obj, steps, qsched, seed=0,
                           quantized=False)
     assert state.z[0, 0] == pytest.approx(c, abs=1e-14)
-
-
-def test_averaged_output_requires_a_round():
-    state = initial_state(2, 2)
-    with pytest.raises(ValueError, match="at least one completed round"):
-        averaged_output(state.agent(0))
 
 
 def test_incremental_average_matches_recomputation(small_instance, small_mixing):
@@ -168,10 +164,28 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     a = run_round(state, small_mixing, obj, steps, qsched, seed=9)
     b = run_round(state, small_mixing, obj, steps, qsched, seed=9)
     assert np.array_equal(a.x, b.x)
-    assert all(m1.payload == m2.payload for m1, m2 in zip(a.messages, b.messages))
     # a different replica index rewires the randomness
     c = run_round(state, small_mixing, obj, steps, qsched, seed=9, replica=1)
-    assert any(m1.payload != m2.payload for m1, m2 in zip(a.messages, c.messages))
+    assert not np.array_equal(a.x, c.x)
+
+
+def test_support_violation_raises_typed_error(small_instance, small_mixing,
+                                              monkeypatch):
+    # a decoder that lands two bins away breaks the per-draw support bound;
+    # the engine must refuse with a typed error, also under python -O
+    obj = small_instance
+    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
+    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(4, 2))
+    state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, steps,
+                      qsched, seed=4)
+    decode = quantizer.decode_matrix
+
+    def shifted(indices, schedule, k):
+        return decode(indices, schedule, k) + 2.0 * schedule.delta_at(k)
+
+    monkeypatch.setattr(quantizer, "decode_matrix", shifted)
+    with pytest.raises(QuantizationSupportError, match="round 1"):
+        run_round(state, small_mixing, obj, steps, qsched, seed=4)
 
 
 def test_growing_range_invariant_over_run(small_instance, small_mixing):

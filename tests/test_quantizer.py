@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgm.errors import GradientBoundError, QuantizationRangeError
-from qdgm.quantizer import (QuantizedMessage, QuantizerConfig, QuantizerSchedule,
-                            decode, decode_matrix, delta_k, pack_indices,
-                            quantize_matrix, quantize_scalar, quantize_vector,
-                            unpack_indices, _stochastic_round)
+from qdgm.errors import GradientBoundError
+from qdgm.quantizer import (CLAMP_BAND, QuantizerConfig, QuantizerSchedule,
+                            decode_matrix, pack_index_rows, pack_indices,
+                            quantize_matrix, unpack_indices, _stochastic_round)
 from qdgm.schedules import StepSchedule
+
+# with mu=4 and grad_bound=1, range(2) = 1 + 1/2: two bits then give the
+# exact grid -1.5, -0.5, 0.5, 1.5 with bin width 1
+K_UNIT = 2
 
 
 def make_schedule(bits, dims, mu=4.0, grad_bound=1.0, gap=0.5):
@@ -17,60 +20,72 @@ def make_schedule(bits, dims, mu=4.0, grad_bound=1.0, gap=0.5):
 
 
 def test_scalar_on_lower_endpoint_is_deterministic():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        idx, val = quantize_scalar(0.0, 0.0, 3.0, 2, rng)
-        assert (idx, val) == (0, 0.0)
+    sched = make_schedule(bits=2, dims=1)
+    x = np.full((50, 1), -sched.range_at(K_UNIT))
+    idx = quantize_matrix(x, sched, K_UNIT, np.random.default_rng(0))
+    assert np.all(idx == 0)
+    assert np.all(decode_matrix(idx, sched, K_UNIT) == -1.5)
 
 
 def test_scalar_on_upper_endpoint_is_deterministic():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        idx, val = quantize_scalar(3.0, 0.0, 3.0, 2, rng)
-        assert (idx, val) == (3, 3.0)
+    sched = make_schedule(bits=2, dims=1)
+    x = np.full((50, 1), sched.range_at(K_UNIT))
+    idx = quantize_matrix(x, sched, K_UNIT, np.random.default_rng(0))
+    assert np.all(idx == 3)
+    assert np.all(decode_matrix(idx, sched, K_UNIT) == 1.5)
 
 
 def test_scalar_interior_probabilities():
-    # x=1.4 on [0,3] with 2 bits: bin width 1, lands on 1 w.p. 0.6, 2 w.p. 0.4
-    rng = np.random.default_rng(99)
+    # x=-0.1 on [-1.5, 1.5] with 2 bits: bin width 1, lands on -0.5 w.p. 0.6,
+    # 0.5 w.p. 0.4
+    sched = make_schedule(bits=2, dims=1)
     n = 100_000
-    vals = np.array([quantize_scalar(1.4, 0.0, 3.0, 2, rng)[1] for _ in range(n)])
-    assert set(np.unique(vals)) == {1.0, 2.0}
-    p_up = np.mean(vals == 2.0)
+    idx = quantize_matrix(np.full((n, 1), -0.1), sched, K_UNIT,
+                          np.random.default_rng(99))
+    vals = decode_matrix(idx, sched, K_UNIT)
+    assert set(np.unique(vals)) == {-0.5, 0.5}
+    p_up = np.mean(vals == 0.5)
     se = np.sqrt(0.4 * 0.6 / n)
     assert abs(p_up - 0.4) <= 3 * se
 
 
 def test_scalar_range_check_and_clamp_band():
+    sched = make_schedule(bits=2, dims=1)
     rng = np.random.default_rng(0)
-    with pytest.raises(QuantizationRangeError, match="out of range"):
-        quantize_scalar(3.1, 0.0, 3.0, 2, rng)
+    with pytest.raises(GradientBoundError, match="outside quantization range"):
+        quantize_matrix([[1.6]], sched, K_UNIT, rng)
+    # the band is CLAMP_BAND * range on each side, as in the run invariant
+    with pytest.raises(GradientBoundError):
+        quantize_matrix([[1.5 * (1.0 + 2.0 * CLAMP_BAND)]], sched, K_UNIT, rng)
     # inside the clamp band: snapped to the endpoint instead of rejected
-    idx, val = quantize_scalar(3.0 + 1e-10, 0.0, 3.0, 2, rng)
-    assert (idx, val) == (3, 3.0)
+    idx = quantize_matrix([[1.5 + 1e-10]], sched, K_UNIT, rng)
+    assert idx.tolist() == [[3]]
+    assert decode_matrix(idx, sched, K_UNIT).tolist() == [[1.5]]
 
 
 def test_scalar_value_is_reconstruction_of_index():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        lower = rng.uniform(-5, 5)
-        upper = lower + rng.uniform(0.1, 10)
-        bits = int(rng.integers(1, 9))
-        x = rng.uniform(lower, upper)
-        idx, val = quantize_scalar(x, lower, upper, bits, rng)
-        delta = (upper - lower) / (2 ** bits - 1)
-        assert val == lower + idx * delta
-        assert abs(val - x) <= delta
+        sched = make_schedule(bits=int(rng.integers(1, 9)), dims=3,
+                              grad_bound=rng.uniform(0.1, 10))
+        k = int(rng.integers(1, 50))
+        rangek, delta = sched.range_at(k), sched.delta_at(k)
+        x = rng.uniform(-rangek, rangek, size=(1, 3))
+        idx = quantize_matrix(x, sched, k, rng)
+        val = decode_matrix(idx, sched, k)
+        assert np.array_equal(val, -rangek + idx * delta)
+        assert np.abs(val - x).max() <= delta
 
 
 def test_vector_example_bit_packing():
     # one-bit grid over [-1, 1]: (-1, 1) maps to indices (0, 1), byte 0x40
     sched = make_schedule(bits=1, dims=2)  # mu=4 so alpha_0 = 1, range(1) = 1
     assert sched.range_at(1) == 1.0
-    msg = quantize_vector(np.array([-1.0, 1.0]), sched, 1, np.random.default_rng(0))
-    assert list(msg.indices) == [0, 1]
-    assert msg.payload == b"\x40"
-    assert np.allclose(decode(msg, sched), [-1.0, 1.0])
+    idx = quantize_matrix(np.array([[-1.0, 1.0]]), sched, 1,
+                          np.random.default_rng(0))
+    assert idx.tolist() == [[0, 1]]
+    assert pack_index_rows(idx, 1) == [b"\x40"]
+    assert np.allclose(decode_matrix(idx, sched, 1), [[-1.0, 1.0]])
 
 
 def test_vector_zero_input_unbiased():
@@ -81,7 +96,7 @@ def test_vector_zero_input_unbiased():
     rng = np.random.default_rng(31)
     n = 100_000
     block = np.zeros((n, 2))
-    decoded = decode_matrix(quantize_matrix(block, sched, k, rng), sched)
+    decoded = decode_matrix(quantize_matrix(block, sched, k, rng), sched, k)
     se = delta / (2.0 * np.sqrt(n))
     assert np.abs(decoded.mean(axis=0)).max() <= 3 * se
 
@@ -91,10 +106,10 @@ def test_vector_lattice_points_are_fixed():
     k = 5
     rangek, delta = sched.range_at(k), sched.delta_at(k)
     rng = np.random.default_rng(2)
-    lattice = -rangek + np.array([0, 7, 15]) * delta
-    msg = quantize_vector(lattice, sched, k, rng)
-    assert np.array_equal(decode(msg, sched), lattice)
-    assert list(msg.indices) == [0, 7, 15]
+    lattice = -rangek + np.array([[0, 7, 15]]) * delta
+    idx = quantize_matrix(lattice, sched, k, rng)
+    assert np.array_equal(decode_matrix(idx, sched, k), lattice)
+    assert idx.tolist() == [[0, 7, 15]]
 
 
 def test_vector_range_violation_names_agent():
@@ -106,38 +121,58 @@ def test_vector_range_violation_names_agent():
 
 
 def test_round0_message_convention():
+    # the round-0 range is empty: all-zero indices, decoded to exact zeros,
+    # and no randomness is drawn
     sched = make_schedule(bits=4, dims=3)
-    msgs = quantize_matrix(np.zeros((2, 3)), sched, 0, np.random.default_rng(0))
-    for msg in msgs:
-        assert msg.payload == b""
-        assert np.all(msg.indices == 0)
-        assert np.array_equal(decode(msg, sched), np.zeros(3))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    idx = quantize_matrix(np.zeros((2, 3)), sched, 0, rng)
+    assert rng.bit_generator.state == before
+    assert idx.shape == (2, 3) and np.all(idx == 0)
+    assert np.array_equal(decode_matrix(idx, sched, 0), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bits,dims", [(1, 3), (6, 2), (16, 5), (32, 7)])
+def test_wire_boundary_roundtrip_of_engine_indices(bits, dims):
+    # what the engine carries and what a receiver decodes from the packed
+    # bytes agree: equal indices and bit-equal values
+    sched = make_schedule(bits=bits, dims=dims)
+    k = 7
+    rng = np.random.default_rng(bits * 100 + dims)
+    x = rng.uniform(-sched.range_at(k), sched.range_at(k), size=(40, dims))
+    idx = quantize_matrix(x, sched, k, rng)
+    payloads = pack_index_rows(idx, bits)
+    assert all(len(p) == sched.config.payload_nbytes for p in payloads)
+    received = np.array([unpack_indices(p, bits, dims) for p in payloads])
+    assert np.array_equal(received, idx)
+    assert np.array_equal(decode_matrix(received, sched, k),
+                          decode_matrix(idx, sched, k))
 
 
 def test_decode_rejects_wrong_payload_length():
-    sched = make_schedule(bits=8, dims=4)
-    msg = QuantizedMessage(3, np.zeros(4, dtype=np.int64), b"\x00" * 3)
     with pytest.raises(ValueError, match="payload length mismatch"):
-        decode(msg, sched)
+        unpack_indices(b"\x00" * 3, 8, 4)
 
 
 def test_decode_all_zero_payload_gives_lower_endpoint():
     sched = make_schedule(bits=8, dims=4)
-    msg = QuantizedMessage(3, np.zeros(4, dtype=np.int64), b"\x00" * 4)
-    assert np.all(decode(msg, sched) == -sched.range_at(3))
+    idx = unpack_indices(b"\x00" * 4, 8, 4)
+    assert np.all(decode_matrix(idx, sched, 3) == -sched.range_at(3))
 
 
 def test_delta_schedule_values():
     # mu=4 gives alpha_t = 1/(t+1); one bit means delta = 2 * range
     sched = make_schedule(bits=1, dims=1)
-    assert delta_k(sched, 0) == 0.0
-    assert delta_k(sched, 3) == pytest.approx(2 * (1 + 0.5 + 1 / 3), rel=1e-15)
+    assert sched.delta_at(0) == 0.0
+    assert sched.delta_at(3) == pytest.approx(2 * (1 + 0.5 + 1 / 3), rel=1e-15)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sched.delta_at(-1)
 
 
 def test_delta_growth_is_logarithmic():
     sched = make_schedule(bits=1, dims=1)
     k = 2_000_000
-    assert delta_k(sched, k) / (2.0 * np.log(k)) == pytest.approx(1.0, rel=5e-2)
+    assert sched.delta_at(k) / (2.0 * np.log(k)) == pytest.approx(1.0, rel=5e-2)
 
 
 def test_delta_monotone():
@@ -189,7 +224,7 @@ def test_variance_bound():
     delta = sched.delta_at(k)
     rng = np.random.default_rng(8)
     x = np.full((50_000, 1), 0.3 * sched.range_at(k))
-    decoded = decode_matrix(quantize_matrix(x, sched, k, rng), sched)
+    decoded = decode_matrix(quantize_matrix(x, sched, k, rng), sched, k)
     err = decoded - x
     second_moment = float((err ** 2).mean())
     se = float((err ** 2).std(ddof=1) / np.sqrt(err.size))
