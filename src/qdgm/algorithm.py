@@ -7,17 +7,20 @@ grid and applies
 
 where the mixing row includes the agent's own weight applied to its own
 *quantized* value, so the doubly stochastic matrix acts on the decoded
-matrix as a whole. The hot loop carries the round as the (n, d) endpoint
-index matrix and never packs bytes: the packed MSB-first indices are the
-wire contract, checked at the boundary by the codec tests and ``qdgm
-verify``, and decoding them gives the same values bit for bit. The
-reported output per agent is the (t+1)-weighted running average of its
-past iterates.
+matrix as a whole. The reported output per agent is the (t+1)-weighted
+running average of its past iterates.
+
+A round advances a stack of R replicas held as (R, n, d) arrays, and one
+loop drives it: a single run or its exact twin is the stack with R = 1,
+the Monte Carlo ensemble the stack of all replicas. The hot loop carries
+the endpoint index array and never packs bytes: the packed MSB-first
+indices are the wire contract, checked at the boundary by the codec tests
+and ``qdgm verify``, and decoding them gives the same values bit for bit.
 
 All quantization randomness for round k of replica r comes from one
 generator keyed by (seed, r, k) and is consumed in fixed
-(agent, coordinate) order, so results are independent of any scheduling
-of per-agent work within a round.
+(agent, coordinate) order, so a replica's results depend neither on the
+other replicas in its stack nor on any scheduling of work within a round.
 """
 from __future__ import annotations
 
@@ -39,41 +42,41 @@ from .schedules import StepSchedule
 
 @dataclass
 class RoundState:
-    """Lockstep snapshot of all agents after ``k`` completed rounds."""
+    """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds."""
 
     k: int
     x: np.ndarray
     z: np.ndarray
     weight_sum: int
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
 
-
-def initial_state(n: int, d: int) -> RoundState:
+def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
     """All iterates start at exactly zero; the range schedule depends on it."""
-    return RoundState(0, np.zeros((n, d)), np.zeros((n, d)), 0)
+    return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)), 0)
 
 
 def run_round(state: RoundState, mixing: MixingMatrix,
               objective: RegressionObjective, steps: StepSchedule,
               qsched: QuantizerSchedule, seed: int, *,
-              replica: int = 0, quantized: bool = True) -> RoundState:
-    """Advance all agents one synchronized round.
+              replicas=(0,), quantized: bool = True) -> RoundState:
+    """Advance every agent of every replica one synchronized round.
 
-    With ``quantized=False`` the exchanged values are the raw iterates
+    Slice r of the stack is replica ``replicas[r]`` and matches the
+    one-replica round keyed with that id bit for bit. With
+    ``quantized=False`` the exchanged values are the raw iterates
     (infinite-bandwidth twin); everything else is identical.
     """
     k, x = state.k, state.x
+    if len(replicas) != len(x):
+        raise ValueError(f"{len(replicas)} replica ids for a stack of {len(x)}")
     alpha, beta = steps.alpha(k), steps.beta(k)
     if quantized:
-        rng = np.random.default_rng([seed, replica, k])
-        q = quantizer.decode_matrix(quantizer.quantize_matrix(x, qsched, k, rng),
-                                    qsched, k)
+        grid = qsched.grid(k)
+        rngs = [np.random.default_rng([seed, rep, k]) for rep in replicas]
+        q = quantizer.decode_matrix(quantizer.quantize_matrix(x, grid, rngs), grid)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
-        support = qsched.delta_at(k) + 2.0 * qsched.range_at(k) * quantizer.CLAMP_BAND
+        support = grid.delta + 2.0 * grid.range * quantizer.CLAMP_BAND
         err = float(np.abs(q - x).max())
         if not err <= support:  # NaN fails too
             raise QuantizationSupportError(
@@ -85,7 +88,7 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     x_next = (1.0 - beta) * x + beta * (mixing.entries @ q) - alpha * grads
     if not np.isfinite(x_next).all():
         raise NonFiniteIterateError(f"non-finite iterate at round {k}")
-    _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1)
+    _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, replicas)
     z_next = (state.z * state.weight_sum + (k + 1) * x) / (state.weight_sum + (k + 1))
     return RoundState(k + 1, x_next, z_next, state.weight_sum + (k + 1))
 
@@ -110,18 +113,13 @@ def record_points(iterations: int, stride: int | None = None,
     return sorted(pts)
 
 
-def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
-                   iterations: int, seed: int, bits: int,
-                   beta_clamp: float | None = 1.0, eta_mode: str = "body",
-                   quantized: bool = True, replica: int = 0,
-                   record_stride: int | None = None,
-                   extra_record_points=()) -> diagnostics.Trace:
-    """Run the full iteration, returning the diagnostic trace.
-
-    Deterministic for fixed arguments. On a round failure the partial trace
-    is attached to the raised exception as ``partial_trace`` so callers can
-    still flush it with an error marker.
-    """
+def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, observe,
+                *, iterations: int, seed: int, bits: int,
+                beta_clamp: float | None, eta_mode: str, replicas,
+                quantized: bool) -> tuple[StepSchedule, QuantizerSchedule]:
+    """The one round loop: builds the schedules once (and returns them),
+    then advances the stack of ``replicas`` from zero, showing each state
+    (rounds 0 to ``iterations``) to ``observe(state, steps, qsched, eta)``."""
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     gap = spectral_gap(mixing)
@@ -129,61 +127,72 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
     qsched = QuantizerSchedule(objective.grad_bound, steps,
                                QuantizerConfig(bits, objective.dims))
     eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz, gap, eta_mode)
-    points = set(record_points(iterations, record_stride, extra_record_points))
-    state = initial_state(objective.n, objective.dims)
-    trace = diagnostics.Trace()
+    state = initial_state(objective.n, objective.dims, len(replicas))
     while True:
-        if state.k in points:
-            z_rows = state.z if state.weight_sum > 0 else state.x
-            trace.records.append(diagnostics.make_record(
-                state.k, state.x, z_rows, objective, steps, qsched, eta))
+        observe(state, steps, qsched, eta)
         if state.k == iterations:
-            return trace
-        try:
-            state = run_round(state, mixing, objective, steps, qsched, seed,
-                              replica=replica, quantized=quantized)
-        except Exception as exc:
-            trace.error = str(exc)
-            exc.partial_trace = trace
-            raise
+            return steps, qsched
+        state = run_round(state, mixing, objective, steps, qsched, seed,
+                          replicas=replicas, quantized=quantized)
+
+
+def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
+                   iterations: int, seed: int, bits: int,
+                   beta_clamp: float | None = 1.0, eta_mode: str = "body",
+                   quantized: bool = True, replica: int = 0,
+                   record_stride: int | None = None,
+                   extra_record_points=()) -> diagnostics.Trace:
+    """Run one replica through the full iteration, returning its trace.
+
+    Deterministic for fixed arguments. On a failure the partial trace is
+    attached to the raised exception as ``partial_trace`` so callers can
+    still flush it with an error marker.
+    """
+    points = set(record_points(iterations, record_stride, extra_record_points))
+    trace = diagnostics.Trace()
+
+    def record(state, steps, qsched, eta):
+        if state.k in points:
+            z = state.z if state.weight_sum > 0 else state.x
+            trace.records.append(diagnostics.make_record(
+                state.k, state.x[0], z[0], objective, steps, qsched, eta))
+
+    try:
+        _run_rounds(objective, mixing, record, iterations=iterations, seed=seed,
+                    bits=bits, beta_clamp=beta_clamp, eta_mode=eta_mode,
+                    replicas=(replica,), quantized=quantized)
+    except Exception as exc:
+        trace.error = str(exc)
+        exc.partial_trace = trace
+        raise
+    return trace
 
 
 def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
                      iterations: int, seed: int, bits: int, replicas: int,
                      beta_clamp: float | None = 1.0) -> diagnostics.EnsembleTrace:
-    """Run Monte Carlo replicas differing only in quantizer randomness and
-    collect the per-round statistics the inequality checks consume."""
-    gap = spectral_gap(mixing)
-    steps = StepSchedule(objective.mu, gap, beta_clamp)
-    qsched = QuantizerSchedule(objective.grad_bound, steps,
-                               QuantizerConfig(bits, objective.dims))
-    rounds = iterations
-    cons = np.zeros((replicas, rounds + 1))
-    r_sq = np.zeros((replicas, rounds + 1))
-    f_worst = np.zeros((replicas, rounds + 1))
-    for rep in range(replicas):
-        state = initial_state(objective.n, objective.dims)
-        for k in range(rounds + 1):
-            cons[rep, k] = diagnostics.consensus_error(state.x)
-            xbar = state.x.mean(axis=0)
-            r_sq[rep, k] = float(np.sum((xbar - objective.optimum) ** 2))
-            residuals = state.x @ objective.features.T - objective.targets
-            f_worst[rep, k] = float(np.max(np.sum(residuals ** 2, axis=1)))
-            if k < rounds:
-                state = run_round(state, mixing, objective, steps, qsched,
-                                  seed, replica=rep, quantized=True)
-    ks = np.arange(rounds)
+    """Run Monte Carlo replicas differing only in quantizer randomness, as
+    one stack, and collect the per-round statistics the inequality checks
+    consume."""
+    cons = np.zeros((replicas, iterations + 1))
+    r_sq = np.zeros((replicas, iterations + 1))
+    f_worst = np.zeros((replicas, iterations + 1))
+
+    def statistics(state, steps, qsched, eta):
+        k, x = state.k, state.x
+        cons[:, k] = diagnostics.consensus_error(x)
+        r_sq[:, k] = np.sum((x.mean(axis=1) - objective.optimum) ** 2, axis=1)
+        residuals = x @ objective.features.T - objective.targets
+        f_worst[:, k] = np.max(np.sum(residuals ** 2, axis=2), axis=1)
+
+    steps, qsched = _run_rounds(
+        objective, mixing, statistics, iterations=iterations, seed=seed, bits=bits,
+        beta_clamp=beta_clamp, eta_mode="body", replicas=range(replicas),
+        quantized=True)
     return diagnostics.EnsembleTrace(
-        consensus_sq=cons,
-        r_sq=r_sq,
-        f_worst=f_worst,
-        deltas=np.asarray([qsched.delta_at(k) for k in range(rounds + 1)]),
-        alphas=np.asarray([steps.alpha(int(k)) for k in ks]),
-        betas=np.asarray([steps.beta(int(k)) for k in ks]),
-        f_star=objective.f_star,
-        mu=objective.mu,
-        lipschitz=objective.lipschitz,
-        sigma2=1.0 - gap,
-        n=objective.n,
-        dims=objective.dims,
-    )
+        consensus_sq=cons, r_sq=r_sq, f_worst=f_worst,
+        deltas=np.asarray([qsched.delta_at(k) for k in range(iterations + 1)]),
+        alphas=np.asarray([steps.alpha(k) for k in range(iterations)]),
+        betas=np.asarray([steps.beta(k) for k in range(iterations)]),
+        f_star=objective.f_star, mu=objective.mu, lipschitz=objective.lipschitz,
+        sigma2=1.0 - steps.spectral_gap, n=objective.n, dims=objective.dims)

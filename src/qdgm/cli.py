@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,12 @@ EXIT_CONFIG = 64
 
 def build_topology(cfg: ExperimentConfig) -> NetworkTopology:
     if cfg.graph.edges_file:
-        return load_edge_list(cfg.graph.edges_file)
+        topo = load_edge_list(cfg.graph.edges_file)
+        if topo.n != cfg.n:
+            raise ConfigError(
+                f"invalid field n: the edge file {cfg.graph.edges_file} has "
+                f"{topo.n} nodes, the configuration has n = {cfg.n}")
+        return topo
     return generate_random_connected_graph(
         cfg.n, cfg.graph.edge_probability, cfg.seed, cfg.graph.retry_limit)
 
@@ -53,71 +57,43 @@ def build_objective_from_config(cfg: ExperimentConfig) -> RegressionObjective:
                              cfg.data.feature_high, cfg.data.target_high)
 
 
-def _trace_name(replica: int, replicas: int) -> str:
-    return "trace.csv" if replicas == 1 else f"trace_r{replica}.csv"
-
-
-def _run_one_replica(cfg_dict: dict, replica: int) -> str:
-    """Worker for the replica pool; rebuilds everything deterministically."""
-    cfg = ExperimentConfig.from_json_dict(cfg_dict)
-    topo = build_topology(cfg)
-    mixing = lazy_metropolis(topo)
-    objective = build_objective_from_config(cfg)
-    out = Path(cfg.output_dir) / _trace_name(replica, cfg.replicas)
+def _write_trace(path: Path, cfg: ExperimentConfig, objective: RegressionObjective,
+                 mixing, **kwargs) -> Trace:
+    """Run one replica and write its trace, or the partial trace on failure."""
     try:
         trace = run_experiment(
             objective, mixing, iterations=cfg.iterations, seed=cfg.seed,
             bits=cfg.bits, beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode,
-            quantized=True, replica=replica, record_stride=cfg.record_stride)
+            record_stride=cfg.record_stride, **kwargs)
     except Exception as exc:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None:
-            partial.to_csv(out)
+            partial.to_csv(path)
         raise
-    trace.to_csv(out)
-    return str(out)
+    trace.to_csv(path)
+    return trace
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
+    topo = build_topology(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
-    topo = build_topology(cfg)
     save_edge_list(topo, out_dir / "graph.edges")
     objective = build_objective_from_config(cfg)
     save_instance_csv(objective, out_dir / "instance.csv")
     mixing = lazy_metropolis(topo)
-    cfg_dict = cfg.to_json_dict()
-    try:
-        if cfg.jobs > 1 and cfg.replicas > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                list(pool.map(_run_one_replica, [cfg_dict] * cfg.replicas,
-                              range(cfg.replicas)))
-        else:
-            for rep in range(cfg.replicas):
-                _run_one_replica(cfg_dict, rep)
-        baseline_final = None
-        if cfg.baseline:
-            try:
-                baseline = run_experiment(
-                    objective, mixing, iterations=cfg.iterations, seed=cfg.seed,
-                    bits=cfg.bits, beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode,
-                    quantized=False, record_stride=cfg.record_stride)
-            except Exception as exc:
-                partial = getattr(exc, "partial_trace", None)
-                if partial is not None:
-                    partial.to_csv(out_dir / "baseline_trace.csv")
-                raise
-            baseline.to_csv(out_dir / "baseline_trace.csv")
-            baseline_final = baseline.final()
-    except GradientBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRADIENT_BOUND
-    final = Trace.from_csv(out_dir / _trace_name(0, cfg.replicas)).final()
-    line = (f"final f_gap (k={final.k}): last={final.f_gap_last:.6g} "
-            f"avg_max={final.f_gap_avg_max:.6g}")
-    if baseline_final is not None:
-        line += f" baseline_avg_max={baseline_final.f_gap_avg_max:.6g}"
+    names = (["trace.csv"] if cfg.replicas == 1 else
+             [f"trace_r{rep}.csv" for rep in range(cfg.replicas)])
+    finals = [_write_trace(out_dir / name, cfg, objective, mixing,
+                           quantized=True, replica=rep).final()
+              for rep, name in enumerate(names)]
+    line = (f"final f_gap (k={finals[0].k}): last={finals[0].f_gap_last:.6g} "
+            f"avg_max={finals[0].f_gap_avg_max:.6g}")
+    if cfg.baseline:
+        baseline = _write_trace(out_dir / "baseline_trace.csv", cfg, objective,
+                                mixing, quantized=False)
+        line += f" baseline_avg_max={baseline.final().f_gap_avg_max:.6g}"
     print(line)
     return EXIT_OK
 
@@ -131,12 +107,12 @@ def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]
     checks = []
     for bits, dims in [(1, 3), (6, 2), (16, 5)]:
         qsched = QuantizerSchedule(1.0, steps, QuantizerConfig(bits, dims))
-        k = 3
-        rangek, delta = qsched.range_at(k), qsched.delta_at(k)
+        grid = qsched.grid(3)
+        rangek, delta = grid.range, grid.delta
         x = rng.uniform(-rangek, rangek, size=dims)
         block = np.repeat(x[None, :], draws // 10, axis=0)
-        indices = quantize_matrix(block, qsched, k, rng)
-        decoded = decode_matrix(indices, qsched, k)
+        indices = quantize_matrix(block, grid, rng)
+        decoded = decode_matrix(indices, grid)
         err = decoded - block
         support_ok = bool(np.abs(err).max() <= delta)
         se = delta / (2.0 * np.sqrt(len(block)))
@@ -145,7 +121,7 @@ def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]
         received = np.array([unpack_indices(payload, bits, dims)
                              for payload in pack_index_rows(indices[:100], bits)])
         roundtrip_ok = (np.array_equal(received, indices[:100]) and np.array_equal(
-            decode_matrix(received, qsched, k), decoded[:100]))
+            decode_matrix(received, grid), decoded[:100]))
         checks.append({"name": f"quantizer_b{bits}_d{dims}",
                        "passed": support_ok and mean_ok and var_ok and roundtrip_ok,
                        "detail": {"support": support_ok, "mean": mean_ok,
@@ -249,14 +225,13 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eta-mode", choices=["body", "appendix"], default=None)
     sub.add_argument("--replicas", type=int, default=None)
     sub.add_argument("--record-stride", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
 
 
 def _config_from_args(args) -> ExperimentConfig:
     overrides = dict(
         n=args.n, d=args.dims, bits=args.bits, iterations=args.iterations,
         seed=args.seed, output_dir=args.output_dir, baseline=args.baseline,
-        eta_mode=args.eta_mode, replicas=args.replicas, jobs=args.jobs,
+        eta_mode=args.eta_mode, replicas=args.replicas,
         record_stride=args.record_stride,
         graph__edge_probability=args.edge_probability,
         graph__edges_file=args.edges_file,

@@ -38,7 +38,6 @@ class ExperimentConfig:
     baseline: bool = False
     replicas: int = 1
     record_stride: int | None = None
-    jobs: int = 1
     output_dir: str = "out"
 
     def validate(self) -> None:
@@ -48,7 +47,6 @@ class ExperimentConfig:
             ("d", self.d >= 1, "must be >= 1"),
             ("n", self.n >= self.d, "must be >= d"),
             ("replicas", self.replicas >= 1, "must be >= 1"),
-            ("jobs", self.jobs >= 1, "must be >= 1"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("eta_mode", self.eta_mode in ("body", "appendix"),
              "must be 'body' or 'appendix'"),
@@ -78,19 +76,14 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
         cfg = cls()
-        known = {f for f in cfg.__dataclass_fields__}
         for key, value in raw.items():
-            if key == "graph":
-                for gk, gv in value.items():
-                    if gk not in cfg.graph.__dataclass_fields__:
-                        raise ConfigError(f"invalid field graph.{gk}: unknown field")
-                    setattr(cfg.graph, gk, gv)
-            elif key == "data":
-                for dk, dv in value.items():
-                    if dk not in cfg.data.__dataclass_fields__:
-                        raise ConfigError(f"invalid field data.{dk}: unknown field")
-                    setattr(cfg.data, dk, dv)
-            elif key in known:
+            if key in ("graph", "data"):
+                group = getattr(cfg, key)
+                for sub, sub_value in value.items():
+                    if sub not in group.__dataclass_fields__:
+                        raise ConfigError(f"invalid field {key}.{sub}: unknown field")
+                    setattr(group, sub, sub_value)
+            elif key in cfg.__dataclass_fields__:
                 setattr(cfg, key, value)
             else:
                 raise ConfigError(f"invalid field {key}: unknown field")
@@ -116,10 +109,9 @@ def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key.startswith("graph__"):
-            setattr(cfg.graph, key[len("graph__"):], value)
-        elif key.startswith("data__"):
-            setattr(cfg.data, key[len("data__"):], value)
+        group, _, sub = key.rpartition("__")
+        if group:
+            setattr(getattr(cfg, group), sub, value)
         elif key == "beta_clamp" and value == "off":
             cfg.beta_clamp = None
         else:

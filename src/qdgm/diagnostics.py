@@ -91,11 +91,12 @@ class Trace:
         return cls(records, error)
 
 
-def consensus_error(x_rows: np.ndarray) -> float:
-    """Squared Frobenius deviation of the rows from their mean."""
+def consensus_error(x_rows: np.ndarray):
+    """Squared Frobenius deviation of the rows from their mean, for one
+    (n, d) matrix or for each matrix of an (R, n, d) stack."""
     x = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-    centered = x - x.mean(axis=0, keepdims=True)
-    return float(np.sum(centered * centered))
+    centered = x - x.mean(axis=-2, keepdims=True)
+    return np.sum(centered * centered, axis=(-2, -1))
 
 
 def eta_coupling(mu: float, lipschitz: float, spectral_gap: float,

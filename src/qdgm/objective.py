@@ -140,10 +140,10 @@ def gradient(objective: RegressionObjective, agent: int, x: np.ndarray) -> np.nd
 
 
 def gradient_matrix(objective: RegressionObjective, x_rows: np.ndarray) -> np.ndarray:
-    """Each agent's gradient at its own iterate, one row per agent."""
+    """Each agent's gradient at its own iterate, for (n, d) or (R, n, d) rows."""
     w = objective.features
-    residuals = np.einsum("ij,ij->i", x_rows, w) - objective.targets
-    return 2.0 * w * residuals[:, None]
+    residuals = np.einsum("...ij,ij->...i", x_rows, w) - objective.targets
+    return 2.0 * w * residuals[..., None]
 
 
 def global_value(objective: RegressionObjective, x: np.ndarray) -> float:

@@ -14,9 +14,10 @@ Index 0 is round 0, where every iterate is exactly zero and the range is
 empty: every index is zero, no randomness is drawn and nothing needs to
 cross a link.
 
-The round engine carries one round as an (n, d) int64 index matrix:
-:func:`quantize_matrix` produces it and :func:`decode_matrix` rebuilds the
-values with the shared expression -range(k) + index * delta(k). The wire
+The round engine carries one round as an int64 index array, (n, d) for
+one replica or (R, n, d) for a stack of them: :func:`quantize_matrix`
+produces it on the round's :class:`Grid` and :func:`decode_matrix` rebuilds
+the values with the shared expression -range(k) + index * delta(k). The wire
 contract sits at the boundary: :func:`pack_index_rows` packs each row's d
 indices MSB-first in coordinate order, zero-padded to a whole number of
 bytes, ceil(d*b/8) in total, and :func:`unpack_indices` is its exact
@@ -26,6 +27,7 @@ values bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +61,15 @@ class QuantizerConfig:
         return (self.dims * self.bits + 7) // 8
 
 
+class Grid(NamedTuple):
+    """Round k's interval [-range, range], cut into ``bins`` bins of width delta."""
+
+    k: int
+    range: float
+    delta: float
+    bins: int
+
+
 @dataclass
 class QuantizerSchedule:
     """Deterministic per-round interval shared by encoder and decoder.
@@ -90,17 +101,26 @@ class QuantizerSchedule:
         return self.gradient_bound * self.steps.alpha_sum(k)
 
     def delta_at(self, k: int) -> float:
-        return 2.0 * self.range_at(k) / self.config.bin_count
+        return self.grid(k).delta
+
+    def grid(self, k: int) -> Grid:
+        rangek = self.range_at(k)
+        bins = self.config.bin_count
+        return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
-def check_range(x: np.ndarray, rangek: float, k: int) -> None:
+def check_range(x: np.ndarray, rangek: float, k: int, replicas=None) -> None:
     """Raise GradientBoundError when max_i ||x^i||_inf exceeds the round-k
-    range by more than the clamp band."""
+    range by more than the clamp band. For an (R, n, d) stack with R > 1 the
+    message also names the replica: ``replicas[r]``, or r without ids."""
     worst = float(np.abs(x).max())
     if worst > rangek * (1.0 + CLAMP_BAND):
-        row = int(np.unravel_index(np.argmax(np.abs(x)), x.shape)[0])
+        where = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+        who = f"agent {where[-2]}"
+        if x.ndim == 3 and x.shape[0] > 1:
+            who += f" of replica {where[0] if replicas is None else replicas[where[0]]}"
         raise GradientBoundError(
-            f"gradient-bound violation: agent {row} reached {worst} at round "
+            f"gradient-bound violation: {who} reached {worst} at round "
             f"{k}, outside quantization range +-{rangek}")
 
 
@@ -110,9 +130,11 @@ def _stochastic_round(values: np.ndarray, lower: float, delta: float,
 
     values must already be clamped into [lower, lower + nbins*delta].
     """
+    # np.minimum/np.maximum clip like np.clip, without its Python overhead
     base = np.floor((values - lower) / delta)
-    np.clip(base, 0, nbins - 1, out=base)
-    frac = np.clip((values - (lower + base * delta)) / delta, 0.0, 1.0)
+    np.minimum(np.maximum(base, 0, out=base), nbins - 1, out=base)
+    frac = (values - (lower + base * delta)) / delta
+    np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)
     idx = base + (uniforms < frac)
     # one-ulp guard: at bin boundaries the floor/reconstruction pair can land
     # the chosen endpoint just over one bin width away; flip to the other
@@ -123,37 +145,36 @@ def _stochastic_round(values: np.ndarray, lower: float, delta: float,
     return idx.astype(np.int64)
 
 
-def quantize_matrix(x: np.ndarray, schedule: QuantizerSchedule, k: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Quantize one row vector per agent onto the round-k grid.
+def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
+    """Quantize (n, d) rows, or an (R, n, d) stack, to int64 grid indices.
 
-    Returns the (n, d) int64 matrix of endpoint indices. Randomness is drawn
-    as one uniform per (row, coordinate) in row-major order from ``rng``,
-    so results do not depend on any per-agent call order. Inputs inside the
+    ``rng`` is one generator, or one per replica of a stack; each draws one
+    uniform per (agent, coordinate) of its block in row-major order, so
+    results do not depend on any per-agent call order. Inputs inside the
     clamp band are snapped to the interval; farther out raises
-    GradientBoundError.
-    """
+    GradientBoundError."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m, d = x.shape
-    if d != schedule.dims:
-        raise ValueError(f"expected dimension {schedule.dims}, got {d}")
-    if k == 0:
-        return np.zeros((m, d), dtype=np.int64)
-    rangek = schedule.range_at(k)
-    check_range(x, rangek, k)
-    clamped = np.clip(x, -rangek, rangek)
-    return _stochastic_round(clamped, -rangek, schedule.delta_at(k),
-                             schedule.config.bin_count, rng.random((m, d)))
+    if grid.k == 0:
+        return np.zeros(x.shape, dtype=np.int64)
+    rangek = grid.range
+    check_range(x, rangek, grid.k)
+    uniforms = np.empty(x.shape)
+    if isinstance(rng, np.random.Generator):
+        rng.random(out=uniforms)
+    else:
+        for gen, block in zip(rng, uniforms, strict=True):
+            gen.random(out=block)
+    clamped = np.minimum(np.maximum(x, -rangek), rangek)
+    return _stochastic_round(clamped, -rangek, grid.delta, grid.bins, uniforms)
 
 
-def decode_matrix(indices: np.ndarray, schedule: QuantizerSchedule,
-                  k: int) -> np.ndarray:
+def decode_matrix(indices: np.ndarray, grid: Grid) -> np.ndarray:
     """Rebuild the endpoint values -range(k) + index * delta(k).
 
-    Encoder and decoder evaluate this one expression on the shared
-    schedule, so decoding unpacked wire indices is bit-exact.
+    Encoder and decoder evaluate this one expression on the shared grid,
+    so decoding unpacked wire indices is bit-exact.
     """
-    return -schedule.range_at(k) + np.asarray(indices) * schedule.delta_at(k)
+    return -grid.range + np.asarray(indices) * grid.delta
 
 
 def pack_indices(indices, bits: int) -> bytes:

@@ -30,8 +30,8 @@ class StepSchedule:
         if self._alpha_partials is None:
             self._alpha_partials = np.zeros(1)
 
-    def alpha(self, k: int) -> float:
-        """Gradient step at round k."""
+    def alpha(self, k):
+        """Gradient step at round k (elementwise for an array of rounds)."""
         return (4.0 / self.mu) / (k + 1)
 
     def beta(self, k: int) -> float:
@@ -58,5 +58,5 @@ class StepSchedule:
         # Recompute the whole prefix-sum array from scratch: the values must
         # depend only on k, never on the order earlier calls grew the cache.
         grow_to = max(k + 1, 2 * len(self._alpha_partials))
-        terms = (4.0 / self.mu) / np.arange(1.0, grow_to, dtype=np.float64)
+        terms = self.alpha(np.arange(grow_to - 1, dtype=np.float64))
         self._alpha_partials = np.concatenate([[0.0], np.cumsum(terms)])

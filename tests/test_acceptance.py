@@ -237,13 +237,13 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     for bits in (1, 2, 8, 16):
         qsched = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5),
                                    QuantizerConfig(bits, 5))
-        rangek = qsched.range_at(9)
+        rangek, grid = qsched.range_at(9), qsched.grid(9)
         idx = quantize_matrix(rng.uniform(-rangek, rangek, size=(40, 5)),
-                              qsched, 9, rng)
+                              grid, rng)
         received = np.array([unpack_indices(payload, bits, 5)
                              for payload in pack_index_rows(idx, bits)])
         if not (np.array_equal(received, idx) and np.array_equal(
-                decode_matrix(received, qsched, 9), decode_matrix(idx, qsched, 9))):
+                decode_matrix(received, grid), decode_matrix(idx, grid))):
             report_acceptance(8, False, f"engine index round-trip failed b={bits}")
             raise AssertionError("engine index round-trip failed")
         checked += len(idx)
@@ -258,11 +258,11 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
         rangek, delta = qsched.range_at(k), qsched.delta_at(k)
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
-        state = RoundState(k, np.array([[x_val]]), np.zeros((1, 1)),
+        state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)),
                            k * (k + 1) // 2)
         nxt = run_round(state, mixing, obj, steps, qsched, seed=1)
         gd = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
-        worst = max(worst, abs(nxt.x[0, 0] - gd))
+        worst = max(worst, abs(nxt.x[0, 0, 0] - gd))
     # and the exact-exchange twin is plain gradient descent along a full run
     state = initial_state(1, 1)
     oracle = 0.0
@@ -270,7 +270,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
         state = run_round(state, mixing, obj, steps, qsched, seed=1,
                           quantized=False)
         oracle = oracle - steps.alpha(k) * 2.0 * (oracle - 0.8)
-        worst = max(worst, abs(state.x[0, 0] - oracle))
+        worst = max(worst, abs(state.x[0, 0, 0] - oracle))
     ok = worst <= 1e-12
     report_acceptance(8, ok, f"{checked} codec round-trips exact; gradient-"
                              f"descent reduction max deviation {worst:.2e}")

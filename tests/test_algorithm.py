@@ -29,7 +29,7 @@ def test_single_agent_baseline_is_plain_gradient_descent():
         state = run_round(state, mixing, obj, steps, qsched, seed=0,
                           quantized=False)
         oracle = oracle - steps.alpha(k) * 2.0 * (oracle - 0.8)
-        assert abs(state.x[0, 0] - oracle) <= 1e-12
+        assert abs(state.x[0, 0, 0] - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 37])
@@ -40,11 +40,11 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     rangek, delta = qsched.range_at(k), qsched.delta_at(k)
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
-    state = RoundState(k, np.array([[x_val]]), np.zeros((1, 1)),
+    state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)),
                        weight_sum=k * (k + 1) // 2)
     nxt = run_round(state, mixing, obj, steps, qsched, seed=3, quantized=True)
     expected = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
-    assert abs(nxt.x[0, 0] - expected) <= 1e-12
+    assert abs(nxt.x[0, 0, 0] - expected) <= 1e-12
 
 
 def test_fixed_point_at_common_root(hand_objective):
@@ -54,7 +54,7 @@ def test_fixed_point_at_common_root(hand_objective):
     steps = StepSchedule(hand_objective.mu, 1.0)
     qsched = QuantizerSchedule(hand_objective.grad_bound, steps,
                                QuantizerConfig(8, 2))
-    x = np.tile(hand_objective.optimum, (2, 1))
+    x = np.tile(hand_objective.optimum, (1, 2, 1))
     state = RoundState(3, x.copy(), x.copy(), weight_sum=6)
     nxt = run_round(state, mixing, hand_objective, steps, qsched, seed=0,
                     quantized=False)
@@ -69,7 +69,7 @@ def test_two_agents_average_in_one_round():
     steps = StepSchedule(obj.mu, 1.0, beta_clamp=1.0)
     assert steps.beta(0) == 1.0
     qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(8, 1))
-    state = RoundState(0, np.array([[2.0], [4.0]]), np.zeros((2, 1)), 0)
+    state = RoundState(0, np.array([[[2.0], [4.0]]]), np.zeros((1, 2, 1)), 0)
     nxt = run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
     assert np.allclose(nxt.x, 3.0, atol=1e-12)
 
@@ -82,14 +82,14 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(8, 2))
     rng = np.random.default_rng(12)
     for k in (0, 2, 9):
-        x = rng.uniform(-0.2, 0.2, size=(obj.n, obj.dims))
+        x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
         state = RoundState(k, x, np.zeros_like(x), k * (k + 1) // 2)
         nxt = run_round(state, small_mixing, obj, steps, qsched, seed=1,
                         quantized=False)
-        residuals = np.einsum("ij,ij->i", x, obj.features) - obj.targets
+        residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
         gbar = (2.0 * obj.features * residuals[:, None]).mean(axis=0)
-        expected = x.mean(axis=0) - steps.alpha(k) * gbar
-        assert np.abs(nxt.x.mean(axis=0) - expected).max() <= 1e-12
+        expected = x[0].mean(axis=0) - steps.alpha(k) * gbar
+        assert np.abs(nxt.x[0].mean(axis=0) - expected).max() <= 1e-12
 
 
 def test_consensus_stays_exact_with_identical_objectives():
@@ -103,7 +103,7 @@ def test_consensus_stays_exact_with_identical_objectives():
     for _ in range(30):
         state = run_round(state, mixing, obj, steps, qsched, seed=0,
                           quantized=False)
-        assert state.x[0, 0] == state.x[1, 0]
+        assert state.x[0, 0, 0] == state.x[0, 1, 0]
 
 
 def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
@@ -111,8 +111,8 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(6, 2))
     state = initial_state(obj.n, obj.dims)
-    sent = quantizer.quantize_matrix(state.x, qsched, 0, np.random.default_rng(5))
-    assert sent.shape == (obj.n, obj.dims) and np.all(sent == 0)
+    sent = quantizer.quantize_matrix(state.x, qsched.grid(0), np.random.default_rng(5))
+    assert sent.shape == (1, obj.n, obj.dims) and np.all(sent == 0)
     nxt = run_round(state, small_mixing, obj, steps, qsched, seed=5,
                     quantized=True)
     # first move is the pure gradient step from zero
@@ -122,22 +122,22 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
 
 def test_averaged_output_hand_values():
     obj, mixing, steps, qsched = single_agent_setup()
-    state = RoundState(0, np.array([[1.0]]), np.zeros((1, 1)), 0)
+    state = RoundState(0, np.array([[[1.0]]]), np.zeros((1, 1, 1)), 0)
     s1 = run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
-    assert s1.z[0, 0] == 1.0
-    forced = RoundState(1, np.array([[2.0]]), s1.z, s1.weight_sum)
+    assert s1.z[0, 0, 0] == 1.0
+    forced = RoundState(1, np.array([[[2.0]]]), s1.z, s1.weight_sum)
     s2 = run_round(forced, mixing, obj, steps, qsched, seed=0, quantized=False)
-    assert s2.z[0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
+    assert s2.z[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
 
 def test_averaged_output_of_constant_trajectory():
     obj, mixing, steps, qsched = single_agent_setup()
     c = 0.8  # the optimum: stays put under baseline dynamics
-    state = RoundState(0, np.array([[c]]), np.zeros((1, 1)), 0)
+    state = RoundState(0, np.array([[[c]]]), np.zeros((1, 1, 1)), 0)
     for _ in range(10):
         state = run_round(state, mixing, obj, steps, qsched, seed=0,
                           quantized=False)
-    assert state.z[0, 0] == pytest.approx(c, abs=1e-14)
+    assert state.z[0, 0, 0] == pytest.approx(c, abs=1e-14)
 
 
 def test_incremental_average_matches_recomputation(small_instance, small_mixing):
@@ -166,8 +166,71 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     b = run_round(state, small_mixing, obj, steps, qsched, seed=9)
     assert np.array_equal(a.x, b.x)
     # a different replica index rewires the randomness
-    c = run_round(state, small_mixing, obj, steps, qsched, seed=9, replica=1)
+    c = run_round(state, small_mixing, obj, steps, qsched, seed=9, replicas=(1,))
     assert not np.array_equal(a.x, c.x)
+
+
+def test_batched_round_matches_single_replica_rounds(small_instance, small_mixing):
+    # slice r of a stack keyed with ids (2, 0, 7) follows the one-replica
+    # run keyed with that id bit for bit, round after round
+    obj = small_instance
+    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
+    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(4, 2))
+    ids = (2, 0, 7)
+    stack = initial_state(obj.n, obj.dims, len(ids))
+    singles = [initial_state(obj.n, obj.dims) for _ in ids]
+    for _ in range(25):
+        stack = run_round(stack, small_mixing, obj, steps, qsched, seed=9,
+                          replicas=ids)
+        singles = [run_round(s, small_mixing, obj, steps, qsched, seed=9,
+                             replicas=(rep,)) for s, rep in zip(singles, ids)]
+        for r, single in enumerate(singles):
+            assert np.array_equal(stack.x[r], single.x[0])
+            assert np.array_equal(stack.z[r], single.z[0])
+    assert not np.array_equal(stack.x[0], stack.x[2])
+    for quantized in (True, False):
+        with pytest.raises(ValueError, match="replica ids"):
+            run_round(stack, small_mixing, obj, steps, qsched, seed=9,
+                      replicas=(0,), quantized=quantized)
+
+
+def test_ensemble_statistics_match_single_run_records(small_instance,
+                                                      small_mixing):
+    # the batched statistics observer and make_record see the same states
+    ens = collect_ensemble(small_instance, small_mixing, iterations=30, seed=4,
+                           bits=5, replicas=3)
+    for rep in range(3):
+        trace = run_experiment(small_instance, small_mixing, iterations=30,
+                               seed=4, bits=5, replica=rep)
+        assert np.array_equal(ens.consensus_sq[rep], trace.column("consensus_sq"))
+        assert np.array_equal(ens.r_sq[rep], trace.column("r_sq"))
+
+
+def test_batched_range_violation_names_agent_and_replica():
+    # row 5 of the flattened (3 * 4, 2) stack is agent 1 of replica 1
+    x = np.zeros((3, 4, 2))
+    x[1, 1, 0] = 2.0
+    with pytest.raises(GradientBoundError, match="agent 1 of replica 1 "):
+        quantizer.check_range(x, 1.0, 6)
+    with pytest.raises(GradientBoundError, match="agent 1 of replica 8 "):
+        quantizer.check_range(x, 1.0, 6, replicas=(4, 8, 9))
+    # a single replica keeps the one-run wording
+    with pytest.raises(GradientBoundError, match="violation: agent 1 reached"):
+        quantizer.check_range(x[1:2], 1.0, 6)
+    grid = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5),
+                             QuantizerConfig(4, 2)).grid(1)
+    rngs = [np.random.default_rng(r) for r in range(3)]
+    with pytest.raises(GradientBoundError, match="agent 1 of replica 1 "):
+        quantizer.quantize_matrix(x, grid, rngs)
+
+
+def test_batched_range_violation_in_ensemble_names_its_replica(
+        small_instance, small_mixing):
+    # without the clamp the raw consensus weights push every replica out of
+    # range; the error from a stack names a replica of it
+    with pytest.raises(GradientBoundError, match=r"agent \d of replica \d "):
+        collect_ensemble(small_instance, small_mixing, iterations=200, seed=2,
+                         bits=6, replicas=3, beta_clamp=None)
 
 
 def test_support_violation_raises_typed_error(small_instance, small_mixing,
@@ -181,8 +244,8 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
                       qsched, seed=4)
     decode = quantizer.decode_matrix
 
-    def shifted(indices, schedule, k):
-        return decode(indices, schedule, k) + 2.0 * schedule.delta_at(k)
+    def shifted(indices, grid):
+        return decode(indices, grid) + 2.0 * grid.delta
 
     monkeypatch.setattr(quantizer, "decode_matrix", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
@@ -256,7 +319,7 @@ def test_no_clamp_mode_aborts_with_range_violation(small_instance, small_mixing)
 
 def test_non_finite_iterate_detected():
     obj, mixing, steps, qsched = single_agent_setup()
-    state = RoundState(2, np.array([[1e308]]), np.zeros((1, 1)), 3)
+    state = RoundState(2, np.array([[[1e308]]]), np.zeros((1, 1, 1)), 3)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterateError):
         run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
 

@@ -74,6 +74,36 @@ def test_cli_rejects_bad_flag_value(tmp_path, capsys):
     assert "invalid field bits" in capsys.readouterr().err
 
 
+def test_config_setting_jobs_is_rejected(tmp_path, capsys):
+    # replicas run in one process; a config that still sets the removed
+    # process-pool size is an unknown field, not silently ignored
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"jobs": 2}))
+    code = run_cli(["run", "--config", str(path), "--output-dir",
+                    str(tmp_path / "out")])
+    assert code == 64
+    assert "invalid field jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit):
+        run_cli(["run", "--jobs", "2", "--output-dir", str(tmp_path / "out")])
+
+
+def test_edges_file_with_other_node_count_exits_64(tmp_path, capsys):
+    edges = tmp_path / "g30.edges"
+    assert run_cli(["graph", "--n", "30", "--edge-probability", "0.3",
+                    "--seed", "3", "--out", str(edges)]) == 0
+    out = tmp_path / "out"
+    code = run_cli(["run", "--edges-file", str(edges), "--iterations", "5",
+                    "--output-dir", str(out)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "invalid field n" in err and "30 nodes" in err and "n = 40" in err
+    assert not (out / "config.json").exists()
+    # with the matching n the same file runs
+    assert run_cli(["run", "--edges-file", str(edges), "--n", "30",
+                    "--iterations", "5", "--output-dir", str(out)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -147,16 +177,15 @@ def test_run_replicas_split_randomness(tmp_path):
     assert not (tmp_path / "trace.csv").exists()
 
 
-def test_run_replicas_parallel_matches_serial(tmp_path):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
+def test_run_replicas_match_single_runs(tmp_path):
+    # replica r of a multi-replica run is the single run keyed with replica r
     base = ["run", "--n", "6", "--dims", "2", "--bits", "6", "--iterations",
-            "25", "--edge-probability", "0.6", "--replicas", "2"]
-    assert run_cli(base + ["--output-dir", str(serial)]) == 0
-    assert run_cli(base + ["--jobs", "2", "--output-dir", str(parallel)]) == 0
-    for i in range(2):
-        assert (serial / f"trace_r{i}.csv").read_bytes() == \
-            (parallel / f"trace_r{i}.csv").read_bytes()
+            "25", "--edge-probability", "0.6"]
+    assert run_cli(base + ["--replicas", "2", "--output-dir",
+                           str(tmp_path / "both")]) == 0
+    assert run_cli(base + ["--output-dir", str(tmp_path / "one")]) == 0
+    assert (tmp_path / "both" / "trace_r0.csv").read_bytes() == \
+        (tmp_path / "one" / "trace.csv").read_bytes()
 
 
 def test_run_without_clamp_exits_2_and_flushes_partial_trace(tmp_path, capsys):

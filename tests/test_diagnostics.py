@@ -247,10 +247,11 @@ def test_noise_free_recursions_hold_deterministically():
     state = initial_state(4, 2)
     cons, r_sq, f_worst = [], [], []
     for k in range(rounds + 1):
-        cons.append(consensus_error(state.x))
-        r_sq.append(float(np.sum((state.x.mean(axis=0) - obj.optimum) ** 2)))
+        x = state.x[0]
+        cons.append(consensus_error(x))
+        r_sq.append(float(np.sum((x.mean(axis=0) - obj.optimum) ** 2)))
         f_worst.append(max(float(np.sum((obj.features @ xi - obj.targets) ** 2))
-                           for xi in state.x))
+                           for xi in x))
         if k < rounds:
             state = run_round(state, mixing, obj, steps, qsched, seed=0,
                               quantized=False)

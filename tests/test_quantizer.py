@@ -22,17 +22,17 @@ def make_schedule(bits, dims, mu=4.0, grad_bound=1.0, gap=0.5):
 def test_scalar_on_lower_endpoint_is_deterministic():
     sched = make_schedule(bits=2, dims=1)
     x = np.full((50, 1), -sched.range_at(K_UNIT))
-    idx = quantize_matrix(x, sched, K_UNIT, np.random.default_rng(0))
+    idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 0)
-    assert np.all(decode_matrix(idx, sched, K_UNIT) == -1.5)
+    assert np.all(decode_matrix(idx, sched.grid(K_UNIT)) == -1.5)
 
 
 def test_scalar_on_upper_endpoint_is_deterministic():
     sched = make_schedule(bits=2, dims=1)
     x = np.full((50, 1), sched.range_at(K_UNIT))
-    idx = quantize_matrix(x, sched, K_UNIT, np.random.default_rng(0))
+    idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 3)
-    assert np.all(decode_matrix(idx, sched, K_UNIT) == 1.5)
+    assert np.all(decode_matrix(idx, sched.grid(K_UNIT)) == 1.5)
 
 
 def test_scalar_interior_probabilities():
@@ -40,9 +40,9 @@ def test_scalar_interior_probabilities():
     # 0.5 w.p. 0.4
     sched = make_schedule(bits=2, dims=1)
     n = 100_000
-    idx = quantize_matrix(np.full((n, 1), -0.1), sched, K_UNIT,
+    idx = quantize_matrix(np.full((n, 1), -0.1), sched.grid(K_UNIT),
                           np.random.default_rng(99))
-    vals = decode_matrix(idx, sched, K_UNIT)
+    vals = decode_matrix(idx, sched.grid(K_UNIT))
     assert set(np.unique(vals)) == {-0.5, 0.5}
     p_up = np.mean(vals == 0.5)
     se = np.sqrt(0.4 * 0.6 / n)
@@ -53,14 +53,14 @@ def test_scalar_range_check_and_clamp_band():
     sched = make_schedule(bits=2, dims=1)
     rng = np.random.default_rng(0)
     with pytest.raises(GradientBoundError, match="outside quantization range"):
-        quantize_matrix([[1.6]], sched, K_UNIT, rng)
+        quantize_matrix([[1.6]], sched.grid(K_UNIT), rng)
     # the band is CLAMP_BAND * range on each side, as in the run invariant
     with pytest.raises(GradientBoundError):
-        quantize_matrix([[1.5 * (1.0 + 2.0 * CLAMP_BAND)]], sched, K_UNIT, rng)
+        quantize_matrix([[1.5 * (1.0 + 2.0 * CLAMP_BAND)]], sched.grid(K_UNIT), rng)
     # inside the clamp band: snapped to the endpoint instead of rejected
-    idx = quantize_matrix([[1.5 + 1e-10]], sched, K_UNIT, rng)
+    idx = quantize_matrix([[1.5 + 1e-10]], sched.grid(K_UNIT), rng)
     assert idx.tolist() == [[3]]
-    assert decode_matrix(idx, sched, K_UNIT).tolist() == [[1.5]]
+    assert decode_matrix(idx, sched.grid(K_UNIT)).tolist() == [[1.5]]
 
 
 def test_scalar_value_is_reconstruction_of_index():
@@ -71,8 +71,8 @@ def test_scalar_value_is_reconstruction_of_index():
         k = int(rng.integers(1, 50))
         rangek, delta = sched.range_at(k), sched.delta_at(k)
         x = rng.uniform(-rangek, rangek, size=(1, 3))
-        idx = quantize_matrix(x, sched, k, rng)
-        val = decode_matrix(idx, sched, k)
+        idx = quantize_matrix(x, sched.grid(k), rng)
+        val = decode_matrix(idx, sched.grid(k))
         assert np.array_equal(val, -rangek + idx * delta)
         assert np.abs(val - x).max() <= delta
 
@@ -81,11 +81,11 @@ def test_vector_example_bit_packing():
     # one-bit grid over [-1, 1]: (-1, 1) maps to indices (0, 1), byte 0x40
     sched = make_schedule(bits=1, dims=2)  # mu=4 so alpha_0 = 1, range(1) = 1
     assert sched.range_at(1) == 1.0
-    idx = quantize_matrix(np.array([[-1.0, 1.0]]), sched, 1,
+    idx = quantize_matrix(np.array([[-1.0, 1.0]]), sched.grid(1),
                           np.random.default_rng(0))
     assert idx.tolist() == [[0, 1]]
     assert pack_index_rows(idx, 1) == [b"\x40"]
-    assert np.allclose(decode_matrix(idx, sched, 1), [[-1.0, 1.0]])
+    assert np.allclose(decode_matrix(idx, sched.grid(1)), [[-1.0, 1.0]])
 
 
 def test_vector_zero_input_unbiased():
@@ -96,7 +96,7 @@ def test_vector_zero_input_unbiased():
     rng = np.random.default_rng(31)
     n = 100_000
     block = np.zeros((n, 2))
-    decoded = decode_matrix(quantize_matrix(block, sched, k, rng), sched, k)
+    decoded = decode_matrix(quantize_matrix(block, sched.grid(k), rng), sched.grid(k))
     se = delta / (2.0 * np.sqrt(n))
     assert np.abs(decoded.mean(axis=0)).max() <= 3 * se
 
@@ -107,8 +107,8 @@ def test_vector_lattice_points_are_fixed():
     rangek, delta = sched.range_at(k), sched.delta_at(k)
     rng = np.random.default_rng(2)
     lattice = -rangek + np.array([[0, 7, 15]]) * delta
-    idx = quantize_matrix(lattice, sched, k, rng)
-    assert np.array_equal(decode_matrix(idx, sched, k), lattice)
+    idx = quantize_matrix(lattice, sched.grid(k), rng)
+    assert np.array_equal(decode_matrix(idx, sched.grid(k)), lattice)
     assert idx.tolist() == [[0, 7, 15]]
 
 
@@ -117,7 +117,7 @@ def test_vector_range_violation_names_agent():
     x = np.zeros((3, 2))
     x[2, 1] = sched.range_at(1) * 1.5
     with pytest.raises(GradientBoundError, match="agent 2"):
-        quantize_matrix(x, sched, 1, np.random.default_rng(0))
+        quantize_matrix(x, sched.grid(1), np.random.default_rng(0))
 
 
 def test_round0_message_convention():
@@ -126,10 +126,10 @@ def test_round0_message_convention():
     sched = make_schedule(bits=4, dims=3)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    idx = quantize_matrix(np.zeros((2, 3)), sched, 0, rng)
+    idx = quantize_matrix(np.zeros((2, 3)), sched.grid(0), rng)
     assert rng.bit_generator.state == before
     assert idx.shape == (2, 3) and np.all(idx == 0)
-    assert np.array_equal(decode_matrix(idx, sched, 0), np.zeros((2, 3)))
+    assert np.array_equal(decode_matrix(idx, sched.grid(0)), np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("bits,dims", [(1, 3), (6, 2), (16, 5), (32, 7)])
@@ -140,13 +140,13 @@ def test_wire_boundary_roundtrip_of_engine_indices(bits, dims):
     k = 7
     rng = np.random.default_rng(bits * 100 + dims)
     x = rng.uniform(-sched.range_at(k), sched.range_at(k), size=(40, dims))
-    idx = quantize_matrix(x, sched, k, rng)
+    idx = quantize_matrix(x, sched.grid(k), rng)
     payloads = pack_index_rows(idx, bits)
     assert all(len(p) == sched.config.payload_nbytes for p in payloads)
     received = np.array([unpack_indices(p, bits, dims) for p in payloads])
     assert np.array_equal(received, idx)
-    assert np.array_equal(decode_matrix(received, sched, k),
-                          decode_matrix(idx, sched, k))
+    assert np.array_equal(decode_matrix(received, sched.grid(k)),
+                          decode_matrix(idx, sched.grid(k)))
 
 
 def test_decode_rejects_wrong_payload_length():
@@ -157,7 +157,7 @@ def test_decode_rejects_wrong_payload_length():
 def test_decode_all_zero_payload_gives_lower_endpoint():
     sched = make_schedule(bits=8, dims=4)
     idx = unpack_indices(b"\x00" * 4, 8, 4)
-    assert np.all(decode_matrix(idx, sched, 3) == -sched.range_at(3))
+    assert np.all(decode_matrix(idx, sched.grid(3)) == -sched.range_at(3))
 
 
 def test_delta_schedule_values():
@@ -224,7 +224,7 @@ def test_variance_bound():
     delta = sched.delta_at(k)
     rng = np.random.default_rng(8)
     x = np.full((50_000, 1), 0.3 * sched.range_at(k))
-    decoded = decode_matrix(quantize_matrix(x, sched, k, rng), sched, k)
+    decoded = decode_matrix(quantize_matrix(x, sched.grid(k), rng), sched.grid(k))
     err = decoded - x
     second_moment = float((err ** 2).mean())
     se = float((err ** 2).std(ddof=1) / np.sqrt(err.size))

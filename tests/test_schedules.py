@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,13 @@ def test_alpha_sum_matches_direct_summation():
     for k in (1, 2, 17, 400):
         direct = sum(1.0 / (t + 1) for t in range(k))
         assert sched.alpha_sum(k) == pytest.approx(direct, rel=1e-14)
+    # the prefix sums are built from the step itself, so they agree bit for
+    # bit with a running sum of alpha(t)
+    for mu in (4.0, 3.0, 0.37):
+        sched = StepSchedule(mu, 0.5)
+        partial = np.cumsum([sched.alpha(t) for t in range(400)])
+        for k in (1, 2, 17, 399, 400):
+            assert sched.alpha_sum(k) == partial[k - 1]
 
 
 def test_alpha_sum_independent_of_access_order():
