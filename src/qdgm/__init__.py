@@ -15,18 +15,17 @@ from .diagnostics import (RateBoundInputs, Trace, TraceRecord, consensus_error,
 from .graph import (MixingMatrix, NetworkTopology, generate_random_connected_graph,
                     lazy_metropolis, spectral_gap)
 from .objective import (RegressionObjective, generate_instance, global_value,
-                        gradient, well_conditioned_instance)
-from .quantizer import (QuantizerConfig, QuantizerSchedule, decode_matrix,
-                        pack_index_rows, quantize_matrix, unpack_indices)
+                        well_conditioned_instance)
+from .quantizer import (QuantizerSchedule, decode_matrix, pack_index_rows,
+                        quantize_matrix, unpack_indices)
 from .schedules import StepSchedule
 
 __all__ = [
-    "ExperimentConfig", "MixingMatrix", "NetworkTopology", "QuantizerConfig",
-    "QuantizerSchedule", "RateBoundInputs", "RegressionObjective", "RoundState",
-    "StepSchedule", "Trace", "TraceRecord", "consensus_error", "decode_matrix",
-    "gamma_k", "generate_instance", "generate_random_connected_graph",
-    "global_value", "gradient", "initial_state", "lazy_metropolis",
-    "load_config", "lyapunov_value", "pack_index_rows", "quantize_matrix",
-    "rate_bound", "run_experiment", "run_round", "spectral_gap",
-    "unpack_indices", "well_conditioned_instance",
+    "ExperimentConfig", "MixingMatrix", "NetworkTopology", "QuantizerSchedule",
+    "RateBoundInputs", "RegressionObjective", "RoundState", "StepSchedule",
+    "Trace", "TraceRecord", "consensus_error", "decode_matrix", "gamma_k",
+    "generate_instance", "generate_random_connected_graph", "global_value",
+    "initial_state", "lazy_metropolis", "load_config", "lyapunov_value",
+    "pack_index_rows", "quantize_matrix", "rate_bound", "run_experiment",
+    "run_round", "spectral_gap", "unpack_indices", "well_conditioned_instance",
 ]

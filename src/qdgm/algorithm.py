@@ -33,7 +33,7 @@ from . import diagnostics, quantizer
 from .errors import NonFiniteIterateError, QuantizationSupportError
 from .graph import MixingMatrix, spectral_gap
 from .objective import RegressionObjective, gradient_matrix
-from .quantizer import QuantizerConfig, QuantizerSchedule
+from .quantizer import QuantizerSchedule
 # the per-round invariant is the quantizer's own range check; bench/child.py
 # traces it under this name
 from .quantizer import check_range as _check_range_invariant
@@ -42,17 +42,17 @@ from .schedules import StepSchedule
 
 @dataclass
 class RoundState:
-    """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds."""
+    """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds;
+    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k."""
 
     k: int
     x: np.ndarray
     z: np.ndarray
-    weight_sum: int
 
 
 def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
     """All iterates start at exactly zero; the range schedule depends on it."""
-    return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)), 0)
+    return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)))
 
 
 def run_round(state: RoundState, mixing: MixingMatrix,
@@ -89,8 +89,10 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     if not np.isfinite(x_next).all():
         raise NonFiniteIterateError(f"non-finite iterate at round {k}")
     _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, replicas)
-    z_next = (state.z * state.weight_sum + (k + 1) * x) / (state.weight_sum + (k + 1))
-    return RoundState(k + 1, x_next, z_next, state.weight_sum + (k + 1))
+    # rounds t < k carry the weights t + 1, which sum to k(k+1)/2
+    prior = k * (k + 1) // 2
+    z_next = (state.z * prior + (k + 1) * x) / (prior + (k + 1))
+    return RoundState(k + 1, x_next, z_next)
 
 
 def record_points(iterations: int, stride: int | None = None,
@@ -124,8 +126,7 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, observe,
         raise ValueError("iterations must be nonnegative")
     gap = spectral_gap(mixing)
     steps = StepSchedule(objective.mu, gap, beta_clamp)
-    qsched = QuantizerSchedule(objective.grad_bound, steps,
-                               QuantizerConfig(bits, objective.dims))
+    qsched = QuantizerSchedule(objective.grad_bound, steps, bits)
     eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz, gap, eta_mode)
     state = initial_state(objective.n, objective.dims, len(replicas))
     while True:
@@ -153,7 +154,7 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
 
     def record(state, steps, qsched, eta):
         if state.k in points:
-            z = state.z if state.weight_sum > 0 else state.x
+            z = state.z if state.k > 0 else state.x
             trace.records.append(diagnostics.make_record(
                 state.k, state.x[0], z[0], objective, steps, qsched, eta))
 

@@ -7,7 +7,8 @@ Subcommands:
   graph   emit or inspect an edge-list file
 
 Exit codes: 0 success, 1 verification failure, 2 gradient-bound violation,
-64 configuration error.
+64 bad input (a configuration field, a config or edge file, a verify
+argument).
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .algorithm import collect_ensemble, run_experiment
-from .config import ExperimentConfig, load_config
-from .diagnostics import (InequalityReport, RateBoundInputs, Trace,
+from .config import ExperimentConfig, check_fields, load_config
+from .diagnostics import (MIN_REPLICAS, InequalityReport, RateBoundInputs, Trace,
                           check_consensus_recursion, check_descent_recursion,
                           rate_bound)
 from .errors import ConfigError, GradientBoundError
@@ -30,8 +31,8 @@ from .graph import (NetworkTopology, generate_random_connected_graph,
                     save_edge_list, spectral_gap)
 from .objective import (RegressionObjective, generate_instance,
                         save_instance_csv, well_conditioned_instance)
-from .quantizer import (QuantizerConfig, QuantizerSchedule, decode_matrix,
-                        pack_index_rows, quantize_matrix, unpack_indices)
+from .quantizer import (QuantizerSchedule, decode_matrix, pack_index_rows,
+                        quantize_matrix, unpack_indices)
 from .schedules import StepSchedule
 
 EXIT_OK = 0
@@ -40,9 +41,18 @@ EXIT_GRADIENT_BOUND = 2
 EXIT_CONFIG = 64
 
 
+def _load_graph(path, field: str) -> NetworkTopology:
+    """load_edge_list, with an unreadable, malformed or disconnected file
+    reported as a ConfigError on ``field``."""
+    try:
+        return load_edge_list(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"invalid field {field}: cannot load {path}: {exc}") from exc
+
+
 def build_topology(cfg: ExperimentConfig) -> NetworkTopology:
     if cfg.graph.edges_file:
-        topo = load_edge_list(cfg.graph.edges_file)
+        topo = _load_graph(cfg.graph.edges_file, "graph.edges_file")
         if topo.n != cfg.n:
             raise ConfigError(
                 f"invalid field n: the edge file {cfg.graph.edges_file} has "
@@ -106,7 +116,7 @@ def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]
     steps = StepSchedule(mu=4.0, spectral_gap=0.5)
     checks = []
     for bits, dims in [(1, 3), (6, 2), (16, 5)]:
-        qsched = QuantizerSchedule(1.0, steps, QuantizerConfig(bits, dims))
+        qsched = QuantizerSchedule(1.0, steps, bits)
         grid = qsched.grid(3)
         rangek, delta = grid.range, grid.delta
         x = rng.uniform(-rangek, rangek, size=dims)
@@ -130,8 +140,16 @@ def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]
 
 
 def cmd_verify(n: int, d: int, rounds: int, replicas: int, bits: int,
-               seed: int, sigma2_offset: float = 0.0) -> int:
+               seed: int) -> int:
     """Run the inequality Monte Carlo and the property suite; JSON to stdout."""
+    check_fields([
+        ("dims", d >= 1, "must be >= 1"),
+        ("n", n >= d, "must be >= dims"),
+        ("rounds", rounds >= 1, "must be >= 1"),
+        ("replicas", replicas >= MIN_REPLICAS, f"must be >= {MIN_REPLICAS}"),
+        ("bits", 1 <= bits <= 32, "must be in [1, 32]"),
+        ("seed", seed >= 0, "must be >= 0"),
+    ])
     objective = well_conditioned_instance(n, d)
     topo = path_topology(n)
     mixing = lazy_metropolis(topo)
@@ -148,9 +166,8 @@ def cmd_verify(n: int, d: int, rounds: int, replicas: int, bits: int,
     checks.extend(quantizer_property_checks(seed))
     ens = collect_ensemble(objective, mixing, iterations=rounds, seed=seed,
                            bits=bits, replicas=replicas)
-    override = None if sigma2_offset == 0.0 else ens.sigma2 + sigma2_offset
     for checker in (check_consensus_recursion, check_descent_recursion):
-        report: InequalityReport = checker(ens, sigma2_override=override)
+        report: InequalityReport = checker(ens)
         checks.append({
             "name": report.name,
             "passed": report.passed,
@@ -194,7 +211,7 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
 
 def cmd_graph(args) -> int:
     if args.load:
-        topo = load_edge_list(args.load)
+        topo = _load_graph(args.load, "load")
         mixing = lazy_metropolis(topo)
         print(f"n={topo.n} m={topo.edge_count} sigma2={mixing.sigma2:.12g} "
               f"spectral_gap={spectral_gap(mixing):.12g}")
@@ -261,8 +278,6 @@ def make_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--replicas", type=int, default=500)
     verify_p.add_argument("--bits", type=int, default=6)
     verify_p.add_argument("--seed", type=int, default=7)
-    verify_p.add_argument("--sigma2-offset", type=float, default=0.0,
-                          help=argparse.SUPPRESS)  # sabotage-detection hook
 
     bound_p = subs.add_parser("bound", help="measured gap vs decay envelope")
     _add_config_flags(bound_p)
@@ -287,7 +302,7 @@ def main(argv=None) -> int:
             return cmd_run(_config_from_args(args))
         if args.command == "verify":
             return cmd_verify(args.n, args.dims, args.rounds, args.replicas,
-                              args.bits, args.seed, args.sigma2_offset)
+                              args.bits, args.seed)
         if args.command == "bound":
             horizons = [int(t) for t in args.horizons.split(",") if t.strip()]
             return cmd_bound(_config_from_args(args), horizons)

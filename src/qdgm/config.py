@@ -8,6 +8,13 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def check_fields(checks) -> None:
+    """Raise ConfigError naming the first (name, ok, reason) that is not ok."""
+    for name, ok, reason in checks:
+        if not ok:
+            raise ConfigError(f"invalid field {name}: {reason}")
+
+
 @dataclass
 class GraphConfig:
     edge_probability: float = 0.158
@@ -41,7 +48,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
-        checks = [
+        check_fields([
             ("bits", 1 <= self.bits <= 32, "must be in [1, 32]"),
             ("iterations", self.iterations >= 1, "must be >= 1"),
             ("d", self.d >= 1, "must be >= 1"),
@@ -59,10 +66,7 @@ class ExperimentConfig:
             ("data.target_high", self.data.target_high >= 0.0, "must be >= 0"),
             ("record_stride", self.record_stride is None or self.record_stride >= 1,
              "must be >= 1 when set"),
-        ]
-        for name, ok, reason in checks:
-            if not ok:
-                raise ConfigError(f"invalid field {name}: {reason}")
+        ])
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -78,6 +82,8 @@ class ExperimentConfig:
         cfg = cls()
         for key, value in raw.items():
             if key in ("graph", "data"):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"invalid field {key}: must be a JSON object")
                 group = getattr(cfg, key)
                 for sub, sub_value in value.items():
                     if sub not in group.__dataclass_fields__:
@@ -99,8 +105,11 @@ def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
     ``graph__edge_probability``. The result is validated.
     """
     if path is not None:
-        text = Path(path).read_text().strip()
-        raw = json.loads(text) if text else {}
+        try:
+            text = Path(path).read_text().strip()
+            raw = json.loads(text) if text else {}
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"invalid config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("invalid field <root>: config must be a JSON object")
         cfg = ExperimentConfig.from_json_dict(raw)

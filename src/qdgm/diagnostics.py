@@ -28,6 +28,9 @@ TRACE_COLUMNS = [
 
 ETA_MODES = ("body", "appendix")
 
+# the inequality checks need this many replicas for their standard errors
+MIN_REPLICAS = 100
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -192,7 +195,7 @@ def make_record(k: int, x_rows: np.ndarray, z_rows: np.ndarray,
     gaps = [global_value(objective, z) - objective.f_star for z in z_rows]
     inputs = RateBoundInputs(
         mu=objective.mu, lipschitz=objective.lipschitz,
-        grad_bound=qsched.gradient_bound, dims=qsched.dims,
+        grad_bound=qsched.gradient_bound, dims=objective.dims,
         n=objective.n, bits=qsched.bits,
         sigma2=1.0 - steps.spectral_gap, v1=0.0)
     return TraceRecord(
@@ -271,22 +274,18 @@ def _mc_violations(name: str, lhs: np.ndarray, rhs: np.ndarray) -> InequalityRep
     )
 
 
-def check_consensus_recursion(ens: EnsembleTrace,
-                              sigma2_override: float | None = None
-                              ) -> InequalityReport:
+def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
     """Verify the expected one-step contraction of the consensus error.
 
     E[||Y_{k+1}||_F^2] <= (1 - (1-s)b_k)||Y_k||^2
                           + (1 + (1-s)b_0) b_k^2 n^2 Dv_k^2
                           + ((1-s)b_0 + 1)/(1-s) * L^2 a_k^2 / b_k
     with s = sigma2, Dv the d-scaled bin width, checked in Monte Carlo mean
-    with a 3-standard-error slack. ``sigma2_override`` mis-sets s for
-    sabotage-detection tests.
+    with a 3-standard-error slack.
     """
-    if ens.replicas < 100:
-        raise ValueError(f"insufficient replicas: {ens.replicas} < 100")
-    s = ens.sigma2 if sigma2_override is None else sigma2_override
-    gap = 1.0 - s
+    if ens.replicas < MIN_REPLICAS:
+        raise ValueError(f"insufficient replicas: {ens.replicas} < {MIN_REPLICAS}")
+    gap = 1.0 - ens.sigma2
     a, b = ens.alphas, ens.betas
     dv = ens.dims * ens.deltas[:-1]
     rhs = (1.0 - gap * b) * ens.consensus_sq[:, :-1] \
@@ -295,9 +294,7 @@ def check_consensus_recursion(ens: EnsembleTrace,
     return _mc_violations("consensus_recursion", ens.consensus_sq[:, 1:], rhs)
 
 
-def check_descent_recursion(ens: EnsembleTrace,
-                            sigma2_override: float | None = None
-                            ) -> InequalityReport:
+def check_descent_recursion(ens: EnsembleTrace) -> InequalityReport:
     """Verify the expected one-step descent of the mean optimality distance.
 
     E[r_{k+1}] <= (1 - mu a_k / 2) r_k + a_k^2 L^2 + b_k^2 Dv_k^2
@@ -305,9 +302,8 @@ def check_descent_recursion(ens: EnsembleTrace,
                   + a_k (L + 8 L^2 / mu) ||Y_k||_F^2
     checked in Monte Carlo mean with a 3-standard-error slack.
     """
-    if ens.replicas < 100:
-        raise ValueError(f"insufficient replicas: {ens.replicas} < 100")
-    del sigma2_override  # the descent recursion does not involve sigma2
+    if ens.replicas < MIN_REPLICAS:
+        raise ValueError(f"insufficient replicas: {ens.replicas} < {MIN_REPLICAS}")
     a, b = ens.alphas, ens.betas
     mu, lip = ens.mu, ens.lipschitz
     dv = ens.dims * ens.deltas[:-1]

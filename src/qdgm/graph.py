@@ -23,13 +23,11 @@ EIGEN_TOL = 1e-10
 class NetworkTopology:
     """Undirected connected graph on agents 0..n-1.
 
-    ``edges`` holds each undirected edge once as (i, j) with i < j;
-    ``neighbor_lists`` is the per-agent sorted adjacency.
+    ``edges`` holds each undirected edge once as (i, j) with i < j, sorted.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    neighbor_lists: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "NetworkTopology":
@@ -44,36 +42,32 @@ class NetworkTopology:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             canon.add((min(i, j), max(i, j)))
-        ordered = tuple(sorted(canon))
-        neighbors = [[] for _ in range(n)]
-        for i, j in ordered:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-        topo = cls(n, ordered, tuple(tuple(sorted(ns)) for ns in neighbors))
-        if not topo.is_connected():
+        topo = cls(n, tuple(sorted(canon)))
+        if not is_connected(topo.adjacency()):
             raise ValueError("graph is not connected")
         return topo
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in self.neighbor_lists[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        return all(seen)
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbor_lists[i])
+    def adjacency(self) -> np.ndarray:
+        """Symmetric boolean (n, n) adjacency matrix with an empty diagonal."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        for i, j in self.edges:
+            adj[i, j] = adj[j, i] = True
+        return adj
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+
+def is_connected(adj: np.ndarray) -> bool:
+    """Whether agent 0 reaches every agent of a symmetric boolean adjacency."""
+    reach = np.zeros(len(adj), dtype=bool)
+    reach[0] = True
+    while True:
+        grown = reach | adj[reach].any(axis=0)
+        if np.array_equal(grown, reach):
+            return bool(reach.all())
+        reach = grown
 
 
 @dataclass(frozen=True)
@@ -102,9 +96,7 @@ class MixingMatrix:
         if a.min() < 0.0 or a.max() > 1.0:
             raise MixingError("entries outside [0, 1]")
         if topology is not None:
-            allowed = np.eye(self.n, dtype=bool)
-            for i, j in topology.edges:
-                allowed[i, j] = allowed[j, i] = True
+            allowed = topology.adjacency() | np.eye(self.n, dtype=bool)
             if np.any(a[~allowed] != 0.0):
                 raise MixingError("nonzero weight on a non-edge")
         if self.sigma2 >= 1.0 - STOCHASTICITY_TOL:
@@ -128,13 +120,9 @@ def generate_random_connected_graph(
         raise ValueError("edge probability must be in (0, 1]")
     rng = np.random.default_rng(seed)
     for _ in range(retry_limit):
-        mask = rng.random((n, n)) < edge_probability
-        iu = np.triu_indices(n, k=1)
-        pairs = [(int(i), int(j)) for i, j in zip(*iu) if mask[i, j]]
-        try:
-            return NetworkTopology.from_edges(n, pairs)
-        except ValueError:
-            continue
+        upper = np.triu(rng.random((n, n)) < edge_probability, 1)
+        if is_connected(upper | upper.T):
+            return NetworkTopology.from_edges(n, zip(*np.nonzero(upper)))
     raise GraphSamplingError(
         f"could not sample connected graph (n={n}, p={edge_probability}, "
         f"{retry_limit} attempts)"
@@ -143,15 +131,12 @@ def generate_random_connected_graph(
 
 def lazy_metropolis(topology: NetworkTopology) -> MixingMatrix:
     """Lazy Metropolis weights for a topology, with sigma2 from an eigen-solve."""
-    n = topology.n
-    a = np.zeros((n, n))
-    for i, j in topology.edges:
-        w = 1.0 / (2.0 * max(topology.degree(i), topology.degree(j)))
-        a[i, j] = w
-        a[j, i] = w
+    if topology.n == 1:
+        return MixingMatrix(np.ones((1, 1)), 0.0)
+    adj = topology.adjacency()
+    deg = adj.sum(1)
+    a = np.where(adj, 1.0 / (2.0 * np.maximum(deg[:, None], deg[None, :])), 0.0)
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-    if n == 1:
-        return MixingMatrix(a, 0.0)
     evals = np.linalg.eigvalsh(a)[::-1]  # descending
     # diagonal dominance (a_ii >= 1/2) keeps the whole spectrum nonnegative,
     # so the second-largest eigenvalue is also the second-largest magnitude

@@ -133,12 +133,6 @@ def well_conditioned_instance(n: int = 4, d: int = 2) -> RegressionObjective:
     return build_objective(w, b)
 
 
-def gradient(objective: RegressionObjective, agent: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of agent's private term: 2 w_i (w_i^T x - b_i)."""
-    w = objective.features[agent]
-    return 2.0 * w * (w @ np.asarray(x) - objective.targets[agent])
-
-
 def gradient_matrix(objective: RegressionObjective, x_rows: np.ndarray) -> np.ndarray:
     """Each agent's gradient at its own iterate, for (n, d) or (R, n, d) rows."""
     w = objective.features
@@ -162,14 +156,3 @@ def save_instance_csv(objective: RegressionObjective, path) -> None:
             row.append(f"{objective.targets[i]:.17g}")
             writer.writerow(row)
 
-
-def load_instance_csv(path, operating_radius: float | None = None) -> RegressionObjective:
-    """Read agent data back and recompute every derived constant."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "b":
-            raise ValueError(f"malformed instance file {path}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
-    return build_objective(data[:, :-1], data[:, -1], operating_radius)

@@ -39,28 +39,6 @@ from .schedules import StepSchedule
 CLAMP_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class QuantizerConfig:
-    """Validated (bits per dimension, vector dimension) pair."""
-
-    bits: int
-    dims: int
-
-    def __post_init__(self):
-        if not (1 <= self.bits <= 32):
-            raise ValueError(f"bits must be in [1, 32], got {self.bits}")
-        if self.dims < 1:
-            raise ValueError("dims must be positive")
-
-    @property
-    def bin_count(self) -> int:
-        return (1 << self.bits) - 1
-
-    @property
-    def payload_nbytes(self) -> int:
-        return (self.dims * self.bits + 7) // 8
-
-
 class Grid(NamedTuple):
     """Round k's interval [-range, range], cut into ``bins`` bins of width delta."""
 
@@ -83,19 +61,13 @@ class QuantizerSchedule:
 
     gradient_bound: float
     steps: StepSchedule
-    config: QuantizerConfig
+    bits: int
 
     def __post_init__(self):
         if self.gradient_bound <= 0.0:
             raise ValueError("gradient bound must be positive")
-
-    @property
-    def bits(self) -> int:
-        return self.config.bits
-
-    @property
-    def dims(self) -> int:
-        return self.config.dims
+        if not (1 <= self.bits <= 32):
+            raise ValueError(f"bits must be in [1, 32], got {self.bits}")
 
     def range_at(self, k: int) -> float:
         return self.gradient_bound * self.steps.alpha_sum(k)
@@ -105,7 +77,7 @@ class QuantizerSchedule:
 
     def grid(self, k: int) -> Grid:
         rangek = self.range_at(k)
-        bins = self.config.bin_count
+        bins = (1 << self.bits) - 1
         return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
@@ -177,13 +149,9 @@ def decode_matrix(indices: np.ndarray, grid: Grid) -> np.ndarray:
     return -grid.range + np.asarray(indices) * grid.delta
 
 
-def pack_indices(indices, bits: int) -> bytes:
-    """Pack endpoint indices MSB-first into ceil(d*bits/8) bytes."""
-    return pack_index_rows(np.atleast_2d(np.asarray(indices)), bits)[0]
-
-
 def pack_index_rows(indices: np.ndarray, bits: int) -> list[bytes]:
-    """Row-wise packing; each row is padded independently to a byte boundary."""
+    """Pack each row's indices MSB-first into ceil(d*bits/8) bytes; each row
+    is padded independently to a byte boundary."""
     arr = np.asarray(indices)
     if arr.min() < 0 or arr.max() > (1 << bits) - 1:
         raise ValueError(f"index outside [0, 2^{bits} - 1]")
@@ -196,7 +164,7 @@ def pack_index_rows(indices: np.ndarray, bits: int) -> list[bytes]:
 
 
 def unpack_indices(payload: bytes, bits: int, dims: int) -> np.ndarray:
-    """Inverse of :func:`pack_indices`; validates the payload length."""
+    """Inverse of one row of :func:`pack_index_rows`; validates the payload length."""
     expected = (dims * bits + 7) // 8
     if len(payload) != expected:
         raise ValueError(

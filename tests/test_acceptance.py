@@ -22,9 +22,8 @@ from qdgm.graph import (NetworkTopology, generate_random_connected_graph,
                         lazy_metropolis, path_topology)
 from qdgm.objective import (build_objective, generate_instance,
                             well_conditioned_instance)
-from qdgm.quantizer import (QuantizerConfig, QuantizerSchedule, decode_matrix,
-                            pack_index_rows, pack_indices, quantize_matrix,
-                            unpack_indices, _stochastic_round)
+from qdgm.quantizer import (QuantizerSchedule, decode_matrix, pack_index_rows,
+                            quantize_matrix, unpack_indices, _stochastic_round)
 from qdgm.schedules import StepSchedule
 
 BENCH = dict(n=40, d=5, bits=16, seed=7, edge_probability=0.158)
@@ -227,7 +226,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
         for dims in (1, 5, 7):
             indices = rng.integers(0, 2 ** bits, size=(10_000 // 12 + 1, dims))
             for row in indices:
-                payload = pack_indices(row, bits)
+                payload = pack_index_rows(row[None], bits)[0]
                 if not np.array_equal(unpack_indices(payload, bits, dims), row):
                     report_acceptance(8, False, f"codec mismatch b={bits} d={dims}")
                     raise AssertionError("codec round-trip failed")
@@ -235,8 +234,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     # at the wire boundary the engine's index matrix survives packing: the
     # receiver unpacks the same indices and decodes the same values bitwise
     for bits in (1, 2, 8, 16):
-        qsched = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5),
-                                   QuantizerConfig(bits, 5))
+        qsched = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5), bits)
         rangek, grid = qsched.range_at(9), qsched.grid(9)
         idx = quantize_matrix(rng.uniform(-rangek, rangek, size=(40, 5)),
                               grid, rng)
@@ -252,14 +250,13 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     obj = build_objective(np.array([[1.0]]), np.array([0.8]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(1, []))
     steps = StepSchedule(obj.mu, 1.0)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(8, 1))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
     worst = 0.0
     for k in (1, 3, 9, 40, 200):
         rangek, delta = qsched.range_at(k), qsched.delta_at(k)
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
-        state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)),
-                           k * (k + 1) // 2)
+        state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))
         nxt = run_round(state, mixing, obj, steps, qsched, seed=1)
         gd = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
         worst = max(worst, abs(nxt.x[0, 0, 0] - gd))

@@ -9,7 +9,7 @@ from qdgm.errors import (GradientBoundError, NonFiniteIterateError,
                          QuantizationSupportError)
 from qdgm.graph import NetworkTopology, lazy_metropolis, path_topology
 from qdgm.objective import build_objective, well_conditioned_instance
-from qdgm.quantizer import QuantizerConfig, QuantizerSchedule
+from qdgm.quantizer import QuantizerSchedule
 from qdgm.schedules import StepSchedule
 
 
@@ -17,7 +17,7 @@ def single_agent_setup(target=0.8):
     obj = build_objective(np.array([[1.0]]), np.array([target]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(1, []))
     steps = StepSchedule(obj.mu, 1.0)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(8, 1))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
     return obj, mixing, steps, qsched
 
 
@@ -40,8 +40,7 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     rangek, delta = qsched.range_at(k), qsched.delta_at(k)
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
-    state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)),
-                       weight_sum=k * (k + 1) // 2)
+    state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))
     nxt = run_round(state, mixing, obj, steps, qsched, seed=3, quantized=True)
     expected = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
     assert abs(nxt.x[0, 0, 0] - expected) <= 1e-12
@@ -52,10 +51,9 @@ def test_fixed_point_at_common_root(hand_objective):
     # state is stationary
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     steps = StepSchedule(hand_objective.mu, 1.0)
-    qsched = QuantizerSchedule(hand_objective.grad_bound, steps,
-                               QuantizerConfig(8, 2))
+    qsched = QuantizerSchedule(hand_objective.grad_bound, steps, 8)
     x = np.tile(hand_objective.optimum, (1, 2, 1))
-    state = RoundState(3, x.copy(), x.copy(), weight_sum=6)
+    state = RoundState(3, x.copy(), x.copy())
     nxt = run_round(state, mixing, hand_objective, steps, qsched, seed=0,
                     quantized=False)
     assert np.abs(nxt.x - x).max() <= 1e-12
@@ -68,8 +66,8 @@ def test_two_agents_average_in_one_round():
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     steps = StepSchedule(obj.mu, 1.0, beta_clamp=1.0)
     assert steps.beta(0) == 1.0
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(8, 1))
-    state = RoundState(0, np.array([[[2.0], [4.0]]]), np.zeros((1, 2, 1)), 0)
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
+    state = RoundState(0, np.array([[[2.0], [4.0]]]), np.zeros((1, 2, 1)))
     nxt = run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
     assert np.allclose(nxt.x, 3.0, atol=1e-12)
 
@@ -79,11 +77,11 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     # the doubly stochastic mixing leaves it untouched
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(8, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
     rng = np.random.default_rng(12)
     for k in (0, 2, 9):
         x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
-        state = RoundState(k, x, np.zeros_like(x), k * (k + 1) // 2)
+        state = RoundState(k, x, np.zeros_like(x))
         nxt = run_round(state, small_mixing, obj, steps, qsched, seed=1,
                         quantized=False)
         residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
@@ -98,7 +96,7 @@ def test_consensus_stays_exact_with_identical_objectives():
     obj = build_objective(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     steps = StepSchedule(obj.mu, 1.0)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(8, 1))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
     state = initial_state(2, 1)
     for _ in range(30):
         state = run_round(state, mixing, obj, steps, qsched, seed=0,
@@ -109,7 +107,7 @@ def test_consensus_stays_exact_with_identical_objectives():
 def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(6, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 6)
     state = initial_state(obj.n, obj.dims)
     sent = quantizer.quantize_matrix(state.x, qsched.grid(0), np.random.default_rng(5))
     assert sent.shape == (1, obj.n, obj.dims) and np.all(sent == 0)
@@ -122,10 +120,10 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
 
 def test_averaged_output_hand_values():
     obj, mixing, steps, qsched = single_agent_setup()
-    state = RoundState(0, np.array([[[1.0]]]), np.zeros((1, 1, 1)), 0)
+    state = RoundState(0, np.array([[[1.0]]]), np.zeros((1, 1, 1)))
     s1 = run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
     assert s1.z[0, 0, 0] == 1.0
-    forced = RoundState(1, np.array([[[2.0]]]), s1.z, s1.weight_sum)
+    forced = RoundState(1, np.array([[[2.0]]]), s1.z)
     s2 = run_round(forced, mixing, obj, steps, qsched, seed=0, quantized=False)
     assert s2.z[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
@@ -133,7 +131,7 @@ def test_averaged_output_hand_values():
 def test_averaged_output_of_constant_trajectory():
     obj, mixing, steps, qsched = single_agent_setup()
     c = 0.8  # the optimum: stays put under baseline dynamics
-    state = RoundState(0, np.array([[[c]]]), np.zeros((1, 1, 1)), 0)
+    state = RoundState(0, np.array([[[c]]]), np.zeros((1, 1, 1)))
     for _ in range(10):
         state = run_round(state, mixing, obj, steps, qsched, seed=0,
                           quantized=False)
@@ -143,7 +141,7 @@ def test_averaged_output_of_constant_trajectory():
 def test_incremental_average_matches_recomputation(small_instance, small_mixing):
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(5, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 5)
     state = initial_state(obj.n, obj.dims)
     history = [state.x.copy()]
     for _ in range(60):
@@ -158,7 +156,7 @@ def test_incremental_average_matches_recomputation(small_instance, small_mixing)
 def test_run_round_is_reproducible(small_instance, small_mixing):
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(4, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
     state = initial_state(obj.n, obj.dims)
     for _ in range(3):
         state = run_round(state, small_mixing, obj, steps, qsched, seed=9)
@@ -175,7 +173,7 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
     # run keyed with that id bit for bit, round after round
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(4, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
     ids = (2, 0, 7)
     stack = initial_state(obj.n, obj.dims, len(ids))
     singles = [initial_state(obj.n, obj.dims) for _ in ids]
@@ -217,8 +215,7 @@ def test_batched_range_violation_names_agent_and_replica():
     # a single replica keeps the one-run wording
     with pytest.raises(GradientBoundError, match="violation: agent 1 reached"):
         quantizer.check_range(x[1:2], 1.0, 6)
-    grid = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5),
-                             QuantizerConfig(4, 2)).grid(1)
+    grid = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5), 4).grid(1)
     rngs = [np.random.default_rng(r) for r in range(3)]
     with pytest.raises(GradientBoundError, match="agent 1 of replica 1 "):
         quantizer.quantize_matrix(x, grid, rngs)
@@ -239,7 +236,7 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     # the engine must refuse with a typed error, also under python -O
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(4, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
     state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, steps,
                       qsched, seed=4)
     decode = quantizer.decode_matrix
@@ -262,7 +259,7 @@ def test_growing_range_invariant_over_run(small_instance, small_mixing):
 def test_update_is_convex_combination_plus_gradient(small_instance, small_mixing):
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(3, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 3)
     state = initial_state(obj.n, obj.dims)
     for _ in range(80):
         nxt = run_round(state, small_mixing, obj, steps, qsched, seed=17)
@@ -319,7 +316,7 @@ def test_no_clamp_mode_aborts_with_range_violation(small_instance, small_mixing)
 
 def test_non_finite_iterate_detected():
     obj, mixing, steps, qsched = single_agent_setup()
-    state = RoundState(2, np.array([[[1e308]]]), np.zeros((1, 1, 1)), 3)
+    state = RoundState(2, np.array([[[1e308]]]), np.zeros((1, 1, 1)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterateError):
         run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from qdgm import cli
 from qdgm.cli import main
 from qdgm.config import ExperimentConfig, load_config
 from qdgm.diagnostics import Trace
@@ -102,6 +104,33 @@ def test_edges_file_with_other_node_count_exits_64(tmp_path, capsys):
     # with the matching n the same file runs
     assert run_cli(["run", "--edges-file", str(edges), "--n", "30",
                     "--iterations", "5", "--output-dir", str(out)]) == 0
+
+
+DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
+
+
+@pytest.mark.parametrize("flag,content,expected", [
+    ("--edges-file", DISCONNECTED_EDGES,
+     ("invalid field graph.edges_file", "graph is not connected")),
+    ("--edges-file", None, ("invalid field graph.edges_file", "No such file")),
+    ("--config", None, ("invalid config file", "No such file")),
+    ("--config", '{"bits": 8,', ("invalid config file", "Expecting")),
+    ("--config", '{"graph": 3}', ("invalid field graph: must be a JSON object",)),
+    ("--config", '{"data": [1]}', ("invalid field data: must be a JSON object",)),
+], ids=["disconnected-edges", "missing-edges", "missing-config",
+        "malformed-json", "graph-not-object", "data-not-object"])
+def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
+                                                content, expected):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    code = run_cli(["run", flag, str(path), "--n", "4", "--dims", "2",
+                    "--iterations", "5", "--output-dir", str(out)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert all(text in err for text in expected), err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +242,43 @@ def test_verify_passes_and_emits_json(capsys):
         assert check["passed"], check
 
 
-def test_verify_detects_sabotaged_sigma2(capsys):
-    code = run_cli(["verify", "--replicas", "120", "--rounds", "60",
-                    "--sigma2-offset", "0.5"])
+def test_verify_detects_sabotaged_sigma2(capsys, monkeypatch):
+    # an ensemble that overstates its contraction by 0.5 must fail verify
+    collect = cli.collect_ensemble
+
+    def sabotaged(*args, **kwargs):
+        ens = collect(*args, **kwargs)
+        return dataclasses.replace(ens, sigma2=ens.sigma2 + 0.5)
+
+    monkeypatch.setattr(cli, "collect_ensemble", sabotaged)
+    code = run_cli(["verify", "--replicas", "120", "--rounds", "60"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["passed"] is False
     failing = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "consensus_recursion" in failing
+
+
+@pytest.mark.parametrize("args,field", [
+    (["--replicas", "5"], "replicas"),
+    (["--replicas", "0"], "replicas"),
+    (["--rounds", "0"], "rounds"),
+    (["--n", "1", "--dims", "2"], "n"),
+    (["--dims", "0"], "dims"),
+    (["--bits", "40"], "bits"),
+    (["--seed", "-1"], "seed"),
+])
+def test_verify_rejects_bad_arguments_before_any_work(capsys, monkeypatch,
+                                                      args, field):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started work on bad arguments")
+
+    monkeypatch.setattr(cli, "quantizer_property_checks", no_work)
+    monkeypatch.setattr(cli, "collect_ensemble", no_work)
+    assert run_cli(["verify"] + args) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid field {field}:" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +338,15 @@ def test_graph_emit_and_load(tmp_path, capsys):
     info = capsys.readouterr().out.splitlines()[-1]
     assert info.startswith("n=12 m=")
     assert "sigma2=" in info and "spectral_gap=" in info
+
+
+@pytest.mark.parametrize("content", [DISCONNECTED_EDGES, None],
+                         ids=["disconnected", "missing"])
+def test_graph_load_of_bad_file_exits_64(tmp_path, capsys, content):
+    path = tmp_path / "g.edges"
+    if content is not None:
+        path.write_text(content)
+    assert run_cli(["graph", "--load", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid field load: cannot load {path}" in captured.err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -215,8 +216,8 @@ def test_descent_recursion_holds(small_ensemble):
 def test_sabotaged_sigma2_is_detected(small_ensemble):
     # mis-stating the contraction by +0.5 pushes sigma2 past 1, flipping the
     # sign of the slack terms; the checker must flag it
-    bad = small_ensemble.sigma2 + 0.5
-    report = check_consensus_recursion(small_ensemble, sigma2_override=bad)
+    bad = dataclasses.replace(small_ensemble, sigma2=small_ensemble.sigma2 + 0.5)
+    report = check_consensus_recursion(bad)
     assert not report.passed
     assert report.violations > 0
 
@@ -237,12 +238,12 @@ def test_noise_free_recursions_hold_deterministically():
     # width, zero Monte Carlo slack, and the inequalities must still hold
     from qdgm.algorithm import initial_state, run_round
     from qdgm.diagnostics import EnsembleTrace
-    from qdgm.quantizer import QuantizerConfig, QuantizerSchedule
+    from qdgm.quantizer import QuantizerSchedule
 
     obj = well_conditioned_instance(4, 2)
     mixing = lazy_metropolis(path_topology(4))
     steps = StepSchedule(obj.mu, 1.0 - mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, QuantizerConfig(5, 2))
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 5)
     rounds = 40
     state = initial_state(4, 2)
     cons, r_sq, f_worst = [], [], []

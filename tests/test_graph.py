@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from qdgm.errors import GraphSamplingError, MixingError
 from qdgm.graph import (MixingMatrix, NetworkTopology,
-                        generate_random_connected_graph, lazy_metropolis,
-                        load_edge_list, path_topology, save_edge_list,
-                        spectral_gap)
+                        generate_random_connected_graph, is_connected,
+                        lazy_metropolis, load_edge_list, path_topology,
+                        save_edge_list, spectral_gap)
 
 
 def test_path3_weights_exact(path3):
@@ -71,7 +71,7 @@ def test_generate_deterministic():
 def test_generate_benchmark_size():
     # expected edge count 0.158 * C(40, 2) is ~123; allow sampling spread
     topo = generate_random_connected_graph(40, 0.158, seed=7)
-    assert topo.is_connected()
+    assert is_connected(topo.adjacency())
     assert 80 <= topo.edge_count <= 170
 
 
@@ -133,7 +133,7 @@ def test_edge_list_roundtrip(tmp_path):
     assert lines[0] == f"9 {topo.edge_count}"
     loaded = load_edge_list(path)
     assert loaded.edges == topo.edges
-    assert loaded.neighbor_lists == topo.neighbor_lists
+    assert loaded == topo
 
 
 def test_edge_list_rejects_malformed(tmp_path):
@@ -146,4 +146,17 @@ def test_edge_list_rejects_malformed(tmp_path):
 def test_path_topology_shape():
     topo = path_topology(5)
     assert topo.edge_count == 4
-    assert topo.degree(0) == 1 and topo.degree(2) == 2
+    assert topo.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert topo.adjacency().sum(axis=1).tolist() == [1, 2, 2, 2, 1]
+
+
+def test_connectivity_by_frontier_growth():
+    # a path labelled against the order the frontier grows in, needing one
+    # step per agent, then the same path cut in the middle
+    order = [5, 3, 0, 4, 1, 2]
+    adj = NetworkTopology.from_edges(6, zip(order, order[1:])).adjacency()
+    assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+    assert is_connected(adj)
+    adj[0, 4] = adj[4, 0] = False
+    assert not is_connected(adj)
+    assert is_connected(np.zeros((1, 1), dtype=bool))

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdgm.errors import GradientBoundError
-from qdgm.quantizer import (CLAMP_BAND, QuantizerConfig, QuantizerSchedule,
-                            decode_matrix, pack_index_rows, pack_indices,
-                            quantize_matrix, unpack_indices, _stochastic_round)
+from qdgm.quantizer import (CLAMP_BAND, QuantizerSchedule, decode_matrix,
+                            pack_index_rows, quantize_matrix, unpack_indices,
+                            _stochastic_round)
 from qdgm.schedules import StepSchedule
 
 # with mu=4 and grad_bound=1, range(2) = 1 + 1/2: two bits then give the
@@ -14,13 +14,12 @@ from qdgm.schedules import StepSchedule
 K_UNIT = 2
 
 
-def make_schedule(bits, dims, mu=4.0, grad_bound=1.0, gap=0.5):
-    return QuantizerSchedule(grad_bound, StepSchedule(mu, gap),
-                             QuantizerConfig(bits, dims))
+def make_schedule(bits, mu=4.0, grad_bound=1.0, gap=0.5):
+    return QuantizerSchedule(grad_bound, StepSchedule(mu, gap), bits)
 
 
 def test_scalar_on_lower_endpoint_is_deterministic():
-    sched = make_schedule(bits=2, dims=1)
+    sched = make_schedule(bits=2)
     x = np.full((50, 1), -sched.range_at(K_UNIT))
     idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 0)
@@ -28,7 +27,7 @@ def test_scalar_on_lower_endpoint_is_deterministic():
 
 
 def test_scalar_on_upper_endpoint_is_deterministic():
-    sched = make_schedule(bits=2, dims=1)
+    sched = make_schedule(bits=2)
     x = np.full((50, 1), sched.range_at(K_UNIT))
     idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 3)
@@ -38,7 +37,7 @@ def test_scalar_on_upper_endpoint_is_deterministic():
 def test_scalar_interior_probabilities():
     # x=-0.1 on [-1.5, 1.5] with 2 bits: bin width 1, lands on -0.5 w.p. 0.6,
     # 0.5 w.p. 0.4
-    sched = make_schedule(bits=2, dims=1)
+    sched = make_schedule(bits=2)
     n = 100_000
     idx = quantize_matrix(np.full((n, 1), -0.1), sched.grid(K_UNIT),
                           np.random.default_rng(99))
@@ -50,7 +49,7 @@ def test_scalar_interior_probabilities():
 
 
 def test_scalar_range_check_and_clamp_band():
-    sched = make_schedule(bits=2, dims=1)
+    sched = make_schedule(bits=2)
     rng = np.random.default_rng(0)
     with pytest.raises(GradientBoundError, match="outside quantization range"):
         quantize_matrix([[1.6]], sched.grid(K_UNIT), rng)
@@ -66,7 +65,7 @@ def test_scalar_range_check_and_clamp_band():
 def test_scalar_value_is_reconstruction_of_index():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        sched = make_schedule(bits=int(rng.integers(1, 9)), dims=3,
+        sched = make_schedule(bits=int(rng.integers(1, 9)),
                               grad_bound=rng.uniform(0.1, 10))
         k = int(rng.integers(1, 50))
         rangek, delta = sched.range_at(k), sched.delta_at(k)
@@ -79,7 +78,7 @@ def test_scalar_value_is_reconstruction_of_index():
 
 def test_vector_example_bit_packing():
     # one-bit grid over [-1, 1]: (-1, 1) maps to indices (0, 1), byte 0x40
-    sched = make_schedule(bits=1, dims=2)  # mu=4 so alpha_0 = 1, range(1) = 1
+    sched = make_schedule(bits=1)  # mu=4 so alpha_0 = 1, range(1) = 1
     assert sched.range_at(1) == 1.0
     idx = quantize_matrix(np.array([[-1.0, 1.0]]), sched.grid(1),
                           np.random.default_rng(0))
@@ -90,7 +89,7 @@ def test_vector_example_bit_packing():
 
 def test_vector_zero_input_unbiased():
     # zero vector sits mid-bin; over many draws the mean must stay near 0
-    sched = make_schedule(bits=3, dims=2)
+    sched = make_schedule(bits=3)
     k = 2
     delta = sched.delta_at(k)
     rng = np.random.default_rng(31)
@@ -102,7 +101,7 @@ def test_vector_zero_input_unbiased():
 
 
 def test_vector_lattice_points_are_fixed():
-    sched = make_schedule(bits=4, dims=3)
+    sched = make_schedule(bits=4)
     k = 5
     rangek, delta = sched.range_at(k), sched.delta_at(k)
     rng = np.random.default_rng(2)
@@ -113,7 +112,7 @@ def test_vector_lattice_points_are_fixed():
 
 
 def test_vector_range_violation_names_agent():
-    sched = make_schedule(bits=4, dims=2)
+    sched = make_schedule(bits=4)
     x = np.zeros((3, 2))
     x[2, 1] = sched.range_at(1) * 1.5
     with pytest.raises(GradientBoundError, match="agent 2"):
@@ -123,7 +122,7 @@ def test_vector_range_violation_names_agent():
 def test_round0_message_convention():
     # the round-0 range is empty: all-zero indices, decoded to exact zeros,
     # and no randomness is drawn
-    sched = make_schedule(bits=4, dims=3)
+    sched = make_schedule(bits=4)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     idx = quantize_matrix(np.zeros((2, 3)), sched.grid(0), rng)
@@ -136,13 +135,13 @@ def test_round0_message_convention():
 def test_wire_boundary_roundtrip_of_engine_indices(bits, dims):
     # what the engine carries and what a receiver decodes from the packed
     # bytes agree: equal indices and bit-equal values
-    sched = make_schedule(bits=bits, dims=dims)
+    sched = make_schedule(bits=bits)
     k = 7
     rng = np.random.default_rng(bits * 100 + dims)
     x = rng.uniform(-sched.range_at(k), sched.range_at(k), size=(40, dims))
     idx = quantize_matrix(x, sched.grid(k), rng)
     payloads = pack_index_rows(idx, bits)
-    assert all(len(p) == sched.config.payload_nbytes for p in payloads)
+    assert all(len(p) == (dims * bits + 7) // 8 for p in payloads)
     received = np.array([unpack_indices(p, bits, dims) for p in payloads])
     assert np.array_equal(received, idx)
     assert np.array_equal(decode_matrix(received, sched.grid(k)),
@@ -155,14 +154,14 @@ def test_decode_rejects_wrong_payload_length():
 
 
 def test_decode_all_zero_payload_gives_lower_endpoint():
-    sched = make_schedule(bits=8, dims=4)
+    sched = make_schedule(bits=8)
     idx = unpack_indices(b"\x00" * 4, 8, 4)
     assert np.all(decode_matrix(idx, sched.grid(3)) == -sched.range_at(3))
 
 
 def test_delta_schedule_values():
     # mu=4 gives alpha_t = 1/(t+1); one bit means delta = 2 * range
-    sched = make_schedule(bits=1, dims=1)
+    sched = make_schedule(bits=1)
     assert sched.delta_at(0) == 0.0
     assert sched.delta_at(3) == pytest.approx(2 * (1 + 0.5 + 1 / 3), rel=1e-15)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -170,13 +169,13 @@ def test_delta_schedule_values():
 
 
 def test_delta_growth_is_logarithmic():
-    sched = make_schedule(bits=1, dims=1)
+    sched = make_schedule(bits=1)
     k = 2_000_000
     assert sched.delta_at(k) / (2.0 * np.log(k)) == pytest.approx(1.0, rel=5e-2)
 
 
 def test_delta_monotone():
-    sched = make_schedule(bits=5, dims=2)
+    sched = make_schedule(bits=5)
     deltas = [sched.delta_at(k) for k in range(200)]
     assert all(b >= a for a, b in zip(deltas, deltas[1:]))
 
@@ -190,14 +189,14 @@ def test_delta_monotone():
 def test_codec_roundtrip_random_indices(bits, dims, seed):
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, 2 ** bits, size=dims)
-    payload = pack_indices(indices, bits)
+    payload = pack_index_rows(indices[None], bits)[0]
     assert len(payload) == (dims * bits + 7) // 8
     assert np.array_equal(unpack_indices(payload, bits, dims), indices)
 
 
 def test_pack_rejects_out_of_range_indices():
     with pytest.raises(ValueError, match="index outside"):
-        pack_indices([0, 4], 2)
+        pack_index_rows(np.array([[0, 4]]), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,7 +218,7 @@ def test_stochastic_round_support_bound_exact(seed, bits):
 
 
 def test_variance_bound():
-    sched = make_schedule(bits=2, dims=1)
+    sched = make_schedule(bits=2)
     k = 4
     delta = sched.delta_at(k)
     rng = np.random.default_rng(8)
@@ -231,11 +230,12 @@ def test_variance_bound():
     assert second_moment <= delta ** 2 / 4.0 + 3.0 * se
 
 
-def test_quantizer_config_validation():
-    with pytest.raises(ValueError):
-        QuantizerConfig(0, 3)
-    with pytest.raises(ValueError):
-        QuantizerConfig(33, 3)
-    with pytest.raises(ValueError):
-        QuantizerConfig(8, 0)
-    assert QuantizerConfig(5, 3).bin_count == 31
+def test_quantizer_schedule_validation():
+    with pytest.raises(ValueError, match=r"bits must be in \[1, 32\], got 0"):
+        make_schedule(bits=0)
+    with pytest.raises(ValueError, match=r"bits must be in \[1, 32\], got 33"):
+        make_schedule(bits=33)
+    with pytest.raises(ValueError, match="gradient bound must be positive"):
+        make_schedule(bits=5, grad_bound=0.0)
+    assert make_schedule(bits=5).grid(3).bins == 31
+    assert make_schedule(bits=32).grid(3).bins == 2 ** 32 - 1
