@@ -6,15 +6,16 @@ Subcommands:
   bound   tabulate measured gap against the theoretical decay envelope
   graph   emit or inspect an edge-list file
 
-Exit codes: 0 success, 1 verification failure, 2 gradient-bound violation,
-64 bad input (a configuration field, a config or edge file, a verify
-argument).
+Exit codes: 0 success, 1 verification failure, and for a raised error the
+code ``EXIT_CODES`` maps its type to (70 for any type it does not list);
+argparse usage errors exit 64.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from .config import ExperimentConfig, check_fields, load_config
 from .diagnostics import (MIN_REPLICAS, InequalityReport, RateBoundInputs, Trace,
                           check_consensus_recursion, check_descent_recursion,
                           rate_bound)
-from .errors import ConfigError, GradientBoundError
+from .errors import (ConfigError, DegenerateInstanceError, GradientBoundError,
+                     GraphSamplingError)
 from .graph import (NetworkTopology, generate_random_connected_graph,
                     lazy_metropolis, load_edge_list, path_topology,
                     save_edge_list, spectral_gap)
@@ -39,6 +41,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_GRADIENT_BOUND = 2
 EXIT_CONFIG = 64
+EXIT_SOFTWARE = 70
+EXIT_CODES = {ConfigError: EXIT_CONFIG, GraphSamplingError: EXIT_CONFIG,
+              DegenerateInstanceError: EXIT_CONFIG,
+              GradientBoundError: EXIT_GRADIENT_BOUND}
 
 
 def _load_graph(path, field: str) -> NetworkTopology:
@@ -86,11 +92,11 @@ def _write_trace(path: Path, cfg: ExperimentConfig, objective: RegressionObjecti
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     topo = build_topology(cfg)
+    objective = build_objective_from_config(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
     save_edge_list(topo, out_dir / "graph.edges")
-    objective = build_objective_from_config(cfg)
     save_instance_csv(objective, out_dir / "instance.csv")
     mixing = lazy_metropolis(topo)
     names = (["trace.csv"] if cfg.replicas == 1 else
@@ -153,16 +159,12 @@ def cmd_verify(n: int, d: int, rounds: int, replicas: int, bits: int,
     objective = well_conditioned_instance(n, d)
     topo = path_topology(n)
     mixing = lazy_metropolis(topo)
-    checks: list[dict] = []
-    mix_ok = True
     try:
         mixing.validate(topo)
+        mixing_check = {"passed": True, "detail": {"sigma2": mixing.sigma2}}
     except Exception as exc:  # noqa: BLE001 - reported, not raised
-        mix_ok = False
-        checks.append({"name": "mixing_matrix", "passed": False, "detail": str(exc)})
-    if mix_ok:
-        checks.append({"name": "mixing_matrix", "passed": True,
-                       "detail": {"sigma2": mixing.sigma2}})
+        mixing_check = {"passed": False, "detail": str(exc)}
+    checks = [{"name": "mixing_matrix", **mixing_check}]
     checks.extend(quantizer_property_checks(seed))
     ens = collect_ensemble(objective, mixing, iterations=rounds, seed=seed,
                            bits=bits, replicas=replicas)
@@ -216,6 +218,12 @@ def cmd_graph(args) -> int:
         print(f"n={topo.n} m={topo.edge_count} sigma2={mixing.sigma2:.12g} "
               f"spectral_gap={spectral_gap(mixing):.12g}")
         return EXIT_OK
+    check_fields([
+        ("n", args.n >= 2, "must be >= 2"),
+        ("edge_probability", 0.0 < args.edge_probability <= 1.0, "must be in (0, 1]"),
+        ("retry_limit", args.retry_limit >= 1, "must be >= 1"),
+        ("seed", args.seed >= 0, "must be >= 0"),
+    ])
     topo = generate_random_connected_graph(args.n, args.edge_probability,
                                            args.seed, args.retry_limit)
     save_edge_list(topo, args.out)
@@ -245,23 +253,34 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = dict(
-        n=args.n, d=args.dims, bits=args.bits, iterations=args.iterations,
-        seed=args.seed, output_dir=args.output_dir, baseline=args.baseline,
-        eta_mode=args.eta_mode, replicas=args.replicas,
+    return load_config(
+        args.config, n=args.n, d=args.dims, bits=args.bits,
+        iterations=args.iterations, seed=args.seed, output_dir=args.output_dir,
+        baseline=args.baseline, eta_mode=args.eta_mode, replicas=args.replicas,
         record_stride=args.record_stride,
-        graph__edge_probability=args.edge_probability,
-        graph__edges_file=args.edges_file,
-    )
-    if args.no_beta_clamp:
-        overrides["beta_clamp"] = "off"
-    elif args.beta_clamp is not None:
-        overrides["beta_clamp"] = args.beta_clamp
-    return load_config(args.config, **overrides)
+        beta_clamp="off" if args.no_beta_clamp else args.beta_clamp,
+        graph={"edge_probability": args.edge_probability,
+               "edges_file": args.edges_file})
+
+
+def _horizons(text: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"invalid field T: must be a comma-separated list "
+                          f"of integers, not {text!r}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (also of the subparsers) exit 64, like all bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdgm",
         description="Distributed gradient descent under growing-range "
                     "stochastic quantization")
@@ -304,17 +323,14 @@ def main(argv=None) -> int:
             return cmd_verify(args.n, args.dims, args.rounds, args.replicas,
                               args.bits, args.seed)
         if args.command == "bound":
-            horizons = [int(t) for t in args.horizons.split(",") if t.strip()]
-            return cmd_bound(_config_from_args(args), horizons)
-        if args.command == "graph":
-            return cmd_graph(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+            return cmd_bound(_config_from_args(args), _horizons(args.horizons))
+        return cmd_graph(args)
+    except Exception as exc:  # noqa: BLE001 - every error leaves through EXIT_CODES
+        code = EXIT_CODES.get(type(exc), EXIT_SOFTWARE)
+        if code == EXIT_SOFTWARE:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GradientBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRADIENT_BOUND
+        return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -13,6 +14,29 @@ def check_fields(checks) -> None:
     for name, ok, reason in checks:
         if not ok:
             raise ConfigError(f"invalid field {name}: {reason}")
+
+
+def _from_dict(cls, raw: dict, prefix: str = ""):
+    """Build dataclass ``cls`` from a JSON object, checking each value
+    against the field's annotation: an int may stand for a float, a bool
+    never for an int, and null only where the annotation allows None."""
+    obj, hints = cls(), typing.get_type_hints(cls)
+    for key, value in raw.items():
+        name, hint = prefix + key, hints.get(key)
+        if hint is None:
+            raise ConfigError(f"invalid field {name}: unknown field")
+        kinds = typing.get_args(hint) or (hint,)
+        if is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"invalid field {name}: must be a JSON object")
+            value = _from_dict(hint, value, name + ".")
+        elif name == "beta_clamp" and value == "off":
+            value = None
+        elif type(value) not in kinds and not (type(value) is int and float in kinds):
+            raise ConfigError(f"invalid field {name}: must be {cls.__annotations__[key]}"
+                              f", not {type(value).__name__} {value!r}")
+        setattr(obj, key, value)
+    return obj
 
 
 @dataclass
@@ -53,6 +77,8 @@ class ExperimentConfig:
             ("iterations", self.iterations >= 1, "must be >= 1"),
             ("d", self.d >= 1, "must be >= 1"),
             ("n", self.n >= self.d, "must be >= d"),
+            ("n", self.n >= 2 or bool(self.graph.edges_file),
+             "must be >= 2 unless graph.edges_file is set"),
             ("replicas", self.replicas >= 1, "must be >= 1"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("eta_mode", self.eta_mode in ("body", "appendix"),
@@ -77,53 +103,31 @@ class ExperimentConfig:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2,
                                          sort_keys=True) + "\n")
 
-    @classmethod
-    def from_json_dict(cls, raw: dict) -> "ExperimentConfig":
-        cfg = cls()
-        for key, value in raw.items():
-            if key in ("graph", "data"):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"invalid field {key}: must be a JSON object")
-                group = getattr(cfg, key)
-                for sub, sub_value in value.items():
-                    if sub not in group.__dataclass_fields__:
-                        raise ConfigError(f"invalid field {key}.{sub}: unknown field")
-                    setattr(group, sub, sub_value)
-            elif key in cfg.__dataclass_fields__:
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"invalid field {key}: unknown field")
-        if cfg.beta_clamp == "off":
-            cfg.beta_clamp = None
-        return cfg
+    from_json_dict = classmethod(_from_dict)
+
+
+def _merge(raw: dict, overrides: dict) -> None:
+    """Set the non-None overrides in ``raw``; a non-object group stays as it is."""
+    for key, value in overrides.items():
+        if isinstance(value, dict):
+            group = raw.setdefault(key, {})
+            if isinstance(group, dict):
+                _merge(group, value)
+        elif value is not None:
+            raw[key] = value
 
 
 def load_config(path: str | None = None, **overrides) -> ExperimentConfig:
-    """Load a JSON config file (optional) and apply non-None flag overrides.
-
-    Override keys use double-underscore paths for the nested groups, e.g.
-    ``graph__edge_probability``. The result is validated.
-    """
-    if path is not None:
-        try:
-            text = Path(path).read_text().strip()
-            raw = json.loads(text) if text else {}
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"invalid config file {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("invalid field <root>: config must be a JSON object")
-        cfg = ExperimentConfig.from_json_dict(raw)
-    else:
-        cfg = ExperimentConfig()
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        group, _, sub = key.rpartition("__")
-        if group:
-            setattr(getattr(cfg, group), sub, value)
-        elif key == "beta_clamp" and value == "off":
-            cfg.beta_clamp = None
-        else:
-            setattr(cfg, key, value)
+    """Load a JSON config file (optional), set the non-None overrides over it
+    and validate. Overrides have the file's shape: ``graph={"edges_file": ...}``."""
+    try:
+        text = "" if path is None else Path(path).read_text().strip()
+        raw = json.loads(text) if text else {}
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"invalid config file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("invalid field <root>: config must be a JSON object")
+    _merge(raw, overrides)
+    cfg = ExperimentConfig.from_json_dict(raw)
     cfg.validate()
     return cfg

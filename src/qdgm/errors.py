@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: config problems exit 64,
-verification failures exit 1, gradient-bound (growing-range) violations
-exit 2.
+The CLI maps each type to a process exit code in one table,
+``qdgm.cli.EXIT_CODES``.
 """
 
 

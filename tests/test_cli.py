@@ -8,7 +8,8 @@ from qdgm import cli
 from qdgm.cli import main
 from qdgm.config import ExperimentConfig, load_config
 from qdgm.diagnostics import Trace
-from qdgm.errors import ConfigError
+from qdgm.errors import (ConfigError, MixingError, NonFiniteIterateError,
+                         QuantizationSupportError)
 
 
 def run_cli(argv):
@@ -52,6 +53,16 @@ def test_validation_failures():
         load_config(None, eta_mode="nope")
     with pytest.raises(ConfigError, match="invalid field"):
         ExperimentConfig.from_json_dict({"bogus_key": 1})
+    # field types come from the annotations: neither a bool nor a float is
+    # accepted as an int
+    with pytest.raises(ConfigError, match="invalid field iterations: must be int, not bool"):
+        ExperimentConfig.from_json_dict({"iterations": True})
+    with pytest.raises(ConfigError, match="invalid field n: must be int, not float"):
+        ExperimentConfig.from_json_dict({"n": 2.5})
+    with pytest.raises(ConfigError, match="invalid field graph.retry_limit: must be int"):
+        ExperimentConfig.from_json_dict({"graph": {"retry_limit": "9"}})
+    with pytest.raises(ConfigError, match="invalid field n: must be >= 2 unless"):
+        load_config(None, n=1, d=1)
 
 
 def test_beta_clamp_off_spelling(tmp_path):
@@ -68,6 +79,17 @@ def test_config_json_roundtrip(tmp_path):
     cfg.save(path)
     again = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
     assert again == cfg
+    # every config that run can write loads back equal
+    for raw in [{"beta_clamp": 1, "graph": {"edge_probability": 1}},
+                {"beta_clamp": "off", "baseline": True, "record_stride": 5},
+                {"n": 1, "d": 1, "graph": {"edges_file": "g.edges"},
+                 "beta_clamp": None}]:
+        cfg = ExperimentConfig.from_json_dict(raw)
+        cfg.save(path)
+        assert load_config(str(path)) == cfg
+    # an int given for a float field is written as given
+    ExperimentConfig.from_json_dict({"beta_clamp": 1}).save(path)
+    assert '"beta_clamp": 1,' in path.read_text()
 
 
 def test_cli_rejects_bad_flag_value(tmp_path, capsys):
@@ -86,8 +108,51 @@ def test_config_setting_jobs_is_rejected(tmp_path, capsys):
     assert code == 64
     assert "invalid field jobs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         run_cli(["run", "--jobs", "2", "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["run", "--bits", "x"], 64),
+    (["run", "--n", "2.5"], 64),
+    (["verify", "--replicas", "x"], 64),
+    (["nonsense"], 64),
+    (["--help"], 0),
+    (["run", "--help"], 0),
+    (["--version"], 0),
+])
+def test_usage_errors_exit_64(capsys, argv, code):
+    # 2 is the gradient-bound code, so argparse must not exit with it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == code
+    if code:
+        assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    NonFiniteIterateError, QuantizationSupportError, MixingError, RuntimeError])
+def test_unmapped_error_exits_70_with_traceback(capsys, monkeypatch, error):
+    def crash(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", crash)
+    assert run_cli(["verify"]) == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.endswith("error: boom\n")
+
+
+def test_single_agent_needs_an_edges_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    base = ["run", "--n", "1", "--dims", "1", "--iterations", "5"]
+    assert run_cli(base + ["--output-dir", str(out)]) == 64
+    assert "invalid field n: must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    edges = tmp_path / "one.edges"
+    edges.write_text("1 0\n")
+    assert run_cli(base + ["--edges-file", str(edges), "--output-dir",
+                           str(out)]) == 0
 
 
 def test_edges_file_with_other_node_count_exits_64(tmp_path, capsys):
@@ -117,8 +182,21 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
     ("--config", '{"bits": 8,', ("invalid config file", "Expecting")),
     ("--config", '{"graph": 3}', ("invalid field graph: must be a JSON object",)),
     ("--config", '{"data": [1]}', ("invalid field data: must be a JSON object",)),
+    ("--config", '{"bits": "16"}', ("invalid field bits: must be int, not str",)),
+    ("--config", '{"seed": 1.5}', ("invalid field seed: must be int, not float",)),
+    ("--config", '{"replicas": 2.0}', ("invalid field replicas: must be int",)),
+    ("--config", '{"beta_clamp": "x"}',
+     ("invalid field beta_clamp: must be float | None, not str",)),
+    ("--config", '{"graph": {"edges_file": 3}}',
+     ("invalid field graph.edges_file: must be str | None, not int",)),
+    ("--config", '{"baseline": "no"}', ("invalid field baseline: must be bool",)),
+    ("--config", '{"graph": {"retry_limit": 1, "edge_probability": 0.01}}',
+     ("could not sample connected graph",)),
+    ("--config", '{"data": {"feature_high": 1e-200}}', ("degenerate instance",)),
 ], ids=["disconnected-edges", "missing-edges", "missing-config",
-        "malformed-json", "graph-not-object", "data-not-object"])
+        "malformed-json", "graph-not-object", "data-not-object", "bits-str",
+        "seed-float", "replicas-float", "beta-clamp-str", "edges-file-int",
+        "baseline-str", "graph-sampling", "degenerate-data"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"
@@ -130,6 +208,7 @@ def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
     assert code == 64
     err = capsys.readouterr().err
     assert all(text in err for text in expected), err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -305,9 +384,10 @@ def test_bound_empty_horizon_list(capsys):
 
 
 def test_bound_rejects_nonpositive_horizons(capsys):
-    code = run_cli(["bound", "--T", "0,10"])
-    assert code == 64
-    assert "invalid field T" in capsys.readouterr().err
+    for horizons in ["0,10", "1,abc"]:
+        code = run_cli(["bound", "--T", horizons])
+        assert code == 64
+        assert "invalid field T" in capsys.readouterr().err
 
 
 def test_record_stride_and_eta_mode_flags(tmp_path):
@@ -350,3 +430,21 @@ def test_graph_load_of_bad_file_exits_64(tmp_path, capsys, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"invalid field load: cannot load {path}" in captured.err
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["--n", "1"], "invalid field n: must be >= 2"),
+    (["--edge-probability", "0"], "invalid field edge_probability"),
+    (["--retry-limit", "0"], "invalid field retry_limit: must be >= 1"),
+    (["--seed", "-1"], "invalid field seed: must be >= 0"),
+    (["--n", "50", "--edge-probability", "0.001", "--retry-limit", "2"],
+     "could not sample connected graph"),
+])
+def test_graph_rejects_bad_arguments_before_writing(tmp_path, capsys, args,
+                                                    expected):
+    out = tmp_path / "g.edges"
+    assert run_cli(["graph", "--out", str(out)] + args) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {expected}" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
