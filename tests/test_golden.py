@@ -1,13 +1,17 @@
 """Committed golden outputs: the engine must reproduce them bit for bit.
 
 ``data/golden_trace.csv`` is the criterion-9 run (300 rounds, 16 bits,
-seed 7) and ``data/golden_ensemble.npz`` holds the raw per-replica arrays of
-a small Monte Carlo ensemble. A change that moves output bits on purpose
+seed 7) and ``data/golden_baseline_trace.csv`` the exact twin of that run.
+``data/golden_partial_trace.csv`` is the trace of seed 20, which stops at
+round 4 on a gradient-bound violation and ends with the error line.
+``data/golden_ensemble.npz`` holds the raw per-replica arrays of a small
+Monte Carlo ensemble. A change that moves output bits on purpose
 re-pins these files and says so.
 """
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qdgm.algorithm import collect_ensemble
 from qdgm.cli import main as cli_main
@@ -23,6 +27,17 @@ def test_criterion_9_trace_matches_golden_bytes(tmp_path):
     assert cli_main(args) == 0
     golden = (DATA / "golden_trace.csv").read_bytes()
     assert (tmp_path / "trace.csv").read_bytes() == golden
+
+
+@pytest.mark.parametrize("args,code,written,golden", [
+    (["--iterations", "300", "--bits", "16", "--seed", "7", "--baseline"], 0,
+     "baseline_trace.csv", "golden_baseline_trace.csv"),
+    (["--seed", "20", "--iterations", "50"], 2,
+     "trace.csv", "golden_partial_trace.csv"),
+], ids=["exact-twin", "partial-seed-20"])
+def test_run_trace_matches_golden_bytes(tmp_path, args, code, written, golden):
+    assert cli_main(["run", *args, "--output-dir", str(tmp_path)]) == code
+    assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_ensemble_matches_golden_arrays():
