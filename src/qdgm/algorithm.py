@@ -115,24 +115,25 @@ def record_points(iterations: int, stride: int | None = None,
     return sorted(pts)
 
 
-def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, observe,
-                *, iterations: int, seed: int, bits: int,
-                beta_clamp: float | None, eta_mode: str, replicas,
-                quantized: bool) -> tuple[StepSchedule, QuantizerSchedule]:
-    """The one round loop: builds the schedules once (and returns them),
-    then advances the stack of ``replicas`` from zero, showing each state
-    (rounds 0 to ``iterations``) to ``observe(state, steps, qsched, eta)``."""
+def _schedules(objective: RegressionObjective, mixing: MixingMatrix, bits: int,
+               beta_clamp: float | None) -> tuple[StepSchedule, QuantizerSchedule]:
+    """The step and range schedules of a run, built once per run."""
+    steps = StepSchedule(objective.mu, spectral_gap(mixing), beta_clamp)
+    return steps, QuantizerSchedule(objective.grad_bound, steps, bits)
+
+
+def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
+                steps: StepSchedule, qsched: QuantizerSchedule, observe, *,
+                iterations: int, seed: int, replicas, quantized: bool) -> None:
+    """The one round loop: advances the stack of ``replicas`` from zero,
+    showing each state (rounds 0 to ``iterations``) to ``observe(state)``."""
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    gap = spectral_gap(mixing)
-    steps = StepSchedule(objective.mu, gap, beta_clamp)
-    qsched = QuantizerSchedule(objective.grad_bound, steps, bits)
-    eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz, gap, eta_mode)
     state = initial_state(objective.n, objective.dims, len(replicas))
     while True:
-        observe(state, steps, qsched, eta)
+        observe(state)
         if state.k == iterations:
-            return steps, qsched
+            return
         state = run_round(state, mixing, objective, steps, qsched, seed,
                           replicas=replicas, quantized=quantized)
 
@@ -145,28 +146,37 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
                    extra_record_points=()) -> diagnostics.Trace:
     """Run one replica through the full iteration, returning its trace.
 
-    Deterministic for fixed arguments. On a failure the partial trace is
-    attached to the raised exception as ``partial_trace`` so callers can
-    still flush it with an error marker.
+    Deterministic for fixed arguments. On a failure the partial trace (the
+    rows recorded so far) is attached to the raised exception as
+    ``partial_trace`` so callers can still flush it with an error marker.
     """
-    points = set(record_points(iterations, record_stride, extra_record_points))
-    trace = diagnostics.Trace()
+    points = record_points(iterations, record_stride, extra_record_points)
+    table = np.empty((len(points), len(diagnostics.TRACE_COLUMNS)))
+    filled = 0
 
-    def record(state, steps, qsched, eta):
-        if state.k in points:
-            z = state.z if state.k > 0 else state.x
-            trace.records.append(diagnostics.make_record(
-                state.k, state.x[0], z[0], objective, steps, qsched, eta))
+    def record(state):
+        nonlocal filled
+        if state.k == points[filled]:
+            table[filled] = diagnostics.make_record(
+                state.k, state.x[0], state.z[0], objective, steps, qsched, eta, inputs)
+            filled += 1
 
     try:
-        _run_rounds(objective, mixing, record, iterations=iterations, seed=seed,
-                    bits=bits, beta_clamp=beta_clamp, eta_mode=eta_mode,
-                    replicas=(replica,), quantized=quantized)
+        # the per-run constants of every record
+        steps, qsched = _schedules(objective, mixing, bits, beta_clamp)
+        eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz,
+                                       steps.spectral_gap, eta_mode)
+        inputs = diagnostics.RateBoundInputs(
+            mu=objective.mu, lipschitz=objective.lipschitz,
+            grad_bound=qsched.gradient_bound, dims=objective.dims, n=objective.n,
+            bits=bits, sigma2=1.0 - steps.spectral_gap, v1=0.0)
+        _run_rounds(objective, mixing, steps, qsched, record,
+                    iterations=iterations, seed=seed, replicas=(replica,),
+                    quantized=quantized)
     except Exception as exc:
-        trace.error = str(exc)
-        exc.partial_trace = trace
+        exc.partial_trace = diagnostics.Trace(table[:filled], str(exc))
         raise
-    return trace
+    return diagnostics.Trace(table[:filled])
 
 
 def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
@@ -178,18 +188,18 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     cons = np.zeros((replicas, iterations + 1))
     r_sq = np.zeros((replicas, iterations + 1))
     f_worst = np.zeros((replicas, iterations + 1))
+    steps, qsched = _schedules(objective, mixing, bits, beta_clamp)
 
-    def statistics(state, steps, qsched, eta):
+    def statistics(state):
         k, x = state.k, state.x
         cons[:, k] = diagnostics.consensus_error(x)
         r_sq[:, k] = np.sum((x.mean(axis=1) - objective.optimum) ** 2, axis=1)
         residuals = x @ objective.features.T - objective.targets
         f_worst[:, k] = np.max(np.sum(residuals ** 2, axis=2), axis=1)
 
-    steps, qsched = _run_rounds(
-        objective, mixing, statistics, iterations=iterations, seed=seed, bits=bits,
-        beta_clamp=beta_clamp, eta_mode="body", replicas=range(replicas),
-        quantized=True)
+    _run_rounds(objective, mixing, steps, qsched, statistics,
+                iterations=iterations, seed=seed, replicas=range(replicas),
+                quantized=True)
     return diagnostics.EnsembleTrace(
         consensus_sq=cons, r_sq=r_sq, f_worst=f_worst,
         deltas=np.asarray([qsched.delta_at(k) for k in range(iterations + 1)]),

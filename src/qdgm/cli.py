@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .algorithm import collect_ensemble, run_experiment
 from .config import ExperimentConfig, check_fields, load_config
-from .diagnostics import (MIN_REPLICAS, InequalityReport, RateBoundInputs, Trace,
-                          check_consensus_recursion, check_descent_recursion,
-                          rate_bound)
+from .diagnostics import (MIN_REPLICAS, RateBoundInputs, Trace, check_consensus_recursion,
+                          check_descent_recursion, rate_bound)
 from .errors import (ConfigError, DegenerateInstanceError, GradientBoundError,
                      GraphSamplingError)
 from .graph import (NetworkTopology, generate_random_connected_graph,
@@ -56,6 +55,16 @@ def _load_graph(path, field: str) -> NetworkTopology:
         raise ConfigError(f"invalid field {field}: cannot load {path}: {exc}") from exc
 
 
+def _check_writable(path: Path, field: str, *, directory: bool = False) -> None:
+    """ConfigError unless ``path`` can be written; a directory is made with its parents."""
+    if not directory and path.is_dir():
+        raise ConfigError(f"invalid field {field}: {path} is a directory")
+    base = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
+    if not base.is_dir():
+        raise ConfigError(f"invalid field {field}: cannot write {path}: "
+                          f"{base} is not an existing directory")
+
+
 def build_topology(cfg: ExperimentConfig) -> NetworkTopology:
     if cfg.graph.edges_file:
         topo = _load_graph(cfg.graph.edges_file, "graph.edges_file")
@@ -82,18 +91,18 @@ def _write_trace(path: Path, cfg: ExperimentConfig, objective: RegressionObjecti
             bits=cfg.bits, beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode,
             record_stride=cfg.record_stride, **kwargs)
     except Exception as exc:
-        partial = getattr(exc, "partial_trace", None)
-        if partial is not None:
-            partial.to_csv(path)
+        if hasattr(exc, "partial_trace"):
+            exc.partial_trace.to_csv(path)
         raise
     trace.to_csv(path)
     return trace
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
+    out_dir = Path(cfg.output_dir)
+    _check_writable(out_dir, "output_dir", directory=True)
     topo = build_topology(cfg)
     objective = build_objective_from_config(cfg)
-    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
     save_edge_list(topo, out_dir / "graph.edges")
@@ -169,7 +178,7 @@ def cmd_verify(n: int, d: int, rounds: int, replicas: int, bits: int,
     ens = collect_ensemble(objective, mixing, iterations=rounds, seed=seed,
                            bits=bits, replicas=replicas)
     for checker in (check_consensus_recursion, check_descent_recursion):
-        report: InequalityReport = checker(ens)
+        report = checker(ens)
         checks.append({
             "name": report.name,
             "passed": report.passed,
@@ -224,6 +233,7 @@ def cmd_graph(args) -> int:
         ("retry_limit", args.retry_limit >= 1, "must be >= 1"),
         ("seed", args.seed >= 0, "must be >= 0"),
     ])
+    _check_writable(Path(args.out), "out")
     topo = generate_random_connected_graph(args.n, args.edge_probability,
                                            args.seed, args.retry_limit)
     save_edge_list(topo, args.out)

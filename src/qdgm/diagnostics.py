@@ -10,10 +10,10 @@ actually guarantees, and therefore conservative).
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,10 @@ TRACE_COLUMNS = [
     "k", "f_gap_last", "f_gap_avg_min", "f_gap_avg_max", "consensus_sq",
     "r_sq", "lyapunov", "delta_k", "range_k", "max_coord", "gamma_k",
 ]
+TraceRecord = NamedTuple(
+    "TraceRecord", [("k", int)] + [(c, float) for c in TRACE_COLUMNS[1:]])
+# one CSV row: the round as an integer, then every other column to 17 digits
+_ROW_FORMAT = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\r\n"
 
 ETA_MODES = ("body", "appendix")
 
@@ -32,66 +36,48 @@ ETA_MODES = ("body", "appendix")
 MIN_REPLICAS = 100
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    k: int
-    f_gap_last: float
-    f_gap_avg_min: float
-    f_gap_avg_max: float
-    consensus_sq: float
-    r_sq: float
-    lyapunov: float
-    delta_k: float
-    range_k: float
-    max_coord: float
-    gamma_k: float
-
-
 @dataclass
 class Trace:
-    """Ordered per-round diagnostic records with CSV persistence."""
+    """Per-round diagnostics as one (records, len(TRACE_COLUMNS)) float64 table
+    in round order, with CSV persistence; ``records`` and ``final()`` read its
+    rows as TraceRecord, and a sequence of records or rows builds a table."""
 
-    records: list[TraceRecord] = field(default_factory=list)
+    table: np.ndarray = ()
     error: str | None = None
 
+    def __post_init__(self):
+        table = np.asarray(self.table, dtype=np.float64)
+        self.table = table.reshape(0, len(TRACE_COLUMNS)) if table.size == 0 else table
+        if self.table.ndim != 2 or self.table.shape[1] != len(TRACE_COLUMNS):
+            raise ValueError(f"a trace row holds the {len(TRACE_COLUMNS)} TRACE_COLUMNS")
+
     def column(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(rec, name) for rec in self.records])
+        return self.table[:, TRACE_COLUMNS.index(name)]
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        return [TraceRecord(int(row[0]), *row[1:]) for row in self.table.tolist()]
 
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        return Trace(self.table[-1:]).records[0]
 
     def to_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for rec in self.records:
-                writer.writerow(
-                    [rec.k] + [f"{getattr(rec, c):.17g}" for c in TRACE_COLUMNS[1:]])
+            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+            fh.writelines(_ROW_FORMAT % tuple(row) for row in self.table.tolist())
             if self.error is not None:
                 fh.write(f"# error: {self.error}\n")
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        records: list[TraceRecord] = []
-        error = None
-        with Path(path).open(newline="") as fh:
-            header = None
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if line.startswith("# error:"):
-                        error = line[len("# error:"):].strip()
-                    continue
-                cells = line.split(",")
-                if header is None:
-                    header = cells
-                    if header != TRACE_COLUMNS:
-                        raise ValueError(f"unexpected trace header in {path}")
-                    continue
-                records.append(TraceRecord(int(cells[0]), *map(float, cells[1:])))
-        return cls(records, error)
+        lines = [line.strip() for line in Path(path).read_text().splitlines()]
+        rows = [line for line in lines if line and not line.startswith("#")]
+        if rows and rows[0].split(",") != TRACE_COLUMNS:
+            raise ValueError(f"unexpected trace header in {path}")
+        errors = [line[len("# error:"):].strip() for line in lines
+                  if line.startswith("# error:")]
+        table = np.loadtxt(rows[1:], delimiter=",", ndmin=2) if rows[1:] else ()
+        return cls(table, errors[-1] if errors else None)
 
 
 def consensus_error(x_rows: np.ndarray):
@@ -100,6 +86,11 @@ def consensus_error(x_rows: np.ndarray):
     x = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
     centered = x - x.mean(axis=-2, keepdims=True)
     return np.sum(centered * centered, axis=(-2, -1))
+
+
+def coupled_smoothness(mu: float, lipschitz: float) -> float:
+    """L + 8 L^2 / mu, the weight of the consensus error in the descent step."""
+    return lipschitz + 8.0 * lipschitz ** 2 / mu
 
 
 def eta_coupling(mu: float, lipschitz: float, spectral_gap: float,
@@ -111,7 +102,7 @@ def eta_coupling(mu: float, lipschitz: float, spectral_gap: float,
     'appendix' -> 2 (L + L^2 / 8)   / (1 - sigma2)
     """
     if mode == "body":
-        return 2.0 * (lipschitz + 8.0 * lipschitz ** 2 / mu) / spectral_gap
+        return 2.0 * coupled_smoothness(mu, lipschitz) / spectral_gap
     if mode == "appendix":
         return 2.0 * (lipschitz + lipschitz ** 2 / 8.0) / spectral_gap
     raise ValueError(f"unknown eta mode {mode!r}; pick one of {ETA_MODES}")
@@ -143,6 +134,11 @@ class RateBoundInputs:
         if not (0.0 <= self.sigma2 < 1.0):
             raise ValueError("sigma2 must be in [0, 1)")
 
+    @property
+    def quantization(self) -> float:
+        """(C d / (2^b - 1))^2, the squared bin width per unit summed step."""
+        return (self.grad_bound * self.dims / (2 ** self.bits - 1)) ** 2
+
 
 def gamma_k(inputs: RateBoundInputs, steps: StepSchedule, k: int) -> float:
     """Per-round additive error term of the Lyapunov recursion."""
@@ -150,13 +146,13 @@ def gamma_k(inputs: RateBoundInputs, steps: StepSchedule, k: int) -> float:
         raise ValueError("gamma is defined for k >= 1")
     mu, lip = inputs.mu, inputs.lipschitz
     gap = 1.0 - inputs.sigma2
-    quant = (inputs.grad_bound * inputs.dims / (2 ** inputs.bits - 1)) ** 2 \
-        * steps.alpha_sum(k) ** 2
+    coupled = coupled_smoothness(mu, lip)
+    quant = inputs.quantization * steps.alpha_sum(k) ** 2
     return (
         (16.0 / mu ** 2) / (k + 1) ** 2
-        + (40.0 * lip ** 2 * (lip + 8.0 * lip ** 2 / mu) / mu ** 3) / (k + 1) ** 1.5
+        + (40.0 * lip ** 2 * coupled / mu ** 3) / (k + 1) ** 1.5
         + (4.0 / (gap * (k + 1) ** 1.5)
-           + 320.0 * (lip + 8.0 * lip ** 2 / mu) * inputs.n ** 2
+           + 320.0 * coupled * inputs.n ** 2
            / (gap ** 2 * (k + 1) ** 1.75)) * quant
     )
 
@@ -168,15 +164,16 @@ def rate_bound_terms(inputs: RateBoundInputs, horizon: int) -> tuple[float, ...]
     mu, lip = inputs.mu, inputs.lipschitz
     gap = 1.0 - inputs.sigma2
     tp1 = horizon + 1.0
-    quant = (inputs.grad_bound * inputs.dims / (2 ** inputs.bits - 1)) ** 2
+    quant = inputs.quantization
     log_sq = math.log(horizon) ** 2
     return (
         mu * inputs.v1 / (8.0 * tp1 ** 2),
         2.0 / tp1,
         (16.0 / (3.0 * mu * gap)) * quant * log_sq / tp1 ** 0.5,
+        # open question: L + 8 L^2 here, not coupled_smoothness's L + 8 L^2 / mu
         (4.0 * inputs.n ** 2 * (lip + 8.0 * lip ** 2) / gap ** 2)
         * quant * log_sq / tp1 ** 0.75,
-        (8.0 * lip * (lip + 8.0 * lip ** 2 / mu) / (3.0 * mu ** 3)) / tp1 ** 0.5,
+        (8.0 * lip * coupled_smoothness(mu, lip) / (3.0 * mu ** 3)) / tp1 ** 0.5,
     )
 
 
@@ -187,30 +184,25 @@ def rate_bound(inputs: RateBoundInputs, horizon: int) -> float:
 
 def make_record(k: int, x_rows: np.ndarray, z_rows: np.ndarray,
                 objective: RegressionObjective, steps: StepSchedule,
-                qsched: QuantizerSchedule, eta: float) -> TraceRecord:
-    """Snapshot every tracked quantity for one round."""
+                qsched: QuantizerSchedule, eta: float,
+                inputs: RateBoundInputs) -> TraceRecord:
+    """One trace row for round k; ``inputs`` holds the run's envelope constants.
+
+    f is evaluated at the n averaged iterates and at xbar in one call on
+    their (n + 1, d) stack: ``global_value``'s batched matmul makes one
+    W @ p product per point, so each gap has the bits of a separate
+    evaluation, which ``P @ W.T`` or ``einsum`` (another summation order)
+    would not keep.
+    """
     xbar = x_rows.mean(axis=0)
     cons = consensus_error(x_rows)
     r_sq = float(np.sum((xbar - objective.optimum) ** 2))
-    gaps = [global_value(objective, z) - objective.f_star for z in z_rows]
-    inputs = RateBoundInputs(
-        mu=objective.mu, lipschitz=objective.lipschitz,
-        grad_bound=qsched.gradient_bound, dims=objective.dims,
-        n=objective.n, bits=qsched.bits,
-        sigma2=1.0 - steps.spectral_gap, v1=0.0)
+    gaps = global_value(objective, np.vstack([z_rows, xbar])) - objective.f_star
+    grid = qsched.grid(k)
     return TraceRecord(
-        k=k,
-        f_gap_last=global_value(objective, xbar) - objective.f_star,
-        f_gap_avg_min=float(min(gaps)),
-        f_gap_avg_max=float(max(gaps)),
-        consensus_sq=cons,
-        r_sq=r_sq,
-        lyapunov=lyapunov_value(r_sq, cons, k, steps, eta),
-        delta_k=qsched.delta_at(k),
-        range_k=qsched.range_at(k),
-        max_coord=float(np.abs(x_rows).max()),
-        gamma_k=gamma_k(inputs, steps, k) if k >= 1 else float("nan"),
-    )
+        k, gaps[-1], gaps[:-1].min(), gaps[:-1].max(), cons, r_sq,
+        lyapunov_value(r_sq, cons, k, steps, eta), grid.delta, grid.range,
+        np.abs(x_rows).max(), gamma_k(inputs, steps, k) if k >= 1 else float("nan"))
 
 
 @dataclass
@@ -235,14 +227,6 @@ class EnsembleTrace:
     n: int
     dims: int
 
-    @property
-    def replicas(self) -> int:
-        return self.consensus_sq.shape[0]
-
-    @property
-    def rounds(self) -> int:
-        return self.consensus_sq.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -261,6 +245,8 @@ def _mc_violations(name: str, lhs: np.ndarray, rhs: np.ndarray) -> InequalityRep
     """Paired Monte Carlo test: mean(lhs - rhs) must stay below 3 SE per round."""
     diff = lhs - rhs
     m = diff.shape[0]
+    if m < MIN_REPLICAS:
+        raise ValueError(f"insufficient replicas: {m} < {MIN_REPLICAS}")
     mean = diff.mean(axis=0)
     se = diff.std(axis=0, ddof=1) / math.sqrt(m)
     scale = np.maximum(1.0, np.abs(rhs).mean(axis=0))
@@ -283,8 +269,6 @@ def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
     with s = sigma2, Dv the d-scaled bin width, checked in Monte Carlo mean
     with a 3-standard-error slack.
     """
-    if ens.replicas < MIN_REPLICAS:
-        raise ValueError(f"insufficient replicas: {ens.replicas} < {MIN_REPLICAS}")
     gap = 1.0 - ens.sigma2
     a, b = ens.alphas, ens.betas
     dv = ens.dims * ens.deltas[:-1]
@@ -302,15 +286,13 @@ def check_descent_recursion(ens: EnsembleTrace) -> InequalityReport:
                   + a_k (L + 8 L^2 / mu) ||Y_k||_F^2
     checked in Monte Carlo mean with a 3-standard-error slack.
     """
-    if ens.replicas < MIN_REPLICAS:
-        raise ValueError(f"insufficient replicas: {ens.replicas} < {MIN_REPLICAS}")
     a, b = ens.alphas, ens.betas
     mu, lip = ens.mu, ens.lipschitz
     dv = ens.dims * ens.deltas[:-1]
     rhs = (1.0 - mu * a / 2.0) * ens.r_sq[:, :-1] \
         + a ** 2 * lip ** 2 + b ** 2 * dv ** 2 \
         + 2.0 * a * (ens.f_star - ens.f_worst[:, :-1]) \
-        + a * (lip + 8.0 * lip ** 2 / mu) * ens.consensus_sq[:, :-1]
+        + a * coupled_smoothness(mu, lip) * ens.consensus_sq[:, :-1]
     return _mc_violations("descent_recursion", ens.r_sq[:, 1:], rhs)
 
 

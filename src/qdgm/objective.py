@@ -8,9 +8,7 @@ schedules.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -140,19 +138,18 @@ def gradient_matrix(objective: RegressionObjective, x_rows: np.ndarray) -> np.nd
     return 2.0 * w * residuals[..., None]
 
 
-def global_value(objective: RegressionObjective, x: np.ndarray) -> float:
-    """f(x) = sum_i (w_i^T x - b_i)^2."""
-    return float(np.sum((objective.features @ np.asarray(x) - objective.targets) ** 2))
+def global_value(objective: RegressionObjective, x: np.ndarray):
+    """f(x) = sum_i (w_i^T x - b_i)^2 at a point x (a float) or at each row
+    of a (..., d) stack; each point is one W @ x product, whatever the stack."""
+    x = np.asarray(x, dtype=np.float64)
+    residuals = np.matmul(objective.features, x[..., None])[..., 0] - objective.targets
+    values = np.sum(residuals ** 2, axis=-1)
+    return float(values) if x.ndim == 1 else values
 
 
 def save_instance_csv(objective: RegressionObjective, path) -> None:
     """One row per agent, columns w_1..w_d then b; constants are never stored."""
-    d = objective.dims
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"w_{j + 1}" for j in range(d)] + ["b"])
-        for i in range(objective.n):
-            row = [f"{v:.17g}" for v in objective.features[i]]
-            row.append(f"{objective.targets[i]:.17g}")
-            writer.writerow(row)
+    header = ",".join([f"w_{j + 1}" for j in range(objective.dims)] + ["b"])
+    np.savetxt(path, np.column_stack([objective.features, objective.targets]),
+               fmt="%.17g", delimiter=",", header=header, comments="", newline="\r\n")
 

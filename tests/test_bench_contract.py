@@ -59,3 +59,21 @@ def test_exact_twin_calls_and_trace_checks(tmp_path):
     errors, read_back = checks.check_trace(out / "trace.csv", 20)
     assert errors == []
     assert read_back.error is None and len(read_back.records) == 21
+
+
+def test_sweep_and_partial_trace_checks(tmp_path):
+    checks = _load("checks")
+    # the default-sweep read path: both traces of each seed's `run --baseline`
+    seeds = [7, 8]
+    for seed in seeds:
+        assert cli.main(["run", "--baseline", "--seed", str(seed), "--iterations",
+                         "20", "--output-dir", str(tmp_path / f"s{seed}")]) == 0
+    errors, gap = checks.check_sweep(tmp_path, seeds, 20)
+    assert errors == [] and gap > 0.0
+    # a partial trace: seed 20 stops at round 4 and ends with the error line
+    out = tmp_path / "partial"
+    assert cli.main(["run", "--seed", "20", "--iterations", "50",
+                     "--output-dir", str(out)]) == 2
+    errors, read_back = checks.check_trace(out / "trace.csv", 50)
+    assert errors[0].startswith("trace.csv: error marker: gradient-bound violation")
+    assert read_back.final().k == 3 and len(read_back.records) == 4

@@ -193,18 +193,22 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
     ("--config", '{"graph": {"retry_limit": 1, "edge_probability": 0.01}}',
      ("could not sample connected graph",)),
     ("--config", '{"data": {"feature_high": 1e-200}}', ("degenerate instance",)),
+    # an output directory below a regular file
+    ("--output-dir", "a regular file",
+     ("invalid field output_dir: cannot write", "input is not an existing directory")),
 ], ids=["disconnected-edges", "missing-edges", "missing-config",
         "malformed-json", "graph-not-object", "data-not-object", "bits-str",
         "seed-float", "replicas-float", "beta-clamp-str", "edges-file-int",
-        "baseline-str", "graph-sampling", "degenerate-data"])
+        "baseline-str", "graph-sampling", "degenerate-data", "output-below-file"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"
     if content is not None:
         path.write_text(content)
     out = tmp_path / "out"
-    code = run_cli(["run", flag, str(path), "--n", "4", "--dims", "2",
-                    "--iterations", "5", "--output-dir", str(out)])
+    value = path / "x" if flag == "--output-dir" else path
+    code = run_cli(["run", "--n", "4", "--dims", "2", "--iterations", "5",
+                    "--output-dir", str(out), flag, str(value)])
     assert code == 64
     err = capsys.readouterr().err
     assert all(text in err for text in expected), err
@@ -439,9 +443,13 @@ def test_graph_load_of_bad_file_exits_64(tmp_path, capsys, content):
     (["--seed", "-1"], "invalid field seed: must be >= 0"),
     (["--n", "50", "--edge-probability", "0.001", "--retry-limit", "2"],
      "could not sample connected graph"),
+    (["--out", "nodir/g.edges"],
+     "invalid field out: cannot write nodir/g.edges: nodir is not an existing directory"),
+    (["--out", "."], "invalid field out: . is a directory"),
 ])
-def test_graph_rejects_bad_arguments_before_writing(tmp_path, capsys, args,
-                                                    expected):
+def test_graph_rejects_bad_arguments_before_writing(tmp_path, capsys, monkeypatch,
+                                                    args, expected):
+    monkeypatch.chdir(tmp_path)   # relative --out paths land in tmp_path
     out = tmp_path / "g.edges"
     assert run_cli(["graph", "--out", str(out)] + args) == 64
     captured = capsys.readouterr()

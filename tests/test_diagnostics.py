@@ -1,19 +1,23 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgm.algorithm import collect_ensemble, run_experiment
+from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, run_round
+from qdgm.cli import build_objective_from_config, build_topology
+from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (RateBoundInputs, Trace, TraceRecord,
                               check_consensus_recursion, check_descent_recursion,
                               consensus_error, eta_coupling, fit_loglog_slope,
-                              gamma_k, lyapunov_value, rate_bound,
+                              gamma_k, lyapunov_value, make_record, rate_bound,
                               rate_bound_terms)
-from qdgm.graph import lazy_metropolis, path_topology
+from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
 from qdgm.objective import well_conditioned_instance
+from qdgm.quantizer import QuantizerSchedule
 from qdgm.schedules import StepSchedule
 
 
@@ -305,3 +309,52 @@ def test_trace_error_marker_roundtrip(tmp_path):
     loaded = Trace.from_csv(path)
     assert loaded.error == "something broke"
     assert len(loaded.records) == 1
+
+
+# ---------------------------------------------------------------------------
+# the record path against a written-out reference
+
+def _states(objective, mixing, rounds, quantized):
+    """Rounds 0..rounds of one replica, with the schedules that made them."""
+    steps = StepSchedule(objective.mu, spectral_gap(mixing))
+    qsched = QuantizerSchedule(objective.grad_bound, steps, 16)
+    state = initial_state(objective.n, objective.dims)
+    states = [state]
+    for _ in range(rounds):
+        state = run_round(state, mixing, objective, steps, qsched, seed=7,
+                          quantized=quantized)
+        states.append(state)
+    return steps, qsched, states
+
+
+@pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "exact"])
+@pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
+def test_record_gaps_equal_one_gemv_per_point(instance, quantized):
+    if instance == "default-40x5":
+        cfg = ExperimentConfig()
+        objective = build_objective_from_config(cfg)
+        mixing = lazy_metropolis(build_topology(cfg))
+    else:
+        objective = well_conditioned_instance(4, 2)
+        mixing = lazy_metropolis(path_topology(4))
+    steps, qsched, states = _states(objective, mixing, 40, quantized)
+    inputs = RateBoundInputs(
+        mu=objective.mu, lipschitz=objective.lipschitz,
+        grad_bound=objective.grad_bound, dims=objective.dims, n=objective.n,
+        bits=16, sigma2=1.0 - steps.spectral_gap, v1=0.0)
+    w, b = objective.features, objective.targets
+    for state in states:
+        x, z = state.x[0], state.z[0]
+        rec = make_record(state.k, x, z, objective, steps, qsched, 1.0, inputs)
+        gaps = [float(np.sum((w @ z_i - b) ** 2)) - objective.f_star for z_i in z]
+        last = float(np.sum((w @ x.mean(axis=0) - b) ** 2)) - objective.f_star
+        assert (rec.f_gap_last, rec.f_gap_avg_min, rec.f_gap_avg_max) == \
+            (last, min(gaps), max(gaps)), state.k
+
+
+@pytest.mark.parametrize("name", ["golden_trace.csv", "golden_baseline_trace.csv",
+                                  "golden_partial_trace.csv"])
+def test_trace_csv_rewrite_is_byte_identical(tmp_path, name):
+    source = Path(__file__).parent / "data" / name
+    Trace.from_csv(source).to_csv(tmp_path / name)
+    assert (tmp_path / name).read_bytes() == source.read_bytes()
