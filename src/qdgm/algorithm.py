@@ -17,10 +17,10 @@ the endpoint index array and never packs bytes: the packed MSB-first
 indices are the wire contract, checked at the boundary by the codec tests
 and ``qdgm verify``, and decoding them gives the same values bit for bit.
 
-All quantization randomness for round k of replica r comes from one
-generator keyed by (seed, r, k) and is consumed in fixed
-(agent, coordinate) order, so a replica's results depend neither on the
-other replicas in its stack nor on any scheduling of work within a round.
+All quantization randomness of round k comes from one PCG64 stream keyed
+by (seed, k), one uniform per (replica, agent, coordinate) in row-major
+order, so replica r's (n, d) block starts r*n*d draws in and its results
+depend neither on the size of its stack nor on the other replicas in it.
 """
 from __future__ import annotations
 
@@ -58,22 +58,23 @@ def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
 def run_round(state: RoundState, mixing: MixingMatrix,
               objective: RegressionObjective, steps: StepSchedule,
               qsched: QuantizerSchedule, seed: int, *,
-              replicas=(0,), quantized: bool = True) -> RoundState:
+              first: int = 0, quantized: bool = True) -> RoundState:
     """Advance every agent of every replica one synchronized round.
 
-    Slice r of the stack is replica ``replicas[r]`` and matches the
-    one-replica round keyed with that id bit for bit. With
+    Slice r of the stack is replica ``first + r`` and matches the
+    one-replica round of that replica bit for bit: the round's stream jumps
+    ahead once, by first*n*d draws, and yields all R*n*d uniforms. With
     ``quantized=False`` the exchanged values are the raw iterates
     (infinite-bandwidth twin); everything else is identical.
     """
     k, x = state.k, state.x
-    if len(replicas) != len(x):
-        raise ValueError(f"{len(replicas)} replica ids for a stack of {len(x)}")
     alpha, beta = steps.alpha(k), steps.beta(k)
     if quantized:
         grid = qsched.grid(k)
-        rngs = [np.random.default_rng([seed, rep, k]) for rep in replicas]
-        q = quantizer.decode_matrix(quantizer.quantize_matrix(x, grid, rngs), grid)
+        rng = np.random.default_rng([seed, k])
+        # Generator.random takes one 64-bit output per double
+        rng.bit_generator.advance(first * x[0].size)
+        q = quantizer.decode_matrix(quantizer.quantize_matrix(x, grid, rng), grid)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
         support = grid.delta + 2.0 * grid.range * quantizer.CLAMP_BAND
@@ -88,7 +89,7 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     x_next = (1.0 - beta) * x + beta * (mixing.entries @ q) - alpha * grads
     if not np.isfinite(x_next).all():
         raise NonFiniteIterateError(f"non-finite iterate at round {k}")
-    _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, replicas)
+    _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, first)
     # rounds t < k carry the weights t + 1, which sum to k(k+1)/2
     prior = k * (k + 1) // 2
     z_next = (state.z * prior + (k + 1) * x) / (prior + (k + 1))
@@ -124,18 +125,19 @@ def _schedules(objective: RegressionObjective, mixing: MixingMatrix, bits: int,
 
 def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
                 steps: StepSchedule, qsched: QuantizerSchedule, observe, *,
-                iterations: int, seed: int, replicas, quantized: bool) -> None:
-    """The one round loop: advances the stack of ``replicas`` from zero,
-    showing each state (rounds 0 to ``iterations``) to ``observe(state)``."""
+                iterations: int, seed: int, first: int, replicas: int,
+                quantized: bool) -> None:
+    """The one round loop: advances replicas ``first`` on, ``replicas`` of them,
+    from zero, showing each state (rounds 0 to ``iterations``) to ``observe``."""
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    state = initial_state(objective.n, objective.dims, len(replicas))
+    state = initial_state(objective.n, objective.dims, replicas)
     while True:
         observe(state)
         if state.k == iterations:
             return
         state = run_round(state, mixing, objective, steps, qsched, seed,
-                          replicas=replicas, quantized=quantized)
+                          first=first, quantized=quantized)
 
 
 def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
@@ -171,7 +173,7 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
             grad_bound=qsched.gradient_bound, dims=objective.dims, n=objective.n,
             bits=bits, sigma2=1.0 - steps.spectral_gap, v1=0.0)
         _run_rounds(objective, mixing, steps, qsched, record,
-                    iterations=iterations, seed=seed, replicas=(replica,),
+                    iterations=iterations, seed=seed, first=replica, replicas=1,
                     quantized=quantized)
     except Exception as exc:
         exc.partial_trace = diagnostics.Trace(table[:filled], str(exc))
@@ -198,7 +200,7 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
         f_worst[:, k] = np.max(np.sum(residuals ** 2, axis=2), axis=1)
 
     _run_rounds(objective, mixing, steps, qsched, statistics,
-                iterations=iterations, seed=seed, replicas=range(replicas),
+                iterations=iterations, seed=seed, first=0, replicas=replicas,
                 quantized=True)
     return diagnostics.EnsembleTrace(
         consensus_sq=cons, r_sq=r_sq, f_worst=f_worst,

@@ -50,6 +50,9 @@ class Trace:
         self.table = table.reshape(0, len(TRACE_COLUMNS)) if table.size == 0 else table
         if self.table.ndim != 2 or self.table.shape[1] != len(TRACE_COLUMNS):
             raise ValueError(f"a trace row holds the {len(TRACE_COLUMNS)} TRACE_COLUMNS")
+        k = self.table[:, 0]
+        if not np.all((k >= 0) & (k % 1 == 0)):  # NaN and inf fail too
+            raise ValueError("a trace's k column holds nonnegative integers")
 
     def column(self, name: str) -> np.ndarray:
         return self.table[:, TRACE_COLUMNS.index(name)]

@@ -81,16 +81,16 @@ class QuantizerSchedule:
         return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
-def check_range(x: np.ndarray, rangek: float, k: int, replicas=None) -> None:
+def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> None:
     """Raise GradientBoundError when max_i ||x^i||_inf exceeds the round-k
-    range by more than the clamp band. For an (R, n, d) stack with R > 1 the
-    message also names the replica: ``replicas[r]``, or r without ids."""
+    range by more than the clamp band, or is NaN. For an (R, n, d) stack
+    with R > 1 the message also names the replica, ``first + r``."""
     worst = float(np.abs(x).max())
-    if worst > rangek * (1.0 + CLAMP_BAND):
+    if not worst <= rangek * (1.0 + CLAMP_BAND):  # NaN fails too
         where = np.unravel_index(np.argmax(np.abs(x)), x.shape)
         who = f"agent {where[-2]}"
         if x.ndim == 3 and x.shape[0] > 1:
-            who += f" of replica {where[0] if replicas is None else replicas[where[0]]}"
+            who += f" of replica {first + where[0]}"
         raise GradientBoundError(
             f"gradient-bound violation: {who} reached {worst} at round "
             f"{k}, outside quantization range +-{rangek}")
@@ -120,22 +120,17 @@ def _stochastic_round(values: np.ndarray, lower: float, delta: float,
 def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
     """Quantize (n, d) rows, or an (R, n, d) stack, to int64 grid indices.
 
-    ``rng`` is one generator, or one per replica of a stack; each draws one
-    uniform per (agent, coordinate) of its block in row-major order, so
-    results do not depend on any per-agent call order. Inputs inside the
-    clamp band are snapped to the interval; farther out raises
+    ``rng``, one np.random.Generator, draws one uniform per (replica, agent,
+    coordinate) in row-major order, so results do not depend on any per-agent
+    call order and a replica's block sits at its stream offset. Inputs inside
+    the clamp band are snapped to the interval; farther out, or NaN, raises
     GradientBoundError."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if grid.k == 0:
         return np.zeros(x.shape, dtype=np.int64)
     rangek = grid.range
     check_range(x, rangek, grid.k)
-    uniforms = np.empty(x.shape)
-    if isinstance(rng, np.random.Generator):
-        rng.random(out=uniforms)
-    else:
-        for gen, block in zip(rng, uniforms, strict=True):
-            gen.random(out=block)
+    uniforms = rng.random(x.shape)
     clamped = np.minimum(np.maximum(x, -rangek), rangek)
     return _stochastic_round(clamped, -rangek, grid.delta, grid.bins, uniforms)
 

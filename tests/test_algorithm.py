@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,33 +166,45 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     a = run_round(state, small_mixing, obj, steps, qsched, seed=9)
     b = run_round(state, small_mixing, obj, steps, qsched, seed=9)
     assert np.array_equal(a.x, b.x)
-    # a different replica index rewires the randomness
-    c = run_round(state, small_mixing, obj, steps, qsched, seed=9, replicas=(1,))
-    assert not np.array_equal(a.x, c.x)
+    # a different replica index rewires the randomness; one round's eight
+    # rounding choices can agree by chance (they do here), five rounds do not
+    later = {}
+    for first in (0, 1):
+        c = state
+        for _ in range(5):
+            c = run_round(c, small_mixing, obj, steps, qsched, seed=9, first=first)
+        later[first] = c.x
+    assert not np.array_equal(later[0], later[1])
 
 
 def test_batched_round_matches_single_replica_rounds(small_instance, small_mixing):
-    # slice r of a stack keyed with ids (2, 0, 7) follows the one-replica
-    # run keyed with that id bit for bit, round after round
+    # slice r of a stack from replica 2 follows the one-replica run of
+    # replica 2 + r bit for bit, round after round
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
-    ids = (2, 0, 7)
-    stack = initial_state(obj.n, obj.dims, len(ids))
-    singles = [initial_state(obj.n, obj.dims) for _ in ids]
-    for _ in range(25):
-        stack = run_round(stack, small_mixing, obj, steps, qsched, seed=9,
-                          replicas=ids)
-        singles = [run_round(s, small_mixing, obj, steps, qsched, seed=9,
-                             replicas=(rep,)) for s, rep in zip(singles, ids)]
+
+    def rounds(first, replicas):
+        state = initial_state(obj.n, obj.dims, replicas)
+        states = []
+        for _ in range(25):
+            state = run_round(state, small_mixing, obj, steps, qsched, seed=9,
+                              first=first)
+            states.append(state)
+        return states
+
+    stack = rounds(2, 3)
+    singles = [rounds(2 + r, 1) for r in range(3)]
+    for k, state in enumerate(stack):
         for r, single in enumerate(singles):
-            assert np.array_equal(stack.x[r], single.x[0])
-            assert np.array_equal(stack.z[r], single.z[0])
-    assert not np.array_equal(stack.x[0], stack.x[2])
-    for quantized in (True, False):
-        with pytest.raises(ValueError, match="replica ids"):
-            run_round(stack, small_mixing, obj, steps, qsched, seed=9,
-                      replicas=(0,), quantized=quantized)
+            assert np.array_equal(state.x[r], single[k].x[0])
+            assert np.array_equal(state.z[r], single[k].z[0])
+    assert not np.array_equal(stack[-1].x[0], stack[-1].x[2])
+    # replicas 3 and 4 depend neither on the stack size nor on where it starts
+    from_zero, from_three = rounds(0, 5)[-1].x, rounds(3, 2)[-1].x
+    for r in (3, 4):
+        assert np.array_equal(from_zero[r], from_three[r - 3])
+        assert np.array_equal(from_zero[r], singles[r - 2][-1].x[0])
 
 
 def test_ensemble_statistics_match_single_run_records(small_instance,
@@ -210,15 +225,14 @@ def test_batched_range_violation_names_agent_and_replica():
     x[1, 1, 0] = 2.0
     with pytest.raises(GradientBoundError, match="agent 1 of replica 1 "):
         quantizer.check_range(x, 1.0, 6)
-    with pytest.raises(GradientBoundError, match="agent 1 of replica 8 "):
-        quantizer.check_range(x, 1.0, 6, replicas=(4, 8, 9))
+    with pytest.raises(GradientBoundError, match="agent 1 of replica 5 "):
+        quantizer.check_range(x, 1.0, 6, first=4)
     # a single replica keeps the one-run wording
     with pytest.raises(GradientBoundError, match="violation: agent 1 reached"):
         quantizer.check_range(x[1:2], 1.0, 6)
     grid = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5), 4).grid(1)
-    rngs = [np.random.default_rng(r) for r in range(3)]
     with pytest.raises(GradientBoundError, match="agent 1 of replica 1 "):
-        quantizer.quantize_matrix(x, grid, rngs)
+        quantizer.quantize_matrix(x, grid, np.random.default_rng(0))
 
 
 def test_batched_range_violation_in_ensemble_names_its_replica(
@@ -247,6 +261,14 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     monkeypatch.setattr(quantizer, "decode_matrix", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
         run_round(state, small_mixing, obj, steps, qsched, seed=4)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so every invariant must be a typed raise
+    for path in sorted(Path(quantizer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"assert in {path.name} at lines {lines}"
 
 
 def test_growing_range_invariant_over_run(small_instance, small_mixing):

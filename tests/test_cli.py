@@ -290,7 +290,7 @@ def test_run_replicas_split_randomness(tmp_path):
 
 
 def test_run_replicas_match_single_runs(tmp_path):
-    # replica r of a multi-replica run is the single run keyed with replica r
+    # replica r of a multi-replica run is the single run of replica r
     base = ["run", "--n", "6", "--dims", "2", "--bits", "6", "--iterations",
             "25", "--edge-probability", "0.6"]
     assert run_cli(base + ["--replicas", "2", "--output-dir",

@@ -299,6 +299,13 @@ def test_trace_csv_roundtrip(tmp_path, small_instance=None):
         assert np.array_equal(loaded.column(name), trace.column(name))
     assert math.isnan(loaded.records[0].gamma_k)
     assert loaded.error is None
+    # a k cell that is not a nonnegative integer is refused, not truncated
+    lines = path.read_text().splitlines()
+    for bad_k in ("1.5", "-1", "nan"):
+        row = lines[2].split(",")
+        path.write_text("\n".join([*lines[:2], ",".join([bad_k, *row[1:]])]) + "\n")
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            Trace.from_csv(path)
 
 
 def test_trace_error_marker_roundtrip(tmp_path):

@@ -56,6 +56,9 @@ def test_scalar_range_check_and_clamp_band():
     # the band is CLAMP_BAND * range on each side, as in the run invariant
     with pytest.raises(GradientBoundError):
         quantize_matrix([[1.5 * (1.0 + 2.0 * CLAMP_BAND)]], sched.grid(K_UNIT), rng)
+    # NaN is outside every range, not a silent garbage index
+    with pytest.raises(GradientBoundError, match="reached nan"):
+        quantize_matrix([[np.nan, 0.1]], sched.grid(K_UNIT), rng)
     # inside the clamp band: snapped to the endpoint instead of rejected
     idx = quantize_matrix([[1.5 + 1e-10]], sched.grid(K_UNIT), rng)
     assert idx.tolist() == [[3]]
