@@ -5,9 +5,12 @@ seed 7) and ``data/golden_baseline_trace.csv`` the exact twin of that run.
 ``data/golden_partial_trace.csv`` is the trace of seed 20, which stops at
 round 4 on a gradient-bound violation and ends with the error line.
 ``data/golden_ensemble.npz`` holds the raw per-replica arrays of a small
-Monte Carlo ensemble. A change that moves output bits on purpose
-re-pins these files and says so.
+Monte Carlo ensemble. ``LONG_RUN`` pins, by sha256, both traces of a
+3000-round run: 1,001 rows recorded every round, then 23 on the geometric
+record grid. A change that moves output bits on purpose re-pins these
+files and digests and says so.
 """
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,10 @@ from qdgm.graph import lazy_metropolis, path_topology
 from qdgm.objective import well_conditioned_instance
 
 DATA = Path(__file__).parent / "data"
+LONG_RUN = {
+    "trace.csv": "d3faf21bc288cbb1665ed9ad244047596bada33bf1f6345a828017c37edf6fbc",
+    "baseline_trace.csv": "cbc9a6e7d72f96ddab6dda5d57f6cab5ece35e798255e8904640e6b489f488d8",
+}
 
 
 def test_criterion_9_trace_matches_golden_bytes(tmp_path):
@@ -38,6 +45,16 @@ def test_criterion_9_trace_matches_golden_bytes(tmp_path):
 def test_run_trace_matches_golden_bytes(tmp_path, args, code, written, golden):
     assert cli_main(["run", *args, "--output-dir", str(tmp_path)]) == code
     assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_long_run_traces_match_golden_digest(tmp_path):
+    args = ["run", "--seed", "7", "--iterations", "3000", "--baseline",
+            "--output-dir", str(tmp_path)]
+    assert cli_main(args) == 0
+    for name, digest in LONG_RUN.items():
+        data = (tmp_path / name).read_bytes()
+        assert data.count(b"\r\n") == 1 + 1024, name
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_ensemble_matches_golden_arrays():
