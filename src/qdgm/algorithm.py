@@ -39,6 +39,8 @@ from .quantizer import QuantizerSchedule
 from .quantizer import check_range as _check_range_invariant
 from .schedules import StepSchedule
 
+RECORD_BLOCK = 32  # recorded rounds per make_record call in run_experiment
+
 
 @dataclass
 class RoundState:
@@ -86,13 +88,20 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     else:
         q = x
     grads = gradient_matrix(objective, x)
-    x_next = (1.0 - beta) * x + beta * (mixing.entries @ q) - alpha * grads
+    # (1 - beta) x + beta (W q) - alpha grads, in place, in the same order
+    x_next = mixing.entries @ q
+    x_next *= beta
+    x_next += (1.0 - beta) * x
+    grads *= alpha
+    x_next -= grads
     if not np.isfinite(x_next).all():
         raise NonFiniteIterateError(f"non-finite iterate at round {k}")
     _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, first)
     # rounds t < k carry the weights t + 1, which sum to k(k+1)/2
     prior = k * (k + 1) // 2
-    z_next = (state.z * prior + (k + 1) * x) / (prior + (k + 1))
+    z_next = state.z * prior
+    z_next += (k + 1) * x
+    z_next /= prior + (k + 1)
     return RoundState(k + 1, x_next, z_next)
 
 
@@ -154,14 +163,26 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
     """
     points = record_points(iterations, record_stride, extra_record_points)
     table = np.empty((len(points), len(diagnostics.TRACE_COLUMNS)))
-    filled = 0
+    # recorded states wait in these buffers and enter the table a block at a time
+    xs, zs = np.empty((2, min(RECORD_BLOCK, len(points)), objective.n, objective.dims))
+    filled = held = 0
+
+    def flush():
+        nonlocal filled, held
+        rows, held = held, 0
+        if rows:
+            table[filled:filled + rows] = diagnostics.make_record(
+                points[filled:filled + rows], xs[:rows], zs[:rows], objective,
+                steps, qsched, eta, inputs)
+            filled += rows
 
     def record(state):
-        nonlocal filled
-        if state.k == points[filled]:
-            table[filled] = diagnostics.make_record(
-                state.k, state.x[0], state.z[0], objective, steps, qsched, eta, inputs)
-            filled += 1
+        nonlocal held
+        if state.k == points[filled + held]:
+            xs[held], zs[held] = state.x[0], state.z[0]
+            held += 1
+            if held == len(xs):
+                flush()
 
     try:
         # the per-run constants of every record
@@ -175,7 +196,9 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
         _run_rounds(objective, mixing, steps, qsched, record,
                     iterations=iterations, seed=seed, first=replica, replicas=1,
                     quantized=quantized)
+        flush()
     except Exception as exc:
+        flush()
         exc.partial_trace = diagnostics.Trace(table[:filled], str(exc))
         raise
     return diagnostics.Trace(table[:filled])

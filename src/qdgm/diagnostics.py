@@ -185,27 +185,33 @@ def rate_bound(inputs: RateBoundInputs, horizon: int) -> float:
     return sum(rate_bound_terms(inputs, horizon))
 
 
-def make_record(k: int, x_rows: np.ndarray, z_rows: np.ndarray,
+def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
                 objective: RegressionObjective, steps: StepSchedule,
                 qsched: QuantizerSchedule, eta: float,
-                inputs: RateBoundInputs) -> TraceRecord:
-    """One trace row for round k; ``inputs`` holds the run's envelope constants.
+                inputs: RateBoundInputs) -> np.ndarray:
+    """The (B, len(TRACE_COLUMNS)) block of trace rows for the B rounds ``ks``
+    (Python ints), from the (B, n, d) stacks of their iterates and averaged
+    iterates; each row has the bits of a separate per-round evaluation.
 
-    f is evaluated at the n averaged iterates and at xbar in one call on
-    their (n + 1, d) stack: ``global_value``'s batched matmul makes one
-    W @ p product per point, so each gap has the bits of a separate
-    evaluation, which ``P @ W.T`` or ``einsum`` (another summation order)
-    would not keep.
+    f is evaluated at every round's n averaged iterates and xbar in one
+    (B, n + 1, d) stack: ``global_value`` makes one W @ p product per point,
+    which ``P @ W.T`` or ``einsum`` (another summation order) would not keep.
+    V_k, gamma_k and the grid stay scalar per row: numpy's vectorised ``**``
+    and libm ``pow`` can differ in the last bit.
     """
-    xbar = x_rows.mean(axis=0)
-    cons = consensus_error(x_rows)
-    r_sq = float(np.sum((xbar - objective.optimum) ** 2))
-    gaps = global_value(objective, np.vstack([z_rows, xbar])) - objective.f_star
-    grid = qsched.grid(k)
-    return TraceRecord(
-        k, gaps[-1], gaps[:-1].min(), gaps[:-1].max(), cons, r_sq,
-        lyapunov_value(r_sq, cons, k, steps, eta), grid.delta, grid.range,
-        np.abs(x_rows).max(), gamma_k(inputs, steps, k) if k >= 1 else float("nan"))
+    xbar = x_stack.mean(axis=1)
+    gaps = global_value(objective, np.concatenate([z_stack, xbar[:, None]], axis=1)) \
+        - objective.f_star
+    cons = consensus_error(x_stack)
+    r_sq = np.sum((xbar - objective.optimum) ** 2, axis=1)
+    grids = [qsched.grid(k) for k in ks]
+    return np.column_stack([
+        ks, gaps[:, -1], gaps[:, :-1].min(axis=1), gaps[:, :-1].max(axis=1), cons, r_sq,
+        [lyapunov_value(r, c, k, steps, eta)
+         for r, c, k in zip(r_sq.tolist(), cons.tolist(), ks)],
+        [g.delta for g in grids], [g.range for g in grids],
+        np.abs(x_stack).max(axis=(1, 2)),
+        [gamma_k(inputs, steps, k) if k >= 1 else math.nan for k in ks]])
 
 
 @dataclass

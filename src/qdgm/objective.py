@@ -142,8 +142,9 @@ def global_value(objective: RegressionObjective, x: np.ndarray):
     """f(x) = sum_i (w_i^T x - b_i)^2 at a point x (a float) or at each row
     of a (..., d) stack; each point is one W @ x product, whatever the stack."""
     x = np.asarray(x, dtype=np.float64)
-    residuals = np.matmul(objective.features, x[..., None])[..., 0] - objective.targets
-    values = np.sum(residuals ** 2, axis=-1)
+    residuals = np.matmul(objective.features, x[..., None])[..., 0]
+    residuals -= objective.targets  # in place: one temporary for any stack
+    values = np.square(residuals, out=residuals).sum(axis=-1)
     return float(values) if x.ndim == 1 else values
 
 

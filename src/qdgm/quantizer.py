@@ -105,8 +105,8 @@ def _stochastic_round(values: np.ndarray, lower: float, delta: float,
     # np.minimum/np.maximum clip like np.clip, without its Python overhead
     base = np.floor((values - lower) / delta)
     np.minimum(np.maximum(base, 0, out=base), nbins - 1, out=base)
+    # uniforms lie in [0, 1), so a frac just outside [0, 1] picks the same side
     frac = (values - (lower + base * delta)) / delta
-    np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)
     idx = base + (uniforms < frac)
     # one-ulp guard: at bin boundaries the floor/reconstruction pair can land
     # the chosen endpoint just over one bin width away; flip to the other

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdgm import quantizer
+from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
+from qdgm.cli import build_objective_from_config, build_topology
+from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import fit_loglog_slope
 from qdgm.errors import (GradientBoundError, NonFiniteIterateError,
                          QuantizationSupportError)
@@ -334,6 +336,34 @@ def test_no_clamp_mode_aborts_with_range_violation(small_instance, small_mixing)
     partial = excinfo.value.partial_trace
     assert partial.error is not None
     assert len(partial.records) >= 1
+
+
+def test_failure_mid_block_keeps_every_earlier_row(monkeypatch):
+    # round 100 makes the 101st gradient call; rows 0..100 fill three record
+    # blocks and five rows of a fourth, which the failure must not drop
+    cfg = ExperimentConfig()
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(build_topology(cfg))
+    kwargs = dict(seed=7, bits=16)
+    expected = run_experiment(objective, mixing, iterations=100, **kwargs).table
+    gradient, record = algorithm.gradient_matrix, diagnostics.make_record
+    calls = {"gradient": 0, "record": 0}
+
+    def poisoned(objective, x):
+        calls["gradient"] += 1
+        return gradient(objective, x) * (np.nan if calls["gradient"] == 101 else 1.0)
+
+    def counted(*args):
+        calls["record"] += 1
+        return record(*args)
+
+    monkeypatch.setattr(algorithm, "gradient_matrix", poisoned)
+    monkeypatch.setattr(diagnostics, "make_record", counted)
+    with pytest.raises(NonFiniteIterateError, match="round 100") as excinfo:
+        run_experiment(objective, mixing, iterations=300, **kwargs)
+    partial = excinfo.value.partial_trace
+    assert partial.table.shape[0] == 101 and calls["record"] == 4
+    assert np.array_equal(partial.table, expected, equal_nan=True)
 
 
 def test_non_finite_iterate_detected():

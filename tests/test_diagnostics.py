@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, run_round
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
-from qdgm.diagnostics import (RateBoundInputs, Trace, TraceRecord,
+from qdgm.diagnostics import (TRACE_COLUMNS, RateBoundInputs, Trace, TraceRecord,
                               check_consensus_recursion, check_descent_recursion,
                               consensus_error, eta_coupling, fit_loglog_slope,
                               gamma_k, lyapunov_value, make_record, rate_bound,
                               rate_bound_terms)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
-from qdgm.objective import well_conditioned_instance
+from qdgm.objective import global_value, well_conditioned_instance
 from qdgm.quantizer import QuantizerSchedule
 from qdgm.schedules import StepSchedule
 
@@ -334,29 +334,72 @@ def _states(objective, mixing, rounds, quantized):
     return steps, qsched, states
 
 
-@pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "exact"])
-@pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
-def test_record_gaps_equal_one_gemv_per_point(instance, quantized):
-    if instance == "default-40x5":
+def _instance(name):
+    if name == "default-40x5":
         cfg = ExperimentConfig()
-        objective = build_objective_from_config(cfg)
-        mixing = lazy_metropolis(build_topology(cfg))
-    else:
-        objective = well_conditioned_instance(4, 2)
-        mixing = lazy_metropolis(path_topology(4))
-    steps, qsched, states = _states(objective, mixing, 40, quantized)
-    inputs = RateBoundInputs(
+        return build_objective_from_config(cfg), lazy_metropolis(build_topology(cfg))
+    return well_conditioned_instance(4, 2), lazy_metropolis(path_topology(4))
+
+
+def _record_inputs(objective, steps):
+    return RateBoundInputs(
         mu=objective.mu, lipschitz=objective.lipschitz,
         grad_bound=objective.grad_bound, dims=objective.dims, n=objective.n,
         bits=16, sigma2=1.0 - steps.spectral_gap, v1=0.0)
+
+
+def _stacked(states):
+    """make_record's first three arguments for a run of states."""
+    return ([s.k for s in states], np.stack([s.x[0] for s in states]),
+            np.stack([s.z[0] for s in states]))
+
+
+@pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "exact"])
+@pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
+def test_record_gaps_equal_one_gemv_per_point(instance, quantized):
+    objective, mixing = _instance(instance)
+    steps, qsched, states = _states(objective, mixing, 40, quantized)
+    inputs = _record_inputs(objective, steps)
     w, b = objective.features, objective.targets
-    for state in states:
+    whole = make_record(*_stacked(states), objective, steps, qsched, 1.0, inputs)
+    for row, state in zip(whole, states):
         x, z = state.x[0], state.z[0]
-        rec = make_record(state.k, x, z, objective, steps, qsched, 1.0, inputs)
+        single = make_record(*_stacked([state]), objective, steps, qsched, 1.0, inputs)
         gaps = [float(np.sum((w @ z_i - b) ** 2)) - objective.f_star for z_i in z]
         last = float(np.sum((w @ x.mean(axis=0) - b) ** 2)) - objective.f_star
-        assert (rec.f_gap_last, rec.f_gap_avg_min, rec.f_gap_avg_max) == \
-            (last, min(gaps), max(gaps)), state.k
+        for block_row in (row, single[0]):
+            assert tuple(block_row[1:4]) == (last, min(gaps), max(gaps)), state.k
+
+
+def _reference_row(state, objective, steps, qsched, eta, inputs):
+    """One round's trace row evaluated on its own, one point at a time."""
+    k, x, z = state.k, state.x[0], state.z[0]
+    xbar = x.mean(axis=0)
+    cons = consensus_error(x)
+    r_sq = float(np.sum((xbar - objective.optimum) ** 2))
+    gaps = [global_value(objective, p) - objective.f_star for p in z]
+    grid = qsched.grid(k)
+    return [k, global_value(objective, xbar) - objective.f_star, min(gaps),
+            max(gaps), cons, r_sq, lyapunov_value(r_sq, cons, k, steps, eta),
+            grid.delta, grid.range, np.abs(x).max(),
+            gamma_k(inputs, steps, k) if k >= 1 else float("nan")]
+
+
+@pytest.mark.parametrize("block", [1, 5, 32])
+@pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
+def test_record_blocks_equal_per_round_rows(instance, block):
+    objective, mixing = _instance(instance)
+    steps, qsched, states = _states(objective, mixing, 40, True)
+    inputs = _record_inputs(objective, steps)
+    eta = eta_coupling(objective.mu, objective.lipschitz, steps.spectral_gap)
+    rows = np.concatenate([
+        make_record(*_stacked(states[i:i + block]), objective, steps, qsched, eta, inputs)
+        for i in range(0, len(states), block)])
+    reference = np.array([_reference_row(s, objective, steps, qsched, eta, inputs)
+                          for s in states])
+    assert rows.shape == (41, len(TRACE_COLUMNS))
+    assert math.isnan(rows[0, -1])
+    assert rows.tobytes() == reference.tobytes()  # bit for bit, NaN included
 
 
 @pytest.mark.parametrize("name", ["golden_trace.csv", "golden_baseline_trace.csv",

@@ -220,6 +220,35 @@ def test_stochastic_round_support_bound_exact(seed, bits):
     assert idx.min() >= 0 and idx.max() <= nbins
 
 
+def _clamped_round(values, lower, delta, nbins, uniforms):
+    """Endpoint selection with frac clamped to [0, 1], then the one-ulp guard."""
+    base = np.clip(np.floor((values - lower) / delta), 0, nbins - 1)
+    frac = np.clip((values - (lower + base * delta)) / delta, 0.0, 1.0)
+    idx = base + (uniforms < frac)
+    bad = np.abs((lower + idx * delta) - values) > delta
+    return np.where(bad, 2.0 * base + 1.0 - idx, idx).astype(np.int64)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 5, 8])
+def test_stochastic_round_needs_no_frac_clamp(bits):
+    # on and one ulp around every bin end the unclamped frac can leave
+    # [0, 1]; with uniforms in [0, 1) the chosen endpoints do not change
+    nbins = 2 ** bits - 1
+    lower, upper = -3.0, 5.0
+    delta = (upper - lower) / nbins
+    ends = lower + np.arange(nbins + 1) * delta
+    values = np.concatenate([ends, np.nextafter(ends, -np.inf),
+                             np.nextafter(ends, np.inf)])
+    values = np.clip(values, lower, upper)
+    base = np.clip(np.floor((values - lower) / delta), 0, nbins - 1)
+    frac = (values - (lower + base * delta)) / delta
+    assert np.any((frac < 0.0) | (frac > 1.0))
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        uniforms = np.full(values.shape, u)
+        assert np.array_equal(_stochastic_round(values, lower, delta, nbins, uniforms),
+                              _clamped_round(values, lower, delta, nbins, uniforms))
+
+
 def test_variance_bound():
     sched = make_schedule(bits=2)
     k = 4
