@@ -7,8 +7,10 @@ round 4 on a gradient-bound violation and ends with the error line.
 ``data/golden_ensemble.npz`` holds the raw per-replica arrays of a small
 Monte Carlo ensemble. ``LONG_RUN`` pins, by sha256, both traces of a
 3000-round run: 1,001 rows recorded every round, then 23 on the geometric
-record grid. A change that moves output bits on purpose re-pins these
-files and digests and says so.
+record grid. ``LARGE_SEED_TRACE`` pins the trace of a 50-round run whose
+seed needs more than one 32-bit word, so the per-round keying of seeds of
+2^32 and above stays fixed. A change that moves output bits on purpose
+re-pins these files and digests and says so.
 """
 import hashlib
 from pathlib import Path
@@ -26,6 +28,7 @@ LONG_RUN = {
     "trace.csv": "d3faf21bc288cbb1665ed9ad244047596bada33bf1f6345a828017c37edf6fbc",
     "baseline_trace.csv": "cbc9a6e7d72f96ddab6dda5d57f6cab5ece35e798255e8904640e6b489f488d8",
 }
+LARGE_SEED_TRACE = "8be8f40ed2af7de7f88d796158c9e96a1918d2d385cc475cba8920e894d41428"
 
 
 def test_criterion_9_trace_matches_golden_bytes(tmp_path):
@@ -64,3 +67,11 @@ def test_ensemble_matches_golden_arrays():
     golden = np.load(DATA / "golden_ensemble.npz")
     for name in ("consensus_sq", "r_sq", "f_worst"):
         assert np.array_equal(getattr(ens, name), golden[name]), name
+
+
+def test_large_seed_trace_matches_golden_digest(tmp_path):
+    args = ["run", "--seed", str(2**32 + 5), "--iterations", "50",
+            "--output-dir", str(tmp_path)]
+    assert cli_main(args) == 0
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == LARGE_SEED_TRACE
