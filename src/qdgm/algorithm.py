@@ -17,20 +17,23 @@ the endpoint index array and never packs bytes: the packed MSB-first
 indices are the wire contract, checked at the boundary by the codec tests
 and ``qdgm verify``, and decoding them gives the same values bit for bit.
 
-All quantization randomness of round k comes from one PCG64 stream keyed
-by (seed, k), one uniform per (replica, agent, coordinate) in row-major
-order, so replica r's (n, d) block starts r*n*d draws in and its results
-depend neither on the size of its stack nor on the other replicas in it.
+Round k draws one uniform per (replica, agent, coordinate), in row-major
+order, from the PCG64 stream of default_rng([seed, k]), so replica r's
+(n, d) block starts r*n*d draws in and depends neither on its stack's size
+nor on the other replicas. The key is passed as the uint32 array of words
+SeedSequence makes of [seed, k], the seed's little-endian 32-bit words then
+k: the same stream, without splitting two Python ints every round.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, quantizer
-from .errors import NonFiniteIterateError, QuantizationSupportError
+from .errors import GradientBoundError, NonFiniteIterateError, QuantizationSupportError
 from .graph import MixingMatrix, spectral_gap
 from .objective import RegressionObjective, gradient_matrix
 from .quantizer import QuantizerSchedule
@@ -57,6 +60,17 @@ def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
     return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)))
 
 
+@functools.lru_cache(maxsize=16)
+def _seed_words(seed: int) -> tuple[int, ...]:
+    """The little-endian 32-bit words SeedSequence splits a seed into."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return tuple(words)
+
+
 def run_round(state: RoundState, mixing: MixingMatrix,
               objective: RegressionObjective, steps: StepSchedule,
               qsched: QuantizerSchedule, seed: int, *,
@@ -73,14 +87,15 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     alpha, beta = steps.alpha(k), steps.beta(k)
     if quantized:
         grid = qsched.grid(k)
-        rng = np.random.default_rng([seed, k])
-        # Generator.random takes one 64-bit output per double
-        rng.bit_generator.advance(first * x[0].size)
+        # the words of [seed, k]: default_rng([seed, k]) for rounds k < 2**32
+        rng = np.random.default_rng(np.array((*_seed_words(seed), k), dtype=np.uint32))
+        if first:  # Generator.random takes one 64-bit output per double
+            rng.bit_generator.advance(first * x[0].size)
         q = quantizer.decode_matrix(quantizer.quantize_matrix(x, grid, rng), grid)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
         support = grid.delta + 2.0 * grid.range * quantizer.CLAMP_BAND
-        err = float(np.abs(q - x).max())
+        err = float(np.maximum.reduce(np.abs(q - x), axis=None))
         if not err <= support:  # NaN fails too
             raise QuantizationSupportError(
                 f"decoded value {err} away from its input at round {k}, "
@@ -94,9 +109,12 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     x_next += (1.0 - beta) * x
     grads *= alpha
     x_next -= grads
-    if not np.isfinite(x_next).all():
-        raise NonFiniteIterateError(f"non-finite iterate at round {k}")
-    _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, first)
+    try:
+        _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, first)
+    except GradientBoundError:
+        if np.isfinite(x_next).all():  # a NaN or inf iterate fails the check too
+            raise
+        raise NonFiniteIterateError(f"non-finite iterate at round {k}") from None
     # rounds t < k carry the weights t + 1, which sum to k(k+1)/2
     prior = k * (k + 1) // 2
     z_next = state.z * prior

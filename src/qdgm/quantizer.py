@@ -85,7 +85,7 @@ def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> None:
     """Raise GradientBoundError when max_i ||x^i||_inf exceeds the round-k
     range by more than the clamp band, or is NaN. For an (R, n, d) stack
     with R > 1 the message also names the replica, ``first + r``."""
-    worst = float(np.abs(x).max())
+    worst = float(np.maximum.reduce(np.abs(x), axis=None))
     if not worst <= rangek * (1.0 + CLAMP_BAND):  # NaN fails too
         where = np.unravel_index(np.argmax(np.abs(x)), x.shape)
         who = f"agent {where[-2]}"
@@ -100,19 +100,22 @@ def _stochastic_round(values: np.ndarray, lower: float, delta: float,
                       nbins: int, uniforms: np.ndarray) -> np.ndarray:
     """Vectorized endpoint selection; returns int64 indices in {0..nbins}.
 
-    values must already be clamped into [lower, lower + nbins*delta].
+    values must already be clamped into [lower, lower + nbins*delta], delta > 0:
+    then values - lower >= 0 in IEEE arithmetic, so no bin index needs a clip at 0.
     """
-    # np.minimum/np.maximum clip like np.clip, without its Python overhead
     base = np.floor((values - lower) / delta)
-    np.minimum(np.maximum(base, 0, out=base), nbins - 1, out=base)
+    np.minimum(base, nbins - 1, out=base)
     # uniforms lie in [0, 1), so a frac just outside [0, 1] picks the same side
-    frac = (values - (lower + base * delta)) / delta
-    idx = base + (uniforms < frac)
+    frac = values - (lower + base * delta)
+    frac /= delta
+    idx = (uniforms < frac).astype(np.float64)
+    idx += base
     # one-ulp guard: at bin boundaries the floor/reconstruction pair can land
     # the chosen endpoint just over one bin width away; flip to the other
     # bracketing endpoint so the support bound holds exactly on every draw
-    bad = np.abs((lower + idx * delta) - values) > delta
-    if np.any(bad):
+    err = (lower + idx * delta) - values
+    bad = np.abs(err, out=err) > delta
+    if bad.any():
         idx = np.where(bad, 2.0 * base + 1.0 - idx, idx)
     return idx.astype(np.int64)
 
@@ -128,11 +131,10 @@ def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if grid.k == 0:
         return np.zeros(x.shape, dtype=np.int64)
-    rangek = grid.range
-    check_range(x, rangek, grid.k)
-    uniforms = rng.random(x.shape)
-    clamped = np.minimum(np.maximum(x, -rangek), rangek)
-    return _stochastic_round(clamped, -rangek, grid.delta, grid.bins, uniforms)
+    check_range(x, grid.range, grid.k)
+    clamped = np.minimum(np.maximum(x, -grid.range), grid.range)
+    return _stochastic_round(clamped, -grid.range, grid.delta, grid.bins,
+                             rng.random(x.shape))
 
 
 def decode_matrix(indices: np.ndarray, grid: Grid) -> np.ndarray:

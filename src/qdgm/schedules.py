@@ -18,7 +18,8 @@ class StepSchedule:
     mu: float
     spectral_gap: float
     beta_clamp: float | None = 1.0
-    _alpha_partials: np.ndarray = field(default=None, repr=False, compare=False)
+    _alpha_partials: np.ndarray = field(default_factory=lambda: np.zeros(1),
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu <= 0.0:
@@ -27,8 +28,6 @@ class StepSchedule:
             raise ValueError("spectral gap must be in (0, 1]")
         if self.beta_clamp is not None and self.beta_clamp <= 0.0:
             raise ValueError("beta clamp must be positive (or None to disable)")
-        if self._alpha_partials is None:
-            self._alpha_partials = np.zeros(1)
 
     def alpha(self, k):
         """Gradient step at round k (elementwise for an array of rounds)."""
@@ -37,9 +36,7 @@ class StepSchedule:
     def beta(self, k: int) -> float:
         """Consensus weight at round k, clamped unless disabled."""
         raw = (4.0 / self.spectral_gap) / float(k + 1) ** 0.75
-        if self.beta_clamp is None:
-            return raw
-        return min(raw, self.beta_clamp)
+        return raw if self.beta_clamp is None else min(raw, self.beta_clamp)
 
     def alpha_sum(self, k: int) -> float:
         """Sum of alpha_t for t < k, accumulated term by term.
@@ -49,14 +46,10 @@ class StepSchedule:
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        self._ensure_partials(k)
+        if k >= len(self._alpha_partials):
+            # Recompute the whole prefix-sum array from scratch: the values must
+            # depend only on k, never on the order earlier calls grew the cache.
+            grow_to = max(k + 1, 2 * len(self._alpha_partials))
+            terms = self.alpha(np.arange(grow_to - 1, dtype=np.float64))
+            self._alpha_partials = np.concatenate([[0.0], np.cumsum(terms)])
         return float(self._alpha_partials[k])
-
-    def _ensure_partials(self, k: int) -> None:
-        if k < len(self._alpha_partials):
-            return
-        # Recompute the whole prefix-sum array from scratch: the values must
-        # depend only on k, never on the order earlier calls grew the cache.
-        grow_to = max(k + 1, 2 * len(self._alpha_partials))
-        terms = self.alpha(np.arange(grow_to - 1, dtype=np.float64))
-        self._alpha_partials = np.concatenate([[0.0], np.cumsum(terms)])

@@ -373,6 +373,83 @@ def test_non_finite_iterate_detected():
         run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
 
 
+def _poison_gradient(monkeypatch, where, value):
+    """Make every later gradient call set entry ``where`` to ``value``."""
+    gradient = algorithm.gradient_matrix
+
+    def poisoned(objective, x):
+        grads = gradient(objective, x)
+        grads[where] = value
+        return grads
+
+    monkeypatch.setattr(algorithm, "gradient_matrix", poisoned)
+
+
+def _stack_after_one_round(obj, mixing, replicas=3):
+    steps = StepSchedule(obj.mu, 1.0 - mixing.sigma2)
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 6)
+    state = run_round(initial_state(obj.n, obj.dims, replicas), mixing, obj,
+                      steps, qsched, seed=3)
+    return state, steps, qsched
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_replica_in_a_stack_is_named_non_finite(
+        small_instance, small_mixing, monkeypatch, value):
+    # the bad iterate fails the range check first; the round reports it as
+    # non-finite, not as a gradient-bound violation of replica 1
+    state, steps, qsched = _stack_after_one_round(small_instance, small_mixing)
+    _poison_gradient(monkeypatch, (1, 2, 0), value)
+    with pytest.raises(NonFiniteIterateError, match="^non-finite iterate at round 1$"):
+        run_round(state, small_mixing, small_instance, steps, qsched, seed=3)
+
+
+def test_finite_escape_in_a_stack_keeps_the_range_message(
+        small_instance, small_mixing, monkeypatch):
+    state, steps, qsched = _stack_after_one_round(small_instance, small_mixing)
+    _poison_gradient(monkeypatch, (2, 1, 0), 1e6)
+    with pytest.raises(GradientBoundError, match=(
+            r"^gradient-bound violation: agent 1 of replica 6 reached \S+ at "
+            r"round 2, outside quantization range \+-\S+$")):
+        run_round(state, small_mixing, small_instance, steps, qsched, seed=3,
+                  first=4)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3])
+def test_round_key_words_key_the_stream_of_seed_and_round(seed):
+    # run_round keys round k by the seed's words, then k, as one uint32 array
+    for k in (0, 1, 2**31):
+        key = np.array((*algorithm._seed_words(seed), k), dtype=np.uint32)
+        assert (np.random.default_rng(key).bit_generator.state
+                == np.random.default_rng([seed, k]).bit_generator.state)
+    # a round past 2**32 - 1 has no one-word key; it fails loudly
+    with pytest.raises(OverflowError):
+        np.array((*algorithm._seed_words(seed), 2**32), dtype=np.uint32)
+    with pytest.raises(ValueError, match="nonnegative"):
+        algorithm._seed_words(-seed - 1)
+
+
+def test_quantized_run_keys_one_generator_per_round(
+        small_instance, small_mixing, monkeypatch):
+    seed, keys = 2**32 + 9, []
+    default_rng = np.random.default_rng
+
+    def keyed(key):
+        keys.append(key)
+        return default_rng(key)
+
+    monkeypatch.setattr(np.random, "default_rng", keyed)
+    run_experiment(small_instance, small_mixing, iterations=25, seed=seed, bits=6)
+    assert len(keys) == 25
+    for k, key in enumerate(keys):
+        assert (default_rng(key).bit_generator.state
+                == default_rng([seed, k]).bit_generator.state)
+    keys.clear()
+    run_experiment(small_instance, small_mixing, iterations=25, seed=seed, bits=6,
+                   quantized=False)
+    assert keys == []
+
+
 def test_collect_ensemble_shapes(small_instance, small_mixing):
     ens = collect_ensemble(small_instance, small_mixing, iterations=20, seed=1,
                            bits=5, replicas=3)

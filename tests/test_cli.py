@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qdgm import cli
+from qdgm import algorithm, cli
 from qdgm.cli import main
 from qdgm.config import ExperimentConfig, load_config
 from qdgm.diagnostics import Trace
@@ -309,6 +309,32 @@ def test_run_without_clamp_exits_2_and_flushes_partial_trace(tmp_path, capsys):
     assert "gradient-bound violation" in err and "agent" in err
     partial = Trace.from_csv(tmp_path / "trace.csv")
     assert partial.error is not None
+
+
+@pytest.mark.parametrize("value,code,message", [
+    (np.nan, 70, "non-finite iterate at round 9"),
+    (1e6, 2, "gradient-bound violation: agent 3 reached "),
+], ids=["non-finite", "gradient-bound"])
+def test_run_exit_code_of_an_escaped_iterate(tmp_path, capsys, monkeypatch,
+                                             value, code, message):
+    # round 9 makes the 10th gradient call; its bad entry ends the run there
+    gradient, calls = algorithm.gradient_matrix, []
+
+    def poisoned(objective, x):
+        calls.append(None)
+        grads = gradient(objective, x)
+        if len(calls) == 10:
+            grads[0, 3, 1] = value
+        return grads
+
+    monkeypatch.setattr(algorithm, "gradient_matrix", poisoned)
+    assert run_cli(["run", "--iterations", "20", "--output-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert message in err.splitlines()[-1]
+    # the traceback of the unmapped error shows no range-check context
+    assert ("Traceback" in err) == (code == 70) and "GradientBoundError" not in err
+    partial = Trace.from_csv(tmp_path / "trace.csv")
+    assert partial.error.startswith(message) and len(partial.records) == 10
 
 
 # ---------------------------------------------------------------------------

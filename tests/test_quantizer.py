@@ -249,6 +249,25 @@ def test_stochastic_round_needs_no_frac_clamp(bits):
                               _clamped_round(values, lower, delta, nbins, uniforms))
 
 
+@pytest.mark.parametrize("bits", [1, 2, 5, 16])
+@pytest.mark.parametrize("k", [1, 2, 37])
+def test_stochastic_round_needs_no_lower_clip(bits, k):
+    # clamped values satisfy values - lower >= 0 in IEEE arithmetic, so the
+    # floor never leaves bin 0 from below: at lower, one ulp above it and on
+    # and one ulp around every bin end the indices equal the clipped formula's
+    grid = make_schedule(bits).grid(k)
+    lower, upper, delta, nbins = -grid.range, grid.range, grid.delta, grid.bins
+    ends = lower + np.arange(nbins + 1) * delta
+    values = np.concatenate([[lower, np.nextafter(lower, np.inf)], ends,
+                             np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    values = np.minimum(np.maximum(values, lower), upper)  # as quantize_matrix clamps
+    assert np.floor((values - lower) / delta).min() == 0.0
+    for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+        uniforms = np.full(values.shape, u)
+        assert np.array_equal(_stochastic_round(values, lower, delta, nbins, uniforms),
+                              _clamped_round(values, lower, delta, nbins, uniforms))
+
+
 def test_variance_bound():
     sched = make_schedule(bits=2)
     k = 4
