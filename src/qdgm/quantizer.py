@@ -81,10 +81,10 @@ class QuantizerSchedule:
         return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
-def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> None:
-    """Raise GradientBoundError when max_i ||x^i||_inf exceeds the round-k
-    range by more than the clamp band, or is NaN. For an (R, n, d) stack
-    with R > 1 the message also names the replica, ``first + r``."""
+def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> float:
+    """Return max_i ||x^i||_inf; raise GradientBoundError when it exceeds the
+    round-k range by more than the clamp band, or is NaN. For an (R, n, d)
+    stack with R > 1 the message also names the replica, ``first + r``."""
     worst = float(np.maximum.reduce(np.abs(x), axis=None))
     if not worst <= rangek * (1.0 + CLAMP_BAND):  # NaN fails too
         where = np.unravel_index(np.argmax(np.abs(x)), x.shape)
@@ -94,6 +94,7 @@ def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> None:
         raise GradientBoundError(
             f"gradient-bound violation: {who} reached {worst} at round "
             f"{k}, outside quantization range +-{rangek}")
+    return worst
 
 
 def _stochastic_round(values: np.ndarray, lower: float, delta: float,
@@ -131,10 +132,9 @@ def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if grid.k == 0:
         return np.zeros(x.shape, dtype=np.int64)
-    check_range(x, grid.range, grid.k)
-    clamped = np.minimum(np.maximum(x, -grid.range), grid.range)
-    return _stochastic_round(clamped, -grid.range, grid.delta, grid.bins,
-                             rng.random(x.shape))
+    if check_range(x, grid.range, grid.k) > grid.range:  # snap the clamp band
+        x = np.minimum(np.maximum(x, -grid.range), grid.range)
+    return _stochastic_round(x, -grid.range, grid.delta, grid.bins, rng.random(x.shape))
 
 
 def decode_matrix(indices: np.ndarray, grid: Grid) -> np.ndarray:
