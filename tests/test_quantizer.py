@@ -65,6 +65,21 @@ def test_scalar_range_check_and_clamp_band():
     assert decode_matrix(idx, sched.grid(K_UNIT)).tolist() == [[1.5]]
 
 
+def test_quantize_matrix_equals_the_clamped_rounding():
+    # the clamp is skipped when no entry lies in the clamp band; with or
+    # without a band entry the indices are those of the clamped input
+    grid = make_schedule(bits=16).grid(5)
+    r = grid.range
+    inside = np.random.default_rng(11).uniform(-r, r, size=(3, 4, 2))
+    inside[0, 0, 0], inside[1, 2, 1] = r, -r
+    banded = inside.copy()
+    banded[2, 3, 0] = r * (1.0 + 0.5 * CLAMP_BAND)
+    for x in (inside, banded):
+        uniforms = np.random.default_rng(5).random(x.shape)
+        want = _stochastic_round(np.clip(x, -r, r), -r, grid.delta, grid.bins, uniforms)
+        assert np.array_equal(quantize_matrix(x, grid, np.random.default_rng(5)), want)
+
+
 def test_scalar_value_is_reconstruction_of_index():
     rng = np.random.default_rng(4)
     for _ in range(200):
