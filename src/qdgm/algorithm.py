@@ -12,10 +12,10 @@ running average of its past iterates.
 
 A round advances a stack of R replicas held as (R, n, d) arrays, and one
 loop drives it: a single run or its exact twin is the stack with R = 1,
-the Monte Carlo ensemble the stack of all replicas. The hot loop carries
-the endpoint index array and never packs bytes: the packed MSB-first
-indices are the wire contract, checked at the boundary by the codec tests
-and ``qdgm verify``, and decoding them gives the same values bit for bit.
+the Monte Carlo ensemble the stack of all replicas. The hot loop goes from
+iterates to decoded values in one pass, with one range check per round; an
+equivalence test ties those values bit for bit to the wire codec, the
+packed MSB-first indices that the codec tests and ``qdgm verify`` check.
 
 Round k draws one uniform per (replica, agent, coordinate), in row-major
 order, from the PCG64 stream of default_rng([seed, k]), so replica r's
@@ -48,16 +48,18 @@ RECORD_BLOCK = 32  # recorded rounds per make_record call in run_experiment
 @dataclass
 class RoundState:
     """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds;
-    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k."""
+    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k and
+    ``checked_max`` max |x| from the range check that made x (None: unchecked)."""
 
     k: int
     x: np.ndarray
     z: np.ndarray
+    checked_max: float | None = None
 
 
 def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
     """All iterates start at exactly zero; the range schedule depends on it."""
-    return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)))
+    return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)), 0.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -91,11 +93,10 @@ def run_round(state: RoundState, mixing: MixingMatrix,
         rng = np.random.default_rng(np.array((*_seed_words(seed), k), dtype=np.uint32))
         if first:  # Generator.random takes one 64-bit output per double
             rng.bit_generator.advance(first * x[0].size)
-        q = quantizer.decode_matrix(quantizer.quantize_matrix(x, grid, rng), grid)
+        q, err = quantizer._quantize_values(x, grid, rng, state.checked_max, first)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
         support = grid.delta + 2.0 * grid.range * quantizer.CLAMP_BAND
-        err = float(np.maximum.reduce(np.abs(q - x), axis=None))
         if not err <= support:  # NaN fails too
             raise QuantizationSupportError(
                 f"decoded value {err} away from its input at round {k}, "
@@ -110,7 +111,7 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     grads *= alpha
     x_next -= grads
     try:
-        _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, first)
+        checked_max = _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, first)
     except GradientBoundError:
         if np.isfinite(x_next).all():  # a NaN or inf iterate fails the check too
             raise
@@ -120,7 +121,7 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     z_next = state.z * prior
     z_next += (k + 1) * x
     z_next /= prior + (k + 1)
-    return RoundState(k + 1, x_next, z_next)
+    return RoundState(k + 1, x_next, z_next, checked_max)
 
 
 def record_points(iterations: int, stride: int | None = None,

@@ -14,15 +14,13 @@ Index 0 is round 0, where every iterate is exactly zero and the range is
 empty: every index is zero, no randomness is drawn and nothing needs to
 cross a link.
 
-The round engine carries one round as an int64 index array, (n, d) for
-one replica or (R, n, d) for a stack of them: :func:`quantize_matrix`
-produces it on the round's :class:`Grid` and :func:`decode_matrix` rebuilds
-the values with the shared expression -range(k) + index * delta(k). The wire
-contract sits at the boundary: :func:`pack_index_rows` packs each row's d
-indices MSB-first in coordinate order, zero-padded to a whole number of
-bytes, ceil(d*b/8) in total, and :func:`unpack_indices` is its exact
-inverse, so a receiver decoding the unpacked indices gets the sender's
-values bit for bit.
+The round engine needs only values: :func:`_quantize_values` goes from an
+(R, n, d) stack of iterates straight to them, and an equivalence test ties
+them bit for bit to :func:`decode_matrix` of :func:`quantize_matrix`'s
+indices. At the wire boundary :func:`pack_index_rows` packs each row's d
+indices MSB-first in coordinate order, zero-padded to ceil(d*b/8) bytes, and
+:func:`unpack_indices` is its exact inverse, so a receiver decoding the
+unpacked indices gets the sender's values bit for bit.
 """
 from __future__ import annotations
 
@@ -97,13 +95,11 @@ def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> float:
     return worst
 
 
-def _stochastic_round(values: np.ndarray, lower: float, delta: float,
-                      nbins: int, uniforms: np.ndarray) -> np.ndarray:
-    """Vectorized endpoint selection; returns int64 indices in {0..nbins}.
-
-    values must already be clamped into [lower, lower + nbins*delta], delta > 0:
-    then values - lower >= 0 in IEEE arithmetic, so no bin index needs a clip at 0.
-    """
+def _round_endpoints(values, lower, delta, nbins, uniforms):
+    """The one rounding body: float indices in {0..nbins}, their values
+    q = lower + idx * delta and, unless the guard flipped one, |q - values|.
+    values must lie in [lower, lower + nbins*delta], delta > 0: then
+    values - lower >= 0 in IEEE arithmetic, so no index needs a clip at 0."""
     base = np.floor((values - lower) / delta)
     np.minimum(base, nbins - 1, out=base)
     # uniforms lie in [0, 1), so a frac just outside [0, 1] picks the same side
@@ -111,14 +107,36 @@ def _stochastic_round(values: np.ndarray, lower: float, delta: float,
     frac /= delta
     idx = (uniforms < frac).astype(np.float64)
     idx += base
+    q = lower + idx * delta
     # one-ulp guard: at bin boundaries the floor/reconstruction pair can land
     # the chosen endpoint just over one bin width away; flip to the other
     # bracketing endpoint so the support bound holds exactly on every draw
-    err = (lower + idx * delta) - values
+    err = q - values
     bad = np.abs(err, out=err) > delta
     if bad.any():
         idx = np.where(bad, 2.0 * base + 1.0 - idx, idx)
-    return idx.astype(np.int64)
+        return idx, lower + idx * delta, None
+    return idx, q, err
+
+
+def _stochastic_round(values, lower, delta, nbins, uniforms) -> np.ndarray:
+    """Vectorized endpoint selection; returns int64 indices in {0..nbins}."""
+    return _round_endpoints(values, lower, delta, nbins, uniforms)[0].astype(np.int64)
+
+
+def _quantize_values(x, grid: Grid, rng, checked_max: float | None, first: int = 0):
+    """The engine's quantize step: decode_matrix(quantize_matrix(x, grid, rng),
+    grid) and max |q - x| in one pass. checked_max: max |x| if checked, or None."""
+    if grid.k == 0:  # every index is zero and no uniform is drawn
+        return np.zeros(x.shape), float(np.maximum.reduce(np.abs(x), axis=None))
+    if checked_max is None or checked_max > grid.range * (1.0 + CLAMP_BAND):
+        checked_max = check_range(x, grid.range, grid.k, first)
+    values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
+    _, q, err = _round_endpoints(values, -grid.range, grid.delta, grid.bins,
+                                 rng.random(x.shape))
+    if err is None or values is not x:  # after a flip or a snap |q - x| differs
+        err = np.abs(q - x)
+    return q, float(np.maximum.reduce(err, axis=None))
 
 
 def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -248,21 +249,79 @@ def test_batched_range_violation_in_ensemble_names_its_replica(
 
 def test_support_violation_raises_typed_error(small_instance, small_mixing,
                                               monkeypatch):
-    # a decoder that lands two bins away breaks the per-draw support bound;
-    # the engine must refuse with a typed error, also under python -O
+    # a rounding body whose values land two bins away breaks the per-draw
+    # support bound; the engine must refuse with a typed error, also under
+    # python -O
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
     state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, steps,
                       qsched, seed=4)
-    decode = quantizer.decode_matrix
+    round_endpoints = quantizer._round_endpoints
 
-    def shifted(indices, grid):
-        return decode(indices, grid) + 2.0 * grid.delta
+    def shifted(values, lower, delta, nbins, uniforms):
+        idx, q, _ = round_endpoints(values, lower, delta, nbins, uniforms)
+        q = q + 2.0 * delta
+        return idx, q, np.abs(q - values)
 
-    monkeypatch.setattr(quantizer, "decode_matrix", shifted)
+    monkeypatch.setattr(quantizer, "_round_endpoints", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
         run_round(state, small_mixing, obj, steps, qsched, seed=4)
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_one_range_check_per_round(small_instance, small_mixing, monkeypatch,
+                                   quantized):
+    # the quantize step reuses the maximum the previous round's check
+    # returned: K rounds make K checks, of rounds 1..K, not 2K - 1
+    checked = []
+    check_range = quantizer.check_range
+
+    def counted(x, rangek, k, first=0):
+        checked.append(k)
+        return check_range(x, rangek, k, first)
+
+    monkeypatch.setattr(quantizer, "check_range", counted)
+    monkeypatch.setattr(algorithm, "_check_range_invariant", counted)
+    run_experiment(small_instance, small_mixing, iterations=25, seed=3, bits=6,
+                   quantized=quantized)
+    assert checked == list(range(1, 26))
+
+
+def test_hand_built_state_is_checked_before_quantizing(small_instance,
+                                                       small_mixing):
+    # a state no round made carries no maximum, so the quantize step checks it
+    obj = small_instance
+    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
+    qsched = QuantizerSchedule(obj.grad_bound, steps, 6)
+    rangek = qsched.range_at(3)
+    x = np.zeros((1, obj.n, obj.dims))
+    x[0, 2, 1] = 2.0 * rangek
+    with pytest.raises(GradientBoundError) as excinfo:
+        run_round(RoundState(3, x, np.zeros_like(x)), small_mixing, obj, steps,
+                  qsched, seed=3)
+    message = (f"gradient-bound violation: agent 2 reached {2.0 * rangek} at "
+               f"round 3, outside quantization range +-{rangek}")
+    assert str(excinfo.value) == message
+    # a maximum carried from a wider range is checked against this one
+    with pytest.raises(GradientBoundError, match=f"^{re.escape(message)}$"):
+        run_round(RoundState(3, x, np.zeros_like(x), 2.0 * rangek), small_mixing,
+                  obj, steps, qsched, seed=3)
+    # a stack starting at replica 4 names replica 4 + r
+    x = np.zeros((2, obj.n, obj.dims))
+    x[1, 3, 0] = -2.0 * rangek
+    with pytest.raises(GradientBoundError, match="agent 3 of replica 5 reached"):
+        run_round(RoundState(3, x, np.zeros_like(x)), small_mixing, obj, steps,
+                  qsched, seed=3, first=4)
+    # round 0 sends all-zero values, so a nonzero start breaks the support bound
+    x = np.zeros((1, obj.n, obj.dims))
+    x[0, 1, 0] = 0.25
+    with pytest.raises(QuantizationSupportError, match=(
+            "^decoded value 0.25 away from its input at round 0, beyond the "
+            "support bound 0.0$")):
+        run_round(RoundState(0, x, np.zeros_like(x)), small_mixing, obj, steps,
+                  qsched, seed=3)
+    assert initial_state(obj.n, obj.dims).checked_max == 0.0
 
 
 def test_package_has_no_assert_statements():

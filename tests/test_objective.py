@@ -76,6 +76,20 @@ def test_gradient_matrix_matches_per_agent():
                           [gradient_matrix(obj, rows) for rows in stack])
 
 
+def test_gradient_matrix_uses_the_cached_twice_features():
+    # (2.0 * w) * r is what 2.0 * w * r evaluates, so the constant keeps every bit
+    obj = generate_instance(40, 5, seed=3)
+    rng = np.random.default_rng(8)
+    for shape in ((40, 5), (3, 40, 5)):
+        x = rng.uniform(-1.0, 1.0, size=shape)
+        residuals = np.einsum("...ij,ij->...i", x, obj.features) - obj.targets
+        want = 2.0 * obj.features * residuals[..., None]
+        assert np.all(gradient_matrix(obj, x) == want)
+    assert np.all(obj.twice_features == 2.0 * obj.features)
+    with pytest.raises(ValueError, match="read-only"):
+        obj.twice_features[0, 0] = 1.0
+
+
 def test_optimum_beats_random_perturbations():
     obj = generate_instance(40, 5, seed=7)
     rng = np.random.default_rng(2)

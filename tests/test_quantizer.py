@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdgm.errors import GradientBoundError
-from qdgm.quantizer import (CLAMP_BAND, QuantizerSchedule, decode_matrix,
-                            pack_index_rows, quantize_matrix, unpack_indices,
+from qdgm.quantizer import (CLAMP_BAND, QuantizerSchedule, check_range,
+                            decode_matrix, pack_index_rows, quantize_matrix,
+                            unpack_indices, _quantize_values, _round_endpoints,
                             _stochastic_round)
 from qdgm.schedules import StepSchedule
 
@@ -281,6 +282,72 @@ def test_stochastic_round_needs_no_lower_clip(bits, k):
         uniforms = np.full(values.shape, u)
         assert np.array_equal(_stochastic_round(values, lower, delta, nbins, uniforms),
                               _clamped_round(values, lower, delta, nbins, uniforms))
+
+
+class FixedUniforms:
+    """A generator stand-in whose uniforms are all ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+def assert_engine_step_is_the_codec(x, grid, make_rng):
+    # the engine's values are the decoded wire indices bit for bit, and its
+    # error is their max distance from x, with or without a carried maximum
+    decoded = decode_matrix(quantize_matrix(x, grid, make_rng()), grid)
+    for checked_max in (None, check_range(x, grid.range, grid.k)):
+        q, err = _quantize_values(x, grid, make_rng(), checked_max)
+        assert q.dtype == decoded.dtype and q.shape == decoded.shape
+        assert q.tobytes() == decoded.tobytes()
+        assert err == np.abs(decoded - x).max()
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, 16])
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("k", [1, 5])
+def test_engine_step_equals_the_codec(bits, replicas, k):
+    grid = make_schedule(bits).grid(k)
+    r = grid.range
+    x = np.random.default_rng(bits + k).uniform(-r, r, size=(replicas, 6, 3))
+    x[0, 0, 0], x[-1, 5, 2] = r, -r
+    banded = x.copy()
+    banded[-1, 2, 1] = r * (1.0 + 0.5 * CLAMP_BAND)
+    # alone, the snapped entry's distance from its input is the whole error
+    for values in (x, banded, banded[-1:, 2:3, 1:2]):
+        assert_engine_step_is_the_codec(values, grid, lambda: np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, 16])
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_engine_step_equals_the_codec_after_guard_flips(bits, replicas):
+    # on and one ulp around every bin end, with the extreme uniforms, the
+    # one-ulp guard flips entries; the engine must not reuse the guard's errors
+    grid = make_schedule(bits).grid(1)
+    lower, upper = -grid.range, grid.range
+    ends = lower + np.arange(grid.bins + 1) * grid.delta
+    values = np.concatenate([ends, np.nextafter(ends, -np.inf),
+                             np.nextafter(ends, np.inf)])
+    values = np.clip(values, lower, upper)
+    x = np.tile(values, replicas).reshape(replicas, -1, 1)
+    flipped = False
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        assert_engine_step_is_the_codec(x, grid, lambda: FixedUniforms(u))
+        uniforms = np.full(x.shape, u)
+        flipped |= _round_endpoints(x, lower, grid.delta, grid.bins, uniforms)[2] is None
+    assert flipped == (bits > 1)
+
+
+def test_engine_step_at_round_zero_sends_zeros():
+    grid = make_schedule(bits=4).grid(0)
+    x = np.zeros((2, 3, 2))
+    q, err = _quantize_values(x, grid, None, None)
+    assert np.array_equal(q, decode_matrix(quantize_matrix(x, grid, None), grid))
+    assert err == 0.0
+    x[1, 2, 0] = -0.5
+    assert _quantize_values(x, grid, None, None)[1] == 0.5
 
 
 def test_variance_bound():
