@@ -48,13 +48,12 @@ RECORD_BLOCK = 32  # recorded rounds per make_record call in run_experiment
 @dataclass
 class RoundState:
     """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds;
-    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k and
-    ``checked_max`` max |x| from the range check that made x (None: unchecked)."""
+    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k."""
 
     k: int
     x: np.ndarray
     z: np.ndarray
-    checked_max: float | None = None
+    checked_max: float | None = None  # max |x| per its range check; None: unchecked
 
 
 def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:

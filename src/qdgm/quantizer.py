@@ -107,7 +107,8 @@ def _round_endpoints(values, lower, delta, nbins, uniforms):
     frac /= delta
     idx = (uniforms < frac).astype(np.float64)
     idx += base
-    q = lower + idx * delta
+    q = np.multiply(idx, delta, out=frac)  # frac is spent; q takes its buffer
+    q += lower
     # one-ulp guard: at bin boundaries the floor/reconstruction pair can land
     # the chosen endpoint just over one bin width away; flip to the other
     # bracketing endpoint so the support bound holds exactly on every draw
