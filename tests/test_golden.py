@@ -9,8 +9,11 @@ Monte Carlo ensemble. ``LONG_RUN`` pins, by sha256, both traces of a
 3000-round run: 1,001 rows recorded every round, then 23 on the geometric
 record grid. ``LARGE_SEED_TRACE`` pins the trace of a 50-round run whose
 seed needs more than one 32-bit word, so the per-round keying of seeds of
-2^32 and above stays fixed. A change that moves output bits on purpose
-re-pins these files and digests and says so.
+2^32 and above stays fixed. ``data/golden_verify.json`` is the stdout of the
+default ``qdgm verify`` and ``data/golden_bound.csv`` that of
+``qdgm bound --T 10,100,1000,5000``, so the Monte Carlo checks and the decay
+envelope keep their constants to the last bit. A change that moves output bits on
+purpose re-pins these files and digests and says so.
 """
 import hashlib
 from pathlib import Path
@@ -75,3 +78,12 @@ def test_large_seed_trace_matches_golden_digest(tmp_path):
     assert cli_main(args) == 0
     data = (tmp_path / "trace.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == LARGE_SEED_TRACE
+
+
+@pytest.mark.parametrize("args,golden", [
+    (["verify"], "golden_verify.json"),
+    (["bound", "--T", "10,100,1000,5000"], "golden_bound.csv"),
+], ids=["verify", "bound"])
+def test_cli_stdout_matches_golden_bytes(capsys, args, golden):
+    assert cli_main(args) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
