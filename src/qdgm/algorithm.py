@@ -207,10 +207,7 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
         steps, qsched = _schedules(objective, mixing, bits, beta_clamp)
         eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz,
                                        steps.spectral_gap, eta_mode)
-        inputs = diagnostics.RateBoundInputs(
-            mu=objective.mu, lipschitz=objective.lipschitz,
-            grad_bound=qsched.gradient_bound, dims=objective.dims, n=objective.n,
-            bits=bits, sigma2=1.0 - steps.spectral_gap, v1=0.0)
+        inputs = diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits)
         _run_rounds(objective, mixing, steps, qsched, record,
                     iterations=iterations, seed=seed, first=replica, replicas=1,
                     quantized=quantized)
@@ -245,8 +242,8 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
                 quantized=True)
     return diagnostics.EnsembleTrace(
         consensus_sq=cons, r_sq=r_sq, f_worst=f_worst,
-        deltas=np.asarray([qsched.delta_at(k) for k in range(iterations + 1)]),
+        deltas=np.asarray([qsched.grid(k).delta for k in range(iterations + 1)]),
         alphas=np.asarray([steps.alpha(k) for k in range(iterations)]),
         betas=np.asarray([steps.beta(k) for k in range(iterations)]),
-        f_star=objective.f_star, mu=objective.mu, lipschitz=objective.lipschitz,
-        sigma2=1.0 - steps.spectral_gap, n=objective.n, dims=objective.dims)
+        f_star=objective.f_star,
+        inputs=diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits))

@@ -208,14 +208,10 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
         beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode, quantized=True,
         record_stride=cfg.record_stride, extra_record_points=horizons + [1])
     by_k = {rec.k: rec for rec in trace.records}
-    inputs = RateBoundInputs(
-        mu=objective.mu, lipschitz=objective.lipschitz,
-        grad_bound=objective.grad_bound, dims=objective.dims, n=objective.n,
-        bits=cfg.bits, sigma2=1.0 - spectral_gap(mixing),
-        v1=by_k[1].lyapunov)
+    inputs = RateBoundInputs.of(objective, spectral_gap(mixing), cfg.bits)
     for horizon in horizons:
         measured = by_k[horizon].f_gap_avg_max
-        bound = rate_bound(inputs, horizon)
+        bound = rate_bound(inputs, horizon, by_k[1].lyapunov)
         print(f"{horizon},{measured:.17g},{bound:.17g},{measured / bound:.17g}")
     return EXIT_OK
 

@@ -6,7 +6,9 @@ Y = X - 1 xbar^T the consensus deviation, r_sq = ||xbar - x*||^2. The
 Lyapunov value couples both errors, V_k = r_sq + eta * (alpha_k/beta_k) *
 ||Y_k||_F^2. The vector quantization error bound entering the inequality
 constants is d * delta_k (coarser than the sqrt(d) * delta_k the codec
-actually guarantees, and therefore conservative).
+actually guarantees, and therefore conservative). RateBoundInputs.of(objective,
+spectral gap, bits) makes the constants that gamma_k, the envelope and the
+inequality checks read; the envelope's measured V_1 is an argument.
 """
 from __future__ import annotations
 
@@ -119,7 +121,7 @@ def lyapunov_value(r_sq: float, consensus_sq: float, k: int,
 
 @dataclass(frozen=True)
 class RateBoundInputs:
-    """Problem constants feeding the closed-form decay envelope."""
+    """Problem constants of gamma_k, the decay envelope and the inequality checks."""
 
     mu: float
     lipschitz: float
@@ -128,14 +130,19 @@ class RateBoundInputs:
     n: int
     bits: int
     sigma2: float
-    v1: float
 
     def __post_init__(self):
-        if min(self.mu, self.lipschitz, self.grad_bound, self.dims,
-               self.n, self.bits) <= 0 or self.v1 < 0:
+        if min(self.mu, self.lipschitz, self.grad_bound, self.dims, self.n, self.bits) <= 0:
             raise ValueError("all rate-bound constants must be positive")
         if not (0.0 <= self.sigma2 < 1.0):
             raise ValueError("sigma2 must be in [0, 1)")
+
+    @classmethod
+    def of(cls, objective: RegressionObjective, spectral_gap: float,
+           bits: int) -> "RateBoundInputs":
+        """A run's constants: sigma2 = 1 - spectral_gap, b = bits."""
+        return cls(objective.mu, objective.lipschitz, objective.grad_bound,
+                   objective.dims, objective.n, bits, 1.0 - spectral_gap)
 
     @property
     def quantization(self) -> float:
@@ -160,17 +167,19 @@ def gamma_k(inputs: RateBoundInputs, steps: StepSchedule, k: int) -> float:
     )
 
 
-def rate_bound_terms(inputs: RateBoundInputs, horizon: int) -> tuple[float, ...]:
-    """The five summands of the expected-gap envelope at the given horizon."""
+def rate_bound_terms(inputs: RateBoundInputs, horizon: int, v1: float) -> tuple[float, ...]:
+    """The five summands of the expected-gap envelope at the horizon, given V_1 = v1."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if v1 < 0:
+        raise ValueError("v1 must be nonnegative")
     mu, lip = inputs.mu, inputs.lipschitz
     gap = 1.0 - inputs.sigma2
     tp1 = horizon + 1.0
     quant = inputs.quantization
     log_sq = math.log(horizon) ** 2
     return (
-        mu * inputs.v1 / (8.0 * tp1 ** 2),
+        mu * v1 / (8.0 * tp1 ** 2),
         2.0 / tp1,
         (16.0 / (3.0 * mu * gap)) * quant * log_sq / tp1 ** 0.5,
         # open question: L + 8 L^2 here, not coupled_smoothness's L + 8 L^2 / mu
@@ -180,9 +189,9 @@ def rate_bound_terms(inputs: RateBoundInputs, horizon: int) -> tuple[float, ...]
     )
 
 
-def rate_bound(inputs: RateBoundInputs, horizon: int) -> float:
+def rate_bound(inputs: RateBoundInputs, horizon: int, v1: float) -> float:
     """Closed-form bound on the expected averaged-output optimality gap."""
-    return sum(rate_bound_terms(inputs, horizon))
+    return sum(rate_bound_terms(inputs, horizon, v1))
 
 
 def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
@@ -220,7 +229,7 @@ class EnsembleTrace:
 
     Arrays are indexed [replica, round]; `f_worst` holds
     max_i f(x_k^i) so the check uses the agent that stresses the descent
-    inequality hardest.
+    inequality hardest; `inputs` are the run's problem constants.
     """
 
     consensus_sq: np.ndarray
@@ -230,11 +239,7 @@ class EnsembleTrace:
     alphas: np.ndarray
     betas: np.ndarray
     f_star: float
-    mu: float
-    lipschitz: float
-    sigma2: float
-    n: int
-    dims: int
+    inputs: RateBoundInputs
 
 
 @dataclass(frozen=True)
@@ -278,12 +283,12 @@ def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
     with s = sigma2, Dv the d-scaled bin width, checked in Monte Carlo mean
     with a 3-standard-error slack.
     """
-    gap = 1.0 - ens.sigma2
+    gap = 1.0 - ens.inputs.sigma2
     a, b = ens.alphas, ens.betas
-    dv = ens.dims * ens.deltas[:-1]
+    dv = ens.inputs.dims * ens.deltas[:-1]
     rhs = (1.0 - gap * b) * ens.consensus_sq[:, :-1] \
-        + (1.0 + gap * b[0]) * b ** 2 * ens.n ** 2 * dv ** 2 \
-        + ((gap * b[0] + 1.0) / gap) * ens.lipschitz ** 2 * a ** 2 / b
+        + (1.0 + gap * b[0]) * b ** 2 * ens.inputs.n ** 2 * dv ** 2 \
+        + ((gap * b[0] + 1.0) / gap) * ens.inputs.lipschitz ** 2 * a ** 2 / b
     return _mc_violations("consensus_recursion", ens.consensus_sq[:, 1:], rhs)
 
 
@@ -296,8 +301,8 @@ def check_descent_recursion(ens: EnsembleTrace) -> InequalityReport:
     checked in Monte Carlo mean with a 3-standard-error slack.
     """
     a, b = ens.alphas, ens.betas
-    mu, lip = ens.mu, ens.lipschitz
-    dv = ens.dims * ens.deltas[:-1]
+    mu, lip = ens.inputs.mu, ens.inputs.lipschitz
+    dv = ens.inputs.dims * ens.deltas[:-1]
     rhs = (1.0 - mu * a / 2.0) * ens.r_sq[:, :-1] \
         + a ** 2 * lip ** 2 + b ** 2 * dv ** 2 \
         + 2.0 * a * (ens.f_star - ens.f_worst[:, :-1]) \

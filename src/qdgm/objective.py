@@ -16,6 +16,7 @@ from .errors import DegenerateInstanceError
 
 MIN_EIGENVALUE = 1e-10
 OPTIMALITY_TOL = 1e-8
+MAX_RETRIES = 100  # rank-deficient draws generate_instance resamples
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ class RegressionObjective:
         return self.features.shape[1]
 
 
-def build_objective(features, targets, operating_radius: float | None = None
-                    ) -> RegressionObjective:
+def build_objective(features, targets) -> RegressionObjective:
     """Derive constants for given data; raises DegenerateInstanceError on
     rank-deficient features."""
     w = np.asarray(features, dtype=np.float64)
@@ -71,9 +71,7 @@ def build_objective(features, targets, operating_radius: float | None = None
     if np.linalg.norm(grad_at_opt) > OPTIMALITY_TOL:
         raise DegenerateInstanceError("normal-equation solve left a gradient residual")
     fstar = float(np.sum((w @ xstar - b) ** 2))
-    radius = operating_radius
-    if radius is None:
-        radius = 4.0 * float(np.abs(xstar).max()) + 1.0
+    radius = 4.0 * float(np.abs(xstar).max()) + 1.0
     # |w^T x| <= ||w||_1 * ||x||_inf on the box, hence the analytic bound
     row_norms = np.linalg.norm(w, axis=1)
     bound = float(np.max(2.0 * row_norms * (np.abs(w).sum(axis=1) * radius + np.abs(b))))
@@ -85,32 +83,30 @@ def build_objective(features, targets, operating_radius: float | None = None
         mu=2.0 * float(evals[0]),
         lipschitz=2.0 * float(evals[-1]),
         grad_bound=bound,
-        operating_radius=float(radius),
+        operating_radius=radius,
     )
 
 
 def generate_instance(n: int, d: int, seed: int,
                       feature_high: float = 0.65,
-                      target_high: float = 0.45,
-                      operating_radius: float | None = None,
-                      max_retries: int = 100) -> RegressionObjective:
+                      target_high: float = 0.45) -> RegressionObjective:
     """Sample agent data uniformly from [0, feature_high]^d x [0, target_high].
 
     Deterministic per seed; rank-deficient draws are resampled with an
-    incremented seed up to ``max_retries`` times.
+    incremented seed up to ``MAX_RETRIES`` times.
     """
     if n < d:
         raise ValueError("need at least as many agents as dimensions")
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         w = rng.uniform(0.0, feature_high, size=(n, d))
         b = rng.uniform(0.0, target_high, size=n)
         try:
-            return build_objective(w, b, operating_radius)
+            return build_objective(w, b)
         except DegenerateInstanceError:
             continue
     raise DegenerateInstanceError(
-        f"degenerate instance: no full-rank draw in {max_retries} attempts")
+        f"degenerate instance: no full-rank draw in {MAX_RETRIES} attempts")
 
 
 def well_conditioned_instance(n: int = 4, d: int = 2) -> RegressionObjective:

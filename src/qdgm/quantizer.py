@@ -51,10 +51,9 @@ class QuantizerSchedule:
     """Deterministic per-round interval shared by encoder and decoder.
 
     range_at(k) = gradient_bound * sum_{t<k} alpha_t, nondecreasing with
-    range_at(0) = 0; delta_at(k) is the per-coordinate bin width
-    2 * range_at(k) / (2^bits - 1). The Euclidean error of one vector draw
-    is bounded by sqrt(d) * delta_at(k) (the coarser d * delta_at(k) bound
-    is what the convergence constants use).
+    range_at(0) = 0; grid(k).delta = 2 * range_at(k) / (2^bits - 1) is the
+    per-coordinate bin width. One vector draw errs by at most sqrt(d) * delta
+    in norm (the convergence constants use the coarser d * delta).
     """
 
     gradient_bound: float
@@ -69,9 +68,6 @@ class QuantizerSchedule:
 
     def range_at(self, k: int) -> float:
         return self.gradient_bound * self.steps.alpha_sum(k)
-
-    def delta_at(self, k: int) -> float:
-        return self.grid(k).delta
 
     def grid(self, k: int) -> Grid:
         rangek = self.range_at(k)

@@ -19,7 +19,7 @@ from qdgm.diagnostics import (RateBoundInputs, check_consensus_recursion,
                               check_descent_recursion, fit_loglog_slope,
                               rate_bound)
 from qdgm.graph import (NetworkTopology, generate_random_connected_graph,
-                        lazy_metropolis, path_topology)
+                        lazy_metropolis, path_topology, spectral_gap)
 from qdgm.objective import (build_objective, generate_instance,
                             well_conditioned_instance)
 from qdgm.quantizer import (QuantizerSchedule, decode_matrix, pack_index_rows,
@@ -189,20 +189,18 @@ def test_criterion_6_recursion_inequalities_monte_carlo():
 def test_criterion_7_bound_dominates_measurements(benchmark_runs):
     objective, mixing, quantized, _ = benchmark_runs
     by_k = {rec.k: rec for rec in quantized.records}
-    inputs = RateBoundInputs(
-        mu=objective.mu, lipschitz=objective.lipschitz,
-        grad_bound=objective.grad_bound, dims=objective.dims, n=objective.n,
-        bits=BENCH["bits"], sigma2=mixing.sigma2, v1=by_k[1].lyapunov)
+    inputs = RateBoundInputs.of(objective, spectral_gap(mixing), BENCH["bits"])
+    v1 = by_k[1].lyapunov
     worst_ratio = 0.0
     for rec in quantized.records:
         if rec.k < 1:
             continue
-        bound = rate_bound(inputs, rec.k)
+        bound = rate_bound(inputs, rec.k, v1)
         worst_ratio = max(worst_ratio, rec.f_gap_avg_max / bound)
     # two-implementation check of the envelope formula
     def oracle(T):
         q = (inputs.grad_bound * inputs.dims / (2 ** inputs.bits - 1)) ** 2
-        return (inputs.mu * inputs.v1 / (8 * (T + 1) ** 2) + 2 / (T + 1)
+        return (inputs.mu * v1 / (8 * (T + 1) ** 2) + 2 / (T + 1)
                 + 16 / (3 * inputs.mu * (1 - inputs.sigma2)) * q
                 * math.log(T) ** 2 / (T + 1) ** 0.5
                 + 4 * inputs.n ** 2 * (inputs.lipschitz + 8 * inputs.lipschitz ** 2)
@@ -210,7 +208,7 @@ def test_criterion_7_bound_dominates_measurements(benchmark_runs):
                 + 8 * inputs.lipschitz
                 * (inputs.lipschitz + 8 * inputs.lipschitz ** 2 / inputs.mu)
                 / (3 * inputs.mu ** 3) / (T + 1) ** 0.5)
-    oracle_rel = max(abs(rate_bound(inputs, T) - oracle(T)) / oracle(T)
+    oracle_rel = max(abs(rate_bound(inputs, T, v1) - oracle(T)) / oracle(T)
                      for T in (1, 10, 1000, LONG_RUN))
     ok = worst_ratio <= 1.0 and oracle_rel <= 1e-12
     report_acceptance(7, ok, f"worst measured/bound ratio {worst_ratio:.2e}, "
@@ -253,7 +251,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
     worst = 0.0
     for k in (1, 3, 9, 40, 200):
-        rangek, delta = qsched.range_at(k), qsched.delta_at(k)
+        rangek, delta = qsched.range_at(k), qsched.grid(k).delta
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
         state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))

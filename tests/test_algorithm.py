@@ -43,7 +43,7 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     # an iterate sitting exactly on the round-k grid is transmitted without
     # error, so the consensus term collapses and only the gradient step acts
     obj, mixing, steps, qsched = single_agent_setup()
-    rangek, delta = qsched.range_at(k), qsched.delta_at(k)
+    rangek, delta = qsched.range_at(k), qsched.grid(k).delta
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
     state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -352,12 +353,16 @@ def test_verify_passes_and_emits_json(capsys):
 
 
 def test_verify_detects_sabotaged_sigma2(capsys, monkeypatch):
-    # an ensemble that overstates its contraction by 0.5 must fail verify
+    # an ensemble whose sigma2 is raised by 0.5 (past 1, so its spectral gap
+    # turns negative) must fail verify; RateBoundInputs rejects such a sigma2,
+    # so the fault is set on a copy past the check
     collect = cli.collect_ensemble
 
     def sabotaged(*args, **kwargs):
         ens = collect(*args, **kwargs)
-        return dataclasses.replace(ens, sigma2=ens.sigma2 + 0.5)
+        faulty = copy.copy(ens.inputs)
+        object.__setattr__(faulty, "sigma2", faulty.sigma2 + 0.5)
+        return dataclasses.replace(ens, inputs=faulty)
 
     monkeypatch.setattr(cli, "collect_ensemble", sabotaged)
     code = run_cli(["verify", "--replicas", "120", "--rounds", "60"])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from pathlib import Path
@@ -100,7 +101,7 @@ def test_eta_coupling_modes_differ():
 
 def unit_inputs(**kw):
     base = dict(mu=1.0, lipschitz=1.0, grad_bound=1.0, dims=1, n=1, bits=1,
-                sigma2=0.5, v1=1.0)
+                sigma2=0.5)
     base.update(kw)
     return RateBoundInputs(**base)
 
@@ -140,33 +141,33 @@ def test_gamma_quantization_term_vanishes_with_many_bits():
 def test_rate_bound_matches_independent_oracle():
     inputs = unit_inputs()
     for T in (1, 7, 100, 10_000):
-        assert rate_bound(inputs, T) == \
+        assert rate_bound(inputs, T, 1.0) == \
             pytest.approx(rate_oracle(1, 1, 1, 1, 1, 1, 0.5, 1.0, T), rel=1e-12)
     rich = unit_inputs(mu=2.8, lipschitz=45.0, grad_bound=15.0, dims=5, n=40,
-                       bits=16, sigma2=0.9, v1=0.03)
+                       bits=16, sigma2=0.9)
     for T in (1, 1000, 100_000):
-        assert rate_bound(rich, T) == pytest.approx(
+        assert rate_bound(rich, T, 0.03) == pytest.approx(
             rate_oracle(2.8, 45.0, 15.0, 5, 40, 16, 0.9, 0.03, T), rel=1e-12)
 
 
 def test_rate_bound_at_unit_horizon():
-    terms = rate_bound_terms(unit_inputs(), 1)
+    terms = rate_bound_terms(unit_inputs(), 1, 1.0)
     assert terms[2] == 0.0 and terms[3] == 0.0  # log(1) kills both
     assert terms[0] == pytest.approx(1.0 / 32.0)
     assert terms[1] == pytest.approx(1.0)
-    assert rate_bound(unit_inputs(), 1) > 0
+    assert rate_bound(unit_inputs(), 1, 1.0) > 0
 
 
 def test_rate_bound_monotone_beyond_ten():
     inputs = unit_inputs(mu=0.5, lipschitz=4.0, grad_bound=3.0, dims=4, n=10,
-                         bits=8, sigma2=0.7, v1=2.0)
-    values = [rate_bound(inputs, T) for T in range(10, 4000, 13)]
+                         bits=8, sigma2=0.7)
+    values = [rate_bound(inputs, T, 2.0) for T in range(10, 4000, 13)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_rate_bound_vanishes_asymptotically():
     inputs = unit_inputs()
-    values = [rate_bound(inputs, T) for T in (10 ** 8, 10 ** 10, 10 ** 12)]
+    values = [rate_bound(inputs, T, 1.0) for T in (10 ** 8, 10 ** 10, 10 ** 12)]
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-2
     # dominant term scales as log(T)^2 / sqrt(T)
@@ -177,8 +178,8 @@ def test_rate_bound_vanishes_asymptotically():
 
 def test_doubling_bits_quarters_the_quantization_terms():
     for bits in (2, 6, 12):
-        t_b = rate_bound_terms(unit_inputs(bits=bits), 100)
-        t_b1 = rate_bound_terms(unit_inputs(bits=bits + 1), 100)
+        t_b = rate_bound_terms(unit_inputs(bits=bits), 100, 1.0)
+        t_b1 = rate_bound_terms(unit_inputs(bits=bits + 1), 100, 1.0)
         expected = ((2 ** bits - 1) / (2 ** (bits + 1) - 1)) ** 2
         for term in (2, 3):
             assert t_b1[term] / t_b[term] == pytest.approx(expected, rel=1e-12)
@@ -191,6 +192,26 @@ def test_rate_bound_inputs_validation():
         unit_inputs(mu=0.0)
     with pytest.raises(ValueError):
         unit_inputs(sigma2=1.0)
+    # the measured round-1 value and the horizon are checked where they enter
+    with pytest.raises(ValueError, match="v1"):
+        rate_bound(unit_inputs(), 10, -1e-300)
+    with pytest.raises(ValueError, match="horizon"):
+        rate_bound(unit_inputs(), 0, 1.0)
+    assert rate_bound(unit_inputs(), 10, 0.0) > 0
+
+
+@pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
+def test_rate_bound_inputs_of_equals_hand_built_fields(instance):
+    objective, mixing = _instance(instance)
+    bits = 16
+    inputs = RateBoundInputs.of(objective, spectral_gap(mixing), bits)
+    assert inputs.mu == objective.mu
+    assert inputs.lipschitz == objective.lipschitz
+    assert inputs.grad_bound == objective.grad_bound
+    assert inputs.dims == objective.dims
+    assert inputs.n == objective.n
+    assert inputs.bits == bits
+    assert inputs.sigma2 == 1.0 - spectral_gap(mixing)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +240,11 @@ def test_descent_recursion_holds(small_ensemble):
 
 def test_sabotaged_sigma2_is_detected(small_ensemble):
     # mis-stating the contraction by +0.5 pushes sigma2 past 1, flipping the
-    # sign of the slack terms; the checker must flag it
-    bad = dataclasses.replace(small_ensemble, sigma2=small_ensemble.sigma2 + 0.5)
+    # sign of the slack terms; the checker must flag it. RateBoundInputs
+    # rejects such a sigma2, so the fault is set on a copy past the check
+    faulty = copy.copy(small_ensemble.inputs)
+    object.__setattr__(faulty, "sigma2", faulty.sigma2 + 0.5)
+    bad = dataclasses.replace(small_ensemble, inputs=faulty)
     report = check_consensus_recursion(bad)
     assert not report.passed
     assert report.violations > 0
@@ -268,8 +292,7 @@ def test_noise_free_recursions_hold_deterministically():
         deltas=np.zeros(rounds + 1),
         alphas=np.asarray([steps.alpha(k) for k in range(rounds)]),
         betas=np.asarray([steps.beta(k) for k in range(rounds)]),
-        f_star=obj.f_star, mu=obj.mu, lipschitz=obj.lipschitz,
-        sigma2=mixing.sigma2, n=4, dims=2)
+        f_star=obj.f_star, inputs=RateBoundInputs.of(obj, steps.spectral_gap, 5))
     assert check_consensus_recursion(ens).violations == 0
     assert check_descent_recursion(ens).violations == 0
 
@@ -342,10 +365,7 @@ def _instance(name):
 
 
 def _record_inputs(objective, steps):
-    return RateBoundInputs(
-        mu=objective.mu, lipschitz=objective.lipschitz,
-        grad_bound=objective.grad_bound, dims=objective.dims, n=objective.n,
-        bits=16, sigma2=1.0 - steps.spectral_gap, v1=0.0)
+    return RateBoundInputs.of(objective, steps.spectral_gap, 16)
 
 
 def _stacked(states):

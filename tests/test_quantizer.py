@@ -87,7 +87,7 @@ def test_scalar_value_is_reconstruction_of_index():
         sched = make_schedule(bits=int(rng.integers(1, 9)),
                               grad_bound=rng.uniform(0.1, 10))
         k = int(rng.integers(1, 50))
-        rangek, delta = sched.range_at(k), sched.delta_at(k)
+        rangek, delta = sched.range_at(k), sched.grid(k).delta
         x = rng.uniform(-rangek, rangek, size=(1, 3))
         idx = quantize_matrix(x, sched.grid(k), rng)
         val = decode_matrix(idx, sched.grid(k))
@@ -110,7 +110,7 @@ def test_vector_zero_input_unbiased():
     # zero vector sits mid-bin; over many draws the mean must stay near 0
     sched = make_schedule(bits=3)
     k = 2
-    delta = sched.delta_at(k)
+    delta = sched.grid(k).delta
     rng = np.random.default_rng(31)
     n = 100_000
     block = np.zeros((n, 2))
@@ -122,7 +122,7 @@ def test_vector_zero_input_unbiased():
 def test_vector_lattice_points_are_fixed():
     sched = make_schedule(bits=4)
     k = 5
-    rangek, delta = sched.range_at(k), sched.delta_at(k)
+    rangek, delta = sched.range_at(k), sched.grid(k).delta
     rng = np.random.default_rng(2)
     lattice = -rangek + np.array([[0, 7, 15]]) * delta
     idx = quantize_matrix(lattice, sched.grid(k), rng)
@@ -181,21 +181,21 @@ def test_decode_all_zero_payload_gives_lower_endpoint():
 def test_delta_schedule_values():
     # mu=4 gives alpha_t = 1/(t+1); one bit means delta = 2 * range
     sched = make_schedule(bits=1)
-    assert sched.delta_at(0) == 0.0
-    assert sched.delta_at(3) == pytest.approx(2 * (1 + 0.5 + 1 / 3), rel=1e-15)
+    assert sched.grid(0).delta == 0.0
+    assert sched.grid(3).delta == pytest.approx(2 * (1 + 0.5 + 1 / 3), rel=1e-15)
     with pytest.raises(ValueError, match="nonnegative"):
-        sched.delta_at(-1)
+        sched.grid(-1).delta
 
 
 def test_delta_growth_is_logarithmic():
     sched = make_schedule(bits=1)
     k = 2_000_000
-    assert sched.delta_at(k) / (2.0 * np.log(k)) == pytest.approx(1.0, rel=5e-2)
+    assert sched.grid(k).delta / (2.0 * np.log(k)) == pytest.approx(1.0, rel=5e-2)
 
 
 def test_delta_monotone():
     sched = make_schedule(bits=5)
-    deltas = [sched.delta_at(k) for k in range(200)]
+    deltas = [sched.grid(k).delta for k in range(200)]
     assert all(b >= a for a, b in zip(deltas, deltas[1:]))
 
 
@@ -353,7 +353,7 @@ def test_engine_step_at_round_zero_sends_zeros():
 def test_variance_bound():
     sched = make_schedule(bits=2)
     k = 4
-    delta = sched.delta_at(k)
+    delta = sched.grid(k).delta
     rng = np.random.default_rng(8)
     x = np.full((50_000, 1), 0.3 * sched.range_at(k))
     decoded = decode_matrix(quantize_matrix(x, sched.grid(k), rng), sched.grid(k))
