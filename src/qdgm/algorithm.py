@@ -11,11 +11,11 @@ matrix as a whole. The reported output per agent is the (t+1)-weighted
 running average of its past iterates.
 
 A round advances a stack of R replicas held as (R, n, d) arrays, and one
-loop drives it: a single run or its exact twin is the stack with R = 1,
-the Monte Carlo ensemble the stack of all replicas. The hot loop goes from
-iterates to decoded values in one pass, with one range check per round; an
-equivalence test ties those values bit for bit to the wire codec, the
-packed MSB-first indices that the codec tests and ``qdgm verify`` check.
+generator of round states drives it: a single run or its exact twin is the
+stack with R = 1, the Monte Carlo ensemble the stack of all replicas. The hot
+loop goes from iterates to decoded values in one pass, with one range check
+per round; an equivalence test ties those values bit for bit to the wire
+codec, the packed MSB-first indices that the codec tests and ``qdgm verify`` check.
 
 Round k draws one uniform per (replica, agent, coordinate), in row-major
 order, from the PCG64 stream of default_rng([seed, k]), so replica r's
@@ -42,13 +42,14 @@ from .quantizer import QuantizerSchedule
 from .quantizer import check_range as _check_range_invariant
 from .schedules import StepSchedule
 
-RECORD_BLOCK = 32  # recorded rounds per make_record call in run_experiment
+RECORD_BLOCK = 32  # recorded states run_experiment holds per make_record call
 
 
 @dataclass
 class RoundState:
     """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds;
-    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k."""
+    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k. Drivers
+    hold states uncopied: run_round returns fresh arrays and never writes them again."""
 
     k: int
     x: np.ndarray
@@ -144,27 +145,27 @@ def record_points(iterations: int, stride: int | None = None,
 
 
 def _schedules(objective: RegressionObjective, mixing: MixingMatrix, bits: int,
-               beta_clamp: float | None) -> tuple[StepSchedule, QuantizerSchedule]:
-    """The step and range schedules of a run, built once per run."""
+               beta_clamp: float | None,
+               iterations: int) -> tuple[StepSchedule, QuantizerSchedule]:
+    """A run's step and range schedules, built once, after the round-count check."""
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
     steps = StepSchedule(objective.mu, spectral_gap(mixing), beta_clamp)
     return steps, QuantizerSchedule(objective.grad_bound, steps, bits)
 
 
 def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
-                steps: StepSchedule, qsched: QuantizerSchedule, observe, *,
+                steps: StepSchedule, qsched: QuantizerSchedule, *,
                 iterations: int, seed: int, first: int, replicas: int,
-                quantized: bool) -> None:
-    """The one round loop: advances replicas ``first`` on, ``replicas`` of them,
-    from zero, showing each state (rounds 0 to ``iterations``) to ``observe``."""
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
+                quantized: bool):
+    """The one round loop: yields the states of rounds 0 to ``iterations`` of
+    replicas ``first`` on, ``replicas`` of them, started from zero."""
     state = initial_state(objective.n, objective.dims, replicas)
-    while True:
-        observe(state)
-        if state.k == iterations:
-            return
+    yield state
+    while state.k < iterations:
         state = run_round(state, mixing, objective, steps, qsched, seed,
                           first=first, quantized=quantized)
+        yield state
 
 
 def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
@@ -179,44 +180,35 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
     rows recorded so far) is attached to the raised exception as
     ``partial_trace`` so callers can still flush it with an error marker.
     """
-    points = record_points(iterations, record_stride, extra_record_points)
-    table = np.empty((len(points), len(diagnostics.TRACE_COLUMNS)))
-    # recorded states wait in these buffers and enter the table a block at a time
-    xs, zs = np.empty((2, min(RECORD_BLOCK, len(points)), objective.n, objective.dims))
-    filled = held = 0
+    # recorded states wait in ``held`` and become trace rows a block at a time
+    blocks, held = [np.empty((0, len(diagnostics.TRACE_COLUMNS)))], []
 
     def flush():
-        nonlocal filled, held
-        rows, held = held, 0
-        if rows:
-            table[filled:filled + rows] = diagnostics.make_record(
-                points[filled:filled + rows], xs[:rows], zs[:rows], objective,
-                steps, qsched, eta, inputs)
-            filled += rows
-
-    def record(state):
-        nonlocal held
-        if state.k == points[filled + held]:
-            xs[held], zs[held] = state.x[0], state.z[0]
-            held += 1
-            if held == len(xs):
-                flush()
+        if held:
+            blocks.append(diagnostics.make_record(
+                [s.k for s in held], np.concatenate([s.x for s in held]),
+                np.concatenate([s.z for s in held]), objective, steps, qsched, eta, inputs))
+            held.clear()
 
     try:
         # the per-run constants of every record
-        steps, qsched = _schedules(objective, mixing, bits, beta_clamp)
+        steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations)
         eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz,
                                        steps.spectral_gap, eta_mode)
         inputs = diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits)
-        _run_rounds(objective, mixing, steps, qsched, record,
-                    iterations=iterations, seed=seed, first=replica, replicas=1,
-                    quantized=quantized)
+        points = set(record_points(iterations, record_stride, extra_record_points))
+        for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
+                                 seed=seed, first=replica, replicas=1, quantized=quantized):
+            if state.k in points:
+                held.append(state)
+                if len(held) == RECORD_BLOCK:
+                    flush()
         flush()
     except Exception as exc:
         flush()
-        exc.partial_trace = diagnostics.Trace(table[:filled], str(exc))
+        exc.partial_trace = diagnostics.Trace(np.concatenate(blocks), str(exc))
         raise
-    return diagnostics.Trace(table[:filled])
+    return diagnostics.Trace(np.concatenate(blocks))
 
 
 def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
@@ -225,21 +217,17 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     """Run Monte Carlo replicas differing only in quantizer randomness, as
     one stack, and collect the per-round statistics the inequality checks
     consume."""
+    steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations)
     cons = np.zeros((replicas, iterations + 1))
     r_sq = np.zeros((replicas, iterations + 1))
     f_worst = np.zeros((replicas, iterations + 1))
-    steps, qsched = _schedules(objective, mixing, bits, beta_clamp)
-
-    def statistics(state):
+    for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
+                             seed=seed, first=0, replicas=replicas, quantized=True):
         k, x = state.k, state.x
         cons[:, k] = diagnostics.consensus_error(x)
         r_sq[:, k] = np.sum((x.mean(axis=1) - objective.optimum) ** 2, axis=1)
         residuals = x @ objective.features.T - objective.targets
         f_worst[:, k] = np.max(np.sum(residuals ** 2, axis=2), axis=1)
-
-    _run_rounds(objective, mixing, steps, qsched, statistics,
-                iterations=iterations, seed=seed, first=0, replicas=replicas,
-                quantized=True)
     return diagnostics.EnsembleTrace(
         consensus_sq=cons, r_sq=r_sq, f_worst=f_worst,
         deltas=np.asarray([qsched.grid(k).delta for k in range(iterations + 1)]),

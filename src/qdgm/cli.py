@@ -44,6 +44,7 @@ EXIT_SOFTWARE = 70
 EXIT_CODES = {ConfigError: EXIT_CONFIG, GraphSamplingError: EXIT_CONFIG,
               DegenerateInstanceError: EXIT_CONFIG,
               GradientBoundError: EXIT_GRADIENT_BOUND}
+PROPERTY_DRAWS = 100_000  # a quantizer property check rounds a tenth as many rows
 
 
 def _load_graph(path, field: str) -> NetworkTopology:
@@ -123,7 +124,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]:
+def quantizer_property_checks(seed: int) -> list[dict]:
     """Spot checks of the rounding rule: exact support bound, unbiasedness,
     variance bound, and the wire contract (packed indices unpack to the
     same indices and decode to the same values bit for bit)."""
@@ -135,7 +136,7 @@ def quantizer_property_checks(seed: int = 0, draws: int = 100_000) -> list[dict]
         grid = qsched.grid(3)
         rangek, delta = grid.range, grid.delta
         x = rng.uniform(-rangek, rangek, size=dims)
-        block = np.repeat(x[None, :], draws // 10, axis=0)
+        block = np.repeat(x[None, :], PROPERTY_DRAWS // 10, axis=0)
         indices = quantize_matrix(block, grid, rng)
         decoded = decode_matrix(indices, grid)
         err = decoded - block

@@ -148,7 +148,7 @@ def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
     if grid.k == 0:
         return np.zeros(x.shape, dtype=np.int64)
     if check_range(x, grid.range, grid.k) > grid.range:  # snap the clamp band
-        x = np.minimum(np.maximum(x, -grid.range), grid.range)
+        x = np.clip(x, -grid.range, grid.range)
     return _stochastic_round(x, -grid.range, grid.delta, grid.bins, rng.random(x.shape))
 
 

@@ -425,6 +425,55 @@ def test_failure_mid_block_keeps_every_earlier_row(monkeypatch):
     assert np.array_equal(partial.table, expected, equal_nan=True)
 
 
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_block_boundaries_never_change_a_row(quantized):
+    # runs ending on either side of a RECORD_BLOCK boundary hold the first
+    # rows of a longer run of the same seed, bit for bit
+    cfg = ExperimentConfig()
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(build_topology(cfg))
+    kwargs = dict(seed=7, bits=16, quantized=quantized, record_stride=1)
+    full = run_experiment(objective, mixing, iterations=100, **kwargs).table
+    for iterations in (0, 30, 31, 32, 33, 63, 64):
+        table = run_experiment(objective, mixing, iterations=iterations, **kwargs).table
+        assert np.array_equal(table, full[:iterations + 1], equal_nan=True), iterations
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_yielded_states_are_never_written(small_instance, small_mixing,
+                                          quantized, replicas):
+    # the drivers hold yielded states without copying them, so no later
+    # round may write into an array of an earlier state
+    steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 40)
+    held, snapshots = [], []
+    for state in algorithm._run_rounds(small_instance, small_mixing, steps, qsched,
+                                       iterations=40, seed=3, first=0,
+                                       replicas=replicas, quantized=quantized):
+        held.append(state)
+        snapshots.append((state.x.copy(), state.z.copy()))
+    assert [state.k for state in held] == list(range(41))
+    for state, (x, z) in zip(held, snapshots):
+        assert np.array_equal(state.x, x) and np.array_equal(state.z, z), state.k
+
+
+@pytest.mark.parametrize("iterations", [-1, -2])
+def test_negative_round_count_is_refused_before_any_work(
+        small_instance, small_mixing, monkeypatch, iterations):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a round state was built")
+
+    monkeypatch.setattr(algorithm, "initial_state", no_state)
+    message = "^iterations must be nonnegative$"
+    with pytest.raises(ValueError, match=message):
+        collect_ensemble(small_instance, small_mixing, iterations=iterations,
+                         seed=1, bits=5, replicas=3)
+    with pytest.raises(ValueError, match=message) as excinfo:
+        run_experiment(small_instance, small_mixing, iterations=iterations,
+                       seed=1, bits=5)
+    assert excinfo.value.partial_trace.table.shape == (0, len(diagnostics.TRACE_COLUMNS))
+
 def test_non_finite_iterate_detected():
     obj, mixing, steps, qsched = single_agent_setup()
     state = RoundState(2, np.array([[[1e308]]]), np.zeros((1, 1, 1)))
