@@ -17,16 +17,14 @@ loop goes from iterates to decoded values in one pass, with one range check
 per round; an equivalence test ties those values bit for bit to the wire
 codec, the packed MSB-first indices that the codec tests and ``qdgm verify`` check.
 
-Round k draws one uniform per (replica, agent, coordinate), in row-major
-order, from the PCG64 stream of default_rng([seed, k]), so replica r's
-(n, d) block starts r*n*d draws in and depends neither on its stack's size
-nor on the other replicas. The key is passed as the uint32 array of words
-SeedSequence makes of [seed, k], the seed's little-endian 32-bit words then
-k: the same stream, without splitting two Python ints every round.
+Replica r's uniforms are the PCG64 stream of default_rng([seed, r]), read
+in order: each quantized round k >= 1 reads one per (agent, coordinate), in
+row-major order, and round 0 reads none. A run keys one generator per
+replica and draws RECORD_BLOCK rounds of uniforms at a time, so replica r
+depends neither on its stack's size nor on the other replicas.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -62,38 +60,24 @@ def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
     return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)), 0.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _seed_words(seed: int) -> tuple[int, ...]:
-    """The little-endian 32-bit words SeedSequence splits a seed into."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    words = [seed & 0xFFFFFFFF]
-    while seed := seed >> 32:
-        words.append(seed & 0xFFFFFFFF)
-    return tuple(words)
-
-
 def run_round(state: RoundState, mixing: MixingMatrix,
               objective: RegressionObjective, steps: StepSchedule,
-              qsched: QuantizerSchedule, seed: int, *,
-              first: int = 0, quantized: bool = True) -> RoundState:
+              qsched: QuantizerSchedule, uniforms: np.ndarray | None, *,
+              first: int = 0) -> RoundState:
     """Advance every agent of every replica one synchronized round.
 
-    Slice r of the stack is replica ``first + r`` and matches the
-    one-replica round of that replica bit for bit: the round's stream jumps
-    ahead once, by first*n*d draws, and yields all R*n*d uniforms. With
-    ``quantized=False`` the exchanged values are the raw iterates
+    Slice r of the stack is replica ``first + r``; ``uniforms`` holds its
+    round-k draws in slice r, and round 0 reads none of them. With
+    ``uniforms=None`` the exchanged values are the raw iterates
     (infinite-bandwidth twin); everything else is identical.
     """
     k, x = state.k, state.x
     alpha, beta = steps.alpha(k), steps.beta(k)
-    if quantized:
+    if uniforms is None:
+        q = x
+    else:
         grid = qsched.grid(k)
-        # the words of [seed, k]: default_rng([seed, k]) for rounds k < 2**32
-        rng = np.random.default_rng(np.array((*_seed_words(seed), k), dtype=np.uint32))
-        if first:  # Generator.random takes one 64-bit output per double
-            rng.bit_generator.advance(first * x[0].size)
-        q, err = quantizer._quantize_values(x, grid, rng, state.checked_max, first)
+        q, err = quantizer._quantize_values(x, grid, uniforms, state.checked_max, first)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
         support = grid.delta + 2.0 * grid.range * quantizer.CLAMP_BAND
@@ -101,8 +85,6 @@ def run_round(state: RoundState, mixing: MixingMatrix,
             raise QuantizationSupportError(
                 f"decoded value {err} away from its input at round {k}, "
                 f"beyond the support bound {support}")
-    else:
-        q = x
     grads = gradient_matrix(objective, x)
     # (1 - beta) x + beta (W q) - alpha grads, in place, in the same order
     x_next = mixing.entries @ q
@@ -145,11 +127,14 @@ def record_points(iterations: int, stride: int | None = None,
 
 
 def _schedules(objective: RegressionObjective, mixing: MixingMatrix, bits: int,
-               beta_clamp: float | None,
-               iterations: int) -> tuple[StepSchedule, QuantizerSchedule]:
-    """A run's step and range schedules, built once, after the round-count check."""
+               beta_clamp: float | None, iterations: int,
+               seed: int | None) -> tuple[StepSchedule, QuantizerSchedule]:
+    """A run's step and range schedules, built once, after the checks of the
+    round count and of the seed (None: an exact run, which draws nothing)."""
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     steps = StepSchedule(objective.mu, spectral_gap(mixing), beta_clamp)
     return steps, QuantizerSchedule(objective.grad_bound, steps, bits)
 
@@ -162,9 +147,20 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
     replicas ``first`` on, ``replicas`` of them, started from zero."""
     state = initial_state(objective.n, objective.dims, replicas)
     yield state
+    # round k >= 1 reads slice (k - 1) % RECORD_BLOCK of the block; round 0
+    # reads none. A run of no rounds or the exact twin keys no stream.
+    keyed = range(first, first + replicas) if quantized and iterations else ()
+    streams = [np.random.default_rng([seed, r]) for r in keyed]
+    block = np.empty((len(streams), RECORD_BLOCK, objective.n, objective.dims))
+    uniforms = None
     while state.k < iterations:
-        state = run_round(state, mixing, objective, steps, qsched, seed,
-                          first=first, quantized=quantized)
+        if streams:
+            j = (state.k - 1) % RECORD_BLOCK
+            if j == 0:
+                for stream, out in zip(streams, block):
+                    stream.random(out=out)
+            uniforms = block[:, j]
+        state = run_round(state, mixing, objective, steps, qsched, uniforms, first=first)
         yield state
 
 
@@ -192,7 +188,8 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
 
     try:
         # the per-run constants of every record
-        steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations)
+        steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations,
+                                   seed if quantized else None)
         eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz,
                                        steps.spectral_gap, eta_mode)
         inputs = diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits)
@@ -217,7 +214,7 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     """Run Monte Carlo replicas differing only in quantizer randomness, as
     one stack, and collect the per-round statistics the inequality checks
     consume."""
-    steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations)
+    steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations, seed)
     cons = np.zeros((replicas, iterations + 1))
     r_sq = np.zeros((replicas, iterations + 1))
     f_worst = np.zeros((replicas, iterations + 1))

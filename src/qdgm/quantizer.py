@@ -15,12 +15,14 @@ empty: every index is zero, no randomness is drawn and nothing needs to
 cross a link.
 
 The round engine needs only values: :func:`_quantize_values` goes from an
-(R, n, d) stack of iterates straight to them, and an equivalence test ties
-them bit for bit to :func:`decode_matrix` of :func:`quantize_matrix`'s
-indices. At the wire boundary :func:`pack_index_rows` packs each row's d
-indices MSB-first in coordinate order, zero-padded to ceil(d*b/8) bytes, and
-:func:`unpack_indices` is its exact inverse, so a receiver decoding the
-unpacked indices gets the sender's values bit for bit.
+(R, n, d) stack of iterates and one uniform per entry, which the engine
+reads from per-replica streams, straight to them. An equivalence test ties
+them bit for bit to :func:`decode_matrix` of the indices
+:func:`quantize_matrix` makes from the same uniforms. At the wire boundary
+:func:`pack_index_rows` packs each row's d indices MSB-first in coordinate
+order, zero-padded to ceil(d*b/8) bytes, and :func:`unpack_indices` is its
+exact inverse, so a receiver decoding the unpacked indices gets the
+sender's values bit for bit.
 """
 from __future__ import annotations
 
@@ -121,16 +123,17 @@ def _stochastic_round(values, lower, delta, nbins, uniforms) -> np.ndarray:
     return _round_endpoints(values, lower, delta, nbins, uniforms)[0].astype(np.int64)
 
 
-def _quantize_values(x, grid: Grid, rng, checked_max: float | None, first: int = 0):
+def _quantize_values(x, grid: Grid, uniforms, checked_max: float | None, first: int = 0):
     """The engine's quantize step: decode_matrix(quantize_matrix(x, grid, rng),
-    grid) and max |q - x| in one pass. checked_max: max |x| if checked, or None."""
+    grid) and max |q - x| in one pass, where ``uniforms`` holds the draws
+    rng.random(x.shape) would make. checked_max: max |x| if checked, or None."""
     if grid.k == 0:  # every index is zero and no uniform is drawn
         return np.zeros(x.shape), float(np.maximum.reduce(np.abs(x), axis=None))
     if checked_max is None or checked_max > grid.range * (1.0 + CLAMP_BAND):
         checked_max = check_range(x, grid.range, grid.k, first)
     values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
     _, q, err = _round_endpoints(values, -grid.range, grid.delta, grid.bins,
-                                 rng.random(x.shape))
+                                 uniforms)
     if err is None or values is not x:  # after a flip or a snap |q - x| differs
         err = np.abs(q - x)
     return q, float(np.maximum.reduce(err, axis=None))
@@ -141,9 +144,8 @@ def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
 
     ``rng``, one np.random.Generator, draws one uniform per (replica, agent,
     coordinate) in row-major order, so results do not depend on any per-agent
-    call order and a replica's block sits at its stream offset. Inputs inside
-    the clamp band are snapped to the interval; farther out, or NaN, raises
-    GradientBoundError."""
+    call order. Inputs inside the clamp band are snapped to the interval;
+    farther out, or NaN, raises GradientBoundError."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if grid.k == 0:
         return np.zeros(x.shape, dtype=np.int64)

@@ -22,6 +22,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {number}: {status} - {detail}")
 
 
+class ReplicaStreams:
+    """The engine's stream rule written out: replica ``first + r`` of an
+    (R, n, d) stack reads default_rng([seed, first + r]) in order, n*d
+    uniforms per quantized round k >= 1; round 0 reads none."""
+
+    def __init__(self, seed: int, shape: tuple, first: int = 0):
+        self.shape = shape
+        self.streams = [np.random.default_rng([seed, first + r]) for r in range(shape[0])]
+
+    def __call__(self, k: int) -> np.ndarray:
+        """The uniforms round k reads, drawn from the streams when k >= 1."""
+        if k == 0:
+            return np.zeros(self.shape)
+        return np.stack([stream.random(self.shape[1:]) for stream in self.streams])
+
+
 @pytest.fixture
 def path3():
     return path_topology(3)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import report_acceptance
+from conftest import ReplicaStreams, report_acceptance
 from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, \
     run_round, RoundState
 from qdgm.cli import main as cli_main
@@ -255,15 +255,15 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
         state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))
-        nxt = run_round(state, mixing, obj, steps, qsched, seed=1)
+        nxt = run_round(state, mixing, obj, steps, qsched,
+                        ReplicaStreams(1, state.x.shape)(k))
         gd = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
         worst = max(worst, abs(nxt.x[0, 0, 0] - gd))
     # and the exact-exchange twin is plain gradient descent along a full run
     state = initial_state(1, 1)
     oracle = 0.0
     for k in range(200):
-        state = run_round(state, mixing, obj, steps, qsched, seed=1,
-                          quantized=False)
+        state = run_round(state, mixing, obj, steps, qsched, None)
         oracle = oracle - steps.alpha(k) * 2.0 * (oracle - 0.8)
         worst = max(worst, abs(state.x[0, 0, 0] - oracle))
     ok = worst <= 1e-12

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ReplicaStreams
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
@@ -32,8 +33,7 @@ def test_single_agent_baseline_is_plain_gradient_descent():
     state = initial_state(1, 1)
     oracle = 0.0
     for k in range(100):
-        state = run_round(state, mixing, obj, steps, qsched, seed=0,
-                          quantized=False)
+        state = run_round(state, mixing, obj, steps, qsched, None)
         oracle = oracle - steps.alpha(k) * 2.0 * (oracle - 0.8)
         assert abs(state.x[0, 0, 0] - oracle) <= 1e-12
 
@@ -47,7 +47,8 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
     state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))
-    nxt = run_round(state, mixing, obj, steps, qsched, seed=3, quantized=True)
+    nxt = run_round(state, mixing, obj, steps, qsched,
+                    ReplicaStreams(3, state.x.shape)(k))
     expected = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
     assert abs(nxt.x[0, 0, 0] - expected) <= 1e-12
 
@@ -60,8 +61,7 @@ def test_fixed_point_at_common_root(hand_objective):
     qsched = QuantizerSchedule(hand_objective.grad_bound, steps, 8)
     x = np.tile(hand_objective.optimum, (1, 2, 1))
     state = RoundState(3, x.copy(), x.copy())
-    nxt = run_round(state, mixing, hand_objective, steps, qsched, seed=0,
-                    quantized=False)
+    nxt = run_round(state, mixing, hand_objective, steps, qsched, None)
     assert np.abs(nxt.x - x).max() <= 1e-12
 
 
@@ -74,7 +74,7 @@ def test_two_agents_average_in_one_round():
     assert steps.beta(0) == 1.0
     qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
     state = RoundState(0, np.array([[[2.0], [4.0]]]), np.zeros((1, 2, 1)))
-    nxt = run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
+    nxt = run_round(state, mixing, obj, steps, qsched, None)
     assert np.allclose(nxt.x, 3.0, atol=1e-12)
 
 
@@ -88,8 +88,7 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     for k in (0, 2, 9):
         x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
         state = RoundState(k, x, np.zeros_like(x))
-        nxt = run_round(state, small_mixing, obj, steps, qsched, seed=1,
-                        quantized=False)
+        nxt = run_round(state, small_mixing, obj, steps, qsched, None)
         residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
         gbar = (2.0 * obj.features * residuals[:, None]).mean(axis=0)
         expected = x[0].mean(axis=0) - steps.alpha(k) * gbar
@@ -105,8 +104,7 @@ def test_consensus_stays_exact_with_identical_objectives():
     qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
     state = initial_state(2, 1)
     for _ in range(30):
-        state = run_round(state, mixing, obj, steps, qsched, seed=0,
-                          quantized=False)
+        state = run_round(state, mixing, obj, steps, qsched, None)
         assert state.x[0, 0, 0] == state.x[0, 1, 0]
 
 
@@ -117,8 +115,8 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     state = initial_state(obj.n, obj.dims)
     sent = quantizer.quantize_matrix(state.x, qsched.grid(0), np.random.default_rng(5))
     assert sent.shape == (1, obj.n, obj.dims) and np.all(sent == 0)
-    nxt = run_round(state, small_mixing, obj, steps, qsched, seed=5,
-                    quantized=True)
+    nxt = run_round(state, small_mixing, obj, steps, qsched,
+                    ReplicaStreams(5, state.x.shape)(0))
     # first move is the pure gradient step from zero
     expected = -steps.alpha(0) * 2.0 * obj.features * (-obj.targets[:, None])
     assert np.abs(nxt.x - expected).max() <= 1e-15
@@ -127,10 +125,10 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
 def test_averaged_output_hand_values():
     obj, mixing, steps, qsched = single_agent_setup()
     state = RoundState(0, np.array([[[1.0]]]), np.zeros((1, 1, 1)))
-    s1 = run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
+    s1 = run_round(state, mixing, obj, steps, qsched, None)
     assert s1.z[0, 0, 0] == 1.0
     forced = RoundState(1, np.array([[[2.0]]]), s1.z)
-    s2 = run_round(forced, mixing, obj, steps, qsched, seed=0, quantized=False)
+    s2 = run_round(forced, mixing, obj, steps, qsched, None)
     assert s2.z[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
 
@@ -139,8 +137,7 @@ def test_averaged_output_of_constant_trajectory():
     c = 0.8  # the optimum: stays put under baseline dynamics
     state = RoundState(0, np.array([[[c]]]), np.zeros((1, 1, 1)))
     for _ in range(10):
-        state = run_round(state, mixing, obj, steps, qsched, seed=0,
-                          quantized=False)
+        state = run_round(state, mixing, obj, steps, qsched, None)
     assert state.z[0, 0, 0] == pytest.approx(c, abs=1e-14)
 
 
@@ -150,8 +147,9 @@ def test_incremental_average_matches_recomputation(small_instance, small_mixing)
     qsched = QuantizerSchedule(obj.grad_bound, steps, 5)
     state = initial_state(obj.n, obj.dims)
     history = [state.x.copy()]
+    draws = ReplicaStreams(21, state.x.shape)
     for _ in range(60):
-        state = run_round(state, small_mixing, obj, steps, qsched, seed=21)
+        state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
         history.append(state.x.copy())
     weights = np.arange(1, len(history))  # x_0..x_{K-1} weighted 1..K
     recomputed = np.tensordot(weights, np.asarray(history[:-1]), axes=(0, 0)) \
@@ -164,18 +162,20 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
     state = initial_state(obj.n, obj.dims)
+    draws = ReplicaStreams(9, state.x.shape)
     for _ in range(3):
-        state = run_round(state, small_mixing, obj, steps, qsched, seed=9)
-    a = run_round(state, small_mixing, obj, steps, qsched, seed=9)
-    b = run_round(state, small_mixing, obj, steps, qsched, seed=9)
+        state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
+    uniforms = draws(state.k)
+    a = run_round(state, small_mixing, obj, steps, qsched, uniforms)
+    b = run_round(state, small_mixing, obj, steps, qsched, uniforms)
     assert np.array_equal(a.x, b.x)
     # a different replica index rewires the randomness; one round's eight
-    # rounding choices can agree by chance (they do here), five rounds do not
+    # rounding choices can agree by chance, five rounds do not
     later = {}
     for first in (0, 1):
-        c = state
+        c, draws = state, ReplicaStreams(9, state.x.shape, first)
         for _ in range(5):
-            c = run_round(c, small_mixing, obj, steps, qsched, seed=9, first=first)
+            c = run_round(c, small_mixing, obj, steps, qsched, draws(c.k), first=first)
         later[first] = c.x
     assert not np.array_equal(later[0], later[1])
 
@@ -189,9 +189,10 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
 
     def rounds(first, replicas):
         state = initial_state(obj.n, obj.dims, replicas)
+        draws = ReplicaStreams(9, state.x.shape, first)
         states = []
         for _ in range(25):
-            state = run_round(state, small_mixing, obj, steps, qsched, seed=9,
+            state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k),
                               first=first)
             states.append(state)
         return states
@@ -255,8 +256,9 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     obj = small_instance
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
+    draws = ReplicaStreams(4, (1, obj.n, obj.dims))
     state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, steps,
-                      qsched, seed=4)
+                      qsched, draws(0))
     round_endpoints = quantizer._round_endpoints
 
     def shifted(values, lower, delta, nbins, uniforms):
@@ -266,7 +268,7 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
 
     monkeypatch.setattr(quantizer, "_round_endpoints", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
-        run_round(state, small_mixing, obj, steps, qsched, seed=4)
+        run_round(state, small_mixing, obj, steps, qsched, draws(1))
 
 
 @pytest.mark.parametrize("quantized", [True, False])
@@ -299,20 +301,20 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     x[0, 2, 1] = 2.0 * rangek
     with pytest.raises(GradientBoundError) as excinfo:
         run_round(RoundState(3, x, np.zeros_like(x)), small_mixing, obj, steps,
-                  qsched, seed=3)
+                  qsched, ReplicaStreams(3, x.shape)(3))
     message = (f"gradient-bound violation: agent 2 reached {2.0 * rangek} at "
                f"round 3, outside quantization range +-{rangek}")
     assert str(excinfo.value) == message
     # a maximum carried from a wider range is checked against this one
     with pytest.raises(GradientBoundError, match=f"^{re.escape(message)}$"):
         run_round(RoundState(3, x, np.zeros_like(x), 2.0 * rangek), small_mixing,
-                  obj, steps, qsched, seed=3)
+                  obj, steps, qsched, ReplicaStreams(3, x.shape)(3))
     # a stack starting at replica 4 names replica 4 + r
     x = np.zeros((2, obj.n, obj.dims))
     x[1, 3, 0] = -2.0 * rangek
     with pytest.raises(GradientBoundError, match="agent 3 of replica 5 reached"):
         run_round(RoundState(3, x, np.zeros_like(x)), small_mixing, obj, steps,
-                  qsched, seed=3, first=4)
+                  qsched, ReplicaStreams(3, x.shape, 4)(3), first=4)
     # round 0 sends all-zero values, so a nonzero start breaks the support bound
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 1, 0] = 0.25
@@ -320,7 +322,7 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
             "^decoded value 0.25 away from its input at round 0, beyond the "
             "support bound 0.0$")):
         run_round(RoundState(0, x, np.zeros_like(x)), small_mixing, obj, steps,
-                  qsched, seed=3)
+                  qsched, ReplicaStreams(3, x.shape)(0))
     assert initial_state(obj.n, obj.dims).checked_max == 0.0
 
 
@@ -344,8 +346,9 @@ def test_update_is_convex_combination_plus_gradient(small_instance, small_mixing
     steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, 3)
     state = initial_state(obj.n, obj.dims)
+    draws = ReplicaStreams(17, state.x.shape)
     for _ in range(80):
-        nxt = run_round(state, small_mixing, obj, steps, qsched, seed=17)
+        nxt = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
         k = state.k
         cap = max(np.abs(state.x).max(), qsched.range_at(k)) \
             + steps.alpha(k) * obj.grad_bound
@@ -446,7 +449,7 @@ def test_yielded_states_are_never_written(small_instance, small_mixing,
                                           quantized, replicas):
     # the drivers hold yielded states without copying them, so no later
     # round may write into an array of an earlier state
-    steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 40)
+    steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 40, 3)
     held, snapshots = [], []
     for state in algorithm._run_rounds(small_instance, small_mixing, steps, qsched,
                                        iterations=40, seed=3, first=0,
@@ -478,7 +481,7 @@ def test_non_finite_iterate_detected():
     obj, mixing, steps, qsched = single_agent_setup()
     state = RoundState(2, np.array([[[1e308]]]), np.zeros((1, 1, 1)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterateError):
-        run_round(state, mixing, obj, steps, qsched, seed=0, quantized=False)
+        run_round(state, mixing, obj, steps, qsched, None)
 
 
 def _poison_gradient(monkeypatch, where, value):
@@ -497,7 +500,7 @@ def _stack_after_one_round(obj, mixing, replicas=3):
     steps = StepSchedule(obj.mu, 1.0 - mixing.sigma2)
     qsched = QuantizerSchedule(obj.grad_bound, steps, 6)
     state = run_round(initial_state(obj.n, obj.dims, replicas), mixing, obj,
-                      steps, qsched, seed=3)
+                      steps, qsched, ReplicaStreams(3, (replicas, obj.n, obj.dims))(0))
     return state, steps, qsched
 
 
@@ -509,7 +512,8 @@ def test_non_finite_replica_in_a_stack_is_named_non_finite(
     state, steps, qsched = _stack_after_one_round(small_instance, small_mixing)
     _poison_gradient(monkeypatch, (1, 2, 0), value)
     with pytest.raises(NonFiniteIterateError, match="^non-finite iterate at round 1$"):
-        run_round(state, small_mixing, small_instance, steps, qsched, seed=3)
+        run_round(state, small_mixing, small_instance, steps, qsched,
+                  ReplicaStreams(3, state.x.shape)(1))
 
 
 def test_finite_escape_in_a_stack_keeps_the_range_message(
@@ -519,25 +523,52 @@ def test_finite_escape_in_a_stack_keeps_the_range_message(
     with pytest.raises(GradientBoundError, match=(
             r"^gradient-bound violation: agent 1 of replica 6 reached \S+ at "
             r"round 2, outside quantization range \+-\S+$")):
-        run_round(state, small_mixing, small_instance, steps, qsched, seed=3,
-                  first=4)
+        run_round(state, small_mixing, small_instance, steps, qsched,
+                  ReplicaStreams(3, state.x.shape, 4)(1), first=4)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3])
-def test_round_key_words_key_the_stream_of_seed_and_round(seed):
-    # run_round keys round k by the seed's words, then k, as one uint32 array
-    for k in (0, 1, 2**31):
-        key = np.array((*algorithm._seed_words(seed), k), dtype=np.uint32)
-        assert (np.random.default_rng(key).bit_generator.state
-                == np.random.default_rng([seed, k]).bit_generator.state)
-    # a round past 2**32 - 1 has no one-word key; it fails loudly
-    with pytest.raises(OverflowError):
-        np.array((*algorithm._seed_words(seed), 2**32), dtype=np.uint32)
-    with pytest.raises(ValueError, match="nonnegative"):
-        algorithm._seed_words(-seed - 1)
+def _stream_states(objective, mixing, *, seed, first, replicas, iterations=70):
+    """Every state of a quantized run of the engine's one round loop."""
+    steps, qsched = algorithm._schedules(objective, mixing, 6, 1.0, iterations, seed)
+    return list(algorithm._run_rounds(objective, mixing, steps, qsched,
+                                      iterations=iterations, seed=seed, first=first,
+                                      replicas=replicas, quantized=True))
 
 
-def test_quantized_run_keys_one_generator_per_round(
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, replicas):
+    # 70 rounds cross the uniform blocks at rounds 33 and 65 and end inside a
+    # third block; the run equals a loop that reads default_rng([seed, r])
+    # n*d uniforms at a time, one read per round k >= 1
+    states = _stream_states(small_instance, small_mixing, seed=11, first=0,
+                            replicas=replicas)
+    steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 70, 11)
+    state = initial_state(small_instance.n, small_instance.dims, replicas)
+    draws = ReplicaStreams(11, state.x.shape)
+    for k, engine in enumerate(states):
+        assert engine.k == state.k == k
+        assert np.array_equal(engine.x, state.x) and np.array_equal(engine.z, state.z), k
+        if k < 70:
+            state = run_round(state, small_mixing, small_instance, steps, qsched, draws(k))
+
+
+@pytest.mark.parametrize("first", [0, 4])
+@pytest.mark.parametrize("replicas", [1, 2, 5])
+def test_stack_slice_is_the_single_run_of_its_replica(small_instance, small_mixing,
+                                                      first, replicas):
+    stack = _stream_states(small_instance, small_mixing, seed=9, first=first,
+                           replicas=replicas)
+    for r in range(replicas):
+        single = _stream_states(small_instance, small_mixing, seed=9, first=first + r,
+                                replicas=1)
+        for k, (state, alone) in enumerate(zip(stack, single)):
+            assert np.array_equal(state.x[r], alone.x[0]), (r, k)
+            assert np.array_equal(state.z[r], alone.z[0]), (r, k)
+    if replicas > 1:  # the replicas' streams differ, and so do their paths
+        assert any(not np.array_equal(state.x[0], state.x[1]) for state in stack)
+
+
+def test_quantized_run_keys_one_generator_per_replica(
         small_instance, small_mixing, monkeypatch):
     seed, keys = 2**32 + 9, []
     default_rng = np.random.default_rng
@@ -547,15 +578,40 @@ def test_quantized_run_keys_one_generator_per_round(
         return default_rng(key)
 
     monkeypatch.setattr(np.random, "default_rng", keyed)
-    run_experiment(small_instance, small_mixing, iterations=25, seed=seed, bits=6)
-    assert len(keys) == 25
-    for k, key in enumerate(keys):
-        assert (default_rng(key).bit_generator.state
-                == default_rng([seed, k]).bit_generator.state)
+    run_experiment(small_instance, small_mixing, iterations=70, seed=seed, bits=6,
+                   replica=4)
+    assert keys == [[seed, 4]]
     keys.clear()
-    run_experiment(small_instance, small_mixing, iterations=25, seed=seed, bits=6,
+    collect_ensemble(small_instance, small_mixing, iterations=70, seed=seed, bits=6,
+                     replicas=3)
+    assert keys == [[seed, 0], [seed, 1], [seed, 2]]
+    # the exact twin and a run of no rounds draw nothing, so they key nothing
+    keys.clear()
+    run_experiment(small_instance, small_mixing, iterations=70, seed=seed, bits=6,
                    quantized=False)
+    run_experiment(small_instance, small_mixing, iterations=0, seed=seed, bits=6)
+    collect_ensemble(small_instance, small_mixing, iterations=0, seed=seed, bits=6,
+                     replicas=3)
     assert keys == []
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3])
+def test_negative_seed_is_refused_before_any_work(small_instance, small_mixing,
+                                                  monkeypatch, seed):
+    # seeds of one, two and three 32-bit words, negated
+    seed = -seed - 1
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a round state was built")
+
+    monkeypatch.setattr(algorithm, "initial_state", no_state)
+    message = f"^seed must be nonnegative, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        collect_ensemble(small_instance, small_mixing, iterations=5, seed=seed,
+                         bits=5, replicas=3)
+    with pytest.raises(ValueError, match=message) as excinfo:
+        run_experiment(small_instance, small_mixing, iterations=5, seed=seed, bits=5)
+    assert excinfo.value.partial_trace.table.shape == (0, len(diagnostics.TRACE_COLUMNS))
 
 
 def test_collect_ensemble_shapes(small_instance, small_mixing):

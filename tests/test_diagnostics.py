@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ReplicaStreams
 from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, run_round
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
@@ -282,8 +283,7 @@ def test_noise_free_recursions_hold_deterministically():
         f_worst.append(max(float(np.sum((obj.features @ xi - obj.targets) ** 2))
                            for xi in x))
         if k < rounds:
-            state = run_round(state, mixing, obj, steps, qsched, seed=0,
-                              quantized=False)
+            state = run_round(state, mixing, obj, steps, qsched, None)
     replicas = 100
     ens = EnsembleTrace(
         consensus_sq=np.tile(cons, (replicas, 1)),
@@ -350,9 +350,10 @@ def _states(objective, mixing, rounds, quantized):
     qsched = QuantizerSchedule(objective.grad_bound, steps, 16)
     state = initial_state(objective.n, objective.dims)
     states = [state]
+    draws = ReplicaStreams(7, state.x.shape)
     for _ in range(rounds):
-        state = run_round(state, mixing, objective, steps, qsched, seed=7,
-                          quantized=quantized)
+        state = run_round(state, mixing, objective, steps, qsched,
+                          draws(state.k) if quantized else None)
         states.append(state)
     return steps, qsched, states
 

@@ -8,7 +8,7 @@ round 4 on a gradient-bound violation and ends with the error line.
 Monte Carlo ensemble. ``LONG_RUN`` pins, by sha256, both traces of a
 3000-round run: 1,001 rows recorded every round, then 23 on the geometric
 record grid. ``LARGE_SEED_TRACE`` pins the trace of a 50-round run whose
-seed needs more than one 32-bit word, so the per-round keying of seeds of
+seed needs more than one 32-bit word, so the per-replica keying of seeds of
 2^32 and above stays fixed. ``data/golden_verify.json`` is the stdout of the
 default ``qdgm verify`` and ``data/golden_bound.csv`` that of
 ``qdgm bound --T 10,100,1000,5000``, so the Monte Carlo checks and the decay
@@ -28,10 +28,10 @@ from qdgm.objective import well_conditioned_instance
 
 DATA = Path(__file__).parent / "data"
 LONG_RUN = {
-    "trace.csv": "d3faf21bc288cbb1665ed9ad244047596bada33bf1f6345a828017c37edf6fbc",
+    "trace.csv": "c3df9990361b054652e025f1a3d7322c970835dfd409330709d5c34858aac2a9",
     "baseline_trace.csv": "cbc9a6e7d72f96ddab6dda5d57f6cab5ece35e798255e8904640e6b489f488d8",
 }
-LARGE_SEED_TRACE = "8be8f40ed2af7de7f88d796158c9e96a1918d2d385cc475cba8920e894d41428"
+LARGE_SEED_TRACE = "97333d830d1babefa4c6e5540f27324c8340ef0e217a2d5043260ff9feb97a4d"
 
 
 def test_criterion_9_trace_matches_golden_bytes(tmp_path):

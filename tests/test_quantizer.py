@@ -299,7 +299,7 @@ def assert_engine_step_is_the_codec(x, grid, make_rng):
     # error is their max distance from x, with or without a carried maximum
     decoded = decode_matrix(quantize_matrix(x, grid, make_rng()), grid)
     for checked_max in (None, check_range(x, grid.range, grid.k)):
-        q, err = _quantize_values(x, grid, make_rng(), checked_max)
+        q, err = _quantize_values(x, grid, make_rng().random(x.shape), checked_max)
         assert q.dtype == decoded.dtype and q.shape == decoded.shape
         assert q.tobytes() == decoded.tobytes()
         assert err == np.abs(decoded - x).max()
