@@ -17,11 +17,12 @@ loop goes from iterates to decoded values in one pass, with one range check
 per round; an equivalence test ties those values bit for bit to the wire
 codec, the packed MSB-first indices that the codec tests and ``qdgm verify`` check.
 
-Replica r's uniforms are the PCG64 stream of default_rng([seed, r]), read
+Replica r's uniforms u are the PCG64 stream of default_rng([seed, r]), read
 in order: each quantized round k >= 1 reads one per (agent, coordinate), in
 row-major order, and round 0 reads none. A run keys one generator per
-replica and draws RECORD_BLOCK rounds of uniforms at a time, so replica r
-depends neither on its stack's size nor on the other replicas.
+replica and draws RECORD_BLOCK rounds at a time, held as the complements
+1 - u that the rounding reads; replica r depends neither on its stack's size
+nor on the other replicas.
 """
 from __future__ import annotations
 
@@ -62,22 +63,22 @@ def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
 
 def run_round(state: RoundState, mixing: MixingMatrix,
               objective: RegressionObjective, steps: StepSchedule,
-              qsched: QuantizerSchedule, uniforms: np.ndarray | None, *,
+              qsched: QuantizerSchedule, complements: np.ndarray | None, *,
               first: int = 0) -> RoundState:
     """Advance every agent of every replica one synchronized round.
 
-    Slice r of the stack is replica ``first + r``; ``uniforms`` holds its
-    round-k draws in slice r, and round 0 reads none of them. With
-    ``uniforms=None`` the exchanged values are the raw iterates
+    Slice r of the stack is replica ``first + r``; ``complements`` holds
+    1 - u for its round-k draws u in slice r, and round 0 reads none of them.
+    With ``complements=None`` the exchanged values are the raw iterates
     (infinite-bandwidth twin); everything else is identical.
     """
     k, x = state.k, state.x
     alpha, beta = steps.alpha(k), steps.beta(k)
-    if uniforms is None:
+    if complements is None:
         q = x
     else:
         grid = qsched.grid(k)
-        q, err = quantizer._quantize_values(x, grid, uniforms, state.checked_max, first)
+        q, err = quantizer._quantize_values(x, grid, complements, state.checked_max, first)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
         support = grid.delta + 2.0 * grid.range * quantizer.CLAMP_BAND
@@ -152,15 +153,16 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
     keyed = range(first, first + replicas) if quantized and iterations else ()
     streams = [np.random.default_rng([seed, r]) for r in keyed]
     block = np.empty((len(streams), RECORD_BLOCK, objective.n, objective.dims))
-    uniforms = None
+    complements = None
     while state.k < iterations:
         if streams:
             j = (state.k - 1) % RECORD_BLOCK
             if j == 0:
                 for stream, out in zip(streams, block):
                     stream.random(out=out)
-            uniforms = block[:, j]
-        state = run_round(state, mixing, objective, steps, qsched, uniforms, first=first)
+                np.subtract(1.0, block, out=block)  # the rounding reads 1 - u
+            complements = block[:, j]
+        state = run_round(state, mixing, objective, steps, qsched, complements, first=first)
         yield state
 
 

@@ -1,8 +1,9 @@
 """Stochastic rounding quantizer with a growing range and a bit-exact codec.
 
 A scalar x in [lower, upper] is rounded to one of the two bracketing
-endpoints of a uniform grid with 2^b - 1 bins: the upper endpoint is chosen
-with probability (x - tau)/delta, the lower with the complement. This makes
+endpoints of a uniform grid with 2^b - 1 bins of width delta: the index
+min(floor(t + 1 - u), 2^b - 1), t = (x - lower)/delta, u uniform in [0, 1),
+is the upper one when u <= frac(t), so with probability frac(t). This makes
 the quantizer unbiased, keeps every draw within one bin width of x, and
 bounds the conditional variance by delta^2/4.
 
@@ -15,14 +16,13 @@ empty: every index is zero, no randomness is drawn and nothing needs to
 cross a link.
 
 The round engine needs only values: :func:`_quantize_values` goes from an
-(R, n, d) stack of iterates and one uniform per entry, which the engine
-reads from per-replica streams, straight to them. An equivalence test ties
-them bit for bit to :func:`decode_matrix` of the indices
-:func:`quantize_matrix` makes from the same uniforms. At the wire boundary
-:func:`pack_index_rows` packs each row's d indices MSB-first in coordinate
-order, zero-padded to ceil(d*b/8) bytes, and :func:`unpack_indices` is its
-exact inverse, so a receiver decoding the unpacked indices gets the
-sender's values bit for bit.
+(R, n, d) stack of iterates and one complement 1 - u per entry straight to
+them. An equivalence test ties them bit for bit to :func:`decode_matrix` of
+the indices :func:`quantize_matrix` makes from the same uniforms. At the
+wire boundary :func:`pack_index_rows` packs each row's d indices MSB-first
+in coordinate order, zero-padded to ceil(d*b/8) bytes, and
+:func:`unpack_indices` is its exact inverse, so a receiver decoding the
+unpacked indices gets the sender's values bit for bit.
 """
 from __future__ import annotations
 
@@ -93,50 +93,48 @@ def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> float:
     return worst
 
 
-def _round_endpoints(values, lower, delta, nbins, uniforms):
-    """The one rounding body: float indices in {0..nbins}, their values
-    q = lower + idx * delta and, unless the guard flipped one, |q - values|.
-    values must lie in [lower, lower + nbins*delta], delta > 0: then
-    values - lower >= 0 in IEEE arithmetic, so no index needs a clip at 0."""
-    base = np.floor((values - lower) / delta)
-    np.minimum(base, nbins - 1, out=base)
-    # uniforms lie in [0, 1), so a frac just outside [0, 1] picks the same side
-    frac = values - (lower + base * delta)
-    frac /= delta
-    idx = (uniforms < frac).astype(np.float64)
-    idx += base
-    q = np.multiply(idx, delta, out=frac)  # frac is spent; q takes its buffer
-    q += lower
-    # one-ulp guard: at bin boundaries the floor/reconstruction pair can land
-    # the chosen endpoint just over one bin width away; flip to the other
-    # bracketing endpoint so the support bound holds exactly on every draw
+def _round_endpoints(values, lower, delta, nbins, complements):
+    """The one rounding body: float indices idx = min(floor(t + v), nbins) for
+    t = (values - lower)/delta and complements v = 1 - u in (0, 1], their values
+    q = lower + idx * delta, and max |q - values|. With values in [lower,
+    lower + nbins*delta] and delta > 0, t >= 0, so no index needs a clip at 0."""
+    t = values - lower
+    t /= delta
+    idx = t + complements
+    np.floor(idx, out=idx)
+    np.minimum(idx, nbins, out=idx)
+    q = lower + idx * delta
     err = q - values
-    bad = np.abs(err, out=err) > delta
-    if bad.any():
-        idx = np.where(bad, 2.0 * base + 1.0 - idx, idx)
-        return idx, lower + idx * delta, None
-    return idx, q, err
+    worst = np.maximum.reduce(np.abs(err, out=err), axis=None)
+    if worst > delta:
+        # one-ulp guard: rounding can put a pick just over one bin width away
+        # (or at floor(t) + 2, for t one ulp below 2^j and v = 1); take the
+        # other bracketing endpoint so the support bound holds on every draw
+        base = np.minimum(np.floor(t), nbins - 1)
+        idx = np.where(err > delta, np.where(idx == base + 1.0, base, base + 1.0), idx)
+        q = lower + idx * delta
+        worst = np.maximum.reduce(np.abs(q - values), axis=None)
+    return idx, q, worst
 
 
 def _stochastic_round(values, lower, delta, nbins, uniforms) -> np.ndarray:
     """Vectorized endpoint selection; returns int64 indices in {0..nbins}."""
-    return _round_endpoints(values, lower, delta, nbins, uniforms)[0].astype(np.int64)
+    return _round_endpoints(values, lower, delta, nbins, 1.0 - uniforms)[0].astype(np.int64)
 
 
-def _quantize_values(x, grid: Grid, uniforms, checked_max: float | None, first: int = 0):
+def _quantize_values(x, grid: Grid, complements, checked_max: float | None, first: int = 0):
     """The engine's quantize step: decode_matrix(quantize_matrix(x, grid, rng),
-    grid) and max |q - x| in one pass, where ``uniforms`` holds the draws
-    rng.random(x.shape) would make. checked_max: max |x| if checked, or None."""
+    grid) and max |q - x| in one pass, where ``complements`` holds 1 - u for
+    the draws u = rng.random(x.shape). checked_max: max |x| if checked, or None."""
     if grid.k == 0:  # every index is zero and no uniform is drawn
         return np.zeros(x.shape), float(np.maximum.reduce(np.abs(x), axis=None))
     if checked_max is None or checked_max > grid.range * (1.0 + CLAMP_BAND):
         checked_max = check_range(x, grid.range, grid.k, first)
     values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
-    _, q, err = _round_endpoints(values, -grid.range, grid.delta, grid.bins,
-                                 uniforms)
-    if err is None or values is not x:  # after a flip or a snap |q - x| differs
-        err = np.abs(q - x)
-    return q, float(np.maximum.reduce(err, axis=None))
+    _, q, worst = _round_endpoints(values, -grid.range, grid.delta, grid.bins, complements)
+    if values is not x:  # after a snap |q - x| differs
+        worst = np.maximum.reduce(np.abs(q - x), axis=None)
+    return q, float(worst)
 
 
 def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:

@@ -25,17 +25,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 class ReplicaStreams:
     """The engine's stream rule written out: replica ``first + r`` of an
     (R, n, d) stack reads default_rng([seed, first + r]) in order, n*d
-    uniforms per quantized round k >= 1; round 0 reads none."""
+    uniforms u per quantized round k >= 1, handed to the engine as 1 - u;
+    round 0 reads none."""
 
     def __init__(self, seed: int, shape: tuple, first: int = 0):
         self.shape = shape
         self.streams = [np.random.default_rng([seed, first + r]) for r in range(shape[0])]
 
     def __call__(self, k: int) -> np.ndarray:
-        """The uniforms round k reads, drawn from the streams when k >= 1."""
+        """The complements 1 - u round k reads, drawn from the streams when k >= 1."""
         if k == 0:
-            return np.zeros(self.shape)
-        return np.stack([stream.random(self.shape[1:]) for stream in self.streams])
+            return np.ones(self.shape)
+        return 1.0 - np.stack([stream.random(self.shape[1:]) for stream in self.streams])
 
 
 @pytest.fixture

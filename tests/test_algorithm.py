@@ -165,9 +165,9 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     draws = ReplicaStreams(9, state.x.shape)
     for _ in range(3):
         state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
-    uniforms = draws(state.k)
-    a = run_round(state, small_mixing, obj, steps, qsched, uniforms)
-    b = run_round(state, small_mixing, obj, steps, qsched, uniforms)
+    complements = draws(state.k)
+    a = run_round(state, small_mixing, obj, steps, qsched, complements)
+    b = run_round(state, small_mixing, obj, steps, qsched, complements)
     assert np.array_equal(a.x, b.x)
     # a different replica index rewires the randomness; one round's eight
     # rounding choices can agree by chance, five rounds do not
@@ -261,10 +261,10 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
                       qsched, draws(0))
     round_endpoints = quantizer._round_endpoints
 
-    def shifted(values, lower, delta, nbins, uniforms):
-        idx, q, _ = round_endpoints(values, lower, delta, nbins, uniforms)
+    def shifted(values, lower, delta, nbins, complements):
+        idx, q, _ = round_endpoints(values, lower, delta, nbins, complements)
         q = q + 2.0 * delta
-        return idx, q, np.abs(q - values)
+        return idx, q, np.abs(q - values).max()
 
     monkeypatch.setattr(quantizer, "_round_endpoints", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
@@ -539,7 +539,7 @@ def _stream_states(objective, mixing, *, seed, first, replicas, iterations=70):
 def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, replicas):
     # 70 rounds cross the uniform blocks at rounds 33 and 65 and end inside a
     # third block; the run equals a loop that reads default_rng([seed, r])
-    # n*d uniforms at a time, one read per round k >= 1
+    # n*d uniforms at a time, one read per round k >= 1, as complements 1 - u
     states = _stream_states(small_instance, small_mixing, seed=11, first=0,
                             replicas=replicas)
     steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 70, 11)

@@ -236,52 +236,126 @@ def test_stochastic_round_support_bound_exact(seed, bits):
     assert idx.min() >= 0 and idx.max() <= nbins
 
 
-def _clamped_round(values, lower, delta, nbins, uniforms):
-    """Endpoint selection with frac clamped to [0, 1], then the one-ulp guard."""
+def _two_sided_round(values, lower, delta, nbins, uniforms):
+    """The earlier two-sided rule, kept only as a reference: the upper of the
+    bracketing endpoints base, base + 1 when u < frac, then the one-ulp guard.
+    Returns the int64 indices and frac."""
     base = np.clip(np.floor((values - lower) / delta), 0, nbins - 1)
     frac = np.clip((values - (lower + base * delta)) / delta, 0.0, 1.0)
     idx = base + (uniforms < frac)
     bad = np.abs((lower + idx * delta) - values) > delta
-    return np.where(bad, 2.0 * base + 1.0 - idx, idx).astype(np.int64)
+    return np.where(bad, 2.0 * base + 1.0 - idx, idx).astype(np.int64), frac
+
+
+def _unguarded_round(values, lower, delta, nbins, uniforms):
+    """The one-pass pick min(floor(t + 1 - u), nbins) before the guard."""
+    return np.minimum(np.floor((values - lower) / delta + (1.0 - uniforms)), nbins)
+
+
+def _bin_ends(lower, upper, delta, nbins):
+    """Every bin end and the floats one ulp on each side, clamped to the range."""
+    ends = lower + np.arange(nbins + 1) * delta
+    values = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    return np.minimum(np.maximum(values, lower), upper)  # as quantize_matrix clamps
+
+
+EXTREME_UNIFORMS = (0.0, 0.5, np.nextafter(1.0, 0.0))
+
+
+def assert_rounding_contract(values, lower, delta, nbins):
+    # with each extreme uniform: indices in [0, nbins], every draw within one
+    # bin width, and the two-sided rule's endpoint wherever u is no tie and
+    # t + 1 - u does not round past floor(t) + 1 (which takes u = 0)
+    for u in EXTREME_UNIFORMS:
+        uniforms = np.full(values.shape, u)
+        idx = _stochastic_round(values, lower, delta, nbins, uniforms)
+        assert idx.min() >= 0 and idx.max() <= nbins
+        assert np.abs(lower + idx * delta - values).max() <= delta
+        want, frac = _two_sided_round(values, lower, delta, nbins, uniforms)
+        overshoot = (_unguarded_round(values, lower, delta, nbins, uniforms)
+                     > np.floor((values - lower) / delta) + 1.0)
+        away = (np.abs(u - frac) > 1e-9) & ~overshoot
+        assert np.array_equal(idx[away], want[away])
+        if u > 0.0:
+            assert not overshoot.any()
+        if u == 0.5:
+            assert away.all()
 
 
 @pytest.mark.parametrize("bits", [2, 3, 5, 8])
 def test_stochastic_round_needs_no_frac_clamp(bits):
-    # on and one ulp around every bin end the unclamped frac can leave
-    # [0, 1]; with uniforms in [0, 1) the chosen endpoints do not change
+    # on and one ulp around every bin end the two-sided rule's unclamped frac
+    # leaves [0, 1]; the one-pass rule has no frac and keeps the contract
     nbins = 2 ** bits - 1
     lower, upper = -3.0, 5.0
     delta = (upper - lower) / nbins
-    ends = lower + np.arange(nbins + 1) * delta
-    values = np.concatenate([ends, np.nextafter(ends, -np.inf),
-                             np.nextafter(ends, np.inf)])
-    values = np.clip(values, lower, upper)
+    values = _bin_ends(lower, upper, delta, nbins)
     base = np.clip(np.floor((values - lower) / delta), 0, nbins - 1)
     frac = (values - (lower + base * delta)) / delta
     assert np.any((frac < 0.0) | (frac > 1.0))
-    for u in (0.0, np.nextafter(1.0, 0.0)):
-        uniforms = np.full(values.shape, u)
-        assert np.array_equal(_stochastic_round(values, lower, delta, nbins, uniforms),
-                              _clamped_round(values, lower, delta, nbins, uniforms))
+    assert_rounding_contract(values, lower, delta, nbins)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 5, 16])
 @pytest.mark.parametrize("k", [1, 2, 37])
 def test_stochastic_round_needs_no_lower_clip(bits, k):
-    # clamped values satisfy values - lower >= 0 in IEEE arithmetic, so the
-    # floor never leaves bin 0 from below: at lower, one ulp above it and on
-    # and one ulp around every bin end the indices equal the clipped formula's
+    # clamped values satisfy values - lower >= 0 in IEEE arithmetic, so with
+    # 1 - u in (0, 1] no index leaves bin 0 from below: at lower, one ulp above
+    # it and on and one ulp around every bin end the contract holds unclipped
     grid = make_schedule(bits).grid(k)
     lower, upper, delta, nbins = -grid.range, grid.range, grid.delta, grid.bins
-    ends = lower + np.arange(nbins + 1) * delta
-    values = np.concatenate([[lower, np.nextafter(lower, np.inf)], ends,
-                             np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
-    values = np.minimum(np.maximum(values, lower), upper)  # as quantize_matrix clamps
+    values = np.concatenate([[lower, np.nextafter(lower, np.inf)],
+                             _bin_ends(lower, upper, delta, nbins)])
     assert np.floor((values - lower) / delta).min() == 0.0
-    for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-        uniforms = np.full(values.shape, u)
-        assert np.array_equal(_stochastic_round(values, lower, delta, nbins, uniforms),
-                              _clamped_round(values, lower, delta, nbins, uniforms))
+    assert_rounding_contract(values, lower, delta, nbins)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 6, 16, 32])
+def test_upper_end_with_zero_uniform_takes_the_last_index(bits):
+    # x = upper and u = 0 make t + 1 - u = nbins + 1: the index is nbins, never
+    # nbins + 1, and the wire accepts it
+    grid = make_schedule(bits).grid(3)
+    x = np.full((2, 3), grid.range)
+    idx = quantize_matrix(x, grid, FixedUniforms(0.0))
+    assert np.all(idx == grid.bins)
+    payloads = pack_index_rows(idx, bits)
+    assert np.array_equal([unpack_indices(p, bits, 3) for p in payloads], idx)
+    q, err = _quantize_values(x[None], grid, np.ones((1, 2, 3)), None)
+    assert q[0].tobytes() == decode_matrix(idx, grid).tobytes()
+    assert err <= grid.delta
+
+
+@pytest.mark.parametrize("bits", [2, 5, 16])
+def test_guard_takes_the_near_endpoint_when_t_rounds_past_a_power_of_two(bits):
+    # with u = 0, t one ulp below 2^j makes t + 1 round up to 2^j + 1, two
+    # indices above floor(t); every pick stays within one bin width, and where
+    # the guard flips one it takes 2^j, not 2 floor(t) + 1 - idx = 2^j - 2
+    nbins = 2 ** bits - 1
+    t = np.nextafter(2.0 ** np.arange(bits), 0.0)  # lower 0 and delta 1: t = values
+    zeros = np.zeros(t.shape)
+    unguarded = _unguarded_round(t, 0.0, 1.0, nbins, zeros)
+    assert np.array_equal(unguarded, np.floor(t) + 2.0)
+    idx = _stochastic_round(t, 0.0, 1.0, nbins, zeros)
+    flipped = idx != unguarded
+    assert flipped.any()
+    assert np.array_equal(idx[flipped], np.floor(t[flipped]) + 1.0)
+    assert np.abs(idx - t).max() <= 1.0
+
+
+@pytest.mark.parametrize("bits", [6, 16])
+def test_one_pass_rule_matches_the_two_sided_rule_off_ties(bits):
+    # on a million random draws the two rules pick the same endpoint wherever
+    # u is farther than 1e-9 from frac, which is nearly everywhere
+    grid = make_schedule(bits).grid(9)
+    lower, delta, nbins = -grid.range, grid.delta, grid.bins
+    rng = np.random.default_rng(bits)
+    values = rng.uniform(lower, grid.range, size=1_000_000)
+    uniforms = rng.random(values.shape)
+    idx = _stochastic_round(values, lower, delta, nbins, uniforms)
+    want, frac = _two_sided_round(values, lower, delta, nbins, uniforms)
+    away = np.abs(uniforms - frac) > 1e-9
+    assert away.mean() > 0.9999
+    assert np.array_equal(idx[away], want[away])
 
 
 class FixedUniforms:
@@ -299,7 +373,7 @@ def assert_engine_step_is_the_codec(x, grid, make_rng):
     # error is their max distance from x, with or without a carried maximum
     decoded = decode_matrix(quantize_matrix(x, grid, make_rng()), grid)
     for checked_max in (None, check_range(x, grid.range, grid.k)):
-        q, err = _quantize_values(x, grid, make_rng().random(x.shape), checked_max)
+        q, err = _quantize_values(x, grid, 1.0 - make_rng().random(x.shape), checked_max)
         assert q.dtype == decoded.dtype and q.shape == decoded.shape
         assert q.tobytes() == decoded.tobytes()
         assert err == np.abs(decoded - x).max()
@@ -324,19 +398,17 @@ def test_engine_step_equals_the_codec(bits, replicas, k):
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_engine_step_equals_the_codec_after_guard_flips(bits, replicas):
     # on and one ulp around every bin end, with the extreme uniforms, the
-    # one-ulp guard flips entries; the engine must not reuse the guard's errors
+    # unguarded pick strays past one bin width for bits > 1, so the one-ulp
+    # guard flips entries; the engine must not reuse the unflipped errors
     grid = make_schedule(bits).grid(1)
-    lower, upper = -grid.range, grid.range
-    ends = lower + np.arange(grid.bins + 1) * grid.delta
-    values = np.concatenate([ends, np.nextafter(ends, -np.inf),
-                             np.nextafter(ends, np.inf)])
-    values = np.clip(values, lower, upper)
-    x = np.tile(values, replicas).reshape(replicas, -1, 1)
+    lower = -grid.range
+    x = np.tile(_bin_ends(lower, grid.range, grid.delta, grid.bins),
+                replicas).reshape(replicas, -1, 1)
     flipped = False
-    for u in (0.0, np.nextafter(1.0, 0.0)):
+    for u in EXTREME_UNIFORMS:
         assert_engine_step_is_the_codec(x, grid, lambda: FixedUniforms(u))
-        uniforms = np.full(x.shape, u)
-        flipped |= _round_endpoints(x, lower, grid.delta, grid.bins, uniforms)[2] is None
+        unguarded = _unguarded_round(x, lower, grid.delta, grid.bins, np.full(x.shape, u))
+        flipped |= bool(np.any(np.abs(lower + unguarded * grid.delta - x) > grid.delta))
     assert flipped == (bits > 1)
 
 
