@@ -98,9 +98,9 @@ def _round_endpoints(values, lower, delta, nbins, complements):
     t = (values - lower)/delta and complements v = 1 - u in (0, 1], their values
     q = lower + idx * delta, and max |q - values|. With values in [lower,
     lower + nbins*delta] and delta > 0, t >= 0, so no index needs a clip at 0."""
-    t = values - lower
-    t /= delta
-    idx = t + complements
+    idx = values - lower  # t, until the complements are added
+    idx /= delta
+    idx += complements
     np.floor(idx, out=idx)
     np.minimum(idx, nbins, out=idx)
     q = lower + idx * delta
@@ -110,7 +110,7 @@ def _round_endpoints(values, lower, delta, nbins, complements):
         # one-ulp guard: rounding can put a pick just over one bin width away
         # (or at floor(t) + 2, for t one ulp below 2^j and v = 1); take the
         # other bracketing endpoint so the support bound holds on every draw
-        base = np.minimum(np.floor(t), nbins - 1)
+        base = np.minimum(np.floor((values - lower) / delta), nbins - 1)
         idx = np.where(err > delta, np.where(idx == base + 1.0, base, base + 1.0), idx)
         q = lower + idx * delta
         worst = np.maximum.reduce(np.abs(q - values), axis=None)
