@@ -358,6 +358,37 @@ def test_one_pass_rule_matches_the_two_sided_rule_off_ties(bits):
     assert np.array_equal(idx[away], want[away])
 
 
+class CountedArray(np.ndarray):
+    """An array that counts the numpy ufunc calls made on it and its results."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        CountedArray.calls += 1
+        plain = [a.view(np.ndarray) if isinstance(a, CountedArray) else a for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0]
+        return result.view(CountedArray) if isinstance(result, np.ndarray) else result
+
+
+def test_round_endpoints_fast_path_makes_ten_numpy_calls():
+    # the one-pass body, without a guard flip, is ten ufunc calls and nothing else
+    grid = make_schedule(16).grid(5)
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-grid.range, grid.range, size=(2, 40, 5)).view(CountedArray)
+    complements = (1.0 - rng.random(values.shape)).view(CountedArray)
+    CountedArray.calls = 0
+    idx, q, worst = _round_endpoints(values, -grid.range, grid.delta, grid.bins, complements)
+    assert CountedArray.calls == 10
+    assert worst <= grid.delta
+    plain = _round_endpoints(values.view(np.ndarray), -grid.range, grid.delta, grid.bins,
+                             complements.view(np.ndarray))
+    assert np.array_equal(idx, plain[0]) and np.array_equal(q, plain[1]) and worst == plain[2]
+
+
 class FixedUniforms:
     """A generator stand-in whose uniforms are all ``u``."""
 
