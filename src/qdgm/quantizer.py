@@ -3,9 +3,9 @@
 A scalar x in [lower, upper] is rounded to one of the two bracketing
 endpoints of a uniform grid with 2^b - 1 bins of width delta: the index
 min(floor(t + 1 - u), 2^b - 1), t = (x - lower)/delta, u uniform in [0, 1),
-is the upper one when u <= frac(t), so with probability frac(t). This makes
-the quantizer unbiased, keeps every draw within one bin width of x, and
-bounds the conditional variance by delta^2/4.
+picks the upper one when u <= frac(t), up to rounding: probability frac(t).
+This makes the quantizer unbiased, keeps every draw within one bin width of
+x, and bounds the conditional variance by delta^2/4.
 
 For the distributed iteration the interval at round k is
 [-range(k), range(k)] with range(k) = C * sum_{t<k} alpha_t. Both sides of
