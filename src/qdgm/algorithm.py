@@ -47,12 +47,13 @@ RECORD_BLOCK = 32  # recorded states run_experiment holds per make_record call
 @dataclass
 class RoundState:
     """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds;
-    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k. Drivers
-    hold states uncopied: run_round returns fresh arrays and never writes them again."""
+    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k, or None
+    for a stack that carries no average. Drivers hold states uncopied: run_round
+    returns fresh arrays and never writes them again."""
 
     k: int
     x: np.ndarray
-    z: np.ndarray
+    z: np.ndarray | None
     checked_max: float | None = None  # max |x| per its range check; None: unchecked
 
 
@@ -99,6 +100,8 @@ def run_round(state: RoundState, mixing: MixingMatrix,
         if np.isfinite(x_next).all():  # a NaN or inf iterate fails the check too
             raise
         raise NonFiniteIterateError(f"non-finite iterate at round {k}") from None
+    if state.z is None:
+        return RoundState(k + 1, x_next, None, checked_max)
     # rounds t < k carry the weights t + 1, which sum to k(k+1)/2
     prior = k * (k + 1) // 2
     z_next = state.z * prior
@@ -222,6 +225,7 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     f_worst = np.zeros((replicas, iterations + 1))
     for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
                              seed=seed, first=0, replicas=replicas, quantized=True):
+        state.z = None  # the checks read no average, so the rounds after this keep none
         k, x = state.k, state.x
         cons[:, k] = diagnostics.consensus_error(x)
         r_sq[:, k] = np.sum((x.mean(axis=1) - objective.optimum) ** 2, axis=1)
