@@ -46,10 +46,9 @@ RECORD_BLOCK = 32  # recorded states run_experiment holds per make_record call
 
 @dataclass
 class RoundState:
-    """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds;
-    ``z`` is the (t+1)-weighted average of the iterates of rounds t < k, or None
-    for a stack that carries no average. Drivers hold states uncopied: run_round
-    returns fresh arrays and never writes them again."""
+    """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds; ``z`` is
+    the (t+1)-weighted average of the iterates of rounds t < k, or None (none kept).
+    Drivers hold states uncopied: run_round returns fresh arrays, never written again."""
 
     k: int
     x: np.ndarray
@@ -220,6 +219,7 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     one stack, and collect the per-round statistics the inequality checks
     consume."""
     steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations, seed)
+    rounds = np.arange(iterations + 1)
     cons = np.zeros((replicas, iterations + 1))
     r_sq = np.zeros((replicas, iterations + 1))
     f_worst = np.zeros((replicas, iterations + 1))
@@ -233,8 +233,6 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
         f_worst[:, k] = np.max(np.sum(residuals ** 2, axis=2), axis=1)
     return diagnostics.EnsembleTrace(
         consensus_sq=cons, r_sq=r_sq, f_worst=f_worst,
-        deltas=np.asarray([qsched.grid(k).delta for k in range(iterations + 1)]),
-        alphas=np.asarray([steps.alpha(k) for k in range(iterations)]),
-        betas=np.asarray([steps.beta(k) for k in range(iterations)]),
-        f_star=objective.f_star,
+        deltas=qsched.grid(rounds).delta, alphas=steps.alpha(rounds[:-1]),
+        betas=steps.beta(rounds[:-1]), f_star=objective.f_star,
         inputs=diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits))

@@ -8,7 +8,9 @@ Lyapunov value couples both errors, V_k = r_sq + eta * (alpha_k/beta_k) *
 constants is d * delta_k (coarser than the sqrt(d) * delta_k the codec
 actually guarantees, and therefore conservative). RateBoundInputs.of(objective,
 spectral gap, bits) makes the constants that gamma_k, the envelope and the
-inequality checks read; the envelope's measured V_1 is an argument.
+inequality checks read; the envelope's measured V_1 is an argument. A trace
+row's gaps f(p) - f* are a quadratic form about x*, and make_record builds a
+block of rows in one pass, so a row's bits depend only on its own round.
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objective import RegressionObjective, global_value
+from .objective import RegressionObjective, optimality_gaps
 from .quantizer import QuantizerSchedule
-from .schedules import StepSchedule
+from .schedules import StepSchedule, libm_power
 
 TRACE_COLUMNS = [
     "k", "f_gap_last", "f_gap_avg_min", "f_gap_avg_max", "consensus_sq",
@@ -113,10 +115,9 @@ def eta_coupling(mu: float, lipschitz: float, spectral_gap: float,
     raise ValueError(f"unknown eta mode {mode!r}; pick one of {ETA_MODES}")
 
 
-def lyapunov_value(r_sq: float, consensus_sq: float, k: int,
-                   steps: StepSchedule, eta: float) -> float:
-    """V_k = r_sq + eta * (alpha_k / beta_k) * consensus_sq."""
-    return r_sq + eta * (steps.alpha(k) / steps.beta(k)) * consensus_sq
+def lyapunov_value(r_sq, consensus_sq, ks, steps: StepSchedule, eta: float):
+    """V_k = r_sq + eta * (alpha_k / beta_k) * consensus_sq, at one round or elementwise."""
+    return r_sq + eta * (steps.alpha(ks) / steps.beta(ks)) * consensus_sq
 
 
 @dataclass(frozen=True)
@@ -150,20 +151,21 @@ class RateBoundInputs:
         return (self.grad_bound * self.dims / (2 ** self.bits - 1)) ** 2
 
 
-def gamma_k(inputs: RateBoundInputs, steps: StepSchedule, k: int) -> float:
-    """Per-round additive error term of the Lyapunov recursion."""
-    if k < 1:
+def gamma_k(inputs: RateBoundInputs, steps: StepSchedule, ks) -> np.ndarray:
+    """Per-round additive error term of the Lyapunov recursion, at one round or elementwise."""
+    ks = np.asarray(ks)
+    if (ks < 1).any():
         raise ValueError("gamma is defined for k >= 1")
     mu, lip = inputs.mu, inputs.lipschitz
     gap = 1.0 - inputs.sigma2
     coupled = coupled_smoothness(mu, lip)
-    quant = inputs.quantization * steps.alpha_sum(k) ** 2
+    quant = inputs.quantization * libm_power(steps.alpha_sum(ks), 2)
+    pow15, pow175 = libm_power(ks + 1, 1.5), libm_power(ks + 1, 1.75)
     return (
-        (16.0 / mu ** 2) / (k + 1) ** 2
-        + (40.0 * lip ** 2 * coupled / mu ** 3) / (k + 1) ** 1.5
-        + (4.0 / (gap * (k + 1) ** 1.5)
-           + 320.0 * coupled * inputs.n ** 2
-           / (gap ** 2 * (k + 1) ** 1.75)) * quant
+        (16.0 / mu ** 2) / (ks + 1) ** 2
+        + (40.0 * lip ** 2 * coupled / mu ** 3) / pow15
+        + (4.0 / (gap * pow15)
+           + 320.0 * coupled * inputs.n ** 2 / (gap ** 2 * pow175)) * quant
     )
 
 
@@ -199,28 +201,24 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
                 qsched: QuantizerSchedule, eta: float,
                 inputs: RateBoundInputs) -> np.ndarray:
     """The (B, len(TRACE_COLUMNS)) block of trace rows for the B rounds ``ks``
-    (Python ints), from the (B, n, d) stacks of their iterates and averaged
-    iterates; each row has the bits of a separate per-round evaluation.
-
-    f is evaluated at every round's n averaged iterates and xbar in one
-    (B, n + 1, d) stack: ``global_value`` makes one W @ p product per point,
-    which ``P @ W.T`` or ``einsum`` (another summation order) would not keep.
-    V_k, gamma_k and the grid stay scalar per row: numpy's vectorised ``**``
-    and libm ``pow`` can differ in the last bit.
-    """
+    (ints), from the (B, n, d) stacks of their iterates and averaged iterates,
+    in as many numpy calls for any B. A row's bits depend only on its round:
+    the gaps are ``optimality_gaps`` about x* of every round's n averaged
+    iterates and xbar, and V_k, gamma_k and the grid are elementwise over the
+    block, with libm's pow for each power as for one round."""
+    ks = np.asarray(ks)
     xbar = x_stack.mean(axis=1)
-    gaps = global_value(objective, np.concatenate([z_stack, xbar[:, None]], axis=1)) \
-        - objective.f_star
-    cons = consensus_error(x_stack)
+    points = np.concatenate([z_stack, xbar[:, None]], axis=1)
+    gaps = optimality_gaps(objective, points.reshape(-1, objective.dims)).reshape(len(ks), -1)
+    centered = x_stack - xbar[:, None]  # consensus_error's deviation, from the one mean
+    cons = np.sum(np.square(centered, out=centered), axis=(1, 2))
     r_sq = np.sum((xbar - objective.optimum) ** 2, axis=1)
-    grids = [qsched.grid(k) for k in ks]
+    grid = qsched.grid(ks)
     return np.column_stack([
         ks, gaps[:, -1], gaps[:, :-1].min(axis=1), gaps[:, :-1].max(axis=1), cons, r_sq,
-        [lyapunov_value(r, c, k, steps, eta)
-         for r, c, k in zip(r_sq.tolist(), cons.tolist(), ks)],
-        [g.delta for g in grids], [g.range for g in grids],
+        lyapunov_value(r_sq, cons, ks, steps, eta), grid.delta, grid.range,
         np.abs(x_stack).max(axis=(1, 2)),
-        [gamma_k(inputs, steps, k) if k >= 1 else math.nan for k in ks]])
+        np.where(ks >= 1, gamma_k(inputs, steps, np.maximum(ks, 1)), math.nan)])
 
 
 @dataclass

@@ -26,7 +26,8 @@ class RegressionObjective:
     mu and lipschitz are the curvature bounds of the global f (twice the
     extreme eigenvalues of sum_i w_i w_i^T). grad_bound certifies
     ||grad f_i(x)|| <= grad_bound for every agent on the coordinate box
-    ||x||_inf <= operating_radius. twice_features is 2 * features, built once.
+    ||x||_inf <= operating_radius. Built once: twice_features = 2 W, and
+    optimality_gaps' gram = W^T W and grad_at_optimum = 2 W^T (W x* - b).
     """
 
     features: np.ndarray
@@ -38,10 +39,16 @@ class RegressionObjective:
     grad_bound: float
     operating_radius: float
     twice_features: np.ndarray = field(init=False, repr=False, compare=False)
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_at_optimum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "twice_features", 2.0 * self.features)
-        for array in (self.features, self.targets, self.optimum, self.twice_features):
+        object.__setattr__(self, "gram", self.features.T @ self.features)
+        residual = self.features @ self.optimum - self.targets
+        object.__setattr__(self, "grad_at_optimum", self.twice_features.T @ residual)
+        for array in (self.features, self.targets, self.optimum, self.twice_features,
+                      self.gram, self.grad_at_optimum):
             array.setflags(write=False)
 
     @property
@@ -67,15 +74,12 @@ def build_objective(features, targets) -> RegressionObjective:
         raise DegenerateInstanceError(
             f"degenerate instance: smallest Gram eigenvalue {evals[0]:.3e}")
     xstar = np.linalg.solve(gram, w.T @ b)
-    grad_at_opt = 2.0 * w.T @ (w @ xstar - b)
-    if np.linalg.norm(grad_at_opt) > OPTIMALITY_TOL:
-        raise DegenerateInstanceError("normal-equation solve left a gradient residual")
     fstar = float(np.sum((w @ xstar - b) ** 2))
     radius = 4.0 * float(np.abs(xstar).max()) + 1.0
     # |w^T x| <= ||w||_1 * ||x||_inf on the box, hence the analytic bound
     row_norms = np.linalg.norm(w, axis=1)
     bound = float(np.max(2.0 * row_norms * (np.abs(w).sum(axis=1) * radius + np.abs(b))))
-    return RegressionObjective(
+    objective = RegressionObjective(
         features=w.copy(),
         targets=b.copy(),
         optimum=xstar,
@@ -85,6 +89,9 @@ def build_objective(features, targets) -> RegressionObjective:
         grad_bound=bound,
         operating_radius=radius,
     )
+    if np.linalg.norm(objective.grad_at_optimum) > OPTIMALITY_TOL:
+        raise DegenerateInstanceError("normal-equation solve left a gradient residual")
+    return objective
 
 
 def generate_instance(n: int, d: int, seed: int,
@@ -137,12 +144,23 @@ def gradient_matrix(objective: RegressionObjective, x_rows: np.ndarray) -> np.nd
 
 def global_value(objective: RegressionObjective, x: np.ndarray):
     """f(x) = sum_i (w_i^T x - b_i)^2 at a point x (a float) or at each row
-    of a (..., d) stack; each point is one W @ x product, whatever the stack."""
+    of a (..., d) stack; the trace's gaps come from optimality_gaps instead."""
     x = np.asarray(x, dtype=np.float64)
     residuals = np.matmul(objective.features, x[..., None])[..., 0]
     residuals -= objective.targets  # in place: one temporary for any stack
     values = np.square(residuals, out=residuals).sum(axis=-1)
     return float(values) if x.ndim == 1 else values
+
+
+def optimality_gaps(objective: RegressionObjective, points: np.ndarray) -> np.ndarray:
+    """f(p) - f* = e^T (G e + grad f(x*)), e = p - x*, at each row p of an (m, d)
+    stack: exact for least squares, and evaluated elementwise, one coordinate
+    after another, so a point's bits do not depend on the rest of its stack."""
+    e = np.subtract(points.T, objective.optimum[:, None], order="C")
+    h = objective.grad_at_optimum[:, None] + objective.gram[:, :1] * e[0]
+    for j in range(1, objective.dims):
+        h += objective.gram[:, j:j + 1] * e[j]
+    return sum(h * e)  # the d rows in order
 
 
 def save_instance_csv(objective: RegressionObjective, path) -> None:

@@ -33,23 +33,36 @@ class StepSchedule:
         """Gradient step at round k (elementwise for an array of rounds)."""
         return (4.0 / self.mu) / (k + 1)
 
-    def beta(self, k: int) -> float:
-        """Consensus weight at round k, clamped unless disabled."""
-        raw = (4.0 / self.spectral_gap) / float(k + 1) ** 0.75
-        return raw if self.beta_clamp is None else min(raw, self.beta_clamp)
+    def beta(self, k):
+        """Consensus weight at round k (or an array of rounds), clamped unless disabled."""
+        raw, clamp = (4.0 / self.spectral_gap) / libm_power(k + 1, 0.75), self.beta_clamp
+        if clamp is None:
+            return raw
+        return min(raw, clamp) if isinstance(k, int) else np.minimum(raw, clamp)
 
-    def alpha_sum(self, k: int) -> float:
-        """Sum of alpha_t for t < k, accumulated term by term.
+    def alpha_sum(self, k):
+        """Sum of alpha_t for t < k (or an array of rounds), accumulated term by term.
 
         All range/bin-width computations must flow through this one cached
         cumulative sum so encoder, decoder, and diagnostics agree bitwise.
         """
-        if k < 0:
+        first, last = (k, k) if isinstance(k, int) else (k.min(initial=0), k.max(initial=0))
+        if first < 0:
             raise ValueError("k must be nonnegative")
-        if k >= len(self._alpha_partials):
+        if last >= len(self._alpha_partials):
             # Recompute the whole prefix-sum array from scratch: the values must
             # depend only on k, never on the order earlier calls grew the cache.
-            grow_to = max(k + 1, 2 * len(self._alpha_partials))
+            grow_to = max(last + 1, 2 * len(self._alpha_partials))
             terms = self.alpha(np.arange(grow_to - 1, dtype=np.float64))
             self._alpha_partials = np.concatenate([[0.0], np.cumsum(terms)])
-        return float(self._alpha_partials[k])
+        partials = self._alpha_partials[k]
+        return float(partials) if isinstance(k, int) else partials
+
+
+def libm_power(base, exponent: float):
+    """base ** exponent by libm pow, as for a Python float, elementwise for an
+    array: numpy's vectorised power can differ from it in the last bit."""
+    if not isinstance(base, np.ndarray):
+        return float(base) ** exponent
+    flat = base.astype(np.float64).ravel().tolist()
+    return np.array([b ** exponent for b in flat]).reshape(base.shape)

@@ -22,6 +22,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {number}: {status} - {detail}")
 
 
+class CountedArray(np.ndarray):
+    """An array that counts the numpy ufunc calls made on it and its results."""
+
+    calls = 0
+    __array_priority__ = 1.0  # np.concatenate and its kin return the subclass too
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        CountedArray.calls += 1
+        plain = [a.view(np.ndarray) if isinstance(a, CountedArray) else a for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0]
+        return result.view(CountedArray) if isinstance(result, np.ndarray) else result
+
+
 class ReplicaStreams:
     """The engine's stream rule written out: replica ``first + r`` of an
     (R, n, d) stack reads default_rng([seed, first + r]) in order, n*d

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ReplicaStreams
-from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, run_round
+from conftest import CountedArray, ReplicaStreams
+from qdgm.algorithm import (RECORD_BLOCK, collect_ensemble, initial_state, run_experiment,
+                            run_round)
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, RateBoundInputs, Trace, TraceRecord,
@@ -18,7 +20,7 @@ from qdgm.diagnostics import (TRACE_COLUMNS, RateBoundInputs, Trace, TraceRecord
                               gamma_k, lyapunov_value, make_record, rate_bound,
                               rate_bound_terms)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
-from qdgm.objective import global_value, well_conditioned_instance
+from qdgm.objective import global_value, optimality_gaps, well_conditioned_instance
 from qdgm.quantizer import QuantizerSchedule
 from qdgm.schedules import StepSchedule
 
@@ -377,19 +379,43 @@ def _stacked(states):
 
 @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "exact"])
 @pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
-def test_record_gaps_equal_one_gemv_per_point(instance, quantized):
+def test_record_row_bits_do_not_depend_on_block_position(instance, quantized):
+    # the 41 rotations of rounds 0-40, cut to full blocks, put every round at
+    # every position 0-31; its row there equals its row recorded alone
     objective, mixing = _instance(instance)
     steps, qsched, states = _states(objective, mixing, 40, quantized)
     inputs = _record_inputs(objective, steps)
-    w, b = objective.features, objective.targets
-    whole = make_record(*_stacked(states), objective, steps, qsched, 1.0, inputs)
-    for row, state in zip(whole, states):
-        x, z = state.x[0], state.z[0]
-        single = make_record(*_stacked([state]), objective, steps, qsched, 1.0, inputs)
-        gaps = [float(np.sum((w @ z_i - b) ** 2)) - objective.f_star for z_i in z]
-        last = float(np.sum((w @ x.mean(axis=0) - b) ** 2)) - objective.f_star
-        for block_row in (row, single[0]):
-            assert tuple(block_row[1:4]) == (last, min(gaps), max(gaps)), state.k
+    alone = {s.k: make_record(*_stacked([s]), objective, steps, qsched, 1.0, inputs)[0]
+             for s in states}
+    seen = set()
+    for shift in range(len(states)):
+        block = [states[(shift + j) % len(states)] for j in range(RECORD_BLOCK)]
+        rows = make_record(*_stacked(block), objective, steps, qsched, 1.0, inputs)
+        for position, (state, row) in enumerate(zip(block, rows)):
+            assert row.tobytes() == alone[state.k].tobytes(), (state.k, position)
+            seen.add((state.k, position))
+    assert len(seen) == len(states) * RECORD_BLOCK
+
+
+def _form_gap(objective, p):
+    """f(p) - f* as the quadratic form about x*, one point in Python floats,
+    in the library's order: h_i = g_i + sum_j G_ij e_j, then sum_i e_i h_i."""
+    e = (p - objective.optimum).tolist()
+    h = [sum((g_ij * e_j for g_ij, e_j in zip(row, e)), g_i)
+         for row, g_i in zip(objective.gram.tolist(), objective.grad_at_optimum.tolist())]
+    return sum(e_i * h_i for e_i, h_i in zip(e, h))
+
+
+def _scalar_gamma(inputs, steps, k):
+    """gamma_k at one round, in Python floats."""
+    mu, lip = inputs.mu, inputs.lipschitz
+    gap = 1.0 - inputs.sigma2
+    coupled = lip + 8.0 * lip ** 2 / mu
+    quant = inputs.quantization * steps.alpha_sum(k) ** 2
+    return ((16.0 / mu ** 2) / (k + 1) ** 2
+            + (40.0 * lip ** 2 * coupled / mu ** 3) / (k + 1) ** 1.5
+            + (4.0 / (gap * (k + 1) ** 1.5)
+               + 320.0 * coupled * inputs.n ** 2 / (gap ** 2 * (k + 1) ** 1.75)) * quant)
 
 
 def _reference_row(state, objective, steps, qsched, eta, inputs):
@@ -398,12 +424,24 @@ def _reference_row(state, objective, steps, qsched, eta, inputs):
     xbar = x.mean(axis=0)
     cons = consensus_error(x)
     r_sq = float(np.sum((xbar - objective.optimum) ** 2))
-    gaps = [global_value(objective, p) - objective.f_star for p in z]
+    gaps = [_form_gap(objective, p) for p in z]
     grid = qsched.grid(k)
-    return [k, global_value(objective, xbar) - objective.f_star, min(gaps),
-            max(gaps), cons, r_sq, lyapunov_value(r_sq, cons, k, steps, eta),
+    return [k, _form_gap(objective, xbar), min(gaps), max(gaps), cons, r_sq,
+            r_sq + eta * (steps.alpha(k) / steps.beta(k)) * cons,
             grid.delta, grid.range, np.abs(x).max(),
-            gamma_k(inputs, steps, k) if k >= 1 else float("nan")]
+            _scalar_gamma(inputs, steps, k) if k >= 1 else float("nan")]
+
+
+def test_schedule_columns_over_rounds_equal_their_scalar_evaluation():
+    # every power is a libm pow, as for one round: numpy's vectorised power,
+    # and even its square, differ from that in the last bit on some of these rounds
+    objective, mixing = _instance("default-40x5")
+    steps = StepSchedule(objective.mu, spectral_gap(mixing))
+    inputs = _record_inputs(objective, steps)
+    ks = range(1, 20_001)
+    assert np.array_equal(steps.beta(np.array(ks)), [steps.beta(k) for k in ks])
+    assert np.array_equal(gamma_k(inputs, steps, np.array(ks)),
+                          [_scalar_gamma(inputs, steps, k) for k in ks])
 
 
 @pytest.mark.parametrize("block", [1, 5, 32])
@@ -421,6 +459,58 @@ def test_record_blocks_equal_per_round_rows(instance, block):
     assert rows.shape == (41, len(TRACE_COLUMNS))
     assert math.isnan(rows[0, -1])
     assert rows.tobytes() == reference.tobytes()  # bit for bit, NaN included
+
+
+def test_record_gaps_are_at_least_as_accurate_as_direct_evaluation():
+    # on every point the records of a seed-7 run evaluate, against f(p) - f(x*)
+    # in extended precision, the quadratic form errs no more than f(p) - f*
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    objective, mixing = _instance("default-40x5")
+    _, _, states = _states(objective, mixing, 300, True)
+    points = np.concatenate([np.vstack([s.z[0], s.x[0].mean(axis=0)]) for s in states])
+    w, b, x_star, p = (a.astype(np.longdouble) for a in (
+        objective.features, objective.targets, objective.optimum, points))
+    exact = np.sum((p @ w.T - b) ** 2, axis=1) - np.sum((w @ x_star - b) ** 2)
+    assert exact.min() > 0.0
+
+    def worst(gaps):
+        return float(np.max(np.abs(gaps - exact) / exact))
+
+    form = worst(optimality_gaps(objective, points))
+    direct = worst(global_value(objective, points) - objective.f_star)
+    assert form <= direct, (form, direct)
+
+
+# ufunc calls of one record block on its stacks and what derives from them:
+# the quadratic form about x* is 17 of them at d = 5
+RECORD_UFUNC_CALLS = 31
+
+
+def _record_work(rows):
+    """The ufunc calls on the stacks, and the Python-level calls, of one
+    make_record block of ``rows`` rounds of the default instance."""
+    objective, mixing = _instance("default-40x5")
+    steps, qsched, states = _states(objective, mixing, 40, True)
+    ks, x, z = _stacked(states[8:8 + rows])
+    rest = (objective, steps, qsched, 1.0, _record_inputs(objective, steps))
+    make_record(ks, x, z, *rest)  # any cache a first call fills is full now
+    CountedArray.calls = 0
+    make_record(ks, x.view(CountedArray), z.view(CountedArray), *rest)
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        make_record(ks, x, z, *rest)
+    finally:
+        sys.setprofile(None)
+    return CountedArray.calls, events.count("call") + events.count("c_call")
+
+
+def test_record_block_work_does_not_grow_with_its_rows():
+    # a per-row numpy pass or Python call added to the record path fails here
+    one, full = _record_work(1), _record_work(RECORD_BLOCK)
+    assert one == full
+    assert one[0] == RECORD_UFUNC_CALLS
 
 
 @pytest.mark.parametrize("name", ["golden_trace.csv", "golden_baseline_trace.csv",

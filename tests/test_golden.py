@@ -28,10 +28,10 @@ from qdgm.objective import well_conditioned_instance
 
 DATA = Path(__file__).parent / "data"
 LONG_RUN = {
-    "trace.csv": "c3df9990361b054652e025f1a3d7322c970835dfd409330709d5c34858aac2a9",
-    "baseline_trace.csv": "cbc9a6e7d72f96ddab6dda5d57f6cab5ece35e798255e8904640e6b489f488d8",
+    "trace.csv": "a6598a28d60dca4d2a8a260fa004c469c811ca6a140777b37740f6fae526cc4b",
+    "baseline_trace.csv": "f0f675066b7c51250e742c9154fa223442f7cabbec1e8fe0849cc13e47f108a5",
 }
-LARGE_SEED_TRACE = "97333d830d1babefa4c6e5540f27324c8340ef0e217a2d5043260ff9feb97a4d"
+LARGE_SEED_TRACE = "603e9de3f8c634de01aa1726d4430e3cf13d6bf4b963ef8cf52eaf4e912e1f55"
 
 
 def test_criterion_9_trace_matches_golden_bytes(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountedArray
 from qdgm.errors import GradientBoundError
 from qdgm.quantizer import (CLAMP_BAND, QuantizerSchedule, check_range,
                             decode_matrix, pack_index_rows, quantize_matrix,
@@ -356,22 +357,6 @@ def test_one_pass_rule_matches_the_two_sided_rule_off_ties(bits):
     away = np.abs(uniforms - frac) > 1e-9
     assert away.mean() > 0.9999
     assert np.array_equal(idx[away], want[away])
-
-
-class CountedArray(np.ndarray):
-    """An array that counts the numpy ufunc calls made on it and its results."""
-
-    calls = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        CountedArray.calls += 1
-        plain = [a.view(np.ndarray) if isinstance(a, CountedArray) else a for a in inputs]
-        if out is not None:
-            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
-        result = getattr(ufunc, method)(*plain, **kwargs)
-        if out is not None:
-            return out[0]
-        return result.view(CountedArray) if isinstance(result, np.ndarray) else result
 
 
 def test_round_endpoints_fast_path_makes_ten_numpy_calls():
