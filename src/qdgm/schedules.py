@@ -60,9 +60,8 @@ class StepSchedule:
 
 
 def libm_power(base, exponent: float):
-    """base ** exponent by libm pow, as for a Python float, elementwise for an
+    """base ** exponent by libm pow, as for a Python float, elementwise for a 1-D
     array: numpy's vectorised power can differ from it in the last bit."""
     if not isinstance(base, np.ndarray):
         return float(base) ** exponent
-    flat = base.astype(np.float64).ravel().tolist()
-    return np.array([b ** exponent for b in flat]).reshape(base.shape)
+    return np.array([b ** exponent for b in base.astype(np.float64).tolist()])
