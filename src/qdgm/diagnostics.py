@@ -202,7 +202,7 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
                 inputs: RateBoundInputs) -> np.ndarray:
     """The (B, len(TRACE_COLUMNS)) block of trace rows for the B rounds ``ks``
     (ints), from the (B, n, d) stacks of their iterates and averaged iterates,
-    in as many numpy calls for any B. A row's bits depend only on its round:
+    in the same number of numpy calls for any B. A row's bits depend only on its round:
     the gaps are ``optimality_gaps`` about x* of every round's n averaged
     iterates and xbar, and V_k, gamma_k and the grid are elementwise over the
     block, with libm's pow for each power as for one round."""
