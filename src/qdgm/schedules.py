@@ -41,20 +41,22 @@ class StepSchedule:
         return min(raw, clamp) if isinstance(k, int) else np.minimum(raw, clamp)
 
     def alpha_sum(self, k):
-        """Sum of alpha_t for t < k (or an array of rounds), accumulated term by term.
-
-        All range/bin-width computations must flow through this one cached
-        cumulative sum so encoder, decoder, and diagnostics agree bitwise.
-        """
+        """Sum of alpha_t for t < k (or an array of rounds), accumulated term by term in
+        one table, grown in blocks and summed on as np.cumsum (add.accumulate) sums, so
+        a value depends only on k. Range and bin-width computations all read this one
+        cumulative sum, so encoder, decoder, and diagnostics agree bitwise."""
         first, last = (k, k) if isinstance(k, int) else (k.min(initial=0), k.max(initial=0))
         if first < 0:
             raise ValueError("k must be nonnegative")
-        if last >= len(self._alpha_partials):
-            # Recompute the whole prefix-sum array from scratch: the values must
-            # depend only on k, never on the order earlier calls grew the cache.
-            grow_to = max(last + 1, 2 * len(self._alpha_partials))
-            terms = self.alpha(np.arange(grow_to - 1, dtype=np.float64))
-            self._alpha_partials = np.concatenate([[0.0], np.cumsum(terms)])
+        size = len(self._alpha_partials)
+        if last >= size:  # no temporary as large as the table
+            table = np.empty(max(last + 1, 2 * size))
+            table[:size] = self._alpha_partials
+            for lo in range(size, len(table), 4096):
+                ks = np.arange(lo - 1.0, min(lo + 4095, len(table) - 1))
+                table[lo:lo + 4096] = self.alpha(ks)
+            self._alpha_partials = table
+            np.add.accumulate(table[size - 1:], out=table[size - 1:])
         partials = self._alpha_partials[k]
         return float(partials) if isinstance(k, int) else partials
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,33 @@ def test_alpha_sum_independent_of_access_order():
     b.alpha_sum(5000)
     values_b = [b.alpha_sum(k) for k in (10, 123, 5000)]
     assert values_a == values_b  # bitwise, not approximately
+
+
+def _grown_to(rounds):
+    """A schedule whose table grew round by round, as a run grows it."""
+    sched = StepSchedule(0.37, 0.4)
+    for k in range(rounds + 1):
+        sched.alpha_sum(k)
+    return sched
+
+
+def test_alpha_sum_grown_through_every_doubling_equals_one_cumsum():
+    # the table grows in place, summed on from its last partial; that must be
+    # the sequential sum a single np.cumsum gives, bit for bit
+    sched = _grown_to(40_000)
+    rounds = len(sched._alpha_partials) - 1
+    direct = np.concatenate([[0.0], np.cumsum(sched.alpha(np.arange(rounds)))])
+    assert sched.alpha_sum(np.arange(rounds + 1)).tobytes() == direct.tobytes()
+
+
+def test_alpha_sum_growth_peak_stays_below_twice_the_table():
+    tracemalloc.start()
+    try:
+        sched = _grown_to(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sched._alpha_partials.nbytes
 
 
 @settings(max_examples=30, deadline=None)
