@@ -215,24 +215,17 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
 def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
                      iterations: int, seed: int, bits: int, replicas: int,
                      beta_clamp: float | None = 1.0) -> diagnostics.EnsembleTrace:
-    """Run Monte Carlo replicas differing only in quantizer randomness, as
-    one stack, and collect the per-round statistics the inequality checks
-    consume."""
+    """Run Monte Carlo replicas differing only in quantizer randomness, as one
+    stack, and collect each round's ``ensemble_statistics`` (one agent mean) into
+    C-contiguous [replica, round] arrays, bit for bit the per-replica formulas."""
     steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations, seed)
     rounds = np.arange(iterations + 1)
-    cons = np.zeros((replicas, iterations + 1))
-    r_sq = np.zeros((replicas, iterations + 1))
-    f_worst = np.zeros((replicas, iterations + 1))
+    stats = np.zeros((3, replicas, iterations + 1))
     for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
                              seed=seed, first=0, replicas=replicas, quantized=True):
         state.z = None  # the checks read no average, so the rounds after this keep none
-        k, x = state.k, state.x
-        cons[:, k] = diagnostics.consensus_error(x)
-        r_sq[:, k] = np.sum((x.mean(axis=1) - objective.optimum) ** 2, axis=1)
-        residuals = x @ objective.features.T - objective.targets
-        f_worst[:, k] = np.max(np.sum(residuals ** 2, axis=2), axis=1)
-    return diagnostics.EnsembleTrace(
-        consensus_sq=cons, r_sq=r_sq, f_worst=f_worst,
-        deltas=qsched.grid(rounds).delta, alphas=steps.alpha(rounds[:-1]),
+        stats[:, :, state.k] = diagnostics.ensemble_statistics(state.x, objective)
+    return diagnostics.EnsembleTrace(  # stats: consensus_sq, r_sq, f_worst
+        *stats, deltas=qsched.grid(rounds).delta, alphas=steps.alpha(rounds[:-1]),
         betas=steps.beta(rounds[:-1]), f_star=objective.f_star,
         inputs=diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits))

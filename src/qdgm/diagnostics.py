@@ -95,6 +95,20 @@ def consensus_error(x_rows: np.ndarray):
     return np.sum(centered * centered, axis=(-2, -1))
 
 
+def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
+    """consensus_error(x), ||xbar - x*||^2 and max_i f(x_i) per replica of an (R, n, d)
+    stack, bit for bit, from one agent-major copy: one agent mean (agents summed in
+    order, as x.mean(axis=1) sums them), one (n R, d) @ (d, m) product, row sums in order."""
+    reps, n, d = x.shape
+    agents = x.transpose(1, 0, 2).copy()
+    xbar = np.add.reduce(agents, axis=0) / n
+    deviations = np.square(agents - xbar).transpose(1, 0, 2).reshape(reps, n * d)
+    residuals = agents.reshape(n * reps, d) @ objective.features.T - objective.targets
+    f = np.add.reduce(np.square(residuals, out=residuals), axis=1).reshape(n, reps)
+    return (np.add.reduce(deviations, axis=1),
+            np.add.reduce(np.square(xbar - objective.optimum), axis=1), f.max(axis=0))
+
+
 def coupled_smoothness(mu: float, lipschitz: float) -> float:
     """L + 8 L^2 / mu, the weight of the consensus error in the descent step."""
     return lipschitz + 8.0 * lipschitz ** 2 / mu
@@ -225,9 +239,9 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
 class EnsembleTrace:
     """Replica-by-round statistics collected for the inequality checks.
 
-    Arrays are indexed [replica, round]; `f_worst` holds
-    max_i f(x_k^i) so the check uses the agent that stresses the descent
-    inequality hardest; `inputs` are the run's problem constants.
+    Arrays are C-contiguous [replica, round], bit for bit the per-replica formulas
+    with one agent mean per round; `f_worst` holds max_i f(x_k^i), the agent that
+    stresses the descent inequality hardest; `inputs` are the run's problem constants.
     """
 
     consensus_sq: np.ndarray

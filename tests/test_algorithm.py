@@ -14,7 +14,7 @@ from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import fit_loglog_slope
 from qdgm.errors import (GradientBoundError, NonFiniteIterateError,
                          QuantizationSupportError)
-from qdgm.graph import NetworkTopology, lazy_metropolis, path_topology
+from qdgm.graph import NetworkTopology, lazy_metropolis, path_topology, spectral_gap
 from qdgm.objective import build_objective, well_conditioned_instance
 from qdgm.quantizer import QuantizerSchedule
 from qdgm.schedules import StepSchedule
@@ -624,6 +624,33 @@ def test_collect_ensemble_shapes(small_instance, small_mixing):
     # replicas share the start but diverge once quantization noise kicks in
     assert ens.consensus_sq[:, 0].max() == 0.0
     assert np.std(ens.consensus_sq[:, -1]) > 0.0
+
+
+@pytest.mark.parametrize("n, d, replicas", [(4, 2, 1), (5, 3, 7), (40, 5, 3)])
+def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
+    # the per-round expressions the ensemble was first collected with, written
+    # out as the reference: one agent mean per round must keep every bit
+    objective = well_conditioned_instance(n, d)
+    mixing = lazy_metropolis(path_topology(n))
+    ens = collect_ensemble(objective, mixing, iterations=40, seed=11, bits=8,
+                           replicas=replicas)
+    steps = StepSchedule(objective.mu, spectral_gap(mixing))
+    qsched = QuantizerSchedule(objective.grad_bound, steps, 8)
+    draws = ReplicaStreams(11, (replicas, n, d))
+    state = initial_state(n, d, replicas)
+    w, b, x_star = objective.features, objective.targets, objective.optimum
+    for k in range(41):
+        x = state.x
+        cons = diagnostics.consensus_error(x)
+        r_sq = np.sum((x.mean(axis=1) - x_star) ** 2, axis=1)
+        f_worst = np.max(np.sum((x @ w.T - b) ** 2, axis=2), axis=1)
+        assert ens.consensus_sq[:, k].tobytes() == cons.tobytes()
+        assert ens.r_sq[:, k].tobytes() == r_sq.tobytes()
+        assert ens.f_worst[:, k].tobytes() == f_worst.tobytes()
+        state = run_round(state, mixing, objective, steps, qsched, draws(k))
+    # the checks' means over axis 0 add the replicas in order on this layout
+    for array in (ens.consensus_sq, ens.r_sq, ens.f_worst):
+        assert array.shape == (replicas, 41) and array.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -16,9 +16,9 @@ from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, RateBoundInputs, Trace, TraceRecord,
                               check_consensus_recursion, check_descent_recursion,
-                              consensus_error, eta_coupling, fit_loglog_slope,
-                              gamma_k, lyapunov_value, make_record, rate_bound,
-                              rate_bound_terms)
+                              consensus_error, ensemble_statistics, eta_coupling,
+                              fit_loglog_slope, gamma_k, lyapunov_value, make_record,
+                              rate_bound, rate_bound_terms)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
 from qdgm.objective import global_value, optimality_gaps, well_conditioned_instance
 from qdgm.quantizer import QuantizerSchedule
@@ -511,6 +511,34 @@ def test_record_block_work_does_not_grow_with_its_rows():
     one, full = _record_work(1), _record_work(RECORD_BLOCK)
     assert one == full
     assert one[0] == RECORD_UFUNC_CALLS
+
+
+# ufunc calls of one ensemble statistics step: the agent mean 2, the squared
+# deviations and their row sums 3, r_sq 3, the residuals 3 and f_worst 2
+ENSEMBLE_UFUNC_CALLS = 13
+
+
+def _ensemble_work(replicas):
+    """The ufunc calls on the stack, and the Python-level calls, of one
+    ensemble_statistics step on ``replicas`` replicas of the verify instance."""
+    objective = well_conditioned_instance(4, 2)
+    x = np.random.default_rng(replicas).uniform(-1.0, 1.0, (replicas, 4, 2))
+    CountedArray.calls = 0
+    ensemble_statistics(x.view(CountedArray), objective)
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        ensemble_statistics(x, objective)
+    finally:
+        sys.setprofile(None)
+    return CountedArray.calls, events.count("call") + events.count("c_call")
+
+
+def test_ensemble_statistics_work_does_not_grow_with_the_replicas():
+    # a per-replica or per-agent numpy pass added to the ensemble step fails here
+    one, full = _ensemble_work(1), _ensemble_work(100)
+    assert one == full
+    assert one[0] == ENSEMBLE_UFUNC_CALLS
 
 
 @pytest.mark.parametrize("name", ["golden_trace.csv", "golden_baseline_trace.csv",
