@@ -8,14 +8,14 @@ grid and applies
 where the mixing row includes the agent's own weight applied to its own
 *quantized* value, so the doubly stochastic matrix acts on the decoded
 matrix as a whole. The reported output per agent is the (t+1)-weighted
-running average of its past iterates.
+running average of its past iterates, which :func:`run_experiment` keeps.
 
 A round advances a stack of R replicas held as (R, n, d) arrays, and one
 generator of round states drives it: a single run or its exact twin is the
-stack with R = 1, the Monte Carlo ensemble the stack of all replicas. The hot
-loop goes from iterates to decoded values in one pass, with one range check
-per round; an equivalence test ties those values bit for bit to the wire
-codec, the packed MSB-first indices that the codec tests and ``qdgm verify`` check.
+stack with R = 1, the Monte Carlo ensemble the stack of all replicas. A state
+holds k, x and checked_max, the max |x| of the one range check per round. The
+hot loop takes the quantizer's one quantize step, which the wire codec runs
+too, and never packs; the codec tests and ``qdgm verify`` check the packing.
 
 Replica r's uniforms u are the PCG64 stream of default_rng([seed, r]), read
 in order: each quantized round k >= 1 reads one per (agent, coordinate), in
@@ -46,31 +46,27 @@ RECORD_BLOCK = 32  # recorded states run_experiment holds per make_record call
 
 @dataclass
 class RoundState:
-    """Lockstep (R, n, d) snapshot of R replicas after ``k`` completed rounds; ``z`` is
-    the (t+1)-weighted average of the iterates of rounds t < k, or None (none kept).
-    Drivers hold states uncopied: run_round returns fresh arrays, never written again."""
+    """Lockstep (R, n, d) iterates after ``k`` rounds, in fresh arrays never written again."""
 
     k: int
     x: np.ndarray
-    z: np.ndarray | None
     checked_max: float | None = None  # max |x| per its range check; None: unchecked
 
 
 def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
     """All iterates start at exactly zero; the range schedule depends on it."""
-    return RoundState(0, np.zeros((replicas, n, d)), np.zeros((replicas, n, d)), 0.0)
+    return RoundState(0, np.zeros((replicas, n, d)), 0.0)
 
 
 def run_round(state: RoundState, mixing: MixingMatrix,
               objective: RegressionObjective, steps: StepSchedule,
-              qsched: QuantizerSchedule, complements: np.ndarray | None, *,
-              first: int = 0) -> RoundState:
+              qsched: QuantizerSchedule, complements: np.ndarray | None) -> RoundState:
     """Advance every agent of every replica one synchronized round.
 
-    Slice r of the stack is replica ``first + r``; ``complements`` holds
-    1 - u for its round-k draws u in slice r, and round 0 reads none of them.
-    With ``complements=None`` the exchanged values are the raw iterates
-    (infinite-bandwidth twin); everything else is identical.
+    ``complements`` holds 1 - u for slice r's round-k draws u in slice r; round 0
+    reads none. With ``complements=None`` the exchanged values are the raw iterates
+    (infinite-bandwidth twin); everything else is identical. A range error in a
+    stack names the replica by its slice index.
     """
     k, x = state.k, state.x
     alpha, beta = steps.alpha(k), steps.beta(k)
@@ -78,7 +74,7 @@ def run_round(state: RoundState, mixing: MixingMatrix,
         q = x
     else:
         grid = qsched.grid(k)
-        q, err = quantizer._quantize_values(x, grid, complements, state.checked_max, first)
+        _, q, err = quantizer._quantize_values(x, grid, complements, state.checked_max)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
         support = grid.delta + 2.0 * grid.range * quantizer.CLAMP_BAND
@@ -94,19 +90,21 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     grads *= alpha
     x_next -= grads
     try:
-        checked_max = _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1, first)
+        checked_max = _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1)
     except GradientBoundError:
         if np.isfinite(x_next).all():  # a NaN or inf iterate fails the check too
             raise
         raise NonFiniteIterateError(f"non-finite iterate at round {k}") from None
-    if state.z is None:
-        return RoundState(k + 1, x_next, None, checked_max)
-    # rounds t < k carry the weights t + 1, which sum to k(k+1)/2
+    return RoundState(k + 1, x_next, checked_max)
+
+
+def _running_average(z: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """The (t+1)-weighted average of rounds t <= k, fresh, from ``z``, that of t < k."""
     prior = k * (k + 1) // 2
-    z_next = state.z * prior
+    z_next = z * prior
     z_next += (k + 1) * x
     z_next /= prior + (k + 1)
-    return RoundState(k + 1, x_next, z_next, checked_max)
+    return z_next
 
 
 def record_points(iterations: int, stride: int | None = None,
@@ -164,7 +162,7 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
                     stream.random(out=out)
                 np.subtract(1.0, block, out=block)  # the rounding reads 1 - u
             complements = block[:, j]
-        state = run_round(state, mixing, objective, steps, qsched, complements, first=first)
+        state = run_round(state, mixing, objective, steps, qsched, complements)
         yield state
 
 
@@ -180,14 +178,14 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
     rows recorded so far) is attached to the raised exception as
     ``partial_trace`` so callers can still flush it with an error marker.
     """
-    # recorded states wait in ``held`` and become trace rows a block at a time
+    # recorded rounds wait in ``held`` as (k, x, z) and become trace rows a block at a time
     blocks, held = [np.empty((0, len(diagnostics.TRACE_COLUMNS)))], []
 
     def flush():
         if held:
-            blocks.append(diagnostics.make_record(
-                [s.k for s in held], np.concatenate([s.x for s in held]),
-                np.concatenate([s.z for s in held]), objective, steps, qsched, eta, inputs))
+            ks, xs, zs = zip(*held)
+            blocks.append(diagnostics.make_record(ks, np.concatenate(xs), np.concatenate(zs),
+                                                  objective, steps, qsched, eta, inputs))
             held.clear()
 
     try:
@@ -198,12 +196,15 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
                                        steps.spectral_gap, eta_mode)
         inputs = diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits)
         points = set(record_points(iterations, record_stride, extra_record_points))
+        z = np.zeros((1, objective.n, objective.dims))
         for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
                                  seed=seed, first=replica, replicas=1, quantized=quantized):
             if state.k in points:
-                held.append(state)
+                held.append((state.k, state.x, z))
                 if len(held) == RECORD_BLOCK:
                     flush()
+            if state.k < iterations:
+                z = _running_average(z, state.k, state.x)
         flush()
     except Exception as exc:
         flush()
@@ -223,7 +224,6 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     stats = np.zeros((3, replicas, iterations + 1))
     for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
                              seed=seed, first=0, replicas=replicas, quantized=True):
-        state.z = None  # the checks read no average, so the rounds after this keep none
         stats[:, :, state.k] = diagnostics.ensemble_statistics(state.x, objective)
     return diagnostics.EnsembleTrace(  # stats: consensus_sq, r_sq, f_worst
         *stats, deltas=qsched.grid(rounds).delta, alphas=steps.alpha(rounds[:-1]),

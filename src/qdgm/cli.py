@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, quantizer
 from .algorithm import collect_ensemble, run_experiment
 from .config import ExperimentConfig, check_fields, load_config
 from .diagnostics import (MIN_REPLICAS, RateBoundInputs, Trace, check_consensus_recursion,
@@ -32,8 +32,7 @@ from .graph import (NetworkTopology, generate_random_connected_graph,
                     save_edge_list, spectral_gap)
 from .objective import (RegressionObjective, generate_instance,
                         save_instance_csv, well_conditioned_instance)
-from .quantizer import (QuantizerSchedule, decode_matrix, pack_index_rows,
-                        quantize_matrix, unpack_indices)
+from .quantizer import QuantizerSchedule, unpack_indices
 from .schedules import StepSchedule
 
 EXIT_OK = 0
@@ -137,17 +136,17 @@ def quantizer_property_checks(seed: int) -> list[dict]:
         rangek, delta = grid.range, grid.delta
         x = rng.uniform(-rangek, rangek, size=dims)
         block = np.repeat(x[None, :], PROPERTY_DRAWS // 10, axis=0)
-        indices = quantize_matrix(block, grid, rng)
-        decoded = decode_matrix(indices, grid)
+        indices = quantizer.quantize_matrix(block, grid, rng)
+        decoded = quantizer.decode_matrix(indices, grid)
         err = decoded - block
         support_ok = bool(np.abs(err).max() <= delta)
         se = delta / (2.0 * np.sqrt(len(block)))
         mean_ok = bool(np.abs(err.mean(axis=0)).max() <= 3.0 * se)
         var_ok = bool((err ** 2).mean() <= delta ** 2 / 4.0 + 3.0 * se * delta)
         received = np.array([unpack_indices(payload, bits, dims)
-                             for payload in pack_index_rows(indices[:100], bits)])
+                             for payload in quantizer.pack_index_rows(indices[:100], bits)])
         roundtrip_ok = (np.array_equal(received, indices[:100]) and np.array_equal(
-            decode_matrix(received, grid), decoded[:100]))
+            quantizer.decode_matrix(received, grid), decoded[:100]))
         checks.append({"name": f"quantizer_b{bits}_d{dims}",
                        "passed": support_ok and mean_ok and var_ok and roundtrip_ok,
                        "detail": {"support": support_ok, "mean": mean_ok,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
@@ -88,8 +89,10 @@ class ExperimentConfig:
             ("graph.edge_probability", 0.0 < self.graph.edge_probability <= 1.0,
              "must be in (0, 1]"),
             ("graph.retry_limit", self.graph.retry_limit >= 1, "must be >= 1"),
-            ("data.feature_high", self.data.feature_high > 0.0, "must be positive"),
-            ("data.target_high", self.data.target_high >= 0.0, "must be >= 0"),
+            ("data.feature_high", 0.0 < self.data.feature_high < math.inf,
+             "must be positive and finite"),
+            ("data.target_high", 0.0 <= self.data.target_high < math.inf,
+             "must be >= 0 and finite"),
             ("record_stride", self.record_stride is None or self.record_stride >= 1,
              "must be >= 1 when set"),
         ])

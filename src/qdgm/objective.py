@@ -62,13 +62,16 @@ class RegressionObjective:
 
 def build_objective(features, targets) -> RegressionObjective:
     """Derive constants for given data; raises DegenerateInstanceError on
-    rank-deficient features."""
+    rank-deficient features or a Gram matrix that is not finite."""
     w = np.asarray(features, dtype=np.float64)
     b = np.asarray(targets, dtype=np.float64)
     n, d = w.shape
     if b.shape != (n,):
         raise ValueError("targets must be one scalar per agent")
-    gram = w.T @ w
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        gram = w.T @ w
+    if not np.isfinite(gram).all():  # eigvalsh would not converge on it
+        raise DegenerateInstanceError("degenerate instance: the Gram matrix is not finite")
     evals = np.linalg.eigvalsh(gram)
     if evals[0] < MIN_EIGENVALUE:
         raise DegenerateInstanceError(
@@ -110,10 +113,10 @@ def generate_instance(n: int, d: int, seed: int,
         b = rng.uniform(0.0, target_high, size=n)
         try:
             return build_objective(w, b)
-        except DegenerateInstanceError:
-            continue
+        except DegenerateInstanceError as exc:
+            last = exc
     raise DegenerateInstanceError(
-        f"degenerate instance: no full-rank draw in {MAX_RETRIES} attempts")
+        f"{last}; no usable draw in {MAX_RETRIES} attempts")
 
 
 def well_conditioned_instance(n: int = 4, d: int = 2) -> RegressionObjective:

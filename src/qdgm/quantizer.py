@@ -15,14 +15,13 @@ Index 0 is round 0, where every iterate is exactly zero and the range is
 empty: every index is zero, no randomness is drawn and nothing needs to
 cross a link.
 
-The round engine needs only values: :func:`_quantize_values` goes from an
-(R, n, d) stack of iterates and one complement 1 - u per entry straight to
-them. An equivalence test ties them bit for bit to :func:`decode_matrix` of
-the indices :func:`quantize_matrix` makes from the same uniforms. At the
-wire boundary :func:`pack_index_rows` packs each row's d indices MSB-first
-in coordinate order, zero-padded to ceil(d*b/8) bytes, and
-:func:`unpack_indices` is its exact inverse, so a receiver decoding the
-unpacked indices gets the sender's values bit for bit.
+One quantize step, :func:`_quantize_values`, serves the engine and the codec:
+from iterates and one complement 1 - u per entry it makes the float indices,
+their values and max |q - x|. The engine reads the values, and
+:func:`quantize_matrix` the indices, as int64; a test ties the values bit for
+bit to :func:`decode_matrix` of the indices. :func:`pack_index_rows` packs
+each row's d indices MSB-first in coordinate order, zero-padded to
+ceil(d*b/8) bytes, and :func:`unpack_indices` is its exact inverse.
 """
 from __future__ import annotations
 
@@ -77,23 +76,23 @@ class QuantizerSchedule:
         return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
-def check_range(x: np.ndarray, rangek: float, k: int, first: int = 0) -> float:
+def check_range(x: np.ndarray, rangek: float, k: int) -> float:
     """Return max_i ||x^i||_inf; raise GradientBoundError when it exceeds the
     round-k range by more than the clamp band, or is NaN. For an (R, n, d)
-    stack with R > 1 the message also names the replica, ``first + r``."""
+    stack with R > 1 the message also names the replica, the slice index r."""
     worst = float(np.maximum.reduce(np.abs(x), axis=None))
     if not worst <= rangek * (1.0 + CLAMP_BAND):  # NaN fails too
         where = np.unravel_index(np.argmax(np.abs(x)), x.shape)
         who = f"agent {where[-2]}"
         if x.ndim == 3 and x.shape[0] > 1:
-            who += f" of replica {first + where[0]}"
+            who += f" of replica {where[0]}"
         raise GradientBoundError(
             f"gradient-bound violation: {who} reached {worst} at round "
             f"{k}, outside quantization range +-{rangek}")
     return worst
 
 
-def _round_endpoints(values, lower, delta, nbins, complements):
+def _stochastic_round(values, lower, delta, nbins, complements):
     """The one rounding body: float indices idx = min(floor(t + v), nbins) for
     t = (values - lower)/delta and complements v = 1 - u in (0, 1], their values
     q = lower + idx * delta, and max |q - values|. With values in [lower,
@@ -117,39 +116,33 @@ def _round_endpoints(values, lower, delta, nbins, complements):
     return idx, q, worst
 
 
-def _stochastic_round(values, lower, delta, nbins, uniforms) -> np.ndarray:
-    """Vectorized endpoint selection; returns int64 indices in {0..nbins}."""
-    return _round_endpoints(values, lower, delta, nbins, 1.0 - uniforms)[0].astype(np.int64)
-
-
-def _quantize_values(x, grid: Grid, complements, checked_max: float | None, first: int = 0):
-    """The engine's quantize step: decode_matrix(quantize_matrix(x, grid, rng),
-    grid) and max |q - x| in one pass, where ``complements`` holds 1 - u for
-    the draws u = rng.random(x.shape). checked_max: max |x| if checked, or None."""
+def _quantize_values(x, grid: Grid, complements, checked_max: float | None):
+    """The one quantize step: float indices, their decoded values and max |q - x|,
+    for ``complements`` 1 - u of u = rng.random(x.shape) and checked_max, max |x|
+    if checked, or None. Clamp-band inputs snap; farther out, or NaN, raises."""
     if grid.k == 0:  # every index is zero and no uniform is drawn
-        return np.zeros(x.shape), float(np.maximum.reduce(np.abs(x), axis=None))
+        zeros = np.zeros(x.shape)
+        return zeros, zeros, float(np.maximum.reduce(np.abs(x), axis=None))
     if checked_max is None or checked_max > grid.range * (1.0 + CLAMP_BAND):
-        checked_max = check_range(x, grid.range, grid.k, first)
+        checked_max = check_range(x, grid.range, grid.k)
     values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
-    _, q, worst = _round_endpoints(values, -grid.range, grid.delta, grid.bins, complements)
+    idx, q, worst = _stochastic_round(values, -grid.range, grid.delta, grid.bins, complements)
     if values is not x:  # after a snap |q - x| differs
         worst = np.maximum.reduce(np.abs(q - x), axis=None)
-    return q, float(worst)
+    return idx, q, float(worst)
 
 
 def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
     """Quantize (n, d) rows, or an (R, n, d) stack, to int64 grid indices.
 
     ``rng``, one np.random.Generator, draws one uniform per (replica, agent,
-    coordinate) in row-major order, so results do not depend on any per-agent
-    call order. Inputs inside the clamp band are snapped to the interval;
-    farther out, or NaN, raises GradientBoundError."""
+    coordinate) in row-major order. Inputs inside the clamp band are snapped to
+    the interval; farther out, or NaN, raises GradientBoundError before any draw."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if grid.k == 0:
         return np.zeros(x.shape, dtype=np.int64)
-    if check_range(x, grid.range, grid.k) > grid.range:  # snap the clamp band
-        x = np.clip(x, -grid.range, grid.range)
-    return _stochastic_round(x, -grid.range, grid.delta, grid.bins, rng.random(x.shape))
+    checked = check_range(x, grid.range, grid.k)
+    return _quantize_values(x, grid, 1.0 - rng.random(x.shape), checked)[0].astype(np.int64)
 
 
 def decode_matrix(indices: np.ndarray, grid: Grid) -> np.ndarray:

@@ -63,7 +63,7 @@ def test_criterion_1_quantizer_contract():
         nbins = 2 ** bits - 1
         delta = (upper - lower) / nbins
         idx = _stochastic_round(np.full(draws, x), lower, delta, nbins,
-                                rng.random(draws))
+                                1.0 - rng.random(draws))[0]
         err = (lower + idx * delta) - x
         se_mean = delta / (2.0 * math.sqrt(draws))
         second = float((err ** 2).mean())
@@ -254,7 +254,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
         rangek, delta = qsched.range_at(k), qsched.grid(k).delta
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
-        state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))
+        state = RoundState(k, np.array([[[x_val]]]))
         nxt = run_round(state, mixing, obj, steps, qsched,
                         ReplicaStreams(1, state.x.shape)(k))
         gd = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)

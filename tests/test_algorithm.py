@@ -1,11 +1,12 @@
 import ast
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ReplicaStreams
+from conftest import CountedArray, ReplicaStreams
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
@@ -46,7 +47,7 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     rangek, delta = qsched.range_at(k), qsched.grid(k).delta
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
-    state = RoundState(k, np.array([[[x_val]]]), np.zeros((1, 1, 1)))
+    state = RoundState(k, np.array([[[x_val]]]))
     nxt = run_round(state, mixing, obj, steps, qsched,
                     ReplicaStreams(3, state.x.shape)(k))
     expected = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
@@ -60,7 +61,7 @@ def test_fixed_point_at_common_root(hand_objective):
     steps = StepSchedule(hand_objective.mu, 1.0)
     qsched = QuantizerSchedule(hand_objective.grad_bound, steps, 8)
     x = np.tile(hand_objective.optimum, (1, 2, 1))
-    state = RoundState(3, x.copy(), x.copy())
+    state = RoundState(3, x.copy())
     nxt = run_round(state, mixing, hand_objective, steps, qsched, None)
     assert np.abs(nxt.x - x).max() <= 1e-12
 
@@ -73,7 +74,7 @@ def test_two_agents_average_in_one_round():
     steps = StepSchedule(obj.mu, 1.0, beta_clamp=1.0)
     assert steps.beta(0) == 1.0
     qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
-    state = RoundState(0, np.array([[[2.0], [4.0]]]), np.zeros((1, 2, 1)))
+    state = RoundState(0, np.array([[[2.0], [4.0]]]))
     nxt = run_round(state, mixing, obj, steps, qsched, None)
     assert np.allclose(nxt.x, 3.0, atol=1e-12)
 
@@ -87,7 +88,7 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     rng = np.random.default_rng(12)
     for k in (0, 2, 9):
         x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
-        state = RoundState(k, x, np.zeros_like(x))
+        state = RoundState(k, x)
         nxt = run_round(state, small_mixing, obj, steps, qsched, None)
         residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
         gbar = (2.0 * obj.features * residuals[:, None]).mean(axis=0)
@@ -122,23 +123,32 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     assert np.abs(nxt.x - expected).max() <= 1e-15
 
 
+def _averages(xs):
+    """The running averages run_experiment keeps beside the iterates ``xs`` of
+    rounds 0, 1, ...: z_0 = 0, and z_k averages the iterates of rounds t < k."""
+    zs = [np.zeros_like(xs[0])]
+    for k, x in enumerate(xs[:-1]):
+        zs.append(algorithm._running_average(zs[-1], k, x))
+    return zs
+
+
 def test_averaged_output_hand_values():
-    obj, mixing, steps, qsched = single_agent_setup()
-    state = RoundState(0, np.array([[[1.0]]]), np.zeros((1, 1, 1)))
-    s1 = run_round(state, mixing, obj, steps, qsched, None)
-    assert s1.z[0, 0, 0] == 1.0
-    forced = RoundState(1, np.array([[[2.0]]]), s1.z)
-    s2 = run_round(forced, mixing, obj, steps, qsched, None)
-    assert s2.z[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
+    # round t weighs t + 1: after x_0 = 1 the average is 1, after x_1 = 2 it is 5/3
+    z1 = algorithm._running_average(np.zeros((1, 1, 1)), 0, np.array([[[1.0]]]))
+    assert z1[0, 0, 0] == 1.0
+    z2 = algorithm._running_average(z1, 1, np.array([[[2.0]]]))
+    assert z2[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
 
 def test_averaged_output_of_constant_trajectory():
     obj, mixing, steps, qsched = single_agent_setup()
     c = 0.8  # the optimum: stays put under baseline dynamics
-    state = RoundState(0, np.array([[[c]]]), np.zeros((1, 1, 1)))
+    state = RoundState(0, np.array([[[c]]]))
+    xs = [state.x]
     for _ in range(10):
         state = run_round(state, mixing, obj, steps, qsched, None)
-    assert state.z[0, 0, 0] == pytest.approx(c, abs=1e-14)
+        xs.append(state.x)
+    assert _averages(xs)[-1][0, 0, 0] == pytest.approx(c, abs=1e-14)
 
 
 def test_incremental_average_matches_recomputation(small_instance, small_mixing):
@@ -154,7 +164,7 @@ def test_incremental_average_matches_recomputation(small_instance, small_mixing)
     weights = np.arange(1, len(history))  # x_0..x_{K-1} weighted 1..K
     recomputed = np.tensordot(weights, np.asarray(history[:-1]), axes=(0, 0)) \
         / weights.sum()
-    assert np.abs(state.z - recomputed).max() <= 1e-12
+    assert np.abs(_averages(history)[-1] - recomputed).max() <= 1e-12
 
 
 def test_run_round_is_reproducible(small_instance, small_mixing):
@@ -175,7 +185,7 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     for first in (0, 1):
         c, draws = state, ReplicaStreams(9, state.x.shape, first)
         for _ in range(5):
-            c = run_round(c, small_mixing, obj, steps, qsched, draws(c.k), first=first)
+            c = run_round(c, small_mixing, obj, steps, qsched, draws(c.k))
         later[first] = c.x
     assert not np.array_equal(later[0], later[1])
 
@@ -190,19 +200,20 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
     def rounds(first, replicas):
         state = initial_state(obj.n, obj.dims, replicas)
         draws = ReplicaStreams(9, state.x.shape, first)
-        states = []
+        states = [state]
         for _ in range(25):
-            state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k),
-                              first=first)
+            state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
             states.append(state)
         return states
 
     stack = rounds(2, 3)
     singles = [rounds(2 + r, 1) for r in range(3)]
+    stack_z = _averages([s.x for s in stack])
+    singles_z = [_averages([s.x for s in single]) for single in singles]
     for k, state in enumerate(stack):
         for r, single in enumerate(singles):
             assert np.array_equal(state.x[r], single[k].x[0])
-            assert np.array_equal(state.z[r], single[k].z[0])
+            assert np.array_equal(stack_z[k][r], singles_z[r][k][0])
     assert not np.array_equal(stack[-1].x[0], stack[-1].x[2])
     # replicas 3 and 4 depend neither on the stack size nor on where it starts
     from_zero, from_three = rounds(0, 5)[-1].x, rounds(3, 2)[-1].x
@@ -229,8 +240,6 @@ def test_batched_range_violation_names_agent_and_replica():
     x[1, 1, 0] = 2.0
     with pytest.raises(GradientBoundError, match="agent 1 of replica 1 "):
         quantizer.check_range(x, 1.0, 6)
-    with pytest.raises(GradientBoundError, match="agent 1 of replica 5 "):
-        quantizer.check_range(x, 1.0, 6, first=4)
     # a single replica keeps the one-run wording
     with pytest.raises(GradientBoundError, match="violation: agent 1 reached"):
         quantizer.check_range(x[1:2], 1.0, 6)
@@ -259,14 +268,14 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     draws = ReplicaStreams(4, (1, obj.n, obj.dims))
     state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, steps,
                       qsched, draws(0))
-    round_endpoints = quantizer._round_endpoints
+    stochastic_round = quantizer._stochastic_round
 
     def shifted(values, lower, delta, nbins, complements):
-        idx, q, _ = round_endpoints(values, lower, delta, nbins, complements)
+        idx, q, _ = stochastic_round(values, lower, delta, nbins, complements)
         q = q + 2.0 * delta
         return idx, q, np.abs(q - values).max()
 
-    monkeypatch.setattr(quantizer, "_round_endpoints", shifted)
+    monkeypatch.setattr(quantizer, "_stochastic_round", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
         run_round(state, small_mixing, obj, steps, qsched, draws(1))
 
@@ -279,9 +288,9 @@ def test_one_range_check_per_round(small_instance, small_mixing, monkeypatch,
     checked = []
     check_range = quantizer.check_range
 
-    def counted(x, rangek, k, first=0):
+    def counted(x, rangek, k):
         checked.append(k)
-        return check_range(x, rangek, k, first)
+        return check_range(x, rangek, k)
 
     monkeypatch.setattr(quantizer, "check_range", counted)
     monkeypatch.setattr(algorithm, "_check_range_invariant", counted)
@@ -300,30 +309,76 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 2, 1] = 2.0 * rangek
     with pytest.raises(GradientBoundError) as excinfo:
-        run_round(RoundState(3, x, np.zeros_like(x)), small_mixing, obj, steps,
+        run_round(RoundState(3, x), small_mixing, obj, steps,
                   qsched, ReplicaStreams(3, x.shape)(3))
     message = (f"gradient-bound violation: agent 2 reached {2.0 * rangek} at "
                f"round 3, outside quantization range +-{rangek}")
     assert str(excinfo.value) == message
     # a maximum carried from a wider range is checked against this one
     with pytest.raises(GradientBoundError, match=f"^{re.escape(message)}$"):
-        run_round(RoundState(3, x, np.zeros_like(x), 2.0 * rangek), small_mixing,
+        run_round(RoundState(3, x, 2.0 * rangek), small_mixing,
                   obj, steps, qsched, ReplicaStreams(3, x.shape)(3))
-    # a stack starting at replica 4 names replica 4 + r
+    # a stack names the replica by its slice index
     x = np.zeros((2, obj.n, obj.dims))
     x[1, 3, 0] = -2.0 * rangek
-    with pytest.raises(GradientBoundError, match="agent 3 of replica 5 reached"):
-        run_round(RoundState(3, x, np.zeros_like(x)), small_mixing, obj, steps,
-                  qsched, ReplicaStreams(3, x.shape, 4)(3), first=4)
+    with pytest.raises(GradientBoundError, match="agent 3 of replica 1 reached"):
+        run_round(RoundState(3, x), small_mixing, obj, steps,
+                  qsched, ReplicaStreams(3, x.shape)(3))
     # round 0 sends all-zero values, so a nonzero start breaks the support bound
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 1, 0] = 0.25
     with pytest.raises(QuantizationSupportError, match=(
             "^decoded value 0.25 away from its input at round 0, beyond the "
             "support bound 0.0$")):
-        run_round(RoundState(0, x, np.zeros_like(x)), small_mixing, obj, steps,
+        run_round(RoundState(0, x), small_mixing, obj, steps,
                   qsched, ReplicaStreams(3, x.shape)(0))
     assert initial_state(obj.n, obj.dims).checked_max == 0.0
+
+
+# ufunc calls of one round on its (R, n, d) stacks, for any R: the update's five
+# (the mixing product, beta W q, (1 - beta) x, their sum, minus the scaled
+# gradients) and the range check's two (|x| and its max); a quantized round
+# adds the rounding body's ten. The gradient's einsum returns a plain array, so
+# its passes are not counted here; the Python-level calls are.
+EXACT_ROUND_UFUNC_CALLS = 7
+QUANTIZED_ROUND_UFUNC_CALLS = 17
+
+
+def _round_work(replicas, quantized):
+    """The ufunc calls on the stacks, and the Python-level calls, of round 5 of
+    ``replicas`` replicas of the default 40x5 instance."""
+    cfg = ExperimentConfig()
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(build_topology(cfg))
+    steps, qsched = algorithm._schedules(objective, mixing, cfg.bits, 1.0, 6, cfg.seed)
+    state = initial_state(objective.n, objective.dims, replicas)
+    draws = ReplicaStreams(cfg.seed, state.x.shape)
+    for k in range(5):
+        state = run_round(state, mixing, objective, steps, qsched,
+                          draws(k) if quantized else None)
+    complements = draws(5) if quantized else None
+    run_round(state, mixing, objective, steps, qsched, complements)  # caches filled
+    CountedArray.calls = 0
+    run_round(RoundState(5, state.x.view(CountedArray), state.checked_max), mixing,
+              objective, steps, qsched,
+              None if complements is None else complements.view(CountedArray))
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        run_round(state, mixing, objective, steps, qsched, complements)
+    finally:
+        sys.setprofile(None)
+    return CountedArray.calls, events.count("call") + events.count("c_call")
+
+
+@pytest.mark.parametrize("quantized, ufunc_calls", [
+    (True, QUANTIZED_ROUND_UFUNC_CALLS), (False, EXACT_ROUND_UFUNC_CALLS)],
+    ids=["quantized", "exact"])
+def test_round_work_does_not_grow_with_the_replicas(quantized, ufunc_calls):
+    # a per-replica or per-agent pass, or one more numpy pass, in the round fails here
+    one, stack = _round_work(1, quantized), _round_work(8, quantized)
+    assert one == stack
+    assert one[0] == ufunc_calls
 
 
 def test_package_has_no_assert_statements():
@@ -447,18 +502,20 @@ def test_block_boundaries_never_change_a_row(quantized):
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_yielded_states_are_never_written(small_instance, small_mixing,
                                           quantized, replicas):
-    # the drivers hold yielded states without copying them, so no later
-    # round may write into an array of an earlier state
+    # run_experiment holds yielded states and running averages without copying
+    # them, so no later round or average may write into an earlier one's arrays
     steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 40, 3)
     held, snapshots = [], []
+    z = np.zeros((replicas, small_instance.n, small_instance.dims))
     for state in algorithm._run_rounds(small_instance, small_mixing, steps, qsched,
                                        iterations=40, seed=3, first=0,
                                        replicas=replicas, quantized=quantized):
-        held.append(state)
-        snapshots.append((state.x.copy(), state.z.copy()))
-    assert [state.k for state in held] == list(range(41))
-    for state, (x, z) in zip(held, snapshots):
-        assert np.array_equal(state.x, x) and np.array_equal(state.z, z), state.k
+        held.append((state, z))
+        snapshots.append((state.x.copy(), z.copy()))
+        z = algorithm._running_average(z, state.k, state.x)
+    assert [state.k for state, _ in held] == list(range(41))
+    for (state, z), (x, z_copy) in zip(held, snapshots):
+        assert np.array_equal(state.x, x) and np.array_equal(z, z_copy), state.k
 
 
 @pytest.mark.parametrize("iterations", [-1, -2])
@@ -479,7 +536,7 @@ def test_negative_round_count_is_refused_before_any_work(
 
 def test_non_finite_iterate_detected():
     obj, mixing, steps, qsched = single_agent_setup()
-    state = RoundState(2, np.array([[[1e308]]]), np.zeros((1, 1, 1)))
+    state = RoundState(2, np.array([[[1e308]]]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterateError):
         run_round(state, mixing, obj, steps, qsched, None)
 
@@ -521,10 +578,10 @@ def test_finite_escape_in_a_stack_keeps_the_range_message(
     state, steps, qsched = _stack_after_one_round(small_instance, small_mixing)
     _poison_gradient(monkeypatch, (2, 1, 0), 1e6)
     with pytest.raises(GradientBoundError, match=(
-            r"^gradient-bound violation: agent 1 of replica 6 reached \S+ at "
+            r"^gradient-bound violation: agent 1 of replica 2 reached \S+ at "
             r"round 2, outside quantization range \+-\S+$")):
         run_round(state, small_mixing, small_instance, steps, qsched,
-                  ReplicaStreams(3, state.x.shape, 4)(1), first=4)
+                  ReplicaStreams(3, state.x.shape)(1))
 
 
 def _stream_states(objective, mixing, *, seed, first, replicas, iterations=70):
@@ -545,11 +602,16 @@ def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, re
     steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 70, 11)
     state = initial_state(small_instance.n, small_instance.dims, replicas)
     draws = ReplicaStreams(11, state.x.shape)
+    reference = [state]
     for k, engine in enumerate(states):
         assert engine.k == state.k == k
-        assert np.array_equal(engine.x, state.x) and np.array_equal(engine.z, state.z), k
+        assert np.array_equal(engine.x, state.x), k
         if k < 70:
             state = run_round(state, small_mixing, small_instance, steps, qsched, draws(k))
+            reference.append(state)
+    for k, (z, z_ref) in enumerate(zip(_averages([s.x for s in states]),
+                                       _averages([s.x for s in reference]))):
+        assert np.array_equal(z, z_ref), k
 
 
 @pytest.mark.parametrize("first", [0, 4])
@@ -561,9 +623,10 @@ def test_stack_slice_is_the_single_run_of_its_replica(small_instance, small_mixi
     for r in range(replicas):
         single = _stream_states(small_instance, small_mixing, seed=9, first=first + r,
                                 replicas=1)
-        for k, (state, alone) in enumerate(zip(stack, single)):
+        averages = zip(_averages([s.x for s in stack]), _averages([s.x for s in single]))
+        for k, (state, alone, (z, z_alone)) in enumerate(zip(stack, single, averages)):
             assert np.array_equal(state.x[r], alone.x[0]), (r, k)
-            assert np.array_equal(state.z[r], alone.z[0]), (r, k)
+            assert np.array_equal(z[r], z_alone[0]), (r, k)
     if replicas > 1:  # the replicas' streams differ, and so do their paths
         assert any(not np.array_equal(state.x[0], state.x[1]) for state in stack)
 

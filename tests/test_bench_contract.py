@@ -77,3 +77,28 @@ def test_sweep_and_partial_trace_checks(tmp_path):
     errors, read_back = checks.check_trace(out / "trace.csv", 50)
     assert errors[0].startswith("trace.csv: error marker: gradient-bound violation")
     assert read_back.final().k == 3 and len(read_back.records) == 4
+
+
+def test_property_checks_run_inside_the_quantizer_spans(monkeypatch):
+    # `qdgm verify`'s codec checks reach the quantizer through the names the
+    # harness wraps: three encode spans, each with its rounding span inside
+    class Restore:
+        """Registers each name the tracer will replace, so teardown restores it."""
+
+        def wrap(self, owner, attr, span, inside=None, count=None):
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))
+
+    child = _load("child")
+    child.install_tracer(Restore(), cli, algorithm, quantizer, diagnostics, np)
+    tracer = _load("spans").Tracer(0)
+    child.install_tracer(tracer, cli, algorithm, quantizer, diagnostics, np)
+    checks = cli.quantizer_property_checks(7)
+    assert all(check["passed"] for check in checks)
+    names = [tracer.names[i] for i in tracer.name]
+    parents = [names[p] for p in tracer.parent]
+    encodes = [p for n, p in zip(names, parents) if n == "quantizer.encode"]
+    rounds = [p for n, p in zip(names, parents) if n == "quantizer.round"]
+    assert encodes == ["cli.property_checks"] * 3
+    assert rounds == ["quantizer.encode"] * 3
+    assert names.count("quantizer.decode") == 6  # the decoded block and the received rows
+    assert tracer.counters["messages"] == 3 * cli.PROPERTY_DRAWS // 10

@@ -194,13 +194,21 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
     ("--config", '{"graph": {"retry_limit": 1, "edge_probability": 0.01}}',
      ("could not sample connected graph",)),
     ("--config", '{"data": {"feature_high": 1e-200}}', ("degenerate instance",)),
+    ("--config", '{"data": {"feature_high": Infinity}}',
+     ("invalid field data.feature_high: must be positive and finite",)),
+    ("--config", '{"data": {"target_high": Infinity}}',
+     ("invalid field data.target_high: must be >= 0 and finite",)),
+    # finite data whose Gram matrix overflows
+    ("--config", '{"data": {"feature_high": 1e300}}',
+     ("degenerate instance: the Gram matrix is not finite",)),
     # an output directory below a regular file
     ("--output-dir", "a regular file",
      ("invalid field output_dir: cannot write", "input is not an existing directory")),
 ], ids=["disconnected-edges", "missing-edges", "missing-config",
         "malformed-json", "graph-not-object", "data-not-object", "bits-str",
         "seed-float", "replicas-float", "beta-clamp-str", "edges-file-int",
-        "baseline-str", "graph-sampling", "degenerate-data", "output-below-file"])
+        "baseline-str", "graph-sampling", "degenerate-data", "feature-high-inf",
+        "target-high-inf", "gram-overflow", "output-below-file"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountedArray, ReplicaStreams
-from qdgm.algorithm import (RECORD_BLOCK, collect_ensemble, initial_state, run_experiment,
-                            run_round)
+from qdgm.algorithm import (RECORD_BLOCK, _running_average, collect_ensemble, initial_state,
+                            run_experiment, run_round)
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, RateBoundInputs, Trace, TraceRecord,
@@ -346,17 +347,26 @@ def test_trace_error_marker_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 # the record path against a written-out reference
 
+class Recorded(NamedTuple):
+    """A round as run_experiment records it: k, x and its running average z."""
+
+    k: int
+    x: np.ndarray
+    z: np.ndarray
+
+
 def _states(objective, mixing, rounds, quantized):
     """Rounds 0..rounds of one replica, with the schedules that made them."""
     steps = StepSchedule(objective.mu, spectral_gap(mixing))
     qsched = QuantizerSchedule(objective.grad_bound, steps, 16)
     state = initial_state(objective.n, objective.dims)
-    states = [state]
+    states = [Recorded(0, state.x, np.zeros_like(state.x))]
     draws = ReplicaStreams(7, state.x.shape)
     for _ in range(rounds):
+        z = _running_average(states[-1].z, state.k, state.x)
         state = run_round(state, mixing, objective, steps, qsched,
                           draws(state.k) if quantized else None)
-        states.append(state)
+        states.append(Recorded(state.k, state.x, z))
     return steps, qsched, states
 
 

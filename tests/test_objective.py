@@ -145,6 +145,21 @@ def test_degenerate_data_rejected():
         build_objective(w, np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("entry", [np.inf, np.nan, 1e300])
+def test_non_finite_gram_matrix_rejected(entry):
+    # an infinite or NaN feature, or one whose square overflows, leaves a Gram
+    # matrix eigvalsh cannot decompose; the typed error comes first
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [entry, 1.0]])
+    with pytest.raises(DegenerateInstanceError, match="Gram matrix is not finite"):
+        build_objective(w, np.array([1.0, 2.0, 3.0]))
+
+
+def test_overflowing_draws_say_why_none_was_usable():
+    with pytest.raises(DegenerateInstanceError, match=(
+            "^degenerate instance: the Gram matrix is not finite; no usable draw in")):
+        generate_instance(4, 2, seed=0, feature_high=1e300)
+
+
 def test_well_conditioned_instance_properties(small_instance):
     obj = small_instance
     assert obj.mu == pytest.approx(obj.lipschitz)

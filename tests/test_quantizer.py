@@ -7,8 +7,7 @@ from conftest import CountedArray
 from qdgm.errors import GradientBoundError
 from qdgm.quantizer import (CLAMP_BAND, QuantizerSchedule, check_range,
                             decode_matrix, pack_index_rows, quantize_matrix,
-                            unpack_indices, _quantize_values, _round_endpoints,
-                            _stochastic_round)
+                            unpack_indices, _quantize_values, _stochastic_round)
 from qdgm.schedules import StepSchedule
 
 # with mu=4 and grad_bound=1, range(2) = 1 + 1/2: two bits then give the
@@ -18,6 +17,12 @@ K_UNIT = 2
 
 def make_schedule(bits, mu=4.0, grad_bound=1.0, gap=0.5):
     return QuantizerSchedule(grad_bound, StepSchedule(mu, gap), bits)
+
+
+def round_indices(values, lower, delta, nbins, uniforms):
+    """The rounding body's indices, as int64, for the draws u; it reads 1 - u."""
+    idx = _stochastic_round(values, lower, delta, nbins, 1.0 - uniforms)[0]
+    return idx.astype(np.int64)
 
 
 def test_scalar_on_lower_endpoint_is_deterministic():
@@ -78,7 +83,7 @@ def test_quantize_matrix_equals_the_clamped_rounding():
     banded[2, 3, 0] = r * (1.0 + 0.5 * CLAMP_BAND)
     for x in (inside, banded):
         uniforms = np.random.default_rng(5).random(x.shape)
-        want = _stochastic_round(np.clip(x, -r, r), -r, grid.delta, grid.bins, uniforms)
+        want = round_indices(np.clip(x, -r, r), -r, grid.delta, grid.bins, uniforms)
         assert np.array_equal(quantize_matrix(x, grid, np.random.default_rng(5)), want)
 
 
@@ -135,8 +140,12 @@ def test_vector_range_violation_names_agent():
     sched = make_schedule(bits=4)
     x = np.zeros((3, 2))
     x[2, 1] = sched.range_at(1) * 1.5
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     with pytest.raises(GradientBoundError, match="agent 2"):
-        quantize_matrix(x, sched.grid(1), np.random.default_rng(0))
+        quantize_matrix(x, sched.grid(1), rng)
+    # the range is checked before any draw, so a rejected input draws nothing
+    assert rng.bit_generator.state == before
 
 
 def test_round0_message_convention():
@@ -231,7 +240,7 @@ def test_stochastic_round_support_bound_exact(seed, bits):
     lower, upper = -3.0, 5.0
     delta = (upper - lower) / nbins
     x = rng.uniform(lower, upper, size=500)
-    idx = _stochastic_round(x, lower, delta, nbins, rng.random(500))
+    idx = round_indices(x, lower, delta, nbins, rng.random(500))
     rec = lower + idx * delta
     assert np.abs(rec - x).max() <= delta
     assert idx.min() >= 0 and idx.max() <= nbins
@@ -269,7 +278,7 @@ def assert_rounding_contract(values, lower, delta, nbins):
     # t + 1 - u does not round past floor(t) + 1 (which takes u = 0)
     for u in EXTREME_UNIFORMS:
         uniforms = np.full(values.shape, u)
-        idx = _stochastic_round(values, lower, delta, nbins, uniforms)
+        idx = round_indices(values, lower, delta, nbins, uniforms)
         assert idx.min() >= 0 and idx.max() <= nbins
         assert np.abs(lower + idx * delta - values).max() <= delta
         want, frac = _two_sided_round(values, lower, delta, nbins, uniforms)
@@ -321,7 +330,7 @@ def test_upper_end_with_zero_uniform_takes_the_last_index(bits):
     assert np.all(idx == grid.bins)
     payloads = pack_index_rows(idx, bits)
     assert np.array_equal([unpack_indices(p, bits, 3) for p in payloads], idx)
-    q, err = _quantize_values(x[None], grid, np.ones((1, 2, 3)), None)
+    _, q, err = _quantize_values(x[None], grid, np.ones((1, 2, 3)), None)
     assert q[0].tobytes() == decode_matrix(idx, grid).tobytes()
     assert err <= grid.delta
 
@@ -336,7 +345,7 @@ def test_guard_takes_the_near_endpoint_when_t_rounds_past_a_power_of_two(bits):
     zeros = np.zeros(t.shape)
     unguarded = _unguarded_round(t, 0.0, 1.0, nbins, zeros)
     assert np.array_equal(unguarded, np.floor(t) + 2.0)
-    idx = _stochastic_round(t, 0.0, 1.0, nbins, zeros)
+    idx = round_indices(t, 0.0, 1.0, nbins, zeros)
     flipped = idx != unguarded
     assert flipped.any()
     assert np.array_equal(idx[flipped], np.floor(t[flipped]) + 1.0)
@@ -352,7 +361,7 @@ def test_one_pass_rule_matches_the_two_sided_rule_off_ties(bits):
     rng = np.random.default_rng(bits)
     values = rng.uniform(lower, grid.range, size=1_000_000)
     uniforms = rng.random(values.shape)
-    idx = _stochastic_round(values, lower, delta, nbins, uniforms)
+    idx = round_indices(values, lower, delta, nbins, uniforms)
     want, frac = _two_sided_round(values, lower, delta, nbins, uniforms)
     away = np.abs(uniforms - frac) > 1e-9
     assert away.mean() > 0.9999
@@ -366,11 +375,12 @@ def test_round_endpoints_fast_path_makes_ten_numpy_calls():
     values = rng.uniform(-grid.range, grid.range, size=(2, 40, 5)).view(CountedArray)
     complements = (1.0 - rng.random(values.shape)).view(CountedArray)
     CountedArray.calls = 0
-    idx, q, worst = _round_endpoints(values, -grid.range, grid.delta, grid.bins, complements)
+    idx, q, worst = _stochastic_round(values, -grid.range, grid.delta, grid.bins,
+                                      complements)
     assert CountedArray.calls == 10
     assert worst <= grid.delta
-    plain = _round_endpoints(values.view(np.ndarray), -grid.range, grid.delta, grid.bins,
-                             complements.view(np.ndarray))
+    plain = _stochastic_round(values.view(np.ndarray), -grid.range, grid.delta, grid.bins,
+                              complements.view(np.ndarray))
     assert np.array_equal(idx, plain[0]) and np.array_equal(q, plain[1]) and worst == plain[2]
 
 
@@ -387,9 +397,11 @@ class FixedUniforms:
 def assert_engine_step_is_the_codec(x, grid, make_rng):
     # the engine's values are the decoded wire indices bit for bit, and its
     # error is their max distance from x, with or without a carried maximum
-    decoded = decode_matrix(quantize_matrix(x, grid, make_rng()), grid)
+    indices = quantize_matrix(x, grid, make_rng())
+    decoded = decode_matrix(indices, grid)
     for checked_max in (None, check_range(x, grid.range, grid.k)):
-        q, err = _quantize_values(x, grid, 1.0 - make_rng().random(x.shape), checked_max)
+        idx, q, err = _quantize_values(x, grid, 1.0 - make_rng().random(x.shape), checked_max)
+        assert np.array_equal(idx, indices)
         assert q.dtype == decoded.dtype and q.shape == decoded.shape
         assert q.tobytes() == decoded.tobytes()
         assert err == np.abs(decoded - x).max()
@@ -431,11 +443,12 @@ def test_engine_step_equals_the_codec_after_guard_flips(bits, replicas):
 def test_engine_step_at_round_zero_sends_zeros():
     grid = make_schedule(bits=4).grid(0)
     x = np.zeros((2, 3, 2))
-    q, err = _quantize_values(x, grid, None, None)
+    idx, q, err = _quantize_values(x, grid, None, None)
+    assert np.array_equal(idx, quantize_matrix(x, grid, None))
     assert np.array_equal(q, decode_matrix(quantize_matrix(x, grid, None), grid))
     assert err == 0.0
     x[1, 2, 0] = -0.5
-    assert _quantize_values(x, grid, None, None)[1] == 0.5
+    assert _quantize_values(x, grid, None, None)[2] == 0.5
 
 
 def test_variance_bound():
