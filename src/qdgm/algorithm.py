@@ -35,11 +35,10 @@ from . import diagnostics, quantizer
 from .errors import GradientBoundError, NonFiniteIterateError, QuantizationSupportError
 from .graph import MixingMatrix, spectral_gap
 from .objective import RegressionObjective, gradient_matrix
-from .quantizer import QuantizerSchedule
 # the per-round invariant is the quantizer's own range check; bench/child.py
 # traces it under this name
 from .quantizer import check_range as _check_range_invariant
-from .schedules import StepSchedule
+from .schedules import Schedule
 
 RECORD_BLOCK = 32  # recorded states run_experiment holds per make_record call
 
@@ -50,7 +49,7 @@ class RoundState:
 
     k: int
     x: np.ndarray
-    checked_max: float | None = None  # max |x| per its range check; None: unchecked
+    checked_max: float  # max |x| per its range check; inf: unchecked
 
 
 def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
@@ -59,8 +58,8 @@ def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
 
 
 def run_round(state: RoundState, mixing: MixingMatrix,
-              objective: RegressionObjective, steps: StepSchedule,
-              qsched: QuantizerSchedule, complements: np.ndarray | None) -> RoundState:
+              objective: RegressionObjective, schedule: Schedule,
+              complements: np.ndarray | None) -> RoundState:
     """Advance every agent of every replica one synchronized round.
 
     ``complements`` holds 1 - u for slice r's round-k draws u in slice r; round 0
@@ -69,11 +68,11 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     stack names the replica by its slice index.
     """
     k, x = state.k, state.x
-    alpha, beta = steps.alpha(k), steps.beta(k)
+    alpha, beta = schedule.alpha(k), schedule.beta(k)
     if complements is None:
         q = x
     else:
-        grid = qsched.grid(k)
+        grid = schedule.grid(k)
         _, q, err = quantizer._quantize_values(x, grid, complements, state.checked_max)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
@@ -90,7 +89,7 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     grads *= alpha
     x_next -= grads
     try:
-        checked_max = _check_range_invariant(x_next, qsched.range_at(k + 1), k + 1)
+        checked_max = _check_range_invariant(x_next, schedule.range_at(k + 1), k + 1)
     except GradientBoundError:
         if np.isfinite(x_next).all():  # a NaN or inf iterate fails the check too
             raise
@@ -127,23 +126,19 @@ def record_points(iterations: int, stride: int | None = None,
     return sorted(pts)
 
 
-def _schedules(objective: RegressionObjective, mixing: MixingMatrix, bits: int,
-               beta_clamp: float | None, iterations: int,
-               seed: int | None) -> tuple[StepSchedule, QuantizerSchedule]:
-    """A run's step and range schedules, built once, after the checks of the
-    round count and of the seed (None: an exact run, which draws nothing)."""
+def _schedule(objective: RegressionObjective, mixing: MixingMatrix, bits: int,
+              beta_clamp: float | None, iterations: int, seed: int | None) -> Schedule:
+    """A run's schedule, built once, after the checks of the round count and
+    of the seed (None: an exact run, which draws nothing)."""
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    steps = StepSchedule(objective.mu, spectral_gap(mixing), beta_clamp)
-    return steps, QuantizerSchedule(objective.grad_bound, steps, bits)
+    return Schedule.of(objective, spectral_gap(mixing), bits, beta_clamp)
 
 
-def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
-                steps: StepSchedule, qsched: QuantizerSchedule, *,
-                iterations: int, seed: int, first: int, replicas: int,
-                quantized: bool):
+def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: Schedule, *,
+                iterations: int, seed: int, first: int, replicas: int, quantized: bool):
     """The one round loop: yields the states of rounds 0 to ``iterations`` of
     replicas ``first`` on, ``replicas`` of them, started from zero."""
     state = initial_state(objective.n, objective.dims, replicas)
@@ -162,7 +157,7 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix,
                     stream.random(out=out)
                 np.subtract(1.0, block, out=block)  # the rounding reads 1 - u
             complements = block[:, j]
-        state = run_round(state, mixing, objective, steps, qsched, complements)
+        state = run_round(state, mixing, objective, schedule, complements)
         yield state
 
 
@@ -185,19 +180,18 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
         if held:
             ks, xs, zs = zip(*held)
             blocks.append(diagnostics.make_record(ks, np.concatenate(xs), np.concatenate(zs),
-                                                  objective, steps, qsched, eta, inputs))
+                                                  objective, schedule, eta))
             held.clear()
 
     try:
         # the per-run constants of every record
-        steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations,
-                                   seed if quantized else None)
+        schedule = _schedule(objective, mixing, bits, beta_clamp, iterations,
+                             seed if quantized else None)
         eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz,
-                                       steps.spectral_gap, eta_mode)
-        inputs = diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits)
+                                       schedule.spectral_gap, eta_mode)
         points = set(record_points(iterations, record_stride, extra_record_points))
         z = np.zeros((1, objective.n, objective.dims))
-        for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
+        for state in _run_rounds(objective, mixing, schedule, iterations=iterations,
                                  seed=seed, first=replica, replicas=1, quantized=quantized):
             if state.k in points:
                 held.append((state.k, state.x, z))
@@ -219,13 +213,12 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     """Run Monte Carlo replicas differing only in quantizer randomness, as one
     stack, and collect each round's ``ensemble_statistics`` (one agent mean) into
     C-contiguous [replica, round] arrays, bit for bit the per-replica formulas."""
-    steps, qsched = _schedules(objective, mixing, bits, beta_clamp, iterations, seed)
+    schedule = _schedule(objective, mixing, bits, beta_clamp, iterations, seed)
     rounds = np.arange(iterations + 1)
     stats = np.zeros((3, replicas, iterations + 1))
-    for state in _run_rounds(objective, mixing, steps, qsched, iterations=iterations,
+    for state in _run_rounds(objective, mixing, schedule, iterations=iterations,
                              seed=seed, first=0, replicas=replicas, quantized=True):
         stats[:, :, state.k] = diagnostics.ensemble_statistics(state.x, objective)
     return diagnostics.EnsembleTrace(  # stats: consensus_sq, r_sq, f_worst
-        *stats, deltas=qsched.grid(rounds).delta, alphas=steps.alpha(rounds[:-1]),
-        betas=steps.beta(rounds[:-1]), f_star=objective.f_star,
-        inputs=diagnostics.RateBoundInputs.of(objective, steps.spectral_gap, bits))
+        *stats, deltas=schedule.grid(rounds).delta, alphas=schedule.alpha(rounds[:-1]),
+        betas=schedule.beta(rounds[:-1]), f_star=objective.f_star, schedule=schedule)

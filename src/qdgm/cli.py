@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, quantizer
 from .algorithm import collect_ensemble, run_experiment
 from .config import ExperimentConfig, check_fields, load_config
-from .diagnostics import (MIN_REPLICAS, RateBoundInputs, Trace, check_consensus_recursion,
+from .diagnostics import (MIN_REPLICAS, Trace, check_consensus_recursion,
                           check_descent_recursion, rate_bound)
 from .errors import (ConfigError, DegenerateInstanceError, GradientBoundError,
                      GraphSamplingError)
@@ -32,8 +32,8 @@ from .graph import (NetworkTopology, generate_random_connected_graph,
                     save_edge_list, spectral_gap)
 from .objective import (RegressionObjective, generate_instance,
                         save_instance_csv, well_conditioned_instance)
-from .quantizer import QuantizerSchedule, unpack_indices
-from .schedules import StepSchedule
+from .quantizer import unpack_indices
+from .schedules import Schedule
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -128,11 +128,9 @@ def quantizer_property_checks(seed: int) -> list[dict]:
     variance bound, and the wire contract (packed indices unpack to the
     same indices and decode to the same values bit for bit)."""
     rng = np.random.default_rng(seed)
-    steps = StepSchedule(mu=4.0, spectral_gap=0.5)
     checks = []
     for bits, dims in [(1, 3), (6, 2), (16, 5)]:
-        qsched = QuantizerSchedule(1.0, steps, bits)
-        grid = qsched.grid(3)
+        grid = Schedule(4.0, 4.0, 1.0, dims, 1, bits, 0.5).grid(3)
         rangek, delta = grid.range, grid.delta
         x = rng.uniform(-rangek, rangek, size=dims)
         block = np.repeat(x[None, :], PROPERTY_DRAWS // 10, axis=0)
@@ -208,10 +206,10 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
         beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode, quantized=True,
         record_stride=cfg.record_stride, extra_record_points=horizons + [1])
     by_k = {rec.k: rec for rec in trace.records}
-    inputs = RateBoundInputs.of(objective, spectral_gap(mixing), cfg.bits)
+    schedule = Schedule.of(objective, spectral_gap(mixing), cfg.bits, cfg.beta_clamp)
     for horizon in horizons:
         measured = by_k[horizon].f_gap_avg_max
-        bound = rate_bound(inputs, horizon, by_k[1].lyapunov)
+        bound = rate_bound(schedule, horizon, by_k[1].lyapunov)
         print(f"{horizon},{measured:.17g},{bound:.17g},{measured / bound:.17g}")
     return EXIT_OK
 

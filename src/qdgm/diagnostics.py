@@ -6,11 +6,12 @@ Y = X - 1 xbar^T the consensus deviation, r_sq = ||xbar - x*||^2. The
 Lyapunov value couples both errors, V_k = r_sq + eta * (alpha_k/beta_k) *
 ||Y_k||_F^2. The vector quantization error bound entering the inequality
 constants is d * delta_k (coarser than the sqrt(d) * delta_k the codec
-actually guarantees, and therefore conservative). RateBoundInputs.of(objective,
-spectral gap, bits) makes the constants that gamma_k, the envelope and the
-inequality checks read; the envelope's measured V_1 is an argument. A trace
-row's gaps f(p) - f* are a quadratic form about x*, and make_record builds a
-block of rows in one pass, so a row's bits depend only on its own round.
+actually guarantees, and therefore conservative). gamma_k, the envelope and
+the inequality checks read their constants from the run's schedules.Schedule,
+which Schedule.of(objective, spectral gap, bits) makes; the envelope's
+measured V_1 is an argument. A trace row's gaps f(p) - f* are a quadratic
+form about x*, and make_record builds a block of rows in one pass, so a
+row's bits depend only on its own round.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .objective import RegressionObjective, optimality_gaps
-from .quantizer import QuantizerSchedule
-from .schedules import StepSchedule, libm_power
+from .schedules import Schedule, libm_power
 
 TRACE_COLUMNS = [
     "k", "f_gap_last", "f_gap_avg_min", "f_gap_avg_max", "consensus_sq",
@@ -129,91 +129,56 @@ def eta_coupling(mu: float, lipschitz: float, spectral_gap: float,
     raise ValueError(f"unknown eta mode {mode!r}; pick one of {ETA_MODES}")
 
 
-def lyapunov_value(r_sq, consensus_sq, ks, steps: StepSchedule, eta: float):
+def lyapunov_value(r_sq, consensus_sq, ks, schedule: Schedule, eta: float):
     """V_k = r_sq + eta * (alpha_k / beta_k) * consensus_sq, at one round or elementwise."""
-    return r_sq + eta * (steps.alpha(ks) / steps.beta(ks)) * consensus_sq
+    return r_sq + eta * (schedule.alpha(ks) / schedule.beta(ks)) * consensus_sq
 
 
-@dataclass(frozen=True)
-class RateBoundInputs:
-    """Problem constants of gamma_k, the decay envelope and the inequality checks."""
-
-    mu: float
-    lipschitz: float
-    grad_bound: float
-    dims: int
-    n: int
-    bits: int
-    sigma2: float
-
-    def __post_init__(self):
-        if min(self.mu, self.lipschitz, self.grad_bound, self.dims, self.n, self.bits) <= 0:
-            raise ValueError("all rate-bound constants must be positive")
-        if not (0.0 <= self.sigma2 < 1.0):
-            raise ValueError("sigma2 must be in [0, 1)")
-
-    @classmethod
-    def of(cls, objective: RegressionObjective, spectral_gap: float,
-           bits: int) -> "RateBoundInputs":
-        """A run's constants: sigma2 = 1 - spectral_gap, b = bits."""
-        return cls(objective.mu, objective.lipschitz, objective.grad_bound,
-                   objective.dims, objective.n, bits, 1.0 - spectral_gap)
-
-    @property
-    def quantization(self) -> float:
-        """(C d / (2^b - 1))^2, the squared bin width per unit summed step."""
-        return (self.grad_bound * self.dims / (2 ** self.bits - 1)) ** 2
-
-
-def gamma_k(inputs: RateBoundInputs, steps: StepSchedule, ks) -> np.ndarray:
+def gamma_k(schedule: Schedule, ks) -> np.ndarray:
     """Per-round additive error term of the Lyapunov recursion, at one round or elementwise."""
     ks = np.asarray(ks)
     if (ks < 1).any():
         raise ValueError("gamma is defined for k >= 1")
-    mu, lip = inputs.mu, inputs.lipschitz
-    gap = 1.0 - inputs.sigma2
+    mu, lip, gap = schedule.mu, schedule.lipschitz, schedule.spectral_gap
     coupled = coupled_smoothness(mu, lip)
-    quant = inputs.quantization * libm_power(steps.alpha_sum(ks), 2)
+    quant = schedule.quantization * libm_power(schedule.alpha_sum(ks), 2)
     pow15, pow175 = libm_power(ks + 1, 1.5), libm_power(ks + 1, 1.75)
     return (
         (16.0 / mu ** 2) / (ks + 1) ** 2
         + (40.0 * lip ** 2 * coupled / mu ** 3) / pow15
         + (4.0 / (gap * pow15)
-           + 320.0 * coupled * inputs.n ** 2 / (gap ** 2 * pow175)) * quant
+           + 320.0 * coupled * schedule.n ** 2 / (gap ** 2 * pow175)) * quant
     )
 
 
-def rate_bound_terms(inputs: RateBoundInputs, horizon: int, v1: float) -> tuple[float, ...]:
+def rate_bound_terms(schedule: Schedule, horizon: int, v1: float) -> tuple[float, ...]:
     """The five summands of the expected-gap envelope at the horizon, given V_1 = v1."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if v1 < 0:
         raise ValueError("v1 must be nonnegative")
-    mu, lip = inputs.mu, inputs.lipschitz
-    gap = 1.0 - inputs.sigma2
+    mu, lip, gap = schedule.mu, schedule.lipschitz, schedule.spectral_gap
     tp1 = horizon + 1.0
-    quant = inputs.quantization
+    quant = schedule.quantization
     log_sq = math.log(horizon) ** 2
     return (
         mu * v1 / (8.0 * tp1 ** 2),
         2.0 / tp1,
         (16.0 / (3.0 * mu * gap)) * quant * log_sq / tp1 ** 0.5,
         # open question: L + 8 L^2 here, not coupled_smoothness's L + 8 L^2 / mu
-        (4.0 * inputs.n ** 2 * (lip + 8.0 * lip ** 2) / gap ** 2)
+        (4.0 * schedule.n ** 2 * (lip + 8.0 * lip ** 2) / gap ** 2)
         * quant * log_sq / tp1 ** 0.75,
         (8.0 * lip * coupled_smoothness(mu, lip) / (3.0 * mu ** 3)) / tp1 ** 0.5,
     )
 
 
-def rate_bound(inputs: RateBoundInputs, horizon: int, v1: float) -> float:
+def rate_bound(schedule: Schedule, horizon: int, v1: float) -> float:
     """Closed-form bound on the expected averaged-output optimality gap."""
-    return sum(rate_bound_terms(inputs, horizon, v1))
+    return sum(rate_bound_terms(schedule, horizon, v1))
 
 
 def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
-                objective: RegressionObjective, steps: StepSchedule,
-                qsched: QuantizerSchedule, eta: float,
-                inputs: RateBoundInputs) -> np.ndarray:
+                objective: RegressionObjective, schedule: Schedule, eta: float) -> np.ndarray:
     """The (B, len(TRACE_COLUMNS)) block of trace rows for the B rounds ``ks``
     (ints), from the (B, n, d) stacks of their iterates and averaged iterates,
     in the same number of numpy calls for any B. A row's bits depend only on its round:
@@ -227,12 +192,12 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
     centered = x_stack - xbar[:, None]  # consensus_error's deviation, from the one mean
     cons = np.sum(np.square(centered, out=centered), axis=(1, 2))
     r_sq = np.sum((xbar - objective.optimum) ** 2, axis=1)
-    grid = qsched.grid(ks)
+    grid = schedule.grid(ks)
     return np.column_stack([
         ks, gaps[:, -1], gaps[:, :-1].min(axis=1), gaps[:, :-1].max(axis=1), cons, r_sq,
-        lyapunov_value(r_sq, cons, ks, steps, eta), grid.delta, grid.range,
+        lyapunov_value(r_sq, cons, ks, schedule, eta), grid.delta, grid.range,
         np.abs(x_stack).max(axis=(1, 2)),
-        np.where(ks >= 1, gamma_k(inputs, steps, np.maximum(ks, 1)), math.nan)])
+        np.where(ks >= 1, gamma_k(schedule, np.maximum(ks, 1)), math.nan)])
 
 
 @dataclass
@@ -241,7 +206,7 @@ class EnsembleTrace:
 
     Arrays are C-contiguous [replica, round], bit for bit the per-replica formulas
     with one agent mean per round; `f_worst` holds max_i f(x_k^i), the agent that
-    stresses the descent inequality hardest; `inputs` are the run's problem constants.
+    stresses the descent inequality hardest; `schedule` is the run's.
     """
 
     consensus_sq: np.ndarray
@@ -251,7 +216,7 @@ class EnsembleTrace:
     alphas: np.ndarray
     betas: np.ndarray
     f_star: float
-    inputs: RateBoundInputs
+    schedule: Schedule
 
 
 @dataclass(frozen=True)
@@ -295,12 +260,12 @@ def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
     with s = sigma2, Dv the d-scaled bin width, checked in Monte Carlo mean
     with a 3-standard-error slack.
     """
-    gap = 1.0 - ens.inputs.sigma2
+    gap = ens.schedule.spectral_gap
     a, b = ens.alphas, ens.betas
-    dv = ens.inputs.dims * ens.deltas[:-1]
+    dv = ens.schedule.dims * ens.deltas[:-1]
     rhs = (1.0 - gap * b) * ens.consensus_sq[:, :-1] \
-        + (1.0 + gap * b[0]) * b ** 2 * ens.inputs.n ** 2 * dv ** 2 \
-        + ((gap * b[0] + 1.0) / gap) * ens.inputs.lipschitz ** 2 * a ** 2 / b
+        + (1.0 + gap * b[0]) * b ** 2 * ens.schedule.n ** 2 * dv ** 2 \
+        + ((gap * b[0] + 1.0) / gap) * ens.schedule.lipschitz ** 2 * a ** 2 / b
     return _mc_violations("consensus_recursion", ens.consensus_sq[:, 1:], rhs)
 
 
@@ -313,8 +278,8 @@ def check_descent_recursion(ens: EnsembleTrace) -> InequalityReport:
     checked in Monte Carlo mean with a 3-standard-error slack.
     """
     a, b = ens.alphas, ens.betas
-    mu, lip = ens.inputs.mu, ens.inputs.lipschitz
-    dv = ens.inputs.dims * ens.deltas[:-1]
+    mu, lip = ens.schedule.mu, ens.schedule.lipschitz
+    dv = ens.schedule.dims * ens.deltas[:-1]
     rhs = (1.0 - mu * a / 2.0) * ens.r_sq[:, :-1] \
         + a ** 2 * lip ** 2 + b ** 2 * dv ** 2 \
         + 2.0 * a * (ens.f_star - ens.f_worst[:, :-1]) \

@@ -8,6 +8,7 @@ schedules.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ class RegressionObjective:
 
 def build_objective(features, targets) -> RegressionObjective:
     """Derive constants for given data; raises DegenerateInstanceError on
-    rank-deficient features or a Gram matrix that is not finite."""
+    rank-deficient features, or a Gram matrix or envelope power that is not finite."""
     w = np.asarray(features, dtype=np.float64)
     b = np.asarray(targets, dtype=np.float64)
     n, d = w.shape
@@ -77,18 +78,22 @@ def build_objective(features, targets) -> RegressionObjective:
         raise DegenerateInstanceError(
             f"degenerate instance: smallest Gram eigenvalue {evals[0]:.3e}")
     xstar = np.linalg.solve(gram, w.T @ b)
-    fstar = float(np.sum((w @ xstar - b) ** 2))
     radius = 4.0 * float(np.abs(xstar).max()) + 1.0
     # |w^T x| <= ||w||_1 * ||x||_inf on the box, hence the analytic bound
     row_norms = np.linalg.norm(w, axis=1)
     bound = float(np.max(2.0 * row_norms * (np.abs(w).sum(axis=1) * radius + np.abs(b))))
+    lipschitz, scale = 2.0 * float(evals[-1]), bound * d
+    if not math.isfinite(max(lipschitz * lipschitz * lipschitz, scale * scale)):
+        # the envelope's constants take L^3 (so mu^3, as mu <= L) and (C d)^2
+        raise DegenerateInstanceError("degenerate instance: L^3 or (C d)^2 is not finite")
+    fstar = float(np.sum((w @ xstar - b) ** 2))
     objective = RegressionObjective(
         features=w.copy(),
         targets=b.copy(),
         optimum=xstar,
         f_star=fstar,
         mu=2.0 * float(evals[0]),
-        lipschitz=2.0 * float(evals[-1]),
+        lipschitz=lipschitz,
         grad_bound=bound,
         operating_radius=radius,
     )

@@ -8,9 +8,10 @@ This makes the quantizer unbiased, keeps every draw within one bin width of
 x, and bounds the conditional variance by delta^2/4.
 
 For the distributed iteration the interval at round k is
-[-range(k), range(k)] with range(k) = C * sum_{t<k} alpha_t. Both sides of
-a link derive the identical interval from shared configuration, so a
-message needs only the b-bit endpoint indices and no side information.
+[-range(k), range(k)] with range(k) = C * sum_{t<k} alpha_t, the Grid that
+the run's ``schedules.Schedule.grid(k)`` makes. Both sides of a link derive
+the identical interval from shared configuration, so a message needs only
+the b-bit endpoint indices and no side information.
 Index 0 is round 0, where every iterate is exactly zero and the range is
 empty: every index is zero, no randomness is drawn and nothing needs to
 cross a link.
@@ -25,13 +26,11 @@ ceil(d*b/8) bytes, and :func:`unpack_indices` is its exact inverse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GradientBoundError
-from .schedules import StepSchedule
 
 # relative width of the band around the interval ends that is clamped
 # rather than rejected; beyond it an input is a genuine model violation
@@ -45,35 +44,6 @@ class Grid(NamedTuple):
     range: float
     delta: float
     bins: int
-
-
-@dataclass
-class QuantizerSchedule:
-    """Deterministic per-round interval shared by encoder and decoder.
-
-    range_at(k) = gradient_bound * sum_{t<k} alpha_t, nondecreasing with
-    range_at(0) = 0; grid(k).delta = 2 * range_at(k) / (2^bits - 1) is the
-    per-coordinate bin width. One vector draw errs by at most sqrt(d) * delta
-    in norm (the convergence constants use the coarser d * delta).
-    """
-
-    gradient_bound: float
-    steps: StepSchedule
-    bits: int
-
-    def __post_init__(self):
-        if self.gradient_bound <= 0.0:
-            raise ValueError("gradient bound must be positive")
-        if not (1 <= self.bits <= 32):
-            raise ValueError(f"bits must be in [1, 32], got {self.bits}")
-
-    def range_at(self, k: int) -> float:
-        return self.gradient_bound * self.steps.alpha_sum(k)
-
-    def grid(self, k: int) -> Grid:
-        rangek = self.range_at(k)
-        bins = (1 << self.bits) - 1
-        return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
 def check_range(x: np.ndarray, rangek: float, k: int) -> float:
@@ -116,14 +86,14 @@ def _stochastic_round(values, lower, delta, nbins, complements):
     return idx, q, worst
 
 
-def _quantize_values(x, grid: Grid, complements, checked_max: float | None):
+def _quantize_values(x, grid: Grid, complements, checked_max: float):
     """The one quantize step: float indices, their decoded values and max |q - x|,
     for ``complements`` 1 - u of u = rng.random(x.shape) and checked_max, max |x|
-    if checked, or None. Clamp-band inputs snap; farther out, or NaN, raises."""
+    if checked, or inf. Clamp-band inputs snap; farther out, or NaN, raises."""
     if grid.k == 0:  # every index is zero and no uniform is drawn
         zeros = np.zeros(x.shape)
         return zeros, zeros, float(np.maximum.reduce(np.abs(x), axis=None))
-    if checked_max is None or checked_max > grid.range * (1.0 + CLAMP_BAND):
+    if checked_max > grid.range * (1.0 + CLAMP_BAND):
         checked_max = check_range(x, grid.range, grid.k)
     values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
     idx, q, worst = _stochastic_round(values, -grid.range, grid.delta, grid.bins, complements)

@@ -1,10 +1,14 @@
-"""Two-time-scale diminishing step sequences.
+"""Every constant of a run, and the steps and ranges made from them.
 
-The gradient step alpha_k = (4/mu)/(k+1) decays harmonically; the consensus
-mixing weight beta_k = (4/(1-sigma2))/(k+1)^(3/4) decays more slowly, which
-is what separates the two time scales. The raw beta sequence starts above 1,
-so by default it is clamped at ``beta_clamp`` to keep every update a convex
-combination; pass ``beta_clamp=None`` for the raw values.
+A Schedule holds mu, L, the gradient bound C, d, n, the bits b and the
+spectral gap 1 - sigma2. The gradient step alpha_k = (4/mu)/(k+1) decays
+harmonically; the consensus mixing weight beta_k = (4/(1-sigma2))/(k+1)^(3/4)
+decays more slowly, which is what separates the two time scales. The raw
+beta sequence starts above 1, so by default it is clamped at ``beta_clamp``
+to keep every update a convex combination; pass ``beta_clamp=None`` for the
+raw values. Round k's quantizer interval is [-range(k), range(k)] with
+range(k) = C * sum_{t<k} alpha_t, shared by encoder and decoder. gamma_k,
+the decay envelope and the inequality checks read the same constants.
 """
 from __future__ import annotations
 
@@ -12,22 +16,50 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .objective import RegressionObjective
+from .quantizer import Grid
+
 
 @dataclass
-class StepSchedule:
+class Schedule:
+    """A run's constants, with the steps and quantizer ranges they make."""
+
     mu: float
+    lipschitz: float
+    grad_bound: float
+    dims: int
+    n: int
+    bits: int
     spectral_gap: float
     beta_clamp: float | None = 1.0
     _alpha_partials: np.ndarray = field(default_factory=lambda: np.zeros(1),
                                         repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if min(self.mu, self.lipschitz, self.grad_bound, self.dims, self.n) <= 0:
+            raise ValueError("mu, lipschitz, grad_bound, dims and n must be positive")
         if not (0.0 < self.spectral_gap <= 1.0):
             raise ValueError("spectral gap must be in (0, 1]")
+        if not (1 <= self.bits <= 32):
+            raise ValueError(f"bits must be in [1, 32], got {self.bits}")
         if self.beta_clamp is not None and self.beta_clamp <= 0.0:
             raise ValueError("beta clamp must be positive (or None to disable)")
+
+    @classmethod
+    def of(cls, objective: RegressionObjective, spectral_gap: float, bits: int,
+           beta_clamp: float | None = 1.0) -> "Schedule":
+        """A run's schedule: the objective's constants, the graph's gap, b = bits."""
+        return cls(objective.mu, objective.lipschitz, objective.grad_bound, objective.dims,
+                   objective.n, bits, spectral_gap, beta_clamp)
+
+    @property
+    def sigma2(self) -> float:
+        return 1.0 - self.spectral_gap
+
+    @property
+    def quantization(self) -> float:
+        """(C d / (2^b - 1))^2, the squared bin width per unit summed step."""
+        return (self.grad_bound * self.dims / (2 ** self.bits - 1)) ** 2
 
     def alpha(self, k):
         """Gradient step at round k (elementwise for an array of rounds)."""
@@ -59,6 +91,18 @@ class StepSchedule:
             np.add.accumulate(table[size - 1:], out=table[size - 1:])
         partials = self._alpha_partials[k]
         return float(partials) if isinstance(k, int) else partials
+
+    def range_at(self, k: int) -> float:
+        """C * sum_{t<k} alpha_t, nondecreasing with range_at(0) = 0."""
+        return self.grad_bound * self.alpha_sum(k)
+
+    def grid(self, k: int) -> Grid:
+        """Round k's grid: bin width delta = 2 range(k) / (2^b - 1) per coordinate. One
+        vector draw errs by at most sqrt(d) delta in norm (the convergence constants
+        use the coarser d delta)."""
+        rangek = self.range_at(k)
+        bins = (1 << self.bits) - 1
+        return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
 def libm_power(base, exponent: float):

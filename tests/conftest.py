@@ -3,6 +3,7 @@ import pytest
 
 from qdgm.graph import NetworkTopology, lazy_metropolis, path_topology
 from qdgm.objective import build_objective, well_conditioned_instance
+from qdgm.schedules import Schedule
 
 # collected by the acceptance tests; printed in the terminal summary so each
 # criterion yields one visible pass/fail line even when capture is on
@@ -20,6 +21,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, passed, detail in sorted(ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {status} - {detail}")
+
+
+def schedule(**overrides) -> Schedule:
+    """A Schedule of unit constants, b = 1 and spectral gap 0.5, with ``overrides``."""
+    fields = dict(mu=1.0, lipschitz=1.0, grad_bound=1.0, dims=1, n=1, bits=1, spectral_gap=0.5)
+    return Schedule(**{**fields, **overrides})
 
 
 class CountedArray(np.ndarray):

@@ -11,20 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ReplicaStreams, report_acceptance
+from conftest import ReplicaStreams, report_acceptance, schedule
 from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, \
     run_round, RoundState
 from qdgm.cli import main as cli_main
-from qdgm.diagnostics import (RateBoundInputs, check_consensus_recursion,
-                              check_descent_recursion, fit_loglog_slope,
-                              rate_bound)
+from qdgm.diagnostics import (check_consensus_recursion, check_descent_recursion,
+                              fit_loglog_slope, rate_bound)
 from qdgm.graph import (NetworkTopology, generate_random_connected_graph,
                         lazy_metropolis, path_topology, spectral_gap)
 from qdgm.objective import (build_objective, generate_instance,
                             well_conditioned_instance)
-from qdgm.quantizer import (QuantizerSchedule, decode_matrix, pack_index_rows,
-                            quantize_matrix, unpack_indices, _stochastic_round)
-from qdgm.schedules import StepSchedule
+from qdgm.quantizer import (decode_matrix, pack_index_rows, quantize_matrix,
+                            unpack_indices, _stochastic_round)
+from qdgm.schedules import Schedule
 
 BENCH = dict(n=40, d=5, bits=16, seed=7, edge_probability=0.158)
 LONG_RUN = 100_000
@@ -189,26 +188,26 @@ def test_criterion_6_recursion_inequalities_monte_carlo():
 def test_criterion_7_bound_dominates_measurements(benchmark_runs):
     objective, mixing, quantized, _ = benchmark_runs
     by_k = {rec.k: rec for rec in quantized.records}
-    inputs = RateBoundInputs.of(objective, spectral_gap(mixing), BENCH["bits"])
+    sched = Schedule.of(objective, spectral_gap(mixing), BENCH["bits"])
     v1 = by_k[1].lyapunov
     worst_ratio = 0.0
     for rec in quantized.records:
         if rec.k < 1:
             continue
-        bound = rate_bound(inputs, rec.k, v1)
+        bound = rate_bound(sched, rec.k, v1)
         worst_ratio = max(worst_ratio, rec.f_gap_avg_max / bound)
     # two-implementation check of the envelope formula
     def oracle(T):
-        q = (inputs.grad_bound * inputs.dims / (2 ** inputs.bits - 1)) ** 2
-        return (inputs.mu * v1 / (8 * (T + 1) ** 2) + 2 / (T + 1)
-                + 16 / (3 * inputs.mu * (1 - inputs.sigma2)) * q
+        q = (sched.grad_bound * sched.dims / (2 ** sched.bits - 1)) ** 2
+        return (sched.mu * v1 / (8 * (T + 1) ** 2) + 2 / (T + 1)
+                + 16 / (3 * sched.mu * (1 - sched.sigma2)) * q
                 * math.log(T) ** 2 / (T + 1) ** 0.5
-                + 4 * inputs.n ** 2 * (inputs.lipschitz + 8 * inputs.lipschitz ** 2)
-                / (1 - inputs.sigma2) ** 2 * q * math.log(T) ** 2 / (T + 1) ** 0.75
-                + 8 * inputs.lipschitz
-                * (inputs.lipschitz + 8 * inputs.lipschitz ** 2 / inputs.mu)
-                / (3 * inputs.mu ** 3) / (T + 1) ** 0.5)
-    oracle_rel = max(abs(rate_bound(inputs, T, v1) - oracle(T)) / oracle(T)
+                + 4 * sched.n ** 2 * (sched.lipschitz + 8 * sched.lipschitz ** 2)
+                / (1 - sched.sigma2) ** 2 * q * math.log(T) ** 2 / (T + 1) ** 0.75
+                + 8 * sched.lipschitz
+                * (sched.lipschitz + 8 * sched.lipschitz ** 2 / sched.mu)
+                / (3 * sched.mu ** 3) / (T + 1) ** 0.5)
+    oracle_rel = max(abs(rate_bound(sched, T, v1) - oracle(T)) / oracle(T)
                      for T in (1, 10, 1000, LONG_RUN))
     ok = worst_ratio <= 1.0 and oracle_rel <= 1e-12
     report_acceptance(7, ok, f"worst measured/bound ratio {worst_ratio:.2e}, "
@@ -232,8 +231,8 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     # at the wire boundary the engine's index matrix survives packing: the
     # receiver unpacks the same indices and decodes the same values bitwise
     for bits in (1, 2, 8, 16):
-        qsched = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5), bits)
-        rangek, grid = qsched.range_at(9), qsched.grid(9)
+        sched = schedule(mu=4.0, bits=bits)
+        rangek, grid = sched.range_at(9), sched.grid(9)
         idx = quantize_matrix(rng.uniform(-rangek, rangek, size=(40, 5)),
                               grid, rng)
         received = np.array([unpack_indices(payload, bits, 5)
@@ -247,24 +246,23 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     # to an exact gradient step
     obj = build_objective(np.array([[1.0]]), np.array([0.8]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(1, []))
-    steps = StepSchedule(obj.mu, 1.0)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
+    sched = Schedule.of(obj, 1.0, 8)
     worst = 0.0
     for k in (1, 3, 9, 40, 200):
-        rangek, delta = qsched.range_at(k), qsched.grid(k).delta
+        rangek, delta = sched.range_at(k), sched.grid(k).delta
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
-        state = RoundState(k, np.array([[[x_val]]]))
-        nxt = run_round(state, mixing, obj, steps, qsched,
+        state = RoundState(k, np.array([[[x_val]]]), abs(x_val))
+        nxt = run_round(state, mixing, obj, sched,
                         ReplicaStreams(1, state.x.shape)(k))
-        gd = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
+        gd = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)
         worst = max(worst, abs(nxt.x[0, 0, 0] - gd))
     # and the exact-exchange twin is plain gradient descent along a full run
     state = initial_state(1, 1)
     oracle = 0.0
     for k in range(200):
-        state = run_round(state, mixing, obj, steps, qsched, None)
-        oracle = oracle - steps.alpha(k) * 2.0 * (oracle - 0.8)
+        state = run_round(state, mixing, obj, sched, None)
+        oracle = oracle - sched.alpha(k) * 2.0 * (oracle - 0.8)
         worst = max(worst, abs(state.x[0, 0, 0] - oracle))
     ok = worst <= 1e-12
     report_acceptance(8, ok, f"{checked} codec round-trips exact; gradient-"

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountedArray, ReplicaStreams
+from conftest import CountedArray, ReplicaStreams, schedule
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
@@ -17,25 +18,23 @@ from qdgm.errors import (GradientBoundError, NonFiniteIterateError,
                          QuantizationSupportError)
 from qdgm.graph import NetworkTopology, lazy_metropolis, path_topology, spectral_gap
 from qdgm.objective import build_objective, well_conditioned_instance
-from qdgm.quantizer import QuantizerSchedule
-from qdgm.schedules import StepSchedule
+from qdgm.schedules import Schedule
 
 
 def single_agent_setup(target=0.8):
     obj = build_objective(np.array([[1.0]]), np.array([target]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(1, []))
-    steps = StepSchedule(obj.mu, 1.0)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
-    return obj, mixing, steps, qsched
+    sched = Schedule.of(obj, 1.0, 8)
+    return obj, mixing, sched
 
 
 def test_single_agent_baseline_is_plain_gradient_descent():
-    obj, mixing, steps, qsched = single_agent_setup()
+    obj, mixing, sched = single_agent_setup()
     state = initial_state(1, 1)
     oracle = 0.0
     for k in range(100):
-        state = run_round(state, mixing, obj, steps, qsched, None)
-        oracle = oracle - steps.alpha(k) * 2.0 * (oracle - 0.8)
+        state = run_round(state, mixing, obj, sched, None)
+        oracle = oracle - sched.alpha(k) * 2.0 * (oracle - 0.8)
         assert abs(state.x[0, 0, 0] - oracle) <= 1e-12
 
 
@@ -43,14 +42,14 @@ def test_single_agent_baseline_is_plain_gradient_descent():
 def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     # an iterate sitting exactly on the round-k grid is transmitted without
     # error, so the consensus term collapses and only the gradient step acts
-    obj, mixing, steps, qsched = single_agent_setup()
-    rangek, delta = qsched.range_at(k), qsched.grid(k).delta
+    obj, mixing, sched = single_agent_setup()
+    rangek, delta = sched.range_at(k), sched.grid(k).delta
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
-    state = RoundState(k, np.array([[[x_val]]]))
-    nxt = run_round(state, mixing, obj, steps, qsched,
+    state = RoundState(k, np.array([[[x_val]]]), abs(x_val))
+    nxt = run_round(state, mixing, obj, sched,
                     ReplicaStreams(3, state.x.shape)(k))
-    expected = x_val - steps.alpha(k) * 2.0 * (x_val - 0.8)
+    expected = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)
     assert abs(nxt.x[0, 0, 0] - expected) <= 1e-12
 
 
@@ -58,11 +57,10 @@ def test_fixed_point_at_common_root(hand_objective):
     # every agent's residual vanishes at (1, 2), so with exact exchange the
     # state is stationary
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
-    steps = StepSchedule(hand_objective.mu, 1.0)
-    qsched = QuantizerSchedule(hand_objective.grad_bound, steps, 8)
+    sched = Schedule.of(hand_objective, 1.0, 8)
     x = np.tile(hand_objective.optimum, (1, 2, 1))
-    state = RoundState(3, x.copy())
-    nxt = run_round(state, mixing, hand_objective, steps, qsched, None)
+    state = RoundState(3, x.copy(), np.abs(x).max())
+    nxt = run_round(state, mixing, hand_objective, sched, None)
     assert np.abs(nxt.x - x).max() <= 1e-12
 
 
@@ -71,11 +69,10 @@ def test_two_agents_average_in_one_round():
     # land on the average
     obj = build_objective(np.array([[1.0], [1.0]]), np.array([2.0, 4.0]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
-    steps = StepSchedule(obj.mu, 1.0, beta_clamp=1.0)
-    assert steps.beta(0) == 1.0
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
-    state = RoundState(0, np.array([[[2.0], [4.0]]]))
-    nxt = run_round(state, mixing, obj, steps, qsched, None)
+    sched = Schedule.of(obj, 1.0, 8)
+    assert sched.beta(0) == 1.0
+    state = RoundState(0, np.array([[[2.0], [4.0]]]), 4.0)
+    nxt = run_round(state, mixing, obj, sched, None)
     assert np.allclose(nxt.x, 3.0, atol=1e-12)
 
 
@@ -83,16 +80,15 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     # with exact exchange the row mean moves only by the mean gradient step:
     # the doubly stochastic mixing leaves it untouched
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 8)
     rng = np.random.default_rng(12)
     for k in (0, 2, 9):
         x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
-        state = RoundState(k, x)
-        nxt = run_round(state, small_mixing, obj, steps, qsched, None)
+        state = RoundState(k, x, np.abs(x).max())
+        nxt = run_round(state, small_mixing, obj, sched, None)
         residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
         gbar = (2.0 * obj.features * residuals[:, None]).mean(axis=0)
-        expected = x[0].mean(axis=0) - steps.alpha(k) * gbar
+        expected = x[0].mean(axis=0) - sched.alpha(k) * gbar
         assert np.abs(nxt.x[0].mean(axis=0) - expected).max() <= 1e-12
 
 
@@ -101,25 +97,23 @@ def test_consensus_stays_exact_with_identical_objectives():
     # consensus state the deviation stays exactly zero under exact exchange
     obj = build_objective(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
-    steps = StepSchedule(obj.mu, 1.0)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 8)
+    sched = Schedule.of(obj, 1.0, 8)
     state = initial_state(2, 1)
     for _ in range(30):
-        state = run_round(state, mixing, obj, steps, qsched, None)
+        state = run_round(state, mixing, obj, sched, None)
         assert state.x[0, 0, 0] == state.x[0, 1, 0]
 
 
 def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 6)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 6)
     state = initial_state(obj.n, obj.dims)
-    sent = quantizer.quantize_matrix(state.x, qsched.grid(0), np.random.default_rng(5))
+    sent = quantizer.quantize_matrix(state.x, sched.grid(0), np.random.default_rng(5))
     assert sent.shape == (1, obj.n, obj.dims) and np.all(sent == 0)
-    nxt = run_round(state, small_mixing, obj, steps, qsched,
+    nxt = run_round(state, small_mixing, obj, sched,
                     ReplicaStreams(5, state.x.shape)(0))
     # first move is the pure gradient step from zero
-    expected = -steps.alpha(0) * 2.0 * obj.features * (-obj.targets[:, None])
+    expected = -sched.alpha(0) * 2.0 * obj.features * (-obj.targets[:, None])
     assert np.abs(nxt.x - expected).max() <= 1e-15
 
 
@@ -141,25 +135,24 @@ def test_averaged_output_hand_values():
 
 
 def test_averaged_output_of_constant_trajectory():
-    obj, mixing, steps, qsched = single_agent_setup()
+    obj, mixing, sched = single_agent_setup()
     c = 0.8  # the optimum: stays put under baseline dynamics
-    state = RoundState(0, np.array([[[c]]]))
+    state = RoundState(0, np.array([[[c]]]), c)
     xs = [state.x]
     for _ in range(10):
-        state = run_round(state, mixing, obj, steps, qsched, None)
+        state = run_round(state, mixing, obj, sched, None)
         xs.append(state.x)
     assert _averages(xs)[-1][0, 0, 0] == pytest.approx(c, abs=1e-14)
 
 
 def test_incremental_average_matches_recomputation(small_instance, small_mixing):
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 5)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 5)
     state = initial_state(obj.n, obj.dims)
     history = [state.x.copy()]
     draws = ReplicaStreams(21, state.x.shape)
     for _ in range(60):
-        state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
+        state = run_round(state, small_mixing, obj, sched, draws(state.k))
         history.append(state.x.copy())
     weights = np.arange(1, len(history))  # x_0..x_{K-1} weighted 1..K
     recomputed = np.tensordot(weights, np.asarray(history[:-1]), axes=(0, 0)) \
@@ -169,15 +162,14 @@ def test_incremental_average_matches_recomputation(small_instance, small_mixing)
 
 def test_run_round_is_reproducible(small_instance, small_mixing):
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
     state = initial_state(obj.n, obj.dims)
     draws = ReplicaStreams(9, state.x.shape)
     for _ in range(3):
-        state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
+        state = run_round(state, small_mixing, obj, sched, draws(state.k))
     complements = draws(state.k)
-    a = run_round(state, small_mixing, obj, steps, qsched, complements)
-    b = run_round(state, small_mixing, obj, steps, qsched, complements)
+    a = run_round(state, small_mixing, obj, sched, complements)
+    b = run_round(state, small_mixing, obj, sched, complements)
     assert np.array_equal(a.x, b.x)
     # a different replica index rewires the randomness; one round's eight
     # rounding choices can agree by chance, five rounds do not
@@ -185,7 +177,7 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     for first in (0, 1):
         c, draws = state, ReplicaStreams(9, state.x.shape, first)
         for _ in range(5):
-            c = run_round(c, small_mixing, obj, steps, qsched, draws(c.k))
+            c = run_round(c, small_mixing, obj, sched, draws(c.k))
         later[first] = c.x
     assert not np.array_equal(later[0], later[1])
 
@@ -194,15 +186,14 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
     # slice r of a stack from replica 2 follows the one-replica run of
     # replica 2 + r bit for bit, round after round
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
 
     def rounds(first, replicas):
         state = initial_state(obj.n, obj.dims, replicas)
         draws = ReplicaStreams(9, state.x.shape, first)
         states = [state]
         for _ in range(25):
-            state = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
+            state = run_round(state, small_mixing, obj, sched, draws(state.k))
             states.append(state)
         return states
 
@@ -243,7 +234,7 @@ def test_batched_range_violation_names_agent_and_replica():
     # a single replica keeps the one-run wording
     with pytest.raises(GradientBoundError, match="violation: agent 1 reached"):
         quantizer.check_range(x[1:2], 1.0, 6)
-    grid = QuantizerSchedule(1.0, StepSchedule(4.0, 0.5), 4).grid(1)
+    grid = schedule(mu=4.0, bits=4).grid(1)
     with pytest.raises(GradientBoundError, match="agent 1 of replica 1 "):
         quantizer.quantize_matrix(x, grid, np.random.default_rng(0))
 
@@ -263,11 +254,9 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     # support bound; the engine must refuse with a typed error, also under
     # python -O
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 4)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
     draws = ReplicaStreams(4, (1, obj.n, obj.dims))
-    state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, steps,
-                      qsched, draws(0))
+    state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, sched, draws(0))
     stochastic_round = quantizer._stochastic_round
 
     def shifted(values, lower, delta, nbins, complements):
@@ -277,7 +266,7 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
 
     monkeypatch.setattr(quantizer, "_stochastic_round", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
-        run_round(state, small_mixing, obj, steps, qsched, draws(1))
+        run_round(state, small_mixing, obj, sched, draws(1))
 
 
 @pytest.mark.parametrize("quantized", [True, False])
@@ -301,37 +290,36 @@ def test_one_range_check_per_round(small_instance, small_mixing, monkeypatch,
 
 def test_hand_built_state_is_checked_before_quantizing(small_instance,
                                                        small_mixing):
-    # a state no round made carries no maximum, so the quantize step checks it
+    # a hand-built state whose maximum is unchecked (inf) is checked by the quantize step
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 6)
-    rangek = qsched.range_at(3)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 6)
+    rangek = sched.range_at(3)
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 2, 1] = 2.0 * rangek
     with pytest.raises(GradientBoundError) as excinfo:
-        run_round(RoundState(3, x), small_mixing, obj, steps,
-                  qsched, ReplicaStreams(3, x.shape)(3))
+        run_round(RoundState(3, x, math.inf), small_mixing, obj, sched,
+                  ReplicaStreams(3, x.shape)(3))
     message = (f"gradient-bound violation: agent 2 reached {2.0 * rangek} at "
                f"round 3, outside quantization range +-{rangek}")
     assert str(excinfo.value) == message
     # a maximum carried from a wider range is checked against this one
     with pytest.raises(GradientBoundError, match=f"^{re.escape(message)}$"):
         run_round(RoundState(3, x, 2.0 * rangek), small_mixing,
-                  obj, steps, qsched, ReplicaStreams(3, x.shape)(3))
+                  obj, sched, ReplicaStreams(3, x.shape)(3))
     # a stack names the replica by its slice index
     x = np.zeros((2, obj.n, obj.dims))
     x[1, 3, 0] = -2.0 * rangek
     with pytest.raises(GradientBoundError, match="agent 3 of replica 1 reached"):
-        run_round(RoundState(3, x), small_mixing, obj, steps,
-                  qsched, ReplicaStreams(3, x.shape)(3))
+        run_round(RoundState(3, x, math.inf), small_mixing, obj, sched,
+                  ReplicaStreams(3, x.shape)(3))
     # round 0 sends all-zero values, so a nonzero start breaks the support bound
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 1, 0] = 0.25
     with pytest.raises(QuantizationSupportError, match=(
             "^decoded value 0.25 away from its input at round 0, beyond the "
             "support bound 0.0$")):
-        run_round(RoundState(0, x), small_mixing, obj, steps,
-                  qsched, ReplicaStreams(3, x.shape)(0))
+        run_round(RoundState(0, x, 0.25), small_mixing, obj, sched,
+                  ReplicaStreams(3, x.shape)(0))
     assert initial_state(obj.n, obj.dims).checked_max == 0.0
 
 
@@ -350,22 +338,22 @@ def _round_work(replicas, quantized):
     cfg = ExperimentConfig()
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(build_topology(cfg))
-    steps, qsched = algorithm._schedules(objective, mixing, cfg.bits, 1.0, 6, cfg.seed)
+    sched = algorithm._schedule(objective, mixing, cfg.bits, 1.0, 6, cfg.seed)
     state = initial_state(objective.n, objective.dims, replicas)
     draws = ReplicaStreams(cfg.seed, state.x.shape)
     for k in range(5):
-        state = run_round(state, mixing, objective, steps, qsched,
+        state = run_round(state, mixing, objective, sched,
                           draws(k) if quantized else None)
     complements = draws(5) if quantized else None
-    run_round(state, mixing, objective, steps, qsched, complements)  # caches filled
+    run_round(state, mixing, objective, sched, complements)  # caches filled
     CountedArray.calls = 0
     run_round(RoundState(5, state.x.view(CountedArray), state.checked_max), mixing,
-              objective, steps, qsched,
+              objective, sched,
               None if complements is None else complements.view(CountedArray))
     events = []
     sys.setprofile(lambda frame, event, arg: events.append(event))
     try:
-        run_round(state, mixing, objective, steps, qsched, complements)
+        run_round(state, mixing, objective, sched, complements)
     finally:
         sys.setprofile(None)
     return CountedArray.calls, events.count("call") + events.count("c_call")
@@ -398,15 +386,14 @@ def test_growing_range_invariant_over_run(small_instance, small_mixing):
 
 def test_update_is_convex_combination_plus_gradient(small_instance, small_mixing):
     obj = small_instance
-    steps = StepSchedule(obj.mu, 1.0 - small_mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 3)
+    sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 3)
     state = initial_state(obj.n, obj.dims)
     draws = ReplicaStreams(17, state.x.shape)
     for _ in range(80):
-        nxt = run_round(state, small_mixing, obj, steps, qsched, draws(state.k))
+        nxt = run_round(state, small_mixing, obj, sched, draws(state.k))
         k = state.k
-        cap = max(np.abs(state.x).max(), qsched.range_at(k)) \
-            + steps.alpha(k) * obj.grad_bound
+        cap = max(np.abs(state.x).max(), sched.range_at(k)) \
+            + sched.alpha(k) * obj.grad_bound
         assert np.abs(nxt.x).max() <= cap + 1e-12
         state = nxt
 
@@ -504,10 +491,10 @@ def test_yielded_states_are_never_written(small_instance, small_mixing,
                                           quantized, replicas):
     # run_experiment holds yielded states and running averages without copying
     # them, so no later round or average may write into an earlier one's arrays
-    steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 40, 3)
+    sched = algorithm._schedule(small_instance, small_mixing, 6, 1.0, 40, 3)
     held, snapshots = [], []
     z = np.zeros((replicas, small_instance.n, small_instance.dims))
-    for state in algorithm._run_rounds(small_instance, small_mixing, steps, qsched,
+    for state in algorithm._run_rounds(small_instance, small_mixing, sched,
                                        iterations=40, seed=3, first=0,
                                        replicas=replicas, quantized=quantized):
         held.append((state, z))
@@ -535,10 +522,10 @@ def test_negative_round_count_is_refused_before_any_work(
     assert excinfo.value.partial_trace.table.shape == (0, len(diagnostics.TRACE_COLUMNS))
 
 def test_non_finite_iterate_detected():
-    obj, mixing, steps, qsched = single_agent_setup()
-    state = RoundState(2, np.array([[[1e308]]]))
+    obj, mixing, sched = single_agent_setup()
+    state = RoundState(2, np.array([[[1e308]]]), 1e308)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterateError):
-        run_round(state, mixing, obj, steps, qsched, None)
+        run_round(state, mixing, obj, sched, None)
 
 
 def _poison_gradient(monkeypatch, where, value):
@@ -554,11 +541,10 @@ def _poison_gradient(monkeypatch, where, value):
 
 
 def _stack_after_one_round(obj, mixing, replicas=3):
-    steps = StepSchedule(obj.mu, 1.0 - mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 6)
+    sched = Schedule.of(obj, 1.0 - mixing.sigma2, 6)
     state = run_round(initial_state(obj.n, obj.dims, replicas), mixing, obj,
-                      steps, qsched, ReplicaStreams(3, (replicas, obj.n, obj.dims))(0))
-    return state, steps, qsched
+                      sched, ReplicaStreams(3, (replicas, obj.n, obj.dims))(0))
+    return state, sched
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -566,28 +552,28 @@ def test_non_finite_replica_in_a_stack_is_named_non_finite(
         small_instance, small_mixing, monkeypatch, value):
     # the bad iterate fails the range check first; the round reports it as
     # non-finite, not as a gradient-bound violation of replica 1
-    state, steps, qsched = _stack_after_one_round(small_instance, small_mixing)
+    state, sched = _stack_after_one_round(small_instance, small_mixing)
     _poison_gradient(monkeypatch, (1, 2, 0), value)
     with pytest.raises(NonFiniteIterateError, match="^non-finite iterate at round 1$"):
-        run_round(state, small_mixing, small_instance, steps, qsched,
+        run_round(state, small_mixing, small_instance, sched,
                   ReplicaStreams(3, state.x.shape)(1))
 
 
 def test_finite_escape_in_a_stack_keeps_the_range_message(
         small_instance, small_mixing, monkeypatch):
-    state, steps, qsched = _stack_after_one_round(small_instance, small_mixing)
+    state, sched = _stack_after_one_round(small_instance, small_mixing)
     _poison_gradient(monkeypatch, (2, 1, 0), 1e6)
     with pytest.raises(GradientBoundError, match=(
             r"^gradient-bound violation: agent 1 of replica 2 reached \S+ at "
             r"round 2, outside quantization range \+-\S+$")):
-        run_round(state, small_mixing, small_instance, steps, qsched,
+        run_round(state, small_mixing, small_instance, sched,
                   ReplicaStreams(3, state.x.shape)(1))
 
 
 def _stream_states(objective, mixing, *, seed, first, replicas, iterations=70):
     """Every state of a quantized run of the engine's one round loop."""
-    steps, qsched = algorithm._schedules(objective, mixing, 6, 1.0, iterations, seed)
-    return list(algorithm._run_rounds(objective, mixing, steps, qsched,
+    sched = algorithm._schedule(objective, mixing, 6, 1.0, iterations, seed)
+    return list(algorithm._run_rounds(objective, mixing, sched,
                                       iterations=iterations, seed=seed, first=first,
                                       replicas=replicas, quantized=True))
 
@@ -599,7 +585,7 @@ def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, re
     # n*d uniforms at a time, one read per round k >= 1, as complements 1 - u
     states = _stream_states(small_instance, small_mixing, seed=11, first=0,
                             replicas=replicas)
-    steps, qsched = algorithm._schedules(small_instance, small_mixing, 6, 1.0, 70, 11)
+    sched = algorithm._schedule(small_instance, small_mixing, 6, 1.0, 70, 11)
     state = initial_state(small_instance.n, small_instance.dims, replicas)
     draws = ReplicaStreams(11, state.x.shape)
     reference = [state]
@@ -607,7 +593,7 @@ def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, re
         assert engine.k == state.k == k
         assert np.array_equal(engine.x, state.x), k
         if k < 70:
-            state = run_round(state, small_mixing, small_instance, steps, qsched, draws(k))
+            state = run_round(state, small_mixing, small_instance, sched, draws(k))
             reference.append(state)
     for k, (z, z_ref) in enumerate(zip(_averages([s.x for s in states]),
                                        _averages([s.x for s in reference]))):
@@ -697,8 +683,7 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     mixing = lazy_metropolis(path_topology(n))
     ens = collect_ensemble(objective, mixing, iterations=40, seed=11, bits=8,
                            replicas=replicas)
-    steps = StepSchedule(objective.mu, spectral_gap(mixing))
-    qsched = QuantizerSchedule(objective.grad_bound, steps, 8)
+    sched = Schedule.of(objective, spectral_gap(mixing), 8)
     draws = ReplicaStreams(11, (replicas, n, d))
     state = initial_state(n, d, replicas)
     w, b, x_star = objective.features, objective.targets, objective.optimum
@@ -710,7 +695,7 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
         assert ens.consensus_sq[:, k].tobytes() == cons.tobytes()
         assert ens.r_sq[:, k].tobytes() == r_sq.tobytes()
         assert ens.f_worst[:, k].tobytes() == f_worst.tobytes()
-        state = run_round(state, mixing, objective, steps, qsched, draws(k))
+        state = run_round(state, mixing, objective, sched, draws(k))
     # the checks' means over axis 0 add the replicas in order on this layout
     for array in (ens.consensus_sq, ens.r_sq, ens.f_worst):
         assert array.shape == (replicas, 41) and array.flags.c_contiguous

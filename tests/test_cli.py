@@ -201,6 +201,13 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
     # finite data whose Gram matrix overflows
     ("--config", '{"data": {"feature_high": 1e300}}',
      ("degenerate instance: the Gram matrix is not finite",)),
+    # finite data whose envelope constants overflow: L^2, then mu^3 <= L^3, then (C d)^2
+    ("--config", '{"data": {"feature_high": 1e100}}',
+     ("degenerate instance: L^3 or (C d)^2 is not finite",)),
+    ("--config", '{"data": {"feature_high": 1e60}}',
+     ("degenerate instance: L^3 or (C d)^2 is not finite",)),
+    ("--config", '{"data": {"target_high": 1e300}}',
+     ("degenerate instance: L^3 or (C d)^2 is not finite",)),
     # an output directory below a regular file
     ("--output-dir", "a regular file",
      ("invalid field output_dir: cannot write", "input is not an existing directory")),
@@ -208,7 +215,8 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
         "malformed-json", "graph-not-object", "data-not-object", "bits-str",
         "seed-float", "replicas-float", "beta-clamp-str", "edges-file-int",
         "baseline-str", "graph-sampling", "degenerate-data", "feature-high-inf",
-        "target-high-inf", "gram-overflow", "output-below-file"])
+        "target-high-inf", "gram-overflow", "smoothness-overflow", "cube-overflow",
+        "bound-overflow", "output-below-file"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"
@@ -362,15 +370,15 @@ def test_verify_passes_and_emits_json(capsys):
 
 def test_verify_detects_sabotaged_sigma2(capsys, monkeypatch):
     # an ensemble whose sigma2 is raised by 0.5 (past 1, so its spectral gap
-    # turns negative) must fail verify; RateBoundInputs rejects such a sigma2,
-    # so the fault is set on a copy past the check
+    # turns negative) must fail verify; Schedule rejects such a gap, so the
+    # fault is set on a copy of the ensemble's schedule past the check
     collect = cli.collect_ensemble
 
     def sabotaged(*args, **kwargs):
         ens = collect(*args, **kwargs)
-        faulty = copy.copy(ens.inputs)
-        object.__setattr__(faulty, "sigma2", faulty.sigma2 + 0.5)
-        return dataclasses.replace(ens, inputs=faulty)
+        faulty = copy.copy(ens.schedule)
+        faulty.spectral_gap -= 0.5
+        return dataclasses.replace(ens, schedule=faulty)
 
     monkeypatch.setattr(cli, "collect_ensemble", sabotaged)
     code = run_cli(["verify", "--replicas", "120", "--rounds", "60"])

@@ -10,28 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountedArray, ReplicaStreams
+from conftest import CountedArray, ReplicaStreams, schedule
 from qdgm.algorithm import (RECORD_BLOCK, _running_average, collect_ensemble, initial_state,
                             run_experiment, run_round)
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
-from qdgm.diagnostics import (TRACE_COLUMNS, RateBoundInputs, Trace, TraceRecord,
+from qdgm.diagnostics import (TRACE_COLUMNS, Trace, TraceRecord,
                               check_consensus_recursion, check_descent_recursion,
                               consensus_error, ensemble_statistics, eta_coupling,
                               fit_loglog_slope, gamma_k, lyapunov_value, make_record,
                               rate_bound, rate_bound_terms)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
 from qdgm.objective import global_value, optimality_gaps, well_conditioned_instance
-from qdgm.quantizer import QuantizerSchedule
-from qdgm.schedules import StepSchedule
+from qdgm.schedules import Schedule
 
 
 # ---------------------------------------------------------------------------
 # independently written direct transcriptions, kept deliberately separate
 # from the implementations they check
 
-def gamma_oracle(mu, L, C, d, n, bits, sigma2, steps, k):
-    s = sum(steps.alpha(t) for t in range(k))
+def gamma_oracle(mu, L, C, d, n, bits, sigma2, sched, k):
+    s = sum(sched.alpha(t) for t in range(k))
     bracket = 4.0 / ((1 - sigma2) * (k + 1) ** (3 / 2)) \
         + 320.0 * (L + 8 * L ** 2 / mu) * n ** 2 / ((1 - sigma2) ** 2 * (k + 1) ** (7 / 4))
     return 16.0 / (mu ** 2 * (k + 1) ** 2) \
@@ -80,17 +79,17 @@ def test_consensus_error_invariances(seed):
 
 
 def test_lyapunov_reduces_to_r_sq_without_consensus_error():
-    steps = StepSchedule(2.0, 0.5)
+    sched = schedule(mu=2.0)
     eta = eta_coupling(2.0, 3.0, 0.5, "body")
-    assert lyapunov_value(0.0, 0.0, 4, steps, eta) == 0.0
-    assert lyapunov_value(0.37, 0.0, 4, steps, eta) == 0.37
+    assert lyapunov_value(0.0, 0.0, 4, sched, eta) == 0.0
+    assert lyapunov_value(0.37, 0.0, 4, sched, eta) == 0.37
 
 
 def test_lyapunov_consensus_term_is_linear_in_eta():
-    steps = StepSchedule(2.0, 0.5)
+    sched = schedule(mu=2.0)
     r_sq, cons = 0.2, 1.4
-    v1 = lyapunov_value(r_sq, cons, 6, steps, 1.0)
-    v2 = lyapunov_value(r_sq, cons, 6, steps, 2.0)
+    v1 = lyapunov_value(r_sq, cons, 6, sched, 1.0)
+    v2 = lyapunov_value(r_sq, cons, 6, sched, 2.0)
     assert v2 - r_sq == pytest.approx(2.0 * (v1 - r_sq), rel=1e-12)
 
 
@@ -103,75 +102,63 @@ def test_eta_coupling_modes_differ():
         eta_coupling(1.0, 1.0, 0.5, "other")
 
 
-def unit_inputs(**kw):
-    base = dict(mu=1.0, lipschitz=1.0, grad_bound=1.0, dims=1, n=1, bits=1,
-                sigma2=0.5)
-    base.update(kw)
-    return RateBoundInputs(**base)
-
-
 def test_gamma_matches_independent_oracle():
-    steps = StepSchedule(1.0, 0.5)
-    inputs = unit_inputs()
+    sched = schedule()
     for k in (1, 2, 10, 500):
-        expected = gamma_oracle(1.0, 1.0, 1.0, 1, 1, 1, 0.5, steps, k)
-        assert gamma_k(inputs, steps, k) == pytest.approx(expected, rel=1e-12)
-    rich = unit_inputs(mu=0.7, lipschitz=3.1, grad_bound=2.2, dims=5, n=40,
-                       bits=16, sigma2=0.9)
-    steps2 = StepSchedule(0.7, 0.1)
+        expected = gamma_oracle(1.0, 1.0, 1.0, 1, 1, 1, 0.5, sched, k)
+        assert gamma_k(sched, k) == pytest.approx(expected, rel=1e-12)
+    rich = schedule(mu=0.7, lipschitz=3.1, grad_bound=2.2, dims=5, n=40, bits=16,
+                    spectral_gap=0.1)
     for k in (1, 33, 4000):
-        expected = gamma_oracle(0.7, 3.1, 2.2, 5, 40, 16, 0.9, steps2, k)
-        assert gamma_k(rich, steps2, k) == pytest.approx(expected, rel=1e-12)
+        expected = gamma_oracle(0.7, 3.1, 2.2, 5, 40, 16, 0.9, rich, k)
+        assert gamma_k(rich, k) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gamma_requires_positive_round():
     with pytest.raises(ValueError):
-        gamma_k(unit_inputs(), StepSchedule(1.0, 0.5), 0)
+        gamma_k(schedule(), 0)
 
 
 def test_gamma_decays():
-    steps = StepSchedule(1.0, 0.5)
-    inputs = unit_inputs()
-    assert gamma_k(inputs, steps, 10 ** 6) < gamma_k(inputs, steps, 10 ** 3)
+    sched = schedule()
+    assert gamma_k(sched, 10 ** 6) < gamma_k(sched, 10 ** 3)
 
 
 def test_gamma_quantization_term_vanishes_with_many_bits():
-    steps = StepSchedule(1.0, 0.5)
-    fine = gamma_k(unit_inputs(bits=32), steps, 50)
+    fine = gamma_k(schedule(bits=32), 50)
     free = 16.0 / (1.0 * 51 ** 2) + 40.0 * (1 + 8) / 51 ** 1.5
     assert fine == pytest.approx(free, rel=1e-9)
 
 
 def test_rate_bound_matches_independent_oracle():
-    inputs = unit_inputs()
+    sched = schedule()
     for T in (1, 7, 100, 10_000):
-        assert rate_bound(inputs, T, 1.0) == \
+        assert rate_bound(sched, T, 1.0) == \
             pytest.approx(rate_oracle(1, 1, 1, 1, 1, 1, 0.5, 1.0, T), rel=1e-12)
-    rich = unit_inputs(mu=2.8, lipschitz=45.0, grad_bound=15.0, dims=5, n=40,
-                       bits=16, sigma2=0.9)
+    rich = schedule(mu=2.8, lipschitz=45.0, grad_bound=15.0, dims=5, n=40, bits=16,
+                    spectral_gap=0.1)
     for T in (1, 1000, 100_000):
         assert rate_bound(rich, T, 0.03) == pytest.approx(
             rate_oracle(2.8, 45.0, 15.0, 5, 40, 16, 0.9, 0.03, T), rel=1e-12)
 
 
 def test_rate_bound_at_unit_horizon():
-    terms = rate_bound_terms(unit_inputs(), 1, 1.0)
+    terms = rate_bound_terms(schedule(), 1, 1.0)
     assert terms[2] == 0.0 and terms[3] == 0.0  # log(1) kills both
     assert terms[0] == pytest.approx(1.0 / 32.0)
     assert terms[1] == pytest.approx(1.0)
-    assert rate_bound(unit_inputs(), 1, 1.0) > 0
+    assert rate_bound(schedule(), 1, 1.0) > 0
 
 
 def test_rate_bound_monotone_beyond_ten():
-    inputs = unit_inputs(mu=0.5, lipschitz=4.0, grad_bound=3.0, dims=4, n=10,
-                         bits=8, sigma2=0.7)
-    values = [rate_bound(inputs, T, 2.0) for T in range(10, 4000, 13)]
+    sched = schedule(mu=0.5, lipschitz=4.0, grad_bound=3.0, dims=4, n=10, bits=8,
+                     spectral_gap=0.3)
+    values = [rate_bound(sched, T, 2.0) for T in range(10, 4000, 13)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_rate_bound_vanishes_asymptotically():
-    inputs = unit_inputs()
-    values = [rate_bound(inputs, T, 1.0) for T in (10 ** 8, 10 ** 10, 10 ** 12)]
+    values = [rate_bound(schedule(), T, 1.0) for T in (10 ** 8, 10 ** 10, 10 ** 12)]
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-2
     # dominant term scales as log(T)^2 / sqrt(T)
@@ -182,8 +169,8 @@ def test_rate_bound_vanishes_asymptotically():
 
 def test_doubling_bits_quarters_the_quantization_terms():
     for bits in (2, 6, 12):
-        t_b = rate_bound_terms(unit_inputs(bits=bits), 100, 1.0)
-        t_b1 = rate_bound_terms(unit_inputs(bits=bits + 1), 100, 1.0)
+        t_b = rate_bound_terms(schedule(bits=bits), 100, 1.0)
+        t_b1 = rate_bound_terms(schedule(bits=bits + 1), 100, 1.0)
         expected = ((2 ** bits - 1) / (2 ** (bits + 1) - 1)) ** 2
         for term in (2, 3):
             assert t_b1[term] / t_b[term] == pytest.approx(expected, rel=1e-12)
@@ -191,31 +178,32 @@ def test_doubling_bits_quarters_the_quantization_terms():
             assert expected == pytest.approx(0.25, rel=0.02)
 
 
-def test_rate_bound_inputs_validation():
-    with pytest.raises(ValueError):
-        unit_inputs(mu=0.0)
-    with pytest.raises(ValueError):
-        unit_inputs(sigma2=1.0)
-    # the measured round-1 value and the horizon are checked where they enter
+def test_rate_bound_argument_validation():
+    # the measured round-1 value and the horizon are checked where they enter;
+    # test_schedules checks the constants' refusals
     with pytest.raises(ValueError, match="v1"):
-        rate_bound(unit_inputs(), 10, -1e-300)
+        rate_bound(schedule(), 10, -1e-300)
     with pytest.raises(ValueError, match="horizon"):
-        rate_bound(unit_inputs(), 0, 1.0)
-    assert rate_bound(unit_inputs(), 10, 0.0) > 0
+        rate_bound(schedule(), 0, 1.0)
+    assert rate_bound(schedule(), 10, 0.0) > 0
 
 
 @pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
-def test_rate_bound_inputs_of_equals_hand_built_fields(instance):
+def test_schedule_of_equals_hand_built_fields(instance):
     objective, mixing = _instance(instance)
-    bits = 16
-    inputs = RateBoundInputs.of(objective, spectral_gap(mixing), bits)
-    assert inputs.mu == objective.mu
-    assert inputs.lipschitz == objective.lipschitz
-    assert inputs.grad_bound == objective.grad_bound
-    assert inputs.dims == objective.dims
-    assert inputs.n == objective.n
-    assert inputs.bits == bits
-    assert inputs.sigma2 == 1.0 - spectral_gap(mixing)
+    bits, gap = 16, spectral_gap(mixing)
+    sched = Schedule.of(objective, gap, bits)
+    assert sched == Schedule(objective.mu, objective.lipschitz, objective.grad_bound,
+                             objective.dims, objective.n, bits, gap, 1.0)
+    assert sched.mu == objective.mu
+    assert sched.lipschitz == objective.lipschitz
+    assert sched.grad_bound == objective.grad_bound
+    assert sched.dims == objective.dims
+    assert sched.n == objective.n
+    assert sched.bits == bits
+    assert sched.spectral_gap == gap
+    assert sched.sigma2 == 1.0 - gap
+    assert Schedule.of(objective, gap, bits, None).beta_clamp is None
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +232,12 @@ def test_descent_recursion_holds(small_ensemble):
 
 def test_sabotaged_sigma2_is_detected(small_ensemble):
     # mis-stating the contraction by +0.5 pushes sigma2 past 1, flipping the
-    # sign of the slack terms; the checker must flag it. RateBoundInputs
-    # rejects such a sigma2, so the fault is set on a copy past the check
-    faulty = copy.copy(small_ensemble.inputs)
-    object.__setattr__(faulty, "sigma2", faulty.sigma2 + 0.5)
-    bad = dataclasses.replace(small_ensemble, inputs=faulty)
+    # sign of the slack terms; the checker must flag it. Schedule rejects such
+    # a spectral gap, so the fault is set on a copy past the check
+    faulty = copy.copy(small_ensemble.schedule)
+    faulty.spectral_gap -= 0.5
+    assert faulty.sigma2 > 1.0
+    bad = dataclasses.replace(small_ensemble, schedule=faulty)
     report = check_consensus_recursion(bad)
     assert not report.passed
     assert report.violations > 0
@@ -270,12 +259,10 @@ def test_noise_free_recursions_hold_deterministically():
     # width, zero Monte Carlo slack, and the inequalities must still hold
     from qdgm.algorithm import initial_state, run_round
     from qdgm.diagnostics import EnsembleTrace
-    from qdgm.quantizer import QuantizerSchedule
 
     obj = well_conditioned_instance(4, 2)
     mixing = lazy_metropolis(path_topology(4))
-    steps = StepSchedule(obj.mu, 1.0 - mixing.sigma2)
-    qsched = QuantizerSchedule(obj.grad_bound, steps, 5)
+    sched = Schedule.of(obj, 1.0 - mixing.sigma2, 5)
     rounds = 40
     state = initial_state(4, 2)
     cons, r_sq, f_worst = [], [], []
@@ -286,16 +273,16 @@ def test_noise_free_recursions_hold_deterministically():
         f_worst.append(max(float(np.sum((obj.features @ xi - obj.targets) ** 2))
                            for xi in x))
         if k < rounds:
-            state = run_round(state, mixing, obj, steps, qsched, None)
+            state = run_round(state, mixing, obj, sched, None)
     replicas = 100
     ens = EnsembleTrace(
         consensus_sq=np.tile(cons, (replicas, 1)),
         r_sq=np.tile(r_sq, (replicas, 1)),
         f_worst=np.tile(f_worst, (replicas, 1)),
         deltas=np.zeros(rounds + 1),
-        alphas=np.asarray([steps.alpha(k) for k in range(rounds)]),
-        betas=np.asarray([steps.beta(k) for k in range(rounds)]),
-        f_star=obj.f_star, inputs=RateBoundInputs.of(obj, steps.spectral_gap, 5))
+        alphas=np.asarray([sched.alpha(k) for k in range(rounds)]),
+        betas=np.asarray([sched.beta(k) for k in range(rounds)]),
+        f_star=obj.f_star, schedule=sched)
     assert check_consensus_recursion(ens).violations == 0
     assert check_descent_recursion(ens).violations == 0
 
@@ -356,18 +343,17 @@ class Recorded(NamedTuple):
 
 
 def _states(objective, mixing, rounds, quantized):
-    """Rounds 0..rounds of one replica, with the schedules that made them."""
-    steps = StepSchedule(objective.mu, spectral_gap(mixing))
-    qsched = QuantizerSchedule(objective.grad_bound, steps, 16)
+    """Rounds 0..rounds of one replica, with the schedule that made them."""
+    sched = Schedule.of(objective, spectral_gap(mixing), 16)
     state = initial_state(objective.n, objective.dims)
     states = [Recorded(0, state.x, np.zeros_like(state.x))]
     draws = ReplicaStreams(7, state.x.shape)
     for _ in range(rounds):
         z = _running_average(states[-1].z, state.k, state.x)
-        state = run_round(state, mixing, objective, steps, qsched,
+        state = run_round(state, mixing, objective, sched,
                           draws(state.k) if quantized else None)
         states.append(Recorded(state.k, state.x, z))
-    return steps, qsched, states
+    return sched, states
 
 
 def _instance(name):
@@ -375,10 +361,6 @@ def _instance(name):
         cfg = ExperimentConfig()
         return build_objective_from_config(cfg), lazy_metropolis(build_topology(cfg))
     return well_conditioned_instance(4, 2), lazy_metropolis(path_topology(4))
-
-
-def _record_inputs(objective, steps):
-    return RateBoundInputs.of(objective, steps.spectral_gap, 16)
 
 
 def _stacked(states):
@@ -393,14 +375,12 @@ def test_record_row_bits_do_not_depend_on_block_position(instance, quantized):
     # the 41 rotations of rounds 0-40, cut to full blocks, put every round at
     # every position 0-31; its row there equals its row recorded alone
     objective, mixing = _instance(instance)
-    steps, qsched, states = _states(objective, mixing, 40, quantized)
-    inputs = _record_inputs(objective, steps)
-    alone = {s.k: make_record(*_stacked([s]), objective, steps, qsched, 1.0, inputs)[0]
-             for s in states}
+    sched, states = _states(objective, mixing, 40, quantized)
+    alone = {s.k: make_record(*_stacked([s]), objective, sched, 1.0)[0] for s in states}
     seen = set()
     for shift in range(len(states)):
         block = [states[(shift + j) % len(states)] for j in range(RECORD_BLOCK)]
-        rows = make_record(*_stacked(block), objective, steps, qsched, 1.0, inputs)
+        rows = make_record(*_stacked(block), objective, sched, 1.0)
         for position, (state, row) in enumerate(zip(block, rows)):
             assert row.tobytes() == alone[state.k].tobytes(), (state.k, position)
             seen.add((state.k, position))
@@ -416,56 +396,50 @@ def _form_gap(objective, p):
     return sum(e_i * h_i for e_i, h_i in zip(e, h))
 
 
-def _scalar_gamma(inputs, steps, k):
+def _scalar_gamma(sched, k):
     """gamma_k at one round, in Python floats."""
-    mu, lip = inputs.mu, inputs.lipschitz
-    gap = 1.0 - inputs.sigma2
+    mu, lip, gap = sched.mu, sched.lipschitz, sched.spectral_gap
     coupled = lip + 8.0 * lip ** 2 / mu
-    quant = inputs.quantization * steps.alpha_sum(k) ** 2
+    quant = sched.quantization * sched.alpha_sum(k) ** 2
     return ((16.0 / mu ** 2) / (k + 1) ** 2
             + (40.0 * lip ** 2 * coupled / mu ** 3) / (k + 1) ** 1.5
             + (4.0 / (gap * (k + 1) ** 1.5)
-               + 320.0 * coupled * inputs.n ** 2 / (gap ** 2 * (k + 1) ** 1.75)) * quant)
+               + 320.0 * coupled * sched.n ** 2 / (gap ** 2 * (k + 1) ** 1.75)) * quant)
 
 
-def _reference_row(state, objective, steps, qsched, eta, inputs):
+def _reference_row(state, objective, sched, eta):
     """One round's trace row evaluated on its own, one point at a time."""
     k, x, z = state.k, state.x[0], state.z[0]
     xbar = x.mean(axis=0)
     cons = consensus_error(x)
     r_sq = float(np.sum((xbar - objective.optimum) ** 2))
     gaps = [_form_gap(objective, p) for p in z]
-    grid = qsched.grid(k)
+    grid = sched.grid(k)
     return [k, _form_gap(objective, xbar), min(gaps), max(gaps), cons, r_sq,
-            r_sq + eta * (steps.alpha(k) / steps.beta(k)) * cons,
+            r_sq + eta * (sched.alpha(k) / sched.beta(k)) * cons,
             grid.delta, grid.range, np.abs(x).max(),
-            _scalar_gamma(inputs, steps, k) if k >= 1 else float("nan")]
+            _scalar_gamma(sched, k) if k >= 1 else float("nan")]
 
 
 def test_schedule_columns_over_rounds_equal_their_scalar_evaluation():
     # every power is a libm pow, as for one round: numpy's vectorised power,
     # and even its square, differ from that in the last bit on some of these rounds
     objective, mixing = _instance("default-40x5")
-    steps = StepSchedule(objective.mu, spectral_gap(mixing))
-    inputs = _record_inputs(objective, steps)
+    sched = Schedule.of(objective, spectral_gap(mixing), 16)
     ks = range(1, 20_001)
-    assert np.array_equal(steps.beta(np.array(ks)), [steps.beta(k) for k in ks])
-    assert np.array_equal(gamma_k(inputs, steps, np.array(ks)),
-                          [_scalar_gamma(inputs, steps, k) for k in ks])
+    assert np.array_equal(sched.beta(np.array(ks)), [sched.beta(k) for k in ks])
+    assert np.array_equal(gamma_k(sched, np.array(ks)), [_scalar_gamma(sched, k) for k in ks])
 
 
 @pytest.mark.parametrize("block", [1, 5, 32])
 @pytest.mark.parametrize("instance", ["default-40x5", "well-conditioned-4x2"])
 def test_record_blocks_equal_per_round_rows(instance, block):
     objective, mixing = _instance(instance)
-    steps, qsched, states = _states(objective, mixing, 40, True)
-    inputs = _record_inputs(objective, steps)
-    eta = eta_coupling(objective.mu, objective.lipschitz, steps.spectral_gap)
-    rows = np.concatenate([
-        make_record(*_stacked(states[i:i + block]), objective, steps, qsched, eta, inputs)
-        for i in range(0, len(states), block)])
-    reference = np.array([_reference_row(s, objective, steps, qsched, eta, inputs)
-                          for s in states])
+    sched, states = _states(objective, mixing, 40, True)
+    eta = eta_coupling(objective.mu, objective.lipschitz, sched.spectral_gap)
+    rows = np.concatenate([make_record(*_stacked(states[i:i + block]), objective, sched, eta)
+                           for i in range(0, len(states), block)])
+    reference = np.array([_reference_row(s, objective, sched, eta) for s in states])
     assert rows.shape == (41, len(TRACE_COLUMNS))
     assert math.isnan(rows[0, -1])
     assert rows.tobytes() == reference.tobytes()  # bit for bit, NaN included
@@ -477,7 +451,7 @@ def test_record_gaps_are_at_least_as_accurate_as_direct_evaluation():
     if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
         pytest.skip("np.longdouble is no wider than float64 here")
     objective, mixing = _instance("default-40x5")
-    _, _, states = _states(objective, mixing, 300, True)
+    _, states = _states(objective, mixing, 300, True)
     points = np.concatenate([np.vstack([s.z[0], s.x[0].mean(axis=0)]) for s in states])
     w, b, x_star, p = (a.astype(np.longdouble) for a in (
         objective.features, objective.targets, objective.optimum, points))
@@ -501,9 +475,9 @@ def _record_work(rows):
     """The ufunc calls on the stacks, and the Python-level calls, of one
     make_record block of ``rows`` rounds of the default instance."""
     objective, mixing = _instance("default-40x5")
-    steps, qsched, states = _states(objective, mixing, 40, True)
+    sched, states = _states(objective, mixing, 40, True)
     ks, x, z = _stacked(states[8:8 + rows])
-    rest = (objective, steps, qsched, 1.0, _record_inputs(objective, steps))
+    rest = (objective, sched, 1.0)
     make_record(ks, x, z, *rest)  # any cache a first call fills is full now
     CountedArray.calls = 0
     make_record(ks, x.view(CountedArray), z.view(CountedArray), *rest)

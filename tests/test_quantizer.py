@@ -1,22 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountedArray
+from conftest import CountedArray, schedule
 from qdgm.errors import GradientBoundError
-from qdgm.quantizer import (CLAMP_BAND, QuantizerSchedule, check_range,
-                            decode_matrix, pack_index_rows, quantize_matrix,
-                            unpack_indices, _quantize_values, _stochastic_round)
-from qdgm.schedules import StepSchedule
+from qdgm.quantizer import (CLAMP_BAND, check_range, decode_matrix, pack_index_rows,
+                            quantize_matrix, unpack_indices, _quantize_values,
+                            _stochastic_round)
 
 # with mu=4 and grad_bound=1, range(2) = 1 + 1/2: two bits then give the
 # exact grid -1.5, -0.5, 0.5, 1.5 with bin width 1
 K_UNIT = 2
-
-
-def make_schedule(bits, mu=4.0, grad_bound=1.0, gap=0.5):
-    return QuantizerSchedule(grad_bound, StepSchedule(mu, gap), bits)
 
 
 def round_indices(values, lower, delta, nbins, uniforms):
@@ -26,7 +23,7 @@ def round_indices(values, lower, delta, nbins, uniforms):
 
 
 def test_scalar_on_lower_endpoint_is_deterministic():
-    sched = make_schedule(bits=2)
+    sched = schedule(mu=4.0, bits=2)
     x = np.full((50, 1), -sched.range_at(K_UNIT))
     idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 0)
@@ -34,7 +31,7 @@ def test_scalar_on_lower_endpoint_is_deterministic():
 
 
 def test_scalar_on_upper_endpoint_is_deterministic():
-    sched = make_schedule(bits=2)
+    sched = schedule(mu=4.0, bits=2)
     x = np.full((50, 1), sched.range_at(K_UNIT))
     idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 3)
@@ -44,7 +41,7 @@ def test_scalar_on_upper_endpoint_is_deterministic():
 def test_scalar_interior_probabilities():
     # x=-0.1 on [-1.5, 1.5] with 2 bits: bin width 1, lands on -0.5 w.p. 0.6,
     # 0.5 w.p. 0.4
-    sched = make_schedule(bits=2)
+    sched = schedule(mu=4.0, bits=2)
     n = 100_000
     idx = quantize_matrix(np.full((n, 1), -0.1), sched.grid(K_UNIT),
                           np.random.default_rng(99))
@@ -56,7 +53,7 @@ def test_scalar_interior_probabilities():
 
 
 def test_scalar_range_check_and_clamp_band():
-    sched = make_schedule(bits=2)
+    sched = schedule(mu=4.0, bits=2)
     rng = np.random.default_rng(0)
     with pytest.raises(GradientBoundError, match="outside quantization range"):
         quantize_matrix([[1.6]], sched.grid(K_UNIT), rng)
@@ -75,7 +72,7 @@ def test_scalar_range_check_and_clamp_band():
 def test_quantize_matrix_equals_the_clamped_rounding():
     # the clamp is skipped when no entry lies in the clamp band; with or
     # without a band entry the indices are those of the clamped input
-    grid = make_schedule(bits=16).grid(5)
+    grid = schedule(mu=4.0, bits=16).grid(5)
     r = grid.range
     inside = np.random.default_rng(11).uniform(-r, r, size=(3, 4, 2))
     inside[0, 0, 0], inside[1, 2, 1] = r, -r
@@ -90,8 +87,8 @@ def test_quantize_matrix_equals_the_clamped_rounding():
 def test_scalar_value_is_reconstruction_of_index():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        sched = make_schedule(bits=int(rng.integers(1, 9)),
-                              grad_bound=rng.uniform(0.1, 10))
+        sched = schedule(mu=4.0, bits=int(rng.integers(1, 9)),
+                         grad_bound=rng.uniform(0.1, 10))
         k = int(rng.integers(1, 50))
         rangek, delta = sched.range_at(k), sched.grid(k).delta
         x = rng.uniform(-rangek, rangek, size=(1, 3))
@@ -103,7 +100,7 @@ def test_scalar_value_is_reconstruction_of_index():
 
 def test_vector_example_bit_packing():
     # one-bit grid over [-1, 1]: (-1, 1) maps to indices (0, 1), byte 0x40
-    sched = make_schedule(bits=1)  # mu=4 so alpha_0 = 1, range(1) = 1
+    sched = schedule(mu=4.0, bits=1)  # mu=4 so alpha_0 = 1, range(1) = 1
     assert sched.range_at(1) == 1.0
     idx = quantize_matrix(np.array([[-1.0, 1.0]]), sched.grid(1),
                           np.random.default_rng(0))
@@ -114,7 +111,7 @@ def test_vector_example_bit_packing():
 
 def test_vector_zero_input_unbiased():
     # zero vector sits mid-bin; over many draws the mean must stay near 0
-    sched = make_schedule(bits=3)
+    sched = schedule(mu=4.0, bits=3)
     k = 2
     delta = sched.grid(k).delta
     rng = np.random.default_rng(31)
@@ -126,7 +123,7 @@ def test_vector_zero_input_unbiased():
 
 
 def test_vector_lattice_points_are_fixed():
-    sched = make_schedule(bits=4)
+    sched = schedule(mu=4.0, bits=4)
     k = 5
     rangek, delta = sched.range_at(k), sched.grid(k).delta
     rng = np.random.default_rng(2)
@@ -137,7 +134,7 @@ def test_vector_lattice_points_are_fixed():
 
 
 def test_vector_range_violation_names_agent():
-    sched = make_schedule(bits=4)
+    sched = schedule(mu=4.0, bits=4)
     x = np.zeros((3, 2))
     x[2, 1] = sched.range_at(1) * 1.5
     rng = np.random.default_rng(0)
@@ -151,7 +148,7 @@ def test_vector_range_violation_names_agent():
 def test_round0_message_convention():
     # the round-0 range is empty: all-zero indices, decoded to exact zeros,
     # and no randomness is drawn
-    sched = make_schedule(bits=4)
+    sched = schedule(mu=4.0, bits=4)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     idx = quantize_matrix(np.zeros((2, 3)), sched.grid(0), rng)
@@ -164,7 +161,7 @@ def test_round0_message_convention():
 def test_wire_boundary_roundtrip_of_engine_indices(bits, dims):
     # what the engine carries and what a receiver decodes from the packed
     # bytes agree: equal indices and bit-equal values
-    sched = make_schedule(bits=bits)
+    sched = schedule(mu=4.0, bits=bits)
     k = 7
     rng = np.random.default_rng(bits * 100 + dims)
     x = rng.uniform(-sched.range_at(k), sched.range_at(k), size=(40, dims))
@@ -183,14 +180,14 @@ def test_decode_rejects_wrong_payload_length():
 
 
 def test_decode_all_zero_payload_gives_lower_endpoint():
-    sched = make_schedule(bits=8)
+    sched = schedule(mu=4.0, bits=8)
     idx = unpack_indices(b"\x00" * 4, 8, 4)
     assert np.all(decode_matrix(idx, sched.grid(3)) == -sched.range_at(3))
 
 
 def test_delta_schedule_values():
     # mu=4 gives alpha_t = 1/(t+1); one bit means delta = 2 * range
-    sched = make_schedule(bits=1)
+    sched = schedule(mu=4.0, bits=1)
     assert sched.grid(0).delta == 0.0
     assert sched.grid(3).delta == pytest.approx(2 * (1 + 0.5 + 1 / 3), rel=1e-15)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -198,13 +195,13 @@ def test_delta_schedule_values():
 
 
 def test_delta_growth_is_logarithmic():
-    sched = make_schedule(bits=1)
+    sched = schedule(mu=4.0, bits=1)
     k = 2_000_000
     assert sched.grid(k).delta / (2.0 * np.log(k)) == pytest.approx(1.0, rel=5e-2)
 
 
 def test_delta_monotone():
-    sched = make_schedule(bits=5)
+    sched = schedule(mu=4.0, bits=5)
     deltas = [sched.grid(k).delta for k in range(200)]
     assert all(b >= a for a, b in zip(deltas, deltas[1:]))
 
@@ -312,7 +309,7 @@ def test_stochastic_round_needs_no_lower_clip(bits, k):
     # clamped values satisfy values - lower >= 0 in IEEE arithmetic, so with
     # 1 - u in (0, 1] no index leaves bin 0 from below: at lower, one ulp above
     # it and on and one ulp around every bin end the contract holds unclipped
-    grid = make_schedule(bits).grid(k)
+    grid = schedule(mu=4.0, bits=bits).grid(k)
     lower, upper, delta, nbins = -grid.range, grid.range, grid.delta, grid.bins
     values = np.concatenate([[lower, np.nextafter(lower, np.inf)],
                              _bin_ends(lower, upper, delta, nbins)])
@@ -324,13 +321,13 @@ def test_stochastic_round_needs_no_lower_clip(bits, k):
 def test_upper_end_with_zero_uniform_takes_the_last_index(bits):
     # x = upper and u = 0 make t + 1 - u = nbins + 1: the index is nbins, never
     # nbins + 1, and the wire accepts it
-    grid = make_schedule(bits).grid(3)
+    grid = schedule(mu=4.0, bits=bits).grid(3)
     x = np.full((2, 3), grid.range)
     idx = quantize_matrix(x, grid, FixedUniforms(0.0))
     assert np.all(idx == grid.bins)
     payloads = pack_index_rows(idx, bits)
     assert np.array_equal([unpack_indices(p, bits, 3) for p in payloads], idx)
-    _, q, err = _quantize_values(x[None], grid, np.ones((1, 2, 3)), None)
+    _, q, err = _quantize_values(x[None], grid, np.ones((1, 2, 3)), grid.range)
     assert q[0].tobytes() == decode_matrix(idx, grid).tobytes()
     assert err <= grid.delta
 
@@ -356,7 +353,7 @@ def test_guard_takes_the_near_endpoint_when_t_rounds_past_a_power_of_two(bits):
 def test_one_pass_rule_matches_the_two_sided_rule_off_ties(bits):
     # on a million random draws the two rules pick the same endpoint wherever
     # u is farther than 1e-9 from frac, which is nearly everywhere
-    grid = make_schedule(bits).grid(9)
+    grid = schedule(mu=4.0, bits=bits).grid(9)
     lower, delta, nbins = -grid.range, grid.delta, grid.bins
     rng = np.random.default_rng(bits)
     values = rng.uniform(lower, grid.range, size=1_000_000)
@@ -370,7 +367,7 @@ def test_one_pass_rule_matches_the_two_sided_rule_off_ties(bits):
 
 def test_round_endpoints_fast_path_makes_ten_numpy_calls():
     # the one-pass body, without a guard flip, is ten ufunc calls and nothing else
-    grid = make_schedule(16).grid(5)
+    grid = schedule(mu=4.0, bits=16).grid(5)
     rng = np.random.default_rng(3)
     values = rng.uniform(-grid.range, grid.range, size=(2, 40, 5)).view(CountedArray)
     complements = (1.0 - rng.random(values.shape)).view(CountedArray)
@@ -396,10 +393,10 @@ class FixedUniforms:
 
 def assert_engine_step_is_the_codec(x, grid, make_rng):
     # the engine's values are the decoded wire indices bit for bit, and its
-    # error is their max distance from x, with or without a carried maximum
+    # error is their max distance from x, with a carried maximum or an unchecked (inf) one
     indices = quantize_matrix(x, grid, make_rng())
     decoded = decode_matrix(indices, grid)
-    for checked_max in (None, check_range(x, grid.range, grid.k)):
+    for checked_max in (math.inf, check_range(x, grid.range, grid.k)):
         idx, q, err = _quantize_values(x, grid, 1.0 - make_rng().random(x.shape), checked_max)
         assert np.array_equal(idx, indices)
         assert q.dtype == decoded.dtype and q.shape == decoded.shape
@@ -411,7 +408,7 @@ def assert_engine_step_is_the_codec(x, grid, make_rng):
 @pytest.mark.parametrize("replicas", [1, 3])
 @pytest.mark.parametrize("k", [1, 5])
 def test_engine_step_equals_the_codec(bits, replicas, k):
-    grid = make_schedule(bits).grid(k)
+    grid = schedule(mu=4.0, bits=bits).grid(k)
     r = grid.range
     x = np.random.default_rng(bits + k).uniform(-r, r, size=(replicas, 6, 3))
     x[0, 0, 0], x[-1, 5, 2] = r, -r
@@ -428,7 +425,7 @@ def test_engine_step_equals_the_codec_after_guard_flips(bits, replicas):
     # on and one ulp around every bin end, with the extreme uniforms, the
     # unguarded pick strays past one bin width for bits > 1, so the one-ulp
     # guard flips entries; the engine must not reuse the unflipped errors
-    grid = make_schedule(bits).grid(1)
+    grid = schedule(mu=4.0, bits=bits).grid(1)
     lower = -grid.range
     x = np.tile(_bin_ends(lower, grid.range, grid.delta, grid.bins),
                 replicas).reshape(replicas, -1, 1)
@@ -441,18 +438,18 @@ def test_engine_step_equals_the_codec_after_guard_flips(bits, replicas):
 
 
 def test_engine_step_at_round_zero_sends_zeros():
-    grid = make_schedule(bits=4).grid(0)
+    grid = schedule(mu=4.0, bits=4).grid(0)
     x = np.zeros((2, 3, 2))
-    idx, q, err = _quantize_values(x, grid, None, None)
+    idx, q, err = _quantize_values(x, grid, None, math.inf)
     assert np.array_equal(idx, quantize_matrix(x, grid, None))
     assert np.array_equal(q, decode_matrix(quantize_matrix(x, grid, None), grid))
     assert err == 0.0
     x[1, 2, 0] = -0.5
-    assert _quantize_values(x, grid, None, None)[2] == 0.5
+    assert _quantize_values(x, grid, None, math.inf)[2] == 0.5
 
 
 def test_variance_bound():
-    sched = make_schedule(bits=2)
+    sched = schedule(mu=4.0, bits=2)
     k = 4
     delta = sched.grid(k).delta
     rng = np.random.default_rng(8)
@@ -462,14 +459,3 @@ def test_variance_bound():
     second_moment = float((err ** 2).mean())
     se = float((err ** 2).std(ddof=1) / np.sqrt(err.size))
     assert second_moment <= delta ** 2 / 4.0 + 3.0 * se
-
-
-def test_quantizer_schedule_validation():
-    with pytest.raises(ValueError, match=r"bits must be in \[1, 32\], got 0"):
-        make_schedule(bits=0)
-    with pytest.raises(ValueError, match=r"bits must be in \[1, 32\], got 33"):
-        make_schedule(bits=33)
-    with pytest.raises(ValueError, match="gradient bound must be positive"):
-        make_schedule(bits=5, grad_bound=0.0)
-    assert make_schedule(bits=5).grid(3).bins == 31
-    assert make_schedule(bits=32).grid(3).bins == 2 ** 32 - 1

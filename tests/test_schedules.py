@@ -5,31 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgm.schedules import StepSchedule
+from conftest import schedule
 
 
 @pytest.mark.parametrize("mu,k,expected", [(4.0, 0, 1.0), (4.0, 3, 0.25), (2.0, 7, 0.25)])
 def test_alpha_values(mu, k, expected):
-    assert StepSchedule(mu, 0.5).alpha(k) == expected
+    assert schedule(mu=mu).alpha(k) == expected
 
 
 def test_beta_raw_and_clamped():
-    raw = StepSchedule(4.0, 0.5, beta_clamp=None)
+    raw = schedule(mu=4.0, beta_clamp=None)
     assert raw.beta(0) == 8.0
-    clamped = StepSchedule(4.0, 0.5, beta_clamp=1.0)
+    clamped = schedule(mu=4.0, beta_clamp=1.0)
     assert clamped.beta(0) == 1.0
     # 256^(3/4) = 64 exactly
     assert raw.beta(255) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_beta_nonincreasing():
-    sched = StepSchedule(1.0, 0.3)
+    sched = schedule(spectral_gap=0.3)
     betas = [sched.beta(k) for k in range(500)]
     assert all(b2 <= b1 for b1, b2 in zip(betas, betas[1:]))
 
 
 def test_alpha_sum_matches_direct_summation():
-    sched = StepSchedule(4.0, 0.5)
+    sched = schedule(mu=4.0)
     assert sched.alpha_sum(0) == 0.0
     for k in (1, 2, 17, 400):
         direct = sum(1.0 / (t + 1) for t in range(k))
@@ -37,15 +37,15 @@ def test_alpha_sum_matches_direct_summation():
     # the prefix sums are built from the step itself, so they agree bit for
     # bit with a running sum of alpha(t)
     for mu in (4.0, 3.0, 0.37):
-        sched = StepSchedule(mu, 0.5)
+        sched = schedule(mu=mu)
         partial = np.cumsum([sched.alpha(t) for t in range(400)])
         for k in (1, 2, 17, 399, 400):
             assert sched.alpha_sum(k) == partial[k - 1]
 
 
 def test_alpha_sum_independent_of_access_order():
-    a = StepSchedule(3.0, 0.4)
-    b = StepSchedule(3.0, 0.4)
+    a = schedule(mu=3.0, spectral_gap=0.4)
+    b = schedule(mu=3.0, spectral_gap=0.4)
     a.alpha_sum(10)
     a.alpha_sum(5000)
     values_a = [a.alpha_sum(k) for k in (10, 123, 5000)]
@@ -56,7 +56,7 @@ def test_alpha_sum_independent_of_access_order():
 
 def _grown_to(rounds):
     """A schedule whose table grew round by round, as a run grows it."""
-    sched = StepSchedule(0.37, 0.4)
+    sched = schedule(mu=0.37, spectral_gap=0.4)
     for k in range(rounds + 1):
         sched.alpha_sum(k)
     return sched
@@ -84,19 +84,28 @@ def test_alpha_sum_growth_peak_stays_below_twice_the_table():
 @settings(max_examples=30, deadline=None)
 @given(mu=st.floats(0.1, 10), gap=st.floats(0.05, 1.0), k=st.integers(0, 3000))
 def test_schedule_positivity_and_decay(mu, gap, k):
-    sched = StepSchedule(mu, gap)
+    sched = schedule(mu=mu, spectral_gap=gap)
     assert sched.alpha(k) > 0
     assert sched.alpha(k + 1) < sched.alpha(k)
     assert 0 < sched.beta(k) <= 1.0
     assert sched.alpha_sum(k + 1) > sched.alpha_sum(k)
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        StepSchedule(0.0, 0.5)
-    with pytest.raises(ValueError):
-        StepSchedule(1.0, 0.0)
-    with pytest.raises(ValueError):
-        StepSchedule(1.0, 1.5)
-    with pytest.raises(ValueError):
-        StepSchedule(1.0, 0.5, beta_clamp=0.0)
+@pytest.mark.parametrize("field,value", [
+    ("mu", 0.0), ("mu", -1.0), ("lipschitz", 0.0), ("grad_bound", 0.0), ("dims", 0), ("n", 0),
+    ("spectral_gap", 0.0), ("spectral_gap", -0.5), ("spectral_gap", 1.5), ("bits", 0),
+    ("bits", 33), ("beta_clamp", 0.0), ("beta_clamp", -1.0)])
+def test_schedule_refuses(field, value):
+    specific = {"spectral_gap": r"^spectral gap must be in \(0, 1\]$",
+                "bits": rf"^bits must be in \[1, 32\], got {value}$",
+                "beta_clamp": "^beta clamp must be positive"}
+    with pytest.raises(ValueError, match=specific.get(field, f"{field}.* must be positive$")):
+        schedule(**{field: value})
+
+
+def test_schedule_accepts_its_edge_values():
+    assert schedule(mu=4.0, bits=1).grid(3).bins == 1
+    assert schedule(mu=4.0, bits=5).grid(3).bins == 31
+    assert schedule(mu=4.0, bits=32).grid(3).bins == 2 ** 32 - 1
+    assert schedule(spectral_gap=1.0).sigma2 == 0.0
+    assert schedule(beta_clamp=None).beta(0) == 8.0
