@@ -17,6 +17,11 @@ holds k, x and checked_max, the max |x| of the one range check per round. The
 hot loop takes the quantizer's one quantize step, which the wire codec runs
 too, and never packs; the codec tests and ``qdgm verify`` check the packing.
 
+A round reads its constants as arguments: alpha_k, beta_k, its Grid and
+range(k + 1). The loop evaluates them once per block of rounds (round 0 alone,
+then RECORD_BLOCK at a time) by the Schedule's array methods, as the records
+do; a value depends only on its round, so the blocks change no bit.
+
 Replica r's uniforms u are the PCG64 stream of default_rng([seed, r]), read
 in order: each quantized round k >= 1 reads one per (agent, coordinate), in
 row-major order, and round 0 reads none. A run keys one generator per
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -37,10 +43,10 @@ from .graph import MixingMatrix, spectral_gap
 from .objective import RegressionObjective, gradient_matrix
 # the per-round invariant is the quantizer's own range check; bench/child.py
 # traces it under this name
-from .quantizer import check_range as _check_range_invariant
+from .quantizer import Grid, check_range as _check_range_invariant
 from .schedules import Schedule
 
-RECORD_BLOCK = 32  # recorded states run_experiment holds per make_record call
+RECORD_BLOCK = 32  # rounds per block of uniforms and constants; rows per make_record call
 
 
 @dataclass
@@ -57,22 +63,22 @@ def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
     return RoundState(0, np.zeros((replicas, n, d)), 0.0)
 
 
-def run_round(state: RoundState, mixing: MixingMatrix,
-              objective: RegressionObjective, schedule: Schedule,
+def run_round(state: RoundState, mixing: MixingMatrix, objective: RegressionObjective,
+              alpha: float, beta: float, grid: Grid, next_range: float,
               complements: np.ndarray | None) -> RoundState:
     """Advance every agent of every replica one synchronized round.
 
+    ``alpha`` and ``beta`` are round k's steps, ``grid`` its quantizer grid and
+    ``next_range`` range(k + 1), which the new iterates must stay within.
     ``complements`` holds 1 - u for slice r's round-k draws u in slice r; round 0
     reads none. With ``complements=None`` the exchanged values are the raw iterates
-    (infinite-bandwidth twin); everything else is identical. A range error in a
-    stack names the replica by its slice index.
+    (infinite-bandwidth twin) and ``grid`` is not read; everything else is identical.
+    A range error in a stack names the replica by its slice index.
     """
     k, x = state.k, state.x
-    alpha, beta = schedule.alpha(k), schedule.beta(k)
     if complements is None:
         q = x
     else:
-        grid = schedule.grid(k)
         _, q, err = quantizer._quantize_values(x, grid, complements, state.checked_max)
         # exact per-draw support bound, plus the clamp-band displacement
         # allowed for iterates right at the range boundary
@@ -89,7 +95,7 @@ def run_round(state: RoundState, mixing: MixingMatrix,
     grads *= alpha
     x_next -= grads
     try:
-        checked_max = _check_range_invariant(x_next, schedule.range_at(k + 1), k + 1)
+        checked_max = _check_range_invariant(x_next, next_range, k + 1)
     except GradientBoundError:
         if np.isfinite(x_next).all():  # a NaN or inf iterate fails the check too
             raise
@@ -137,28 +143,39 @@ def _schedule(objective: RegressionObjective, mixing: MixingMatrix, bits: int,
     return Schedule.of(objective, spectral_gap(mixing), bits, beta_clamp)
 
 
+def _round_constants(schedule: Schedule, first: int, stop: int, quantized: bool) -> list:
+    """run_round's (alpha, beta, grid, next_range) of rounds ``first`` to ``stop - 1``
+    in Python floats, by one evaluation of the schedule; exact rounds get no grid."""
+    ks = np.arange(first, stop + 1)
+    grid = schedule.grid(ks)
+    ranges = grid.range.tolist()
+    grids = (map(Grid, ks.tolist(), ranges, grid.delta.tolist(), repeat(grid.bins))
+             if quantized else repeat(None))
+    return list(zip(schedule.alpha(ks[:-1]).tolist(), schedule.beta(ks[:-1]).tolist(),
+                    grids, ranges[1:]))
+
+
 def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: Schedule, *,
                 iterations: int, seed: int, first: int, replicas: int, quantized: bool):
     """The one round loop: yields the states of rounds 0 to ``iterations`` of
     replicas ``first`` on, ``replicas`` of them, started from zero."""
     state = initial_state(objective.n, objective.dims, replicas)
     yield state
-    # round k >= 1 reads slice (k - 1) % RECORD_BLOCK of the block; round 0
-    # reads none. A run of no rounds or the exact twin keys no stream.
+    # round 0 runs alone and reads no uniforms, then each block of RECORD_BLOCK
+    # rounds reads one; a run of no rounds or the exact twin keys no stream.
     keyed = range(first, first + replicas) if quantized and iterations else ()
     streams = [np.random.default_rng([seed, r]) for r in keyed]
     block = np.empty((len(streams), RECORD_BLOCK, objective.n, objective.dims))
-    complements = None
-    while state.k < iterations:
-        if streams:
-            j = (state.k - 1) % RECORD_BLOCK
-            if j == 0:
-                for stream, out in zip(streams, block):
-                    stream.random(out=out)
-                np.subtract(1.0, block, out=block)  # the rounding reads 1 - u
-            complements = block[:, j]
-        state = run_round(state, mixing, objective, schedule, complements)
-        yield state
+    starts = [0, *range(1, iterations, RECORD_BLOCK), iterations]
+    for lo, hi in zip(starts, starts[1:]):
+        if streams and lo:
+            for stream, out in zip(streams, block):
+                stream.random(out=out)
+            np.subtract(1.0, block, out=block)  # the rounding reads 1 - u
+        for j, constants in enumerate(_round_constants(schedule, lo, hi, quantized)):
+            complements = block[:, j] if streams else None
+            state = run_round(state, mixing, objective, *constants, complements)
+            yield state
 
 
 def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
@@ -214,11 +231,8 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     stack, and collect each round's ``ensemble_statistics`` (one agent mean) into
     C-contiguous [replica, round] arrays, bit for bit the per-replica formulas."""
     schedule = _schedule(objective, mixing, bits, beta_clamp, iterations, seed)
-    rounds = np.arange(iterations + 1)
     stats = np.zeros((3, replicas, iterations + 1))
     for state in _run_rounds(objective, mixing, schedule, iterations=iterations,
                              seed=seed, first=0, replicas=replicas, quantized=True):
         stats[:, :, state.k] = diagnostics.ensemble_statistics(state.x, objective)
-    return diagnostics.EnsembleTrace(  # stats: consensus_sq, r_sq, f_worst
-        *stats, deltas=schedule.grid(rounds).delta, alphas=schedule.alpha(rounds[:-1]),
-        betas=schedule.beta(rounds[:-1]), f_star=objective.f_star, schedule=schedule)
+    return diagnostics.EnsembleTrace(*stats, f_star=objective.f_star, schedule=schedule)

@@ -87,16 +87,8 @@ class Trace:
         return cls(table, errors[-1] if errors else None)
 
 
-def consensus_error(x_rows: np.ndarray):
-    """Squared Frobenius deviation of the rows from their mean, for one
-    (n, d) matrix or for each matrix of an (R, n, d) stack."""
-    x = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-    centered = x - x.mean(axis=-2, keepdims=True)
-    return np.sum(centered * centered, axis=(-2, -1))
-
-
 def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
-    """consensus_error(x), ||xbar - x*||^2 and max_i f(x_i) per replica of an (R, n, d)
+    """||x - 1 xbar^T||_F^2, ||xbar - x*||^2 and max_i f(x_i) per replica of an (R, n, d)
     stack, bit for bit, from one agent-major copy: one agent mean (agents summed in
     order, as x.mean(axis=1) sums them), one (n R, d) @ (d, m) product, row sums in order."""
     reps, n, d = x.shape
@@ -189,7 +181,7 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
     xbar = x_stack.mean(axis=1)
     points = np.concatenate([z_stack, xbar[:, None]], axis=1)
     gaps = optimality_gaps(objective, points.reshape(-1, objective.dims)).reshape(len(ks), -1)
-    centered = x_stack - xbar[:, None]  # consensus_error's deviation, from the one mean
+    centered = x_stack - xbar[:, None]  # the consensus deviation Y, from the one mean
     cons = np.sum(np.square(centered, out=centered), axis=(1, 2))
     r_sq = np.sum((xbar - objective.optimum) ** 2, axis=1)
     grid = schedule.grid(ks)
@@ -206,15 +198,13 @@ class EnsembleTrace:
 
     Arrays are C-contiguous [replica, round], bit for bit the per-replica formulas
     with one agent mean per round; `f_worst` holds max_i f(x_k^i), the agent that
-    stresses the descent inequality hardest; `schedule` is the run's.
+    stresses the descent inequality hardest; `schedule` is the run's, and gives
+    each round's alpha_k, beta_k and delta_k.
     """
 
     consensus_sq: np.ndarray
     r_sq: np.ndarray
     f_worst: np.ndarray
-    deltas: np.ndarray
-    alphas: np.ndarray
-    betas: np.ndarray
     f_star: float
     schedule: Schedule
 
@@ -251,6 +241,12 @@ def _mc_violations(name: str, lhs: np.ndarray, rhs: np.ndarray) -> InequalityRep
     )
 
 
+def _round_steps(ens: EnsembleTrace):
+    """alpha_k, beta_k and the d-scaled bin width d delta_k of every checked round k."""
+    ks, schedule = np.arange(ens.r_sq.shape[1] - 1), ens.schedule
+    return schedule.alpha(ks), schedule.beta(ks), schedule.dims * schedule.grid(ks).delta
+
+
 def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
     """Verify the expected one-step contraction of the consensus error.
 
@@ -261,8 +257,7 @@ def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
     with a 3-standard-error slack.
     """
     gap = ens.schedule.spectral_gap
-    a, b = ens.alphas, ens.betas
-    dv = ens.schedule.dims * ens.deltas[:-1]
+    a, b, dv = _round_steps(ens)
     rhs = (1.0 - gap * b) * ens.consensus_sq[:, :-1] \
         + (1.0 + gap * b[0]) * b ** 2 * ens.schedule.n ** 2 * dv ** 2 \
         + ((gap * b[0] + 1.0) / gap) * ens.schedule.lipschitz ** 2 * a ** 2 / b
@@ -277,9 +272,8 @@ def check_descent_recursion(ens: EnsembleTrace) -> InequalityReport:
                   + a_k (L + 8 L^2 / mu) ||Y_k||_F^2
     checked in Monte Carlo mean with a 3-standard-error slack.
     """
-    a, b = ens.alphas, ens.betas
+    a, b, dv = _round_steps(ens)
     mu, lip = ens.schedule.mu, ens.schedule.lipschitz
-    dv = ens.schedule.dims * ens.deltas[:-1]
     rhs = (1.0 - mu * a / 2.0) * ens.r_sq[:, :-1] \
         + a ** 2 * lip ** 2 + b ** 2 * dv ** 2 \
         + 2.0 * a * (ens.f_star - ens.f_worst[:, :-1]) \

@@ -8,7 +8,6 @@ schedules.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,29 +61,31 @@ class RegressionObjective:
 
 
 def build_objective(features, targets) -> RegressionObjective:
-    """Derive constants for given data; raises DegenerateInstanceError on
-    rank-deficient features, or a Gram matrix or envelope power that is not finite."""
+    """Derive constants for given data; raises DegenerateInstanceError on rank-deficient
+    features, or a Gram matrix, x*, C or envelope power that is not finite."""
     w = np.asarray(features, dtype=np.float64)
     b = np.asarray(targets, dtype=np.float64)
     n, d = w.shape
     if b.shape != (n,):
         raise ValueError("targets must be one scalar per agent")
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        gram = w.T @ w
+        gram, moment = w.T @ w, w.T @ b
     if not np.isfinite(gram).all():  # eigvalsh would not converge on it
         raise DegenerateInstanceError("degenerate instance: the Gram matrix is not finite")
     evals = np.linalg.eigvalsh(gram)
     if evals[0] < MIN_EIGENVALUE:
         raise DegenerateInstanceError(
             f"degenerate instance: smallest Gram eigenvalue {evals[0]:.3e}")
-    xstar = np.linalg.solve(gram, w.T @ b)
+    xstar = np.linalg.solve(gram, moment)
     radius = 4.0 * float(np.abs(xstar).max()) + 1.0
     # |w^T x| <= ||w||_1 * ||x||_inf on the box, hence the analytic bound
     row_norms = np.linalg.norm(w, axis=1)
     bound = float(np.max(2.0 * row_norms * (np.abs(w).sum(axis=1) * radius + np.abs(b))))
     lipschitz, scale = 2.0 * float(evals[-1]), bound * d
-    if not math.isfinite(max(lipschitz * lipschitz * lipschitz, scale * scale)):
-        # the envelope's constants take L^3 (so mu^3, as mu <= L) and (C d)^2
+    # the envelope's constants take L^3 (so mu^3, as mu <= L) and (C d)^2, and C
+    # takes x*: each is checked, as max() would drop a NaN in second place
+    constants = [*xstar, bound, lipschitz * lipschitz * lipschitz, scale * scale]
+    if not np.isfinite(constants).all():
         raise DegenerateInstanceError("degenerate instance: L^3 or (C d)^2 is not finite")
     fstar = float(np.sum((w @ xstar - b) ** 2))
     objective = RegressionObjective(
@@ -115,7 +116,7 @@ def generate_instance(n: int, d: int, seed: int,
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         w = rng.uniform(0.0, feature_high, size=(n, d))
-        b = rng.uniform(0.0, target_high, size=n)
+        b = rng.uniform(0.0, target_high + 0.0, size=n)  # + 0.0: -0.0 samples as 0.0
         try:
             return build_objective(w, b)
         except DegenerateInstanceError as exc:
@@ -148,16 +149,6 @@ def gradient_matrix(objective: RegressionObjective, x_rows: np.ndarray) -> np.nd
     residuals = np.einsum("...ij,ij->...i", x_rows, objective.features) - objective.targets
     # (2.0 * w) * r is what 2.0 * w * r evaluates: the constant keeps every bit
     return objective.twice_features * residuals[..., None]
-
-
-def global_value(objective: RegressionObjective, x: np.ndarray):
-    """f(x) = sum_i (w_i^T x - b_i)^2 at a point x (a float) or at each row
-    of a (..., d) stack; the trace's gaps come from optimality_gaps instead."""
-    x = np.asarray(x, dtype=np.float64)
-    residuals = np.matmul(objective.features, x[..., None])[..., 0]
-    residuals -= objective.targets  # in place: one temporary for any stack
-    values = np.square(residuals, out=residuals).sum(axis=-1)
-    return float(values) if x.ndim == 1 else values
 
 
 def optimality_gaps(objective: RegressionObjective, points: np.ndarray) -> np.ndarray:

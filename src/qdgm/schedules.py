@@ -8,7 +8,8 @@ beta sequence starts above 1, so by default it is clamped at ``beta_clamp``
 to keep every update a convex combination; pass ``beta_clamp=None`` for the
 raw values. Round k's quantizer interval is [-range(k), range(k)] with
 range(k) = C * sum_{t<k} alpha_t, shared by encoder and decoder. gamma_k,
-the decay envelope and the inequality checks read the same constants.
+the decay envelope and the inequality checks read the same constants. Each
+method takes a round or an array of rounds, and a value depends only on k.
 """
 from __future__ import annotations
 
@@ -53,34 +54,28 @@ class Schedule:
                    objective.n, bits, spectral_gap, beta_clamp)
 
     @property
-    def sigma2(self) -> float:
-        return 1.0 - self.spectral_gap
-
-    @property
     def quantization(self) -> float:
         """(C d / (2^b - 1))^2, the squared bin width per unit summed step."""
         return (self.grad_bound * self.dims / (2 ** self.bits - 1)) ** 2
 
     def alpha(self, k):
-        """Gradient step at round k (elementwise for an array of rounds)."""
+        """Gradient step at round k (or an array of rounds)."""
         return (4.0 / self.mu) / (k + 1)
 
     def beta(self, k):
         """Consensus weight at round k (or an array of rounds), clamped unless disabled."""
-        raw, clamp = (4.0 / self.spectral_gap) / libm_power(k + 1, 0.75), self.beta_clamp
-        if clamp is None:
-            return raw
-        return min(raw, clamp) if isinstance(k, int) else np.minimum(raw, clamp)
+        raw = (4.0 / self.spectral_gap) / libm_power(np.asarray(k) + 1, 0.75)
+        return raw if self.beta_clamp is None else np.minimum(raw, self.beta_clamp)
 
     def alpha_sum(self, k):
         """Sum of alpha_t for t < k (or an array of rounds), accumulated term by term in
         one table, grown in blocks and summed on as np.cumsum (add.accumulate) sums, so
         a value depends only on k. Range and bin-width computations all read this one
         cumulative sum, so encoder, decoder, and diagnostics agree bitwise."""
-        first, last = (k, k) if isinstance(k, int) else (k.min(initial=0), k.max(initial=0))
-        if first < 0:
+        k = np.asarray(k)
+        if k.min(initial=0) < 0:
             raise ValueError("k must be nonnegative")
-        size = len(self._alpha_partials)
+        size, last = len(self._alpha_partials), k.max(initial=0)
         if last >= size:  # no temporary as large as the table
             table = np.empty(max(last + 1, 2 * size))
             table[:size] = self._alpha_partials
@@ -89,25 +84,20 @@ class Schedule:
                 table[lo:lo + 4096] = self.alpha(ks)
             self._alpha_partials = table
             np.add.accumulate(table[size - 1:], out=table[size - 1:])
-        partials = self._alpha_partials[k]
-        return float(partials) if isinstance(k, int) else partials
+        return self._alpha_partials[k]
 
-    def range_at(self, k: int) -> float:
-        """C * sum_{t<k} alpha_t, nondecreasing with range_at(0) = 0."""
-        return self.grad_bound * self.alpha_sum(k)
-
-    def grid(self, k: int) -> Grid:
-        """Round k's grid: bin width delta = 2 range(k) / (2^b - 1) per coordinate. One
+    def grid(self, k) -> Grid:
+        """Round k's grid (or that of an array of rounds): range(k) = C * sum_{t<k}
+        alpha_t and bin width delta = 2 range(k) / (2^b - 1) per coordinate. One
         vector draw errs by at most sqrt(d) delta in norm (the convergence constants
         use the coarser d delta)."""
-        rangek = self.range_at(k)
+        rangek = self.grad_bound * self.alpha_sum(k)
         bins = (1 << self.bits) - 1
         return Grid(k, rangek, 2.0 * rangek / bins, bins)
 
 
 def libm_power(base, exponent: float):
-    """base ** exponent by libm pow, as for a Python float, elementwise for a 1-D
-    array: numpy's vectorised power can differ from it in the last bit."""
-    if not isinstance(base, np.ndarray):
-        return float(base) ** exponent
-    return np.array([b ** exponent for b in base.astype(np.float64).tolist()])
+    """base ** exponent by libm pow, as for a Python float, elementwise over an array
+    of any shape: numpy's vectorised power can differ from it in the last bit."""
+    base = np.asarray(base, dtype=np.float64)
+    return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)

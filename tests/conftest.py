@@ -29,6 +29,29 @@ def schedule(**overrides) -> Schedule:
     return Schedule(**{**fields, **overrides})
 
 
+def constants(sched: Schedule, k: int) -> tuple:
+    """run_round's constants of round k, evaluated alone from the schedule: alpha_k,
+    beta_k, the grid and range(k + 1)."""
+    return sched.alpha(k), float(sched.beta(k)), sched.grid(k), float(sched.grid(k + 1).range)
+
+
+def consensus_error(x_rows):
+    """Reference formula: the squared Frobenius deviation of the rows from their mean,
+    for one (n, d) matrix or for each matrix of an (R, n, d) stack."""
+    x = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
+    centered = x - x.mean(axis=-2, keepdims=True)
+    return np.sum(centered * centered, axis=(-2, -1))
+
+
+def global_value(objective, x):
+    """Reference formula: f(x) = sum_i (w_i^T x - b_i)^2 at a point x (a float) or at
+    each row of a (..., d) stack."""
+    x = np.asarray(x, dtype=np.float64)
+    residuals = np.matmul(objective.features, x[..., None])[..., 0] - objective.targets
+    values = np.square(residuals).sum(axis=-1)
+    return float(values) if x.ndim == 1 else values
+
+
 class CountedArray(np.ndarray):
     """An array that counts the numpy ufunc calls made on it and its results."""
 

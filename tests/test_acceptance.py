@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ReplicaStreams, report_acceptance, schedule
+from conftest import ReplicaStreams, constants, report_acceptance, schedule
 from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, \
     run_round, RoundState
 from qdgm.cli import main as cli_main
@@ -200,10 +200,10 @@ def test_criterion_7_bound_dominates_measurements(benchmark_runs):
     def oracle(T):
         q = (sched.grad_bound * sched.dims / (2 ** sched.bits - 1)) ** 2
         return (sched.mu * v1 / (8 * (T + 1) ** 2) + 2 / (T + 1)
-                + 16 / (3 * sched.mu * (1 - sched.sigma2)) * q
+                + 16 / (3 * sched.mu * (1 - mixing.sigma2)) * q
                 * math.log(T) ** 2 / (T + 1) ** 0.5
                 + 4 * sched.n ** 2 * (sched.lipschitz + 8 * sched.lipschitz ** 2)
-                / (1 - sched.sigma2) ** 2 * q * math.log(T) ** 2 / (T + 1) ** 0.75
+                / (1 - mixing.sigma2) ** 2 * q * math.log(T) ** 2 / (T + 1) ** 0.75
                 + 8 * sched.lipschitz
                 * (sched.lipschitz + 8 * sched.lipschitz ** 2 / sched.mu)
                 / (3 * sched.mu ** 3) / (T + 1) ** 0.5)
@@ -232,7 +232,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     # receiver unpacks the same indices and decodes the same values bitwise
     for bits in (1, 2, 8, 16):
         sched = schedule(mu=4.0, bits=bits)
-        rangek, grid = sched.range_at(9), sched.grid(9)
+        rangek, grid = sched.grid(9).range, sched.grid(9)
         idx = quantize_matrix(rng.uniform(-rangek, rangek, size=(40, 5)),
                               grid, rng)
         received = np.array([unpack_indices(payload, bits, 5)
@@ -249,11 +249,11 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     sched = Schedule.of(obj, 1.0, 8)
     worst = 0.0
     for k in (1, 3, 9, 40, 200):
-        rangek, delta = sched.range_at(k), sched.grid(k).delta
+        rangek, delta = sched.grid(k).range, sched.grid(k).delta
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
         state = RoundState(k, np.array([[[x_val]]]), abs(x_val))
-        nxt = run_round(state, mixing, obj, sched,
+        nxt = run_round(state, mixing, obj, *constants(sched, state.k),
                         ReplicaStreams(1, state.x.shape)(k))
         gd = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)
         worst = max(worst, abs(nxt.x[0, 0, 0] - gd))
@@ -261,7 +261,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
     state = initial_state(1, 1)
     oracle = 0.0
     for k in range(200):
-        state = run_round(state, mixing, obj, sched, None)
+        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
         oracle = oracle - sched.alpha(k) * 2.0 * (oracle - 0.8)
         worst = max(worst, abs(state.x[0, 0, 0] - oracle))
     ok = worst <= 1e-12

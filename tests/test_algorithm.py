@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountedArray, ReplicaStreams, schedule
+from conftest import CountedArray, ReplicaStreams, consensus_error, constants, schedule
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
@@ -33,7 +33,7 @@ def test_single_agent_baseline_is_plain_gradient_descent():
     state = initial_state(1, 1)
     oracle = 0.0
     for k in range(100):
-        state = run_round(state, mixing, obj, sched, None)
+        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
         oracle = oracle - sched.alpha(k) * 2.0 * (oracle - 0.8)
         assert abs(state.x[0, 0, 0] - oracle) <= 1e-12
 
@@ -43,11 +43,11 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     # an iterate sitting exactly on the round-k grid is transmitted without
     # error, so the consensus term collapses and only the gradient step acts
     obj, mixing, sched = single_agent_setup()
-    rangek, delta = sched.range_at(k), sched.grid(k).delta
+    rangek, delta = sched.grid(k).range, sched.grid(k).delta
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
     state = RoundState(k, np.array([[[x_val]]]), abs(x_val))
-    nxt = run_round(state, mixing, obj, sched,
+    nxt = run_round(state, mixing, obj, *constants(sched, state.k),
                     ReplicaStreams(3, state.x.shape)(k))
     expected = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)
     assert abs(nxt.x[0, 0, 0] - expected) <= 1e-12
@@ -60,7 +60,7 @@ def test_fixed_point_at_common_root(hand_objective):
     sched = Schedule.of(hand_objective, 1.0, 8)
     x = np.tile(hand_objective.optimum, (1, 2, 1))
     state = RoundState(3, x.copy(), np.abs(x).max())
-    nxt = run_round(state, mixing, hand_objective, sched, None)
+    nxt = run_round(state, mixing, hand_objective, *constants(sched, state.k), None)
     assert np.abs(nxt.x - x).max() <= 1e-12
 
 
@@ -72,7 +72,7 @@ def test_two_agents_average_in_one_round():
     sched = Schedule.of(obj, 1.0, 8)
     assert sched.beta(0) == 1.0
     state = RoundState(0, np.array([[[2.0], [4.0]]]), 4.0)
-    nxt = run_round(state, mixing, obj, sched, None)
+    nxt = run_round(state, mixing, obj, *constants(sched, state.k), None)
     assert np.allclose(nxt.x, 3.0, atol=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     for k in (0, 2, 9):
         x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
         state = RoundState(k, x, np.abs(x).max())
-        nxt = run_round(state, small_mixing, obj, sched, None)
+        nxt = run_round(state, small_mixing, obj, *constants(sched, state.k), None)
         residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
         gbar = (2.0 * obj.features * residuals[:, None]).mean(axis=0)
         expected = x[0].mean(axis=0) - sched.alpha(k) * gbar
@@ -100,7 +100,7 @@ def test_consensus_stays_exact_with_identical_objectives():
     sched = Schedule.of(obj, 1.0, 8)
     state = initial_state(2, 1)
     for _ in range(30):
-        state = run_round(state, mixing, obj, sched, None)
+        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
         assert state.x[0, 0, 0] == state.x[0, 1, 0]
 
 
@@ -110,7 +110,7 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     state = initial_state(obj.n, obj.dims)
     sent = quantizer.quantize_matrix(state.x, sched.grid(0), np.random.default_rng(5))
     assert sent.shape == (1, obj.n, obj.dims) and np.all(sent == 0)
-    nxt = run_round(state, small_mixing, obj, sched,
+    nxt = run_round(state, small_mixing, obj, *constants(sched, state.k),
                     ReplicaStreams(5, state.x.shape)(0))
     # first move is the pure gradient step from zero
     expected = -sched.alpha(0) * 2.0 * obj.features * (-obj.targets[:, None])
@@ -140,7 +140,7 @@ def test_averaged_output_of_constant_trajectory():
     state = RoundState(0, np.array([[[c]]]), c)
     xs = [state.x]
     for _ in range(10):
-        state = run_round(state, mixing, obj, sched, None)
+        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
         xs.append(state.x)
     assert _averages(xs)[-1][0, 0, 0] == pytest.approx(c, abs=1e-14)
 
@@ -152,7 +152,8 @@ def test_incremental_average_matches_recomputation(small_instance, small_mixing)
     history = [state.x.copy()]
     draws = ReplicaStreams(21, state.x.shape)
     for _ in range(60):
-        state = run_round(state, small_mixing, obj, sched, draws(state.k))
+        state = run_round(state, small_mixing, obj, *constants(sched, state.k),
+                          draws(state.k))
         history.append(state.x.copy())
     weights = np.arange(1, len(history))  # x_0..x_{K-1} weighted 1..K
     recomputed = np.tensordot(weights, np.asarray(history[:-1]), axes=(0, 0)) \
@@ -166,10 +167,11 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     state = initial_state(obj.n, obj.dims)
     draws = ReplicaStreams(9, state.x.shape)
     for _ in range(3):
-        state = run_round(state, small_mixing, obj, sched, draws(state.k))
+        state = run_round(state, small_mixing, obj, *constants(sched, state.k),
+                          draws(state.k))
     complements = draws(state.k)
-    a = run_round(state, small_mixing, obj, sched, complements)
-    b = run_round(state, small_mixing, obj, sched, complements)
+    a = run_round(state, small_mixing, obj, *constants(sched, state.k), complements)
+    b = run_round(state, small_mixing, obj, *constants(sched, state.k), complements)
     assert np.array_equal(a.x, b.x)
     # a different replica index rewires the randomness; one round's eight
     # rounding choices can agree by chance, five rounds do not
@@ -177,7 +179,7 @@ def test_run_round_is_reproducible(small_instance, small_mixing):
     for first in (0, 1):
         c, draws = state, ReplicaStreams(9, state.x.shape, first)
         for _ in range(5):
-            c = run_round(c, small_mixing, obj, sched, draws(c.k))
+            c = run_round(c, small_mixing, obj, *constants(sched, c.k), draws(c.k))
         later[first] = c.x
     assert not np.array_equal(later[0], later[1])
 
@@ -193,7 +195,8 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
         draws = ReplicaStreams(9, state.x.shape, first)
         states = [state]
         for _ in range(25):
-            state = run_round(state, small_mixing, obj, sched, draws(state.k))
+            state = run_round(state, small_mixing, obj, *constants(sched, state.k),
+                              draws(state.k))
             states.append(state)
         return states
 
@@ -256,7 +259,8 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
     draws = ReplicaStreams(4, (1, obj.n, obj.dims))
-    state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj, sched, draws(0))
+    state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj,
+                      *constants(sched, 0), draws(0))
     stochastic_round = quantizer._stochastic_round
 
     def shifted(values, lower, delta, nbins, complements):
@@ -266,7 +270,7 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
 
     monkeypatch.setattr(quantizer, "_stochastic_round", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
-        run_round(state, small_mixing, obj, sched, draws(1))
+        run_round(state, small_mixing, obj, *constants(sched, state.k), draws(1))
 
 
 @pytest.mark.parametrize("quantized", [True, False])
@@ -293,11 +297,11 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     # a hand-built state whose maximum is unchecked (inf) is checked by the quantize step
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 6)
-    rangek = sched.range_at(3)
+    rangek = sched.grid(3).range
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 2, 1] = 2.0 * rangek
     with pytest.raises(GradientBoundError) as excinfo:
-        run_round(RoundState(3, x, math.inf), small_mixing, obj, sched,
+        run_round(RoundState(3, x, math.inf), small_mixing, obj, *constants(sched, 3),
                   ReplicaStreams(3, x.shape)(3))
     message = (f"gradient-bound violation: agent 2 reached {2.0 * rangek} at "
                f"round 3, outside quantization range +-{rangek}")
@@ -305,12 +309,12 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     # a maximum carried from a wider range is checked against this one
     with pytest.raises(GradientBoundError, match=f"^{re.escape(message)}$"):
         run_round(RoundState(3, x, 2.0 * rangek), small_mixing,
-                  obj, sched, ReplicaStreams(3, x.shape)(3))
+                  obj, *constants(sched, 3), ReplicaStreams(3, x.shape)(3))
     # a stack names the replica by its slice index
     x = np.zeros((2, obj.n, obj.dims))
     x[1, 3, 0] = -2.0 * rangek
     with pytest.raises(GradientBoundError, match="agent 3 of replica 1 reached"):
-        run_round(RoundState(3, x, math.inf), small_mixing, obj, sched,
+        run_round(RoundState(3, x, math.inf), small_mixing, obj, *constants(sched, 3),
                   ReplicaStreams(3, x.shape)(3))
     # round 0 sends all-zero values, so a nonzero start breaks the support bound
     x = np.zeros((1, obj.n, obj.dims))
@@ -318,7 +322,7 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     with pytest.raises(QuantizationSupportError, match=(
             "^decoded value 0.25 away from its input at round 0, beyond the "
             "support bound 0.0$")):
-        run_round(RoundState(0, x, 0.25), small_mixing, obj, sched,
+        run_round(RoundState(0, x, 0.25), small_mixing, obj, *constants(sched, 0),
                   ReplicaStreams(3, x.shape)(0))
     assert initial_state(obj.n, obj.dims).checked_max == 0.0
 
@@ -330,6 +334,10 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
 # its passes are not counted here; the Python-level calls are.
 EXACT_ROUND_UFUNC_CALLS = 7
 QUANTIZED_ROUND_UFUNC_CALLS = 17
+# Python-level calls of one round, which reads its constants as arguments and
+# calls no Schedule method
+EXACT_ROUND_PYTHON_CALLS = 13
+QUANTIZED_ROUND_PYTHON_CALLS = 16
 
 
 def _round_work(replicas, quantized):
@@ -342,36 +350,38 @@ def _round_work(replicas, quantized):
     state = initial_state(objective.n, objective.dims, replicas)
     draws = ReplicaStreams(cfg.seed, state.x.shape)
     for k in range(5):
-        state = run_round(state, mixing, objective, sched,
+        state = run_round(state, mixing, objective, *constants(sched, k),
                           draws(k) if quantized else None)
-    complements = draws(5) if quantized else None
-    run_round(state, mixing, objective, sched, complements)  # caches filled
+    complements, round5 = draws(5) if quantized else None, constants(sched, 5)
+    run_round(state, mixing, objective, *round5, complements)  # caches filled
     CountedArray.calls = 0
     run_round(RoundState(5, state.x.view(CountedArray), state.checked_max), mixing,
-              objective, sched,
+              objective, *round5,
               None if complements is None else complements.view(CountedArray))
     events = []
     sys.setprofile(lambda frame, event, arg: events.append(event))
     try:
-        run_round(state, mixing, objective, sched, complements)
+        run_round(state, mixing, objective, *round5, complements)
     finally:
         sys.setprofile(None)
     return CountedArray.calls, events.count("call") + events.count("c_call")
 
 
-@pytest.mark.parametrize("quantized, ufunc_calls", [
-    (True, QUANTIZED_ROUND_UFUNC_CALLS), (False, EXACT_ROUND_UFUNC_CALLS)],
-    ids=["quantized", "exact"])
-def test_round_work_does_not_grow_with_the_replicas(quantized, ufunc_calls):
+@pytest.mark.parametrize("quantized, ufunc_calls, python_calls", [
+    (True, QUANTIZED_ROUND_UFUNC_CALLS, QUANTIZED_ROUND_PYTHON_CALLS),
+    (False, EXACT_ROUND_UFUNC_CALLS, EXACT_ROUND_PYTHON_CALLS)], ids=["quantized", "exact"])
+def test_round_work_does_not_grow_with_the_replicas(quantized, ufunc_calls, python_calls):
     # a per-replica or per-agent pass, or one more numpy pass, in the round fails here
     one, stack = _round_work(1, quantized), _round_work(8, quantized)
     assert one == stack
-    assert one[0] == ufunc_calls
+    assert one == (ufunc_calls, python_calls)
 
 
 def test_package_has_no_assert_statements():
     # python -O strips asserts, so every invariant must be a typed raise
-    for path in sorted(Path(quantizer.__file__).parent.glob("*.py")):
+    paths = sorted(Path(quantizer.__file__).parent.glob("*.py"))
+    assert {"algorithm.py", "quantizer.py", "schedules.py"} <= {p.name for p in paths}
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"assert in {path.name} at lines {lines}"
@@ -390,9 +400,9 @@ def test_update_is_convex_combination_plus_gradient(small_instance, small_mixing
     state = initial_state(obj.n, obj.dims)
     draws = ReplicaStreams(17, state.x.shape)
     for _ in range(80):
-        nxt = run_round(state, small_mixing, obj, sched, draws(state.k))
+        nxt = run_round(state, small_mixing, obj, *constants(sched, state.k), draws(state.k))
         k = state.k
-        cap = max(np.abs(state.x).max(), sched.range_at(k)) \
+        cap = max(np.abs(state.x).max(), sched.grid(k).range) \
             + sched.alpha(k) * obj.grad_bound
         assert np.abs(nxt.x).max() <= cap + 1e-12
         state = nxt
@@ -525,7 +535,7 @@ def test_non_finite_iterate_detected():
     obj, mixing, sched = single_agent_setup()
     state = RoundState(2, np.array([[[1e308]]]), 1e308)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterateError):
-        run_round(state, mixing, obj, sched, None)
+        run_round(state, mixing, obj, *constants(sched, state.k), None)
 
 
 def _poison_gradient(monkeypatch, where, value):
@@ -543,7 +553,7 @@ def _poison_gradient(monkeypatch, where, value):
 def _stack_after_one_round(obj, mixing, replicas=3):
     sched = Schedule.of(obj, 1.0 - mixing.sigma2, 6)
     state = run_round(initial_state(obj.n, obj.dims, replicas), mixing, obj,
-                      sched, ReplicaStreams(3, (replicas, obj.n, obj.dims))(0))
+                      *constants(sched, 0), ReplicaStreams(3, (replicas, obj.n, obj.dims))(0))
     return state, sched
 
 
@@ -555,7 +565,7 @@ def test_non_finite_replica_in_a_stack_is_named_non_finite(
     state, sched = _stack_after_one_round(small_instance, small_mixing)
     _poison_gradient(monkeypatch, (1, 2, 0), value)
     with pytest.raises(NonFiniteIterateError, match="^non-finite iterate at round 1$"):
-        run_round(state, small_mixing, small_instance, sched,
+        run_round(state, small_mixing, small_instance, *constants(sched, state.k),
                   ReplicaStreams(3, state.x.shape)(1))
 
 
@@ -566,7 +576,7 @@ def test_finite_escape_in_a_stack_keeps_the_range_message(
     with pytest.raises(GradientBoundError, match=(
             r"^gradient-bound violation: agent 1 of replica 2 reached \S+ at "
             r"round 2, outside quantization range \+-\S+$")):
-        run_round(state, small_mixing, small_instance, sched,
+        run_round(state, small_mixing, small_instance, *constants(sched, state.k),
                   ReplicaStreams(3, state.x.shape)(1))
 
 
@@ -593,11 +603,35 @@ def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, re
         assert engine.k == state.k == k
         assert np.array_equal(engine.x, state.x), k
         if k < 70:
-            state = run_round(state, small_mixing, small_instance, sched, draws(k))
+            state = run_round(state, small_mixing, small_instance,
+                              *constants(sched, state.k), draws(k))
             reference.append(state)
     for k, (z, z_ref) in enumerate(zip(_averages([s.x for s in states]),
                                        _averages([s.x for s in reference]))):
         assert np.array_equal(z, z_ref), k
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_block_tables_equal_constants_evaluated_round_by_round(quantized):
+    # the engine evaluates round 0's constants alone, then one table per block of
+    # RECORD_BLOCK rounds; a loop that evaluates every round's constants on their
+    # own yields the same states, byte for byte, across rounds 0, 1, 32, 33, 64, 65
+    cfg, iterations = ExperimentConfig(), 70
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(build_topology(cfg))
+    sched = algorithm._schedule(objective, mixing, cfg.bits, 1.0, iterations, cfg.seed)
+    engine = algorithm._run_rounds(objective, mixing, sched, iterations=iterations,
+                                   seed=cfg.seed, first=0, replicas=2, quantized=quantized)
+    state = initial_state(objective.n, objective.dims, 2)
+    draws = ReplicaStreams(cfg.seed, state.x.shape)
+    for k, engine_state in enumerate(engine):
+        assert engine_state.k == state.k == k
+        assert engine_state.x.tobytes() == state.x.tobytes(), k
+        assert engine_state.checked_max == state.checked_max, k
+        if k < iterations:
+            state = run_round(state, mixing, objective, *constants(sched, k),
+                              draws(k) if quantized else None)
+    assert k == iterations
 
 
 @pytest.mark.parametrize("first", [0, 4])
@@ -668,8 +702,8 @@ def test_collect_ensemble_shapes(small_instance, small_mixing):
                            bits=5, replicas=3)
     assert ens.consensus_sq.shape == (3, 21)
     assert ens.r_sq.shape == (3, 21)
-    assert ens.alphas.shape == (20,)
-    assert ens.deltas[0] == 0.0
+    assert ens.f_worst.shape == (3, 21)
+    assert ens.schedule.grid(0).delta == 0.0
     # replicas share the start but diverge once quantization noise kicks in
     assert ens.consensus_sq[:, 0].max() == 0.0
     assert np.std(ens.consensus_sq[:, -1]) > 0.0
@@ -689,13 +723,13 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     w, b, x_star = objective.features, objective.targets, objective.optimum
     for k in range(41):
         x = state.x
-        cons = diagnostics.consensus_error(x)
+        cons = consensus_error(x)
         r_sq = np.sum((x.mean(axis=1) - x_star) ** 2, axis=1)
         f_worst = np.max(np.sum((x @ w.T - b) ** 2, axis=2), axis=1)
         assert ens.consensus_sq[:, k].tobytes() == cons.tobytes()
         assert ens.r_sq[:, k].tobytes() == r_sq.tobytes()
         assert ens.f_worst[:, k].tobytes() == f_worst.tobytes()
-        state = run_round(state, mixing, objective, sched, draws(k))
+        state = run_round(state, mixing, objective, *constants(sched, state.k), draws(k))
     # the checks' means over axis 0 add the replicas in order on this layout
     for array in (ens.consensus_sq, ens.r_sq, ens.f_worst):
         assert array.shape == (replicas, 41) and array.flags.c_contiguous

@@ -208,6 +208,9 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
      ("degenerate instance: L^3 or (C d)^2 is not finite",)),
     ("--config", '{"data": {"target_high": 1e300}}',
      ("degenerate instance: L^3 or (C d)^2 is not finite",)),
+    # finite data whose W^T b overflows: x*, so C and (C d)^2, are NaN
+    ("--config", '{"data": {"target_high": 1.7976931348623157e308}}',
+     ("degenerate instance: L^3 or (C d)^2 is not finite",)),
     # an output directory below a regular file
     ("--output-dir", "a regular file",
      ("invalid field output_dir: cannot write", "input is not an existing directory")),
@@ -216,7 +219,7 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
         "seed-float", "replicas-float", "beta-clamp-str", "edges-file-int",
         "baseline-str", "graph-sampling", "degenerate-data", "feature-high-inf",
         "target-high-inf", "gram-overflow", "smoothness-overflow", "cube-overflow",
-        "bound-overflow", "output-below-file"])
+        "bound-overflow", "optimum-overflow", "output-below-file"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"
@@ -231,6 +234,18 @@ def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
     assert all(text in err for text in expected), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_negative_zero_target_high_runs_as_zero(tmp_path):
+    # -0.0 passes the >= 0 rule, so it samples the targets as 0.0 does
+    traces = []
+    for value in ("-0.0", "0.0"):
+        config, out = tmp_path / f"{value}.json", tmp_path / value
+        config.write_text(f'{{"data": {{"target_high": {value}}}}}')
+        assert run_cli(["run", "--config", str(config), "--n", "6", "--dims", "2",
+                        "--iterations", "10", "--output-dir", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +386,15 @@ def test_verify_passes_and_emits_json(capsys):
 def test_verify_detects_sabotaged_sigma2(capsys, monkeypatch):
     # an ensemble whose sigma2 is raised by 0.5 (past 1, so its spectral gap
     # turns negative) must fail verify; Schedule rejects such a gap, so the
-    # fault is set on a copy of the ensemble's schedule past the check
+    # fault is set on a copy of the ensemble's schedule past the check. The
+    # copy keeps the run's beta_k, which the checks read from the schedule
     collect = cli.collect_ensemble
 
     def sabotaged(*args, **kwargs):
         ens = collect(*args, **kwargs)
         faulty = copy.copy(ens.schedule)
         faulty.spectral_gap -= 0.5
+        faulty.beta = ens.schedule.beta
         return dataclasses.replace(ens, schedule=faulty)
 
     monkeypatch.setattr(cli, "collect_ensemble", sabotaged)

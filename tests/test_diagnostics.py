@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountedArray, ReplicaStreams, schedule
+from conftest import (CountedArray, ReplicaStreams, consensus_error, constants, global_value,
+                      schedule)
 from qdgm.algorithm import (RECORD_BLOCK, _running_average, collect_ensemble, initial_state,
                             run_experiment, run_round)
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, Trace, TraceRecord,
                               check_consensus_recursion, check_descent_recursion,
-                              consensus_error, ensemble_statistics, eta_coupling,
+                              ensemble_statistics, eta_coupling,
                               fit_loglog_slope, gamma_k, lyapunov_value, make_record,
                               rate_bound, rate_bound_terms)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
-from qdgm.objective import global_value, optimality_gaps, well_conditioned_instance
+from qdgm.objective import optimality_gaps, well_conditioned_instance
 from qdgm.schedules import Schedule
 
 
@@ -202,7 +203,6 @@ def test_schedule_of_equals_hand_built_fields(instance):
     assert sched.n == objective.n
     assert sched.bits == bits
     assert sched.spectral_gap == gap
-    assert sched.sigma2 == 1.0 - gap
     assert Schedule.of(objective, gap, bits, None).beta_clamp is None
 
 
@@ -233,10 +233,12 @@ def test_descent_recursion_holds(small_ensemble):
 def test_sabotaged_sigma2_is_detected(small_ensemble):
     # mis-stating the contraction by +0.5 pushes sigma2 past 1, flipping the
     # sign of the slack terms; the checker must flag it. Schedule rejects such
-    # a spectral gap, so the fault is set on a copy past the check
+    # a spectral gap, so the fault is set on a copy past the check, which keeps
+    # the run's beta_k (the checker reads them from the schedule)
     faulty = copy.copy(small_ensemble.schedule)
     faulty.spectral_gap -= 0.5
-    assert faulty.sigma2 > 1.0
+    faulty.beta = small_ensemble.schedule.beta
+    assert 1.0 - faulty.spectral_gap > 1.0
     bad = dataclasses.replace(small_ensemble, schedule=faulty)
     report = check_consensus_recursion(bad)
     assert not report.passed
@@ -255,14 +257,15 @@ def test_insufficient_replicas_rejected(small_ensemble):
 
 
 def test_noise_free_recursions_hold_deterministically():
-    # replica-degenerate ensemble from the unquantized dynamics: zero bin
-    # width, zero Monte Carlo slack, and the inequalities must still hold
+    # replica-degenerate ensemble from the unquantized dynamics: a bin width of
+    # 2^-31 of the range at 32 bits, zero Monte Carlo slack, and the inequalities
+    # must still hold
     from qdgm.algorithm import initial_state, run_round
     from qdgm.diagnostics import EnsembleTrace
 
     obj = well_conditioned_instance(4, 2)
     mixing = lazy_metropolis(path_topology(4))
-    sched = Schedule.of(obj, 1.0 - mixing.sigma2, 5)
+    sched = Schedule.of(obj, 1.0 - mixing.sigma2, 32)
     rounds = 40
     state = initial_state(4, 2)
     cons, r_sq, f_worst = [], [], []
@@ -273,15 +276,12 @@ def test_noise_free_recursions_hold_deterministically():
         f_worst.append(max(float(np.sum((obj.features @ xi - obj.targets) ** 2))
                            for xi in x))
         if k < rounds:
-            state = run_round(state, mixing, obj, sched, None)
+            state = run_round(state, mixing, obj, *constants(sched, state.k), None)
     replicas = 100
     ens = EnsembleTrace(
         consensus_sq=np.tile(cons, (replicas, 1)),
         r_sq=np.tile(r_sq, (replicas, 1)),
         f_worst=np.tile(f_worst, (replicas, 1)),
-        deltas=np.zeros(rounds + 1),
-        alphas=np.asarray([sched.alpha(k) for k in range(rounds)]),
-        betas=np.asarray([sched.beta(k) for k in range(rounds)]),
         f_star=obj.f_star, schedule=sched)
     assert check_consensus_recursion(ens).violations == 0
     assert check_descent_recursion(ens).violations == 0
@@ -350,7 +350,7 @@ def _states(objective, mixing, rounds, quantized):
     draws = ReplicaStreams(7, state.x.shape)
     for _ in range(rounds):
         z = _running_average(states[-1].z, state.k, state.x)
-        state = run_round(state, mixing, objective, sched,
+        state = run_round(state, mixing, objective, *constants(sched, state.k),
                           draws(state.k) if quantized else None)
         states.append(Recorded(state.k, state.x, z))
     return sched, states
@@ -396,11 +396,16 @@ def _form_gap(objective, p):
     return sum(e_i * h_i for e_i, h_i in zip(e, h))
 
 
+def _scalar_beta(sched, k):
+    """beta_k at one round, in Python floats, clamped."""
+    return min((4.0 / sched.spectral_gap) / (k + 1) ** 0.75, sched.beta_clamp)
+
+
 def _scalar_gamma(sched, k):
     """gamma_k at one round, in Python floats."""
     mu, lip, gap = sched.mu, sched.lipschitz, sched.spectral_gap
     coupled = lip + 8.0 * lip ** 2 / mu
-    quant = sched.quantization * sched.alpha_sum(k) ** 2
+    quant = sched.quantization * float(sched.alpha_sum(k)) ** 2
     return ((16.0 / mu ** 2) / (k + 1) ** 2
             + (40.0 * lip ** 2 * coupled / mu ** 3) / (k + 1) ** 1.5
             + (4.0 / (gap * (k + 1) ** 1.5)
@@ -416,7 +421,7 @@ def _reference_row(state, objective, sched, eta):
     gaps = [_form_gap(objective, p) for p in z]
     grid = sched.grid(k)
     return [k, _form_gap(objective, xbar), min(gaps), max(gaps), cons, r_sq,
-            r_sq + eta * (sched.alpha(k) / sched.beta(k)) * cons,
+            r_sq + eta * (sched.alpha(k) / _scalar_beta(sched, k)) * cons,
             grid.delta, grid.range, np.abs(x).max(),
             _scalar_gamma(sched, k) if k >= 1 else float("nan")]
 
@@ -427,7 +432,7 @@ def test_schedule_columns_over_rounds_equal_their_scalar_evaluation():
     objective, mixing = _instance("default-40x5")
     sched = Schedule.of(objective, spectral_gap(mixing), 16)
     ks = range(1, 20_001)
-    assert np.array_equal(sched.beta(np.array(ks)), [sched.beta(k) for k in ks])
+    assert np.array_equal(sched.beta(np.array(ks)), [_scalar_beta(sched, k) for k in ks])
     assert np.array_equal(gamma_k(sched, np.array(ks)), [_scalar_gamma(sched, k) for k in ks])
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import global_value
 from qdgm.errors import DegenerateInstanceError
-from qdgm.objective import (build_objective, generate_instance, global_value,
-                            gradient_matrix, save_instance_csv,
-                            well_conditioned_instance)
+from qdgm.objective import (build_objective, generate_instance, gradient_matrix,
+                            save_instance_csv, well_conditioned_instance)
 
 
 def agent_gradient(obj, agent, x):

@@ -24,7 +24,7 @@ def round_indices(values, lower, delta, nbins, uniforms):
 
 def test_scalar_on_lower_endpoint_is_deterministic():
     sched = schedule(mu=4.0, bits=2)
-    x = np.full((50, 1), -sched.range_at(K_UNIT))
+    x = np.full((50, 1), -sched.grid(K_UNIT).range)
     idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 0)
     assert np.all(decode_matrix(idx, sched.grid(K_UNIT)) == -1.5)
@@ -32,7 +32,7 @@ def test_scalar_on_lower_endpoint_is_deterministic():
 
 def test_scalar_on_upper_endpoint_is_deterministic():
     sched = schedule(mu=4.0, bits=2)
-    x = np.full((50, 1), sched.range_at(K_UNIT))
+    x = np.full((50, 1), sched.grid(K_UNIT).range)
     idx = quantize_matrix(x, sched.grid(K_UNIT), np.random.default_rng(0))
     assert np.all(idx == 3)
     assert np.all(decode_matrix(idx, sched.grid(K_UNIT)) == 1.5)
@@ -90,7 +90,7 @@ def test_scalar_value_is_reconstruction_of_index():
         sched = schedule(mu=4.0, bits=int(rng.integers(1, 9)),
                          grad_bound=rng.uniform(0.1, 10))
         k = int(rng.integers(1, 50))
-        rangek, delta = sched.range_at(k), sched.grid(k).delta
+        rangek, delta = sched.grid(k).range, sched.grid(k).delta
         x = rng.uniform(-rangek, rangek, size=(1, 3))
         idx = quantize_matrix(x, sched.grid(k), rng)
         val = decode_matrix(idx, sched.grid(k))
@@ -101,7 +101,7 @@ def test_scalar_value_is_reconstruction_of_index():
 def test_vector_example_bit_packing():
     # one-bit grid over [-1, 1]: (-1, 1) maps to indices (0, 1), byte 0x40
     sched = schedule(mu=4.0, bits=1)  # mu=4 so alpha_0 = 1, range(1) = 1
-    assert sched.range_at(1) == 1.0
+    assert sched.grid(1).range == 1.0
     idx = quantize_matrix(np.array([[-1.0, 1.0]]), sched.grid(1),
                           np.random.default_rng(0))
     assert idx.tolist() == [[0, 1]]
@@ -125,7 +125,7 @@ def test_vector_zero_input_unbiased():
 def test_vector_lattice_points_are_fixed():
     sched = schedule(mu=4.0, bits=4)
     k = 5
-    rangek, delta = sched.range_at(k), sched.grid(k).delta
+    rangek, delta = sched.grid(k).range, sched.grid(k).delta
     rng = np.random.default_rng(2)
     lattice = -rangek + np.array([[0, 7, 15]]) * delta
     idx = quantize_matrix(lattice, sched.grid(k), rng)
@@ -136,7 +136,7 @@ def test_vector_lattice_points_are_fixed():
 def test_vector_range_violation_names_agent():
     sched = schedule(mu=4.0, bits=4)
     x = np.zeros((3, 2))
-    x[2, 1] = sched.range_at(1) * 1.5
+    x[2, 1] = sched.grid(1).range * 1.5
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(GradientBoundError, match="agent 2"):
@@ -164,7 +164,7 @@ def test_wire_boundary_roundtrip_of_engine_indices(bits, dims):
     sched = schedule(mu=4.0, bits=bits)
     k = 7
     rng = np.random.default_rng(bits * 100 + dims)
-    x = rng.uniform(-sched.range_at(k), sched.range_at(k), size=(40, dims))
+    x = rng.uniform(-sched.grid(k).range, sched.grid(k).range, size=(40, dims))
     idx = quantize_matrix(x, sched.grid(k), rng)
     payloads = pack_index_rows(idx, bits)
     assert all(len(p) == (dims * bits + 7) // 8 for p in payloads)
@@ -182,7 +182,7 @@ def test_decode_rejects_wrong_payload_length():
 def test_decode_all_zero_payload_gives_lower_endpoint():
     sched = schedule(mu=4.0, bits=8)
     idx = unpack_indices(b"\x00" * 4, 8, 4)
-    assert np.all(decode_matrix(idx, sched.grid(3)) == -sched.range_at(3))
+    assert np.all(decode_matrix(idx, sched.grid(3)) == -sched.grid(3).range)
 
 
 def test_delta_schedule_values():
@@ -453,7 +453,7 @@ def test_variance_bound():
     k = 4
     delta = sched.grid(k).delta
     rng = np.random.default_rng(8)
-    x = np.full((50_000, 1), 0.3 * sched.range_at(k))
+    x = np.full((50_000, 1), 0.3 * sched.grid(k).range)
     decoded = decode_matrix(quantize_matrix(x, sched.grid(k), rng), sched.grid(k))
     err = decoded - x
     second_moment = float((err ** 2).mean())

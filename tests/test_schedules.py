@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import schedule
+from qdgm.algorithm import RECORD_BLOCK
+from qdgm.schedules import libm_power
 
 
 @pytest.mark.parametrize("mu,k,expected", [(4.0, 0, 1.0), (4.0, 3, 0.25), (2.0, 7, 0.25)])
@@ -54,11 +56,26 @@ def test_alpha_sum_independent_of_access_order():
     assert values_a == values_b  # bitwise, not approximately
 
 
-def _grown_to(rounds):
-    """A schedule whose table grew round by round, as a run grows it."""
+def test_a_round_and_any_array_of_rounds_evaluate_alike():
+    # one path: an int, a 0-d array and an (8, 25) array of rounds give the same bits
     sched = schedule(mu=0.37, spectral_gap=0.4)
-    for k in range(rounds + 1):
-        sched.alpha_sum(k)
+    ks = np.arange(200).reshape(8, 25)
+    for method in (sched.alpha, sched.beta, sched.alpha_sum):
+        table = method(ks)
+        assert table.shape == ks.shape
+        for k in range(200):
+            assert method(k) == method(np.asarray(k)) == table.flat[k], (method, k)
+    assert libm_power(np.asarray(16.0), 0.75) == 8.0
+    assert libm_power(ks + 1, 0.75).shape == ks.shape
+
+
+def _grown_to(rounds):
+    """A schedule whose table grew as a run's engine grows it: round 0 and range(1),
+    then RECORD_BLOCK rounds and the next round's range at a time."""
+    sched = schedule(mu=0.37, spectral_gap=0.4)
+    starts = [0, *range(1, rounds, RECORD_BLOCK), rounds]
+    for lo, hi in zip(starts, starts[1:]):
+        sched.alpha_sum(np.arange(lo, hi + 1))
     return sched
 
 
@@ -107,5 +124,5 @@ def test_schedule_accepts_its_edge_values():
     assert schedule(mu=4.0, bits=1).grid(3).bins == 1
     assert schedule(mu=4.0, bits=5).grid(3).bins == 31
     assert schedule(mu=4.0, bits=32).grid(3).bins == 2 ** 32 - 1
-    assert schedule(spectral_gap=1.0).sigma2 == 0.0
+    assert schedule(spectral_gap=1.0).spectral_gap == 1.0
     assert schedule(beta_clamp=None).beta(0) == 8.0
