@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, pairwise, repeat
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .quantizer import Grid, check_range as _check_range_invariant
 from .schedules import Schedule
 
 RECORD_BLOCK = 32  # rounds per block of uniforms and constants; rows per make_record call
+ENSEMBLE_BLOCK = 2 ** 14  # stack elements (S n d) per ensemble_statistics call at most
 
 
 @dataclass
@@ -161,13 +162,12 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: 
     replicas ``first`` on, ``replicas`` of them, started from zero."""
     state = initial_state(objective.n, objective.dims, replicas)
     yield state
-    # round 0 runs alone and reads no uniforms, then each block of RECORD_BLOCK
-    # rounds reads one; a run of no rounds or the exact twin keys no stream.
+    # round 0 runs alone on complements 1 (it reads no uniforms), then each block of
+    # RECORD_BLOCK rounds reads one; a run of no rounds or the exact twin keys no stream.
     keyed = range(first, first + replicas) if quantized and iterations else ()
     streams = [np.random.default_rng([seed, r]) for r in keyed]
-    block = np.empty((len(streams), RECORD_BLOCK, objective.n, objective.dims))
-    starts = [0, *range(1, iterations, RECORD_BLOCK), iterations]
-    for lo, hi in zip(starts, starts[1:]):
+    block = np.ones((len(streams), RECORD_BLOCK, objective.n, objective.dims))
+    for lo, hi in pairwise(chain((0,), range(1, iterations, RECORD_BLOCK), (iterations,))):
         if streams and lo:
             for stream, out in zip(streams, block):
                 stream.random(out=out)
@@ -227,12 +227,20 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
 def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
                      iterations: int, seed: int, bits: int, replicas: int,
                      beta_clamp: float | None = 1.0) -> diagnostics.EnsembleTrace:
-    """Run Monte Carlo replicas differing only in quantizer randomness, as one
-    stack, and collect each round's ``ensemble_statistics`` (one agent mean) into
-    C-contiguous [replica, round] arrays, bit for bit the per-replica formulas."""
+    """Run Monte Carlo replicas differing only in quantizer randomness, as one stack, and
+    collect their ``ensemble_statistics`` one call per block of at most RECORD_BLOCK rounds
+    and ENSEMBLE_BLOCK stack elements, transposed once into [replica, round] arrays."""
     schedule = _schedule(objective, mixing, bits, beta_clamp, iterations, seed)
-    stats = np.zeros((3, replicas, iterations + 1))
+    size = max(1, replicas * objective.n * objective.dims)
+    per_block = max(1, min(RECORD_BLOCK, ENSEMBLE_BLOCK // size))
+    stats, held = np.empty((3, iterations + 1, replicas)), []  # [round, replica] rows
     for state in _run_rounds(objective, mixing, schedule, iterations=iterations,
                              seed=seed, first=0, replicas=replicas, quantized=True):
-        stats[:, :, state.k] = diagnostics.ensemble_statistics(state.x, objective)
+        held.append(state.x)
+        if len(held) == per_block or state.k == iterations:
+            first = state.k + 1 - len(held)
+            block = diagnostics.ensemble_statistics(np.concatenate(held), objective)
+            stats[:, first:state.k + 1] = np.reshape(block, (3, len(held), replicas))
+            held.clear()
+    stats = np.ascontiguousarray(stats.transpose(0, 2, 1))
     return diagnostics.EnsembleTrace(*stats, f_star=objective.f_star, schedule=schedule)

@@ -87,18 +87,41 @@ class Trace:
         return cls(table, errors[-1] if errors else None)
 
 
+def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
+    """The column sums of an (L, S) array, each added in the order np.add.reduce adds a
+    contiguous row of L (numpy's pairwise_sum), by outer-axis adds: in order below 8
+    terms; to 128, eight lanes of every eighth term folded as ((r0+r1)+(r2+r3))+
+    ((r4+r5)+(r6+r7)), then the tail in order; above, the halves split at a multiple of 8."""
+    size = len(rows)
+    if size < 8:
+        return np.add.reduce(rows, axis=0)
+    if size > 128:
+        half = size // 2 - size // 2 % 8
+        return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
+    whole = size - size % 8
+    lanes = np.add.reduce(rows[:whole].reshape(-1, 8, rows.shape[1]), axis=0)
+    while len(lanes) > 1:
+        lanes = lanes[0::2] + lanes[1::2]
+    return sum(rows[whole:], lanes[0])
+
+
 def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
-    """||x - 1 xbar^T||_F^2, ||xbar - x*||^2 and max_i f(x_i) per replica of an (R, n, d)
-    stack, bit for bit, from one agent-major copy: one agent mean (agents summed in
-    order, as x.mean(axis=1) sums them), one (n R, d) @ (d, m) product, row sums in order."""
-    reps, n, d = x.shape
-    agents = x.transpose(1, 0, 2).copy()
-    xbar = np.add.reduce(agents, axis=0) / n
-    deviations = np.square(agents - xbar).transpose(1, 0, 2).reshape(reps, n * d)
-    residuals = agents.reshape(n * reps, d) @ objective.features.T - objective.targets
-    f = np.add.reduce(np.square(residuals, out=residuals), axis=1).reshape(n, reps)
-    return (np.add.reduce(deviations, axis=1),
-            np.add.reduce(np.square(xbar - objective.optimum), axis=1), f.max(axis=0))
+    """||x - 1 xbar^T||_F^2, ||xbar - x*||^2 and max_i f(x_i) of each (n, d) matrix of an
+    (S, n, d) stack, in one replica-minor pass over a transposed (n d, S) copy: the agents
+    added in order for the mean, the residuals from one (S n, d) @ (d, m) product, every
+    sum over n d, d or m terms by _pairwise_rows. A value does not depend on S."""
+    size, n, d = x.shape
+    cols = x.reshape(size, n * d).T.copy()
+    # numpy would add a lone column (d S = 1) pairwise; a second keeps the agents in order
+    agents = cols.reshape(n, -1) if d * size > 1 else np.broadcast_to(cols, (n, 2))
+    xbar = (np.add.reduce(agents, axis=0)[:d * size] / n).reshape(d, size)
+    deviations = cols.reshape(n, d, size) - xbar
+    products = (x.reshape(size * n, d) @ objective.features.T).reshape(size, n, -1)
+    residuals = np.subtract(products.T, objective.targets[:, None, None], order="C")
+    f = _pairwise_rows(np.square(residuals, out=residuals).reshape(len(residuals), -1))
+    return (_pairwise_rows(np.square(deviations, out=deviations).reshape(n * d, size)),
+            _pairwise_rows(np.square(xbar - objective.optimum[:, None])),
+            f.reshape(n, size).max(axis=0))
 
 
 def coupled_smoothness(mu: float, lipschitz: float) -> float:
@@ -196,8 +219,8 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
 class EnsembleTrace:
     """Replica-by-round statistics collected for the inequality checks.
 
-    Arrays are C-contiguous [replica, round], bit for bit the per-replica formulas
-    with one agent mean per round; `f_worst` holds max_i f(x_k^i), the agent that
+    Arrays are C-contiguous [replica, round], from ensemble_statistics, so a value
+    depends only on its replica and round; `f_worst` holds max_i f(x_k^i), the agent that
     stresses the descent inequality hardest; `schedule` is the run's, and gives
     each round's alpha_k, beta_k and delta_k.
     """
@@ -254,7 +277,9 @@ def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
                           + (1 + (1-s)b_0) b_k^2 n^2 Dv_k^2
                           + ((1-s)b_0 + 1)/(1-s) * L^2 a_k^2 / b_k
     with s = sigma2, Dv the d-scaled bin width, checked in Monte Carlo mean
-    with a 3-standard-error slack.
+    with a 3-standard-error slack. It is no check of sigma2: the last term
+    dominates, so on the verify ensemble a schedule whose spectral gap (and the
+    beta_k that follow it) is mis-stated as 1.0, 0.5 or -0.354 passes both checks.
     """
     gap = ens.schedule.spectral_gap
     a, b, dv = _round_steps(ens)

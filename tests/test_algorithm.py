@@ -1,4 +1,6 @@
 import ast
+import functools
+import itertools
 import math
 import re
 import sys
@@ -678,6 +680,36 @@ def test_quantized_run_keys_one_generator_per_replica(
     assert keys == []
 
 
+def test_round_zero_is_handed_defined_complements(small_instance, small_mixing,
+                                                 monkeypatch):
+    # round 0 reads no uniforms; the engine still hands it complements 1 (u = 0),
+    # the rule's values, never memory that no draw has filled yet
+    first_complements = []
+    engine_round = algorithm.run_round
+
+    def recording(state, *args):
+        if state.k == 0:
+            first_complements.append(args[-1].copy())
+        return engine_round(state, *args)
+
+    monkeypatch.setattr(algorithm, "run_round", recording)
+    run_experiment(small_instance, small_mixing, iterations=40, seed=5, bits=6)
+    collect_ensemble(small_instance, small_mixing, iterations=40, seed=5, bits=6,
+                     replicas=3)
+    assert [c.shape for c in first_complements] == [(1, 4, 2), (3, 4, 2)]
+    for complements in first_complements:
+        assert complements.tobytes() == ReplicaStreams(5, complements.shape)(0).tobytes()
+
+
+def test_a_huge_round_count_starts_without_listing_its_blocks(small_instance, small_mixing):
+    # 2^64 rounds is only a long run: the loop makes its blocks as it reaches
+    # them (a list of 2^59 block starts ended in MemoryError, exit 70)
+    sched = algorithm._schedule(small_instance, small_mixing, 6, 1.0, 2**64, 1)
+    engine = algorithm._run_rounds(small_instance, small_mixing, sched, iterations=2**64,
+                                   seed=1, first=0, replicas=2, quantized=True)
+    assert [state.k for state in itertools.islice(engine, 40)] == list(range(40))
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3])
 def test_negative_seed_is_refused_before_any_work(small_instance, small_mixing,
                                                   monkeypatch, seed):
@@ -709,10 +741,15 @@ def test_collect_ensemble_shapes(small_instance, small_mixing):
     assert np.std(ens.consensus_sq[:, -1]) > 0.0
 
 
-@pytest.mark.parametrize("n, d, replicas", [(4, 2, 1), (5, 3, 7), (40, 5, 3)])
+@pytest.mark.parametrize("n, d, replicas", [
+    (4, 2, 1), (5, 3, 7), (40, 5, 3), (4, 2, 100), (4, 2, 500), (17, 8, 2),
+    (8, 1, 1), (8, 1, 3), (16, 1, 1), (16, 1, 3)])
 def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     # the per-round expressions the ensemble was first collected with, written
-    # out as the reference: one agent mean per round must keep every bit
+    # out as the reference: one agent mean per round must keep every bit. The 41
+    # rounds are no multiple of a block (32 rounds, or 20 at R = 100 and 4 at
+    # R = 500 at 4 x 2); 17 x 8 sums n d = 136 > 128 terms in halves. At d = 1,
+    # x.mean(axis=1) adds the agents pairwise, so the reference adds them in order
     objective = well_conditioned_instance(n, d)
     mixing = lazy_metropolis(path_topology(n))
     ens = collect_ensemble(objective, mixing, iterations=40, seed=11, bits=8,
@@ -723,8 +760,12 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     w, b, x_star = objective.features, objective.targets, objective.optimum
     for k in range(41):
         x = state.x
-        cons = consensus_error(x)
-        r_sq = np.sum((x.mean(axis=1) - x_star) ** 2, axis=1)
+        xbar = functools.reduce(np.add, x.transpose(1, 0, 2)) / n  # the agents in order
+        cons = np.sum(np.square(x - xbar[:, None]), axis=(1, 2))
+        if d > 1:
+            assert xbar.tobytes() == x.mean(axis=1).tobytes()
+            assert cons.tobytes() == consensus_error(x).tobytes()
+        r_sq = np.sum((xbar - x_star) ** 2, axis=1)
         f_worst = np.max(np.sum((x @ w.T - b) ** 2, axis=2), axis=1)
         assert ens.consensus_sq[:, k].tobytes() == cons.tobytes()
         assert ens.r_sq[:, k].tobytes() == r_sq.tobytes()
@@ -733,6 +774,22 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     # the checks' means over axis 0 add the replicas in order on this layout
     for array in (ens.consensus_sq, ens.r_sq, ens.f_worst):
         assert array.shape == (replicas, 41) and array.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n, d, replicas", [(4, 2, 100), (16, 1, 1), (16, 1, 3), (17, 8, 2)])
+def test_collect_ensemble_equals_per_round_statistics(n, d, replicas):
+    # a block of rounds gives each round's values of one call on that round's
+    # stack alone, bit for bit; at R = 1 and d = 1 that call sees one matrix
+    objective = well_conditioned_instance(n, d)
+    mixing = lazy_metropolis(path_topology(n))
+    ens = collect_ensemble(objective, mixing, iterations=40, seed=3, bits=8,
+                           replicas=replicas)
+    sched = algorithm._schedule(objective, mixing, 8, 1.0, 40, 3)
+    for state in algorithm._run_rounds(objective, mixing, sched, iterations=40, seed=3,
+                                       first=0, replicas=replicas, quantized=True):
+        alone = diagnostics.ensemble_statistics(state.x, objective)
+        for array, value in zip((ens.consensus_sq, ens.r_sq, ens.f_worst), alone):
+            assert array[:, state.k].tobytes() == value.tobytes(), state.k
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

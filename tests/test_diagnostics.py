@@ -17,8 +17,8 @@ from qdgm.algorithm import (RECORD_BLOCK, _running_average, collect_ensemble, in
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, Trace, TraceRecord,
-                              check_consensus_recursion, check_descent_recursion,
-                              ensemble_statistics, eta_coupling,
+                              _pairwise_rows, check_consensus_recursion,
+                              check_descent_recursion, ensemble_statistics, eta_coupling,
                               fit_loglog_slope, gamma_k, lyapunov_value, make_record,
                               rate_bound, rate_bound_terms)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
@@ -502,16 +502,18 @@ def test_record_block_work_does_not_grow_with_its_rows():
     assert one[0] == RECORD_UFUNC_CALLS
 
 
-# ufunc calls of one ensemble statistics step: the agent mean 2, the squared
-# deviations and their row sums 3, r_sq 3, the residuals 3 and f_worst 2
-ENSEMBLE_UFUNC_CALLS = 13
+# ufunc calls of one ensemble_statistics call at the verify shape (n = 4, d = 2):
+# the agent mean 2, the squared deviations 2 and their sums over n d = 8 terms 4
+# (the lanes and three folds), r_sq 3, the residuals 3 (product, difference,
+# square), their sums over m = 4 terms 1 and f_worst 1
+ENSEMBLE_UFUNC_CALLS = 16
 
 
-def _ensemble_work(replicas):
+def _ensemble_work(size):
     """The ufunc calls on the stack, and the Python-level calls, of one
-    ensemble_statistics step on ``replicas`` replicas of the verify instance."""
+    ensemble_statistics call on a stack of ``size`` matrices of the verify instance."""
     objective = well_conditioned_instance(4, 2)
-    x = np.random.default_rng(replicas).uniform(-1.0, 1.0, (replicas, 4, 2))
+    x = np.random.default_rng(size).uniform(-1.0, 1.0, (size, 4, 2))
     CountedArray.calls = 0
     ensemble_statistics(x.view(CountedArray), objective)
     events = []
@@ -524,10 +526,25 @@ def _ensemble_work(replicas):
 
 
 def test_ensemble_statistics_work_does_not_grow_with_the_replicas():
-    # a per-replica or per-agent numpy pass added to the ensemble step fails here
-    one, full = _ensemble_work(1), _ensemble_work(100)
+    # a per-replica, per-round or per-agent numpy pass added to the ensemble pass
+    # fails here; 2,048 matrices are the largest block collect_ensemble hands it
+    # at the verify shape
+    one, full = _ensemble_work(1), _ensemble_work(2048)
     assert one == full
     assert one[0] == ENSEMBLE_UFUNC_CALLS
+
+
+@pytest.mark.parametrize("columns", [1, 3, 2048])
+def test_pairwise_rows_add_in_the_order_of_a_contiguous_row_sum(columns):
+    # numpy's pairwise_sum order: in order below 8 terms, 8 lanes to 128, halves above
+    values = np.random.default_rng(columns).standard_normal((columns, 300))
+    terms_first = np.ascontiguousarray(values.T)
+    in_order_differs = False
+    for length in range(1, 301):
+        expected = np.add.reduce(values[:, :length], axis=1).tobytes()  # contiguous rows
+        assert _pairwise_rows(terms_first[:length]).tobytes() == expected, length
+        in_order_differs |= np.add.reduce(terms_first[:length], axis=0).tobytes() != expected
+    assert in_order_differs or columns == 1  # a sum in order would fail the check
 
 
 @pytest.mark.parametrize("name", ["golden_trace.csv", "golden_baseline_trace.csv",
