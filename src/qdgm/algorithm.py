@@ -47,7 +47,8 @@ from .quantizer import Grid, check_range as _check_range_invariant
 from .schedules import Schedule
 
 RECORD_BLOCK = 32  # rounds per block of uniforms and constants; rows per make_record call
-ENSEMBLE_BLOCK = 2 ** 14  # stack elements (S n d) per ensemble_statistics call at most
+# stack elements (S n d) per ensemble_statistics call at most; 2^14 ran R = 100 slower at 4 x 2
+ENSEMBLE_BLOCK = 2 ** 13
 
 
 @dataclass

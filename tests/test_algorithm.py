@@ -747,7 +747,7 @@ def test_collect_ensemble_shapes(small_instance, small_mixing):
 def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     # the per-round expressions the ensemble was first collected with, written
     # out as the reference: one agent mean per round must keep every bit. The 41
-    # rounds are no multiple of a block (32 rounds, or 20 at R = 100 and 4 at
+    # rounds are no multiple of a block (32 rounds, or 10 at R = 100 and 2 at
     # R = 500 at 4 x 2); 17 x 8 sums n d = 136 > 128 terms in halves. At d = 1,
     # x.mean(axis=1) adds the agents pairwise, so the reference adds them in order
     objective = well_conditioned_instance(n, d)

@@ -527,8 +527,8 @@ def _ensemble_work(size):
 
 def test_ensemble_statistics_work_does_not_grow_with_the_replicas():
     # a per-replica, per-round or per-agent numpy pass added to the ensemble pass
-    # fails here; 2,048 matrices are the largest block collect_ensemble hands it
-    # at the verify shape
+    # fails here; 2,048 matrices are twice the largest block collect_ensemble
+    # hands it at the verify shape
     one, full = _ensemble_work(1), _ensemble_work(2048)
     assert one == full
     assert one[0] == ENSEMBLE_UFUNC_CALLS
