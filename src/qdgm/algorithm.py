@@ -8,7 +8,7 @@ grid and applies
 where the mixing row includes the agent's own weight applied to its own
 *quantized* value, so the doubly stochastic matrix acts on the decoded
 matrix as a whole. The reported output per agent is the (t+1)-weighted
-running average of its past iterates, which :func:`run_experiment` keeps.
+running average of its past iterates, which :func:`run_experiment` keeps as a sum.
 
 A round advances a stack of R replicas held as (R, n, d) arrays, and one
 generator of round states drives it: a single run or its exact twin is the
@@ -105,15 +105,6 @@ def run_round(state: RoundState, mixing: MixingMatrix, objective: RegressionObje
     return RoundState(k + 1, x_next, checked_max)
 
 
-def _running_average(z: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
-    """The (t+1)-weighted average of rounds t <= k, fresh, from ``z``, that of t < k."""
-    prior = k * (k + 1) // 2
-    z_next = z * prior
-    z_next += (k + 1) * x
-    z_next /= prior + (k + 1)
-    return z_next
-
-
 def record_points(iterations: int, stride: int | None = None,
                   extra=()) -> list[int]:
     """Rounds at which diagnostics are recorded.
@@ -187,36 +178,47 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
                    extra_record_points=()) -> diagnostics.Trace:
     """Run one replica through the full iteration, returning its trace.
 
-    Deterministic for fixed arguments. On a failure the partial trace (the
-    rows recorded so far) is attached to the raised exception as
-    ``partial_trace`` so callers can still flush it with an error marker.
+    Deterministic for fixed arguments. A row's z_k = U_k / (k (k+1) / 2), z_0 = 0: U_k =
+    sum_{t<k} (t+1) x_t added in round order, folded every RECORD_BLOCK rounds and divided
+    once per record block, as bench/oracle.py does (k (k+1) / 2 is exact below k = 1.3e8).
+    On a failure the rows recorded so far are attached to the exception as ``partial_trace``.
     """
-    # recorded rounds wait in ``held`` as (k, x, z) and become trace rows a block at a time
-    blocks, held = [np.empty((0, len(diagnostics.TRACE_COLUMNS)))], []
+    # held: recorded (k, x); sums: their U_k once folded; unfolded: U_first, x_first, ...
+    blocks, held, sums = [np.empty((0, len(diagnostics.TRACE_COLUMNS)))], [], []
+    unfolded, first = [np.zeros((1, objective.n, objective.dims))], 0
+
+    def fold():
+        nonlocal first
+        running = np.concatenate(unfolded)  # U_first, x_first, x_first+1, ...
+        running[1:] *= np.arange(first + 1, first + len(running))[:, None, None]
+        np.add.accumulate(running, axis=0, out=running)  # U_first, U_first+1, ...
+        sums.extend(running[k - first] for k, _ in held[len(sums):])
+        unfolded[:], first = [running[-1:]], first + len(running) - 1
 
     def flush():
+        fold()
         if held:
-            ks, xs, zs = zip(*held)
-            blocks.append(diagnostics.make_record(ks, np.concatenate(xs), np.concatenate(zs),
-                                                  objective, schedule, eta))
-            held.clear()
+            ks, xs = zip(*held)
+            weights = [[[float(k * (k + 1) // 2 or 1)]] for k in ks]  # z_0 = U_0 / 1 = 0
+            blocks.append(diagnostics.make_record(ks, np.concatenate(xs), np.stack(sums)
+                                                  / weights, objective, schedule, eta))
+            del held[:], sums[:]
 
     try:
-        # the per-run constants of every record
         schedule = _schedule(objective, mixing, bits, beta_clamp, iterations,
                              seed if quantized else None)
         eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz,
                                        schedule.spectral_gap, eta_mode)
         points = set(record_points(iterations, record_stride, extra_record_points))
-        z = np.zeros((1, objective.n, objective.dims))
         for state in _run_rounds(objective, mixing, schedule, iterations=iterations,
                                  seed=seed, first=replica, replicas=1, quantized=quantized):
             if state.k in points:
-                held.append((state.k, state.x, z))
-                if len(held) == RECORD_BLOCK:
-                    flush()
-            if state.k < iterations:
-                z = _running_average(z, state.k, state.x)
+                held.append((state.k, state.x))
+            unfolded.append(state.x)  # the last round's too: no row reads its U_{k+1}
+            if len(held) == RECORD_BLOCK:
+                flush()
+            elif len(unfolded) > RECORD_BLOCK:
+                fold()
         flush()
     except Exception as exc:
         flush()

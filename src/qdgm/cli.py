@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -24,7 +25,7 @@ from . import __version__, quantizer
 from .algorithm import collect_ensemble, run_experiment
 from .config import ExperimentConfig, check_fields, load_config
 from .diagnostics import (MIN_REPLICAS, Trace, check_consensus_recursion,
-                          check_descent_recursion, rate_bound)
+                          check_descent_recursion, eta_coupling, rate_bound)
 from .errors import (ConfigError, DegenerateInstanceError, GradientBoundError,
                      GraphSamplingError)
 from .graph import (NetworkTopology, generate_random_connected_graph,
@@ -82,6 +83,18 @@ def build_objective_from_config(cfg: ExperimentConfig) -> RegressionObjective:
                              cfg.data.feature_high, cfg.data.target_high)
 
 
+def _instance(cfg: ExperimentConfig):
+    """A run's graph, objective, mixing and Schedule; eta alpha_0 / beta_0 must be finite."""
+    topo = build_topology(cfg)
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(topo)
+    schedule = Schedule.of(objective, spectral_gap(mixing), cfg.bits, cfg.beta_clamp)
+    weight = eta_coupling(objective.mu, objective.lipschitz, schedule.spectral_gap,
+                          cfg.eta_mode) * (schedule.alpha(0) / float(schedule.beta(0)))
+    check_fields([("beta_clamp", math.isfinite(weight), "makes the Lyapunov weight infinite")])
+    return topo, objective, mixing, schedule
+
+
 def _write_trace(path: Path, cfg: ExperimentConfig, objective: RegressionObjective,
                  mixing, **kwargs) -> Trace:
     """Run one replica and write its trace, or the partial trace on failure."""
@@ -101,13 +114,11 @@ def _write_trace(path: Path, cfg: ExperimentConfig, objective: RegressionObjecti
 def cmd_run(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.output_dir)
     _check_writable(out_dir, "output_dir", directory=True)
-    topo = build_topology(cfg)
-    objective = build_objective_from_config(cfg)
+    topo, objective, mixing, _ = _instance(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
     save_edge_list(topo, out_dir / "graph.edges")
     save_instance_csv(objective, out_dir / "instance.csv")
-    mixing = lazy_metropolis(topo)
     names = (["trace.csv"] if cfg.replicas == 1 else
              [f"trace_r{rep}.csv" for rep in range(cfg.replicas)])
     finals = [_write_trace(out_dir / name, cfg, objective, mixing,
@@ -198,15 +209,12 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
         raise ConfigError("invalid field T: horizons must be >= 1")
     horizons = sorted(set(horizons))
     k_max = max(horizons)
-    topo = build_topology(cfg)
-    mixing = lazy_metropolis(topo)
-    objective = build_objective_from_config(cfg)
+    _, objective, mixing, schedule = _instance(cfg)
     trace = run_experiment(
         objective, mixing, iterations=k_max, seed=cfg.seed, bits=cfg.bits,
         beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode, quantized=True,
         record_stride=cfg.record_stride, extra_record_points=horizons + [1])
     by_k = {rec.k: rec for rec in trace.records}
-    schedule = Schedule.of(objective, spectral_gap(mixing), cfg.bits, cfg.beta_clamp)
     for horizon in horizons:
         measured = by_k[horizon].f_gap_avg_max
         bound = rate_bound(schedule, horizon, by_k[1].lyapunov)

@@ -52,10 +52,24 @@ def global_value(objective, x):
     return float(values) if x.ndim == 1 else values
 
 
+def running_averages(xs):
+    """Reference formula: the (t+1)-weighted averages z_0 = 0, z_1, ... of the iterates
+    ``xs`` of rounds 0, 1, ...: z_k = U_k / (k (k+1) / 2), where U_k = sum_{t<k} (t+1) x_t
+    is added one round at a time, in round order."""
+    total = np.zeros_like(xs[0])
+    zs = [total]
+    for t, x in enumerate(xs[:-1]):
+        total = total + (t + 1) * x
+        zs.append(total / ((t + 1) * (t + 2) // 2))
+    return zs
+
+
 class CountedArray(np.ndarray):
-    """An array that counts the numpy ufunc calls made on it and its results."""
+    """An array that counts the numpy ufunc calls (``calls``) and the array functions,
+    such as np.concatenate (``functions``), made on it and its results."""
 
     calls = 0
+    functions = 0
     __array_priority__ = 1.0  # np.concatenate and its kin return the subclass too
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
@@ -67,6 +81,10 @@ class CountedArray(np.ndarray):
         if out is not None:
             return out[0]
         return result.view(CountedArray) if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        CountedArray.functions += 1
+        return super().__array_function__(func, types, args, kwargs)
 
 
 class ReplicaStreams:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountedArray, ReplicaStreams, consensus_error, constants, schedule
+from conftest import (CountedArray, ReplicaStreams, consensus_error, constants,
+                      running_averages, schedule)
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
@@ -119,20 +120,10 @@ def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     assert np.abs(nxt.x - expected).max() <= 1e-15
 
 
-def _averages(xs):
-    """The running averages run_experiment keeps beside the iterates ``xs`` of
-    rounds 0, 1, ...: z_0 = 0, and z_k averages the iterates of rounds t < k."""
-    zs = [np.zeros_like(xs[0])]
-    for k, x in enumerate(xs[:-1]):
-        zs.append(algorithm._running_average(zs[-1], k, x))
-    return zs
-
-
 def test_averaged_output_hand_values():
     # round t weighs t + 1: after x_0 = 1 the average is 1, after x_1 = 2 it is 5/3
-    z1 = algorithm._running_average(np.zeros((1, 1, 1)), 0, np.array([[[1.0]]]))
-    assert z1[0, 0, 0] == 1.0
-    z2 = algorithm._running_average(z1, 1, np.array([[[2.0]]]))
+    z0, z1, z2 = running_averages([np.array([[[1.0]]]), np.array([[[2.0]]]), None])
+    assert z0[0, 0, 0] == 0.0 and z1[0, 0, 0] == 1.0
     assert z2[0, 0, 0] == pytest.approx(5.0 / 3.0, abs=1e-15)
 
 
@@ -144,7 +135,7 @@ def test_averaged_output_of_constant_trajectory():
     for _ in range(10):
         state = run_round(state, mixing, obj, *constants(sched, state.k), None)
         xs.append(state.x)
-    assert _averages(xs)[-1][0, 0, 0] == pytest.approx(c, abs=1e-14)
+    assert running_averages(xs)[-1][0, 0, 0] == pytest.approx(c, abs=1e-14)
 
 
 def test_incremental_average_matches_recomputation(small_instance, small_mixing):
@@ -160,7 +151,7 @@ def test_incremental_average_matches_recomputation(small_instance, small_mixing)
     weights = np.arange(1, len(history))  # x_0..x_{K-1} weighted 1..K
     recomputed = np.tensordot(weights, np.asarray(history[:-1]), axes=(0, 0)) \
         / weights.sum()
-    assert np.abs(_averages(history)[-1] - recomputed).max() <= 1e-12
+    assert np.abs(running_averages(history)[-1] - recomputed).max() <= 1e-12
 
 
 def test_run_round_is_reproducible(small_instance, small_mixing):
@@ -204,8 +195,8 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
 
     stack = rounds(2, 3)
     singles = [rounds(2 + r, 1) for r in range(3)]
-    stack_z = _averages([s.x for s in stack])
-    singles_z = [_averages([s.x for s in single]) for single in singles]
+    stack_z = running_averages([s.x for s in stack])
+    singles_z = [running_averages([s.x for s in single]) for single in singles]
     for k, state in enumerate(stack):
         for r, single in enumerate(singles):
             assert np.array_equal(state.x[r], single[k].x[0])
@@ -340,6 +331,8 @@ QUANTIZED_ROUND_UFUNC_CALLS = 17
 # calls no Schedule method
 EXACT_ROUND_PYTHON_CALLS = 13
 QUANTIZED_ROUND_PYTHON_CALLS = 16
+# run_experiment's numpy calls per RECORD_BLOCK rounds for the averaged output
+FOLD_CALLS = 3
 
 
 def _round_work(replicas, quantized):
@@ -497,24 +490,129 @@ def test_block_boundaries_never_change_a_row(quantized):
         assert np.array_equal(table, full[:iterations + 1], equal_nan=True), iterations
 
 
+def _recorded(monkeypatch, seed=7, **kwargs):
+    """The rounds, iterates and averaged iterates that run_experiment hands make_record
+    on the default 40x5 instance of ``seed``, up to its failure if it fails."""
+    cfg = ExperimentConfig(seed=seed)
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(build_topology(cfg))
+    record, seen = diagnostics.make_record, []
+
+    def captured(ks, x, z, *rest):
+        seen.append((list(ks), x, z))
+        return record(ks, x, z, *rest)
+
+    monkeypatch.setattr(diagnostics, "make_record", captured)
+    try:
+        run_experiment(objective, mixing, seed=seed, bits=cfg.bits, **kwargs)
+    except GradientBoundError:
+        pass
+    monkeypatch.setattr(diagnostics, "make_record", record)
+    ks, xs, zs = zip(*seen)
+    return sum(ks, []), np.concatenate(xs), np.concatenate(zs)
+
+
+@pytest.mark.parametrize("stride", [1, 32])
+@pytest.mark.parametrize("quantized", [True, False])
+def test_averaged_iterates_equal_a_sum_added_round_by_round(monkeypatch, quantized, stride):
+    # the sum is folded every 32 rounds and before each record block; records at
+    # rounds 32 and 64 are the first rounds after a fold and read the carried sum,
+    # and rounds 31-33 and 63-65 straddle the folds: every z equals the hand loop's
+    ks, xs, _ = _recorded(monkeypatch, iterations=100, quantized=quantized, record_stride=1)
+    assert ks == list(range(101))
+    reference = running_averages(list(xs))
+    ks, _, zs = _recorded(monkeypatch, iterations=100, quantized=quantized,
+                          record_stride=stride)
+    assert {0, 32, 64, 100} <= set(ks) and (stride > 1 or {31, 33, 63, 65} <= set(ks))
+    for k, z in zip(ks, zs):
+        assert z.tobytes() == reference[k].tobytes(), k
+
+
+def test_partial_trace_averages_equal_a_sum_added_round_by_round(monkeypatch):
+    # seed 20 fails inside its first record block; the fold on the failure path
+    # still gives every held row the sum of the rounds before it
+    ks, xs, zs = _recorded(monkeypatch, seed=20, iterations=50)
+    assert ks == list(range(len(ks))) and 1 < len(ks) < 32
+    for k, (z, reference) in enumerate(zip(zs, running_averages(list(xs)))):
+        assert z.tobytes() == reference.tobytes(), k
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_averaged_iterates_are_no_less_accurate_than_the_recursion(monkeypatch, quantized):
+    # against the weighted sum in extended precision, each round's z errs, relative to
+    # its largest |z|, no more than the per-round recursion the engine kept before
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    rounds = 3000
+    _, xs, zs = _recorded(monkeypatch, iterations=rounds, quantized=quantized,
+                          record_stride=1)
+    weights = np.arange(1, rounds + 1)
+    exact = np.cumsum(weights[:, None, None] * xs[:-1].astype(np.longdouble), axis=0) \
+        / (weights * (weights + 1) // 2)[:, None, None]
+    z, recursion = np.zeros_like(xs[0]), []
+    for k, x in enumerate(xs[:-1]):  # z_{k+1} from z_k by re-weighting, as it was kept
+        prior = k * (k + 1) // 2
+        z = (z * prior + (k + 1) * x) / (prior + k + 1)
+        recursion.append(z)
+
+    def worst(zs):  # z_1 = x_0 = 0 is exact in both
+        scale = np.abs(exact[1:]).max(axis=(1, 2), keepdims=True)
+        return float(np.max(np.abs(zs[1:] - exact[1:]) / scale))
+
+    assert worst(zs[1:]) <= worst(np.array(recursion))
+
+
+def _own_work(monkeypatch, iterations, quantized):
+    """The numpy calls run_experiment makes on its arrays outside run_round and
+    make_record, ufunc calls and array functions, over a run recorded at its ends:
+    every state it is handed holds a CountedArray."""
+    def uncounted(fn, counted_state):
+        def call(*args):
+            counts = CountedArray.calls, CountedArray.functions
+            result = fn(*args)
+            CountedArray.calls, CountedArray.functions = counts
+            if counted_state:
+                return RoundState(result.k, result.x.view(CountedArray), result.checked_max)
+            return result
+        return call
+
+    monkeypatch.setattr(algorithm, "initial_state", uncounted(initial_state, True))
+    monkeypatch.setattr(algorithm, "run_round", uncounted(run_round, True))
+    monkeypatch.setattr(diagnostics, "make_record", uncounted(diagnostics.make_record, False))
+    cfg = ExperimentConfig()
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(build_topology(cfg))
+    CountedArray.calls = CountedArray.functions = 0
+    run_experiment(objective, mixing, iterations=iterations, seed=cfg.seed, bits=cfg.bits,
+                   quantized=quantized, record_stride=iterations)
+    monkeypatch.undo()
+    return CountedArray.calls + CountedArray.functions
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_averaged_output_costs_one_fold_per_block_of_rounds(monkeypatch, quantized):
+    # the averaged output adds FOLD_CALLS numpy calls per RECORD_BLOCK rounds
+    # (concatenate, scale, accumulate), so a per-round average fails here
+    work = [_own_work(monkeypatch, 32 * blocks, quantized) for blocks in (2, 4, 6)]
+    assert work[1] - work[0] == work[2] - work[1] == 2 * FOLD_CALLS
+
+
 @pytest.mark.parametrize("quantized", [True, False])
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_yielded_states_are_never_written(small_instance, small_mixing,
                                           quantized, replicas):
-    # run_experiment holds yielded states and running averages without copying
-    # them, so no later round or average may write into an earlier one's arrays
+    # run_experiment holds yielded states, recorded or not yet folded, without
+    # copying them, so no later round may write into an earlier one's arrays
     sched = algorithm._schedule(small_instance, small_mixing, 6, 1.0, 40, 3)
     held, snapshots = [], []
-    z = np.zeros((replicas, small_instance.n, small_instance.dims))
     for state in algorithm._run_rounds(small_instance, small_mixing, sched,
                                        iterations=40, seed=3, first=0,
                                        replicas=replicas, quantized=quantized):
-        held.append((state, z))
-        snapshots.append((state.x.copy(), z.copy()))
-        z = algorithm._running_average(z, state.k, state.x)
-    assert [state.k for state, _ in held] == list(range(41))
-    for (state, z), (x, z_copy) in zip(held, snapshots):
-        assert np.array_equal(state.x, x) and np.array_equal(z, z_copy), state.k
+        held.append(state)
+        snapshots.append(state.x.copy())
+    assert [state.k for state in held] == list(range(41))
+    for state, x in zip(held, snapshots):
+        assert np.array_equal(state.x, x), state.k
 
 
 @pytest.mark.parametrize("iterations", [-1, -2])
@@ -608,8 +706,8 @@ def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, re
             state = run_round(state, small_mixing, small_instance,
                               *constants(sched, state.k), draws(k))
             reference.append(state)
-    for k, (z, z_ref) in enumerate(zip(_averages([s.x for s in states]),
-                                       _averages([s.x for s in reference]))):
+    for k, (z, z_ref) in enumerate(zip(running_averages([s.x for s in states]),
+                                       running_averages([s.x for s in reference]))):
         assert np.array_equal(z, z_ref), k
 
 
@@ -645,7 +743,8 @@ def test_stack_slice_is_the_single_run_of_its_replica(small_instance, small_mixi
     for r in range(replicas):
         single = _stream_states(small_instance, small_mixing, seed=9, first=first + r,
                                 replicas=1)
-        averages = zip(_averages([s.x for s in stack]), _averages([s.x for s in single]))
+        averages = zip(running_averages([s.x for s in stack]),
+                       running_averages([s.x for s in single]))
         for k, (state, alone, (z, z_alone)) in enumerate(zip(stack, single, averages)):
             assert np.array_equal(state.x[r], alone.x[0]), (r, k)
             assert np.array_equal(z[r], z_alone[0]), (r, k)

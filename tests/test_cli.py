@@ -211,6 +211,9 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
     # finite data whose W^T b overflows: x*, so C and (C d)^2, are NaN
     ("--config", '{"data": {"target_high": 1.7976931348623157e308}}',
      ("degenerate instance: L^3 or (C d)^2 is not finite",)),
+    # a subnormal clamp makes the Lyapunov weight eta alpha_0 / beta_0 overflow
+    ("--config", '{"beta_clamp": 5e-324}',
+     ("invalid field beta_clamp: makes the Lyapunov weight infinite",)),
     # an output directory below a regular file
     ("--output-dir", "a regular file",
      ("invalid field output_dir: cannot write", "input is not an existing directory")),
@@ -219,7 +222,7 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
         "seed-float", "replicas-float", "beta-clamp-str", "edges-file-int",
         "baseline-str", "graph-sampling", "degenerate-data", "feature-high-inf",
         "target-high-inf", "gram-overflow", "smoothness-overflow", "cube-overflow",
-        "bound-overflow", "optimum-overflow", "output-below-file"])
+        "bound-overflow", "optimum-overflow", "subnormal-beta-clamp", "output-below-file"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"
@@ -234,6 +237,19 @@ def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
     assert all(text in err for text in expected), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("clamp,code", [("5e-324", 64), ("1e-300", 0)])
+def test_bound_refuses_a_clamp_whose_lyapunov_weight_overflows(tmp_path, capsys, clamp, code):
+    # bound reads V_1, so it refuses the subnormal clamp as run does; at 1e-300
+    # the weight, and V_1 of about 6e304, stay finite and the table is printed
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"beta_clamp": {clamp}}}')
+    assert run_cli(["bound", "--config", str(config), "--n", "4", "--dims", "2",
+                    "--T", "5"]) == code
+    out, err = capsys.readouterr()
+    assert ("invalid field beta_clamp" in err) == (code == 64)
+    assert len(out.splitlines()) == (1 if code else 2)
 
 
 def test_negative_zero_target_high_runs_as_zero(tmp_path):

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CountedArray, ReplicaStreams, consensus_error, constants, global_value,
-                      schedule)
-from qdgm.algorithm import (RECORD_BLOCK, _running_average, collect_ensemble, initial_state,
-                            run_experiment, run_round)
+                      running_averages, schedule)
+from qdgm.algorithm import (RECORD_BLOCK, collect_ensemble, initial_state, run_experiment,
+                            run_round)
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, Trace, TraceRecord,
@@ -346,14 +346,13 @@ def _states(objective, mixing, rounds, quantized):
     """Rounds 0..rounds of one replica, with the schedule that made them."""
     sched = Schedule.of(objective, spectral_gap(mixing), 16)
     state = initial_state(objective.n, objective.dims)
-    states = [Recorded(0, state.x, np.zeros_like(state.x))]
+    xs = [state.x]
     draws = ReplicaStreams(7, state.x.shape)
     for _ in range(rounds):
-        z = _running_average(states[-1].z, state.k, state.x)
         state = run_round(state, mixing, objective, *constants(sched, state.k),
                           draws(state.k) if quantized else None)
-        states.append(Recorded(state.k, state.x, z))
-    return sched, states
+        xs.append(state.x)
+    return sched, [Recorded(k, x, z) for k, (x, z) in enumerate(zip(xs, running_averages(xs)))]
 
 
 def _instance(name):

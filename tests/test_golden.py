@@ -13,9 +13,12 @@ seed needs more than one 32-bit word, so the per-replica keying of seeds of
 default ``qdgm verify`` and ``data/golden_bound.csv`` that of
 ``qdgm bound --T 10,100,1000,5000``, so the Monte Carlo checks and the decay
 envelope keep their constants to the last bit. A change that moves output bits on
-purpose re-pins these files and digests and says so.
+purpose re-pins these files and digests and says so. A golden file that
+differs fails naming each value that moved, a CSV column or a JSON leaf, with
+its max relative change.
 """
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +31,59 @@ from qdgm.objective import well_conditioned_instance
 
 DATA = Path(__file__).parent / "data"
 LONG_RUN = {
-    "trace.csv": "a6598a28d60dca4d2a8a260fa004c469c811ca6a140777b37740f6fae526cc4b",
-    "baseline_trace.csv": "f0f675066b7c51250e742c9154fa223442f7cabbec1e8fe0849cc13e47f108a5",
+    "trace.csv": "37ebf2fbcee1daa93bc54abb63819d1c6854c2943e0f1da118b0ef658c6e7207",
+    "baseline_trace.csv": "cb7cc3df26ee0002ffb42d890f97b6bdb31e3b137f8cac0aa43e9af6582f53c7",
 }
-LARGE_SEED_TRACE = "603e9de3f8c634de01aa1726d4430e3cf13d6bf4b963ef8cf52eaf4e912e1f55"
+LARGE_SEED_TRACE = "223a962518fe1329eaa5536926ec19d1ac45de303f61d39cde4a6052f09e5826"
+
+
+def _values(data: bytes) -> dict:
+    """A golden output's values by name: a CSV's columns, or a JSON document's numeric
+    leaves by their path."""
+    text = data.decode()
+    if text.startswith("{"):
+        leaves = {}
+
+        def walk(node, path):
+            items = node.items() if isinstance(node, dict) else (
+                enumerate(node) if isinstance(node, list) else ())
+            for key, value in items:
+                walk(value, f"{path}/{key}")
+            if isinstance(node, (int, float)):
+                leaves[path] = np.array([float(node)])
+        walk(json.loads(text), "")
+        return leaves
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    return dict(zip(lines[0].split(","), table.T))
+
+
+def _assert_same_bytes(written: bytes, golden: str) -> None:
+    """Fail unless ``written`` equals the golden file's bytes, naming what moved."""
+    expected = (DATA / golden).read_bytes()
+    if written == expected:
+        return
+    try:
+        new, old = _values(written), _values(expected)
+    except ValueError as exc:
+        pytest.fail(f"{golden} differs and the output does not parse like it: {exc}")
+    moved = []
+    for name in {**old, **new}:
+        a, b = new.get(name), old.get(name)
+        if a is None or b is None or a.shape != b.shape:
+            moved.append(f"{name} (not in both, or a different row count)")
+        elif not np.array_equal(a, b, equal_nan=True):
+            change = np.abs(a - b) / np.maximum(np.abs(b), np.finfo(float).tiny)
+            moved.append(f"{name} {np.nanmax(change):.2g}")
+    pytest.fail(f"{golden} differs; max relative change per value: "
+                + (", ".join(moved) or "none: only the text differs"))
 
 
 def test_criterion_9_trace_matches_golden_bytes(tmp_path):
     args = ["run", "--iterations", "300", "--bits", "16", "--seed", "7",
             "--output-dir", str(tmp_path)]
     assert cli_main(args) == 0
-    golden = (DATA / "golden_trace.csv").read_bytes()
-    assert (tmp_path / "trace.csv").read_bytes() == golden
+    _assert_same_bytes((tmp_path / "trace.csv").read_bytes(), "golden_trace.csv")
 
 
 @pytest.mark.parametrize("args,code,written,golden", [
@@ -50,7 +94,7 @@ def test_criterion_9_trace_matches_golden_bytes(tmp_path):
 ], ids=["exact-twin", "partial-seed-20"])
 def test_run_trace_matches_golden_bytes(tmp_path, args, code, written, golden):
     assert cli_main(["run", *args, "--output-dir", str(tmp_path)]) == code
-    assert (tmp_path / written).read_bytes() == (DATA / golden).read_bytes()
+    _assert_same_bytes((tmp_path / written).read_bytes(), golden)
 
 
 def test_long_run_traces_match_golden_digest(tmp_path):
@@ -86,4 +130,4 @@ def test_large_seed_trace_matches_golden_digest(tmp_path):
 ], ids=["verify", "bound"])
 def test_cli_stdout_matches_golden_bytes(capsys, args, golden):
     assert cli_main(args) == 0
-    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+    _assert_same_bytes(capsys.readouterr().out.encode(), golden)
