@@ -192,7 +192,7 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
         running = np.concatenate(unfolded)  # U_first, x_first, x_first+1, ...
         running[1:] *= np.arange(first + 1, first + len(running))[:, None, None]
         np.add.accumulate(running, axis=0, out=running)  # U_first, U_first+1, ...
-        sums.extend(running[k - first] for k, _ in held[len(sums):])
+        sums.extend(running[[k - first for k, _ in held[len(sums):]]])  # copied: frees running
         unfolded[:], first = [running[-1:]], first + len(running) - 1
 
     def flush():

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -560,6 +561,27 @@ def test_averaged_iterates_are_no_less_accurate_than_the_recursion(monkeypatch, 
         return float(np.max(np.abs(zs[1:] - exact[1:]) / scale))
 
     assert worst(zs[1:]) <= worst(np.array(recursion))
+
+
+def test_held_records_keep_no_fold_buffer_alive():
+    # records RECORD_BLOCK rounds apart each take U_k from another fold; a held record
+    # keeps its own U_k row, not that fold's buffer of RECORD_BLOCK + 1 rows
+    objective = well_conditioned_instance(100, 20)
+    mixing = lazy_metropolis(path_topology(100))
+
+    def peak(iterations):  # in (n, d) matrices
+        tracemalloc.start()
+        try:
+            run_experiment(objective, mixing, iterations=iterations, seed=1, bits=16,
+                           quantized=False, record_stride=algorithm.RECORD_BLOCK)
+            return tracemalloc.get_traced_memory()[1] / (objective.n * objective.dims * 8)
+        finally:
+            tracemalloc.stop()
+
+    # 31 held records add their iterates, their sums and make_record's block of 32 rows
+    # (160 matrices); 31 fold buffers would add over 1,000
+    blocks = 31
+    assert peak(blocks * algorithm.RECORD_BLOCK) - peak(2 * algorithm.RECORD_BLOCK) < 320
 
 
 def _own_work(monkeypatch, iterations, quantized):
