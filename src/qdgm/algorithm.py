@@ -183,24 +183,25 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
     once per record block, as bench/oracle.py does (k (k+1) / 2 is exact below k = 1.3e8).
     On a failure the rows recorded so far are attached to the exception as ``partial_trace``.
     """
-    # held: recorded (k, x); sums: their U_k once folded; unfolded: U_first, x_first, ...
+    # held: recorded (k, x); sums: blocks of their U_k, copied so that no fold stays alive
     blocks, held, sums = [np.empty((0, len(diagnostics.TRACE_COLUMNS)))], [], []
-    unfolded, first = [np.zeros((1, objective.n, objective.dims))], 0
+    unfolded, first = [np.zeros((1, objective.n, objective.dims))], 0  # U_first, x_first, ...
 
     def fold():
         nonlocal first
-        running = np.concatenate(unfolded)  # U_first, x_first, x_first+1, ...
+        running = np.concatenate(unfolded)
         running[1:] *= np.arange(first + 1, first + len(running))[:, None, None]
         np.add.accumulate(running, axis=0, out=running)  # U_first, U_first+1, ...
-        sums.extend(running[[k - first for k, _ in held[len(sums):]]])  # copied: frees running
+        if fresh := [k - first for k, _ in held if k >= first]:
+            sums.append(running[fresh])
         unfolded[:], first = [running[-1:]], first + len(running) - 1
 
     def flush():
         fold()
         if held:
             ks, xs = zip(*held)
-            weights = [[[float(k * (k + 1) // 2 or 1)]] for k in ks]  # z_0 = U_0 / 1 = 0
-            blocks.append(diagnostics.make_record(ks, np.concatenate(xs), np.stack(sums)
+            weights = np.array([k * (k + 1) // 2 or 1 for k in ks], float)[:, None, None]
+            blocks.append(diagnostics.make_record(ks, np.concatenate(xs), np.concatenate(sums)
                                                   / weights, objective, schedule, eta))
             del held[:], sums[:]
 

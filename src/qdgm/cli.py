@@ -208,10 +208,9 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
     if min(horizons) < 1:
         raise ConfigError("invalid field T: horizons must be >= 1")
     horizons = sorted(set(horizons))
-    k_max = max(horizons)
     _, objective, mixing, schedule = _instance(cfg)
     trace = run_experiment(
-        objective, mixing, iterations=k_max, seed=cfg.seed, bits=cfg.bits,
+        objective, mixing, iterations=max(horizons), seed=cfg.seed, bits=cfg.bits,
         beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode, quantized=True,
         record_stride=cfg.record_stride, extra_record_points=horizons + [1])
     by_k = {rec.k: rec for rec in trace.records}
