@@ -9,6 +9,7 @@ import argparse
 from pathlib import Path
 
 from qdgm.algorithm import run_experiment
+from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import fit_loglog_slope
 from qdgm.graph import generate_random_connected_graph, lazy_metropolis
 from qdgm.objective import generate_instance
@@ -22,13 +23,15 @@ def write_gnuplot_series(path, ks, values) -> None:
 
 
 def main() -> None:
+    defaults = ExperimentConfig()
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=40)
-    ap.add_argument("--dims", type=int, default=5)
-    ap.add_argument("--bits", type=int, default=16)
+    ap.add_argument("--n", type=int, default=defaults.n)
+    ap.add_argument("--dims", type=int, default=defaults.d)
+    ap.add_argument("--bits", type=int, default=defaults.bits)
     ap.add_argument("--iterations", type=int, default=100_000)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--edge-probability", type=float, default=0.158)
+    ap.add_argument("--seed", type=int, default=defaults.seed)
+    ap.add_argument("--edge-probability", type=float,
+                    default=defaults.graph.edge_probability)
     ap.add_argument("--out-dir", type=str, default="curves")
     args = ap.parse_args()
 

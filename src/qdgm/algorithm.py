@@ -105,9 +105,8 @@ def run_round(state: RoundState, mixing: MixingMatrix, objective: RegressionObje
     return RoundState(k + 1, x_next, checked_max)
 
 
-def record_points(iterations: int, stride: int | None = None,
-                  extra=()) -> list[int]:
-    """Rounds at which diagnostics are recorded.
+def record_points(iterations: int, stride: int | None = None) -> list[int]:
+    """The rounds a run records by default, or every ``stride``-th round.
 
     Default policy: every round up to 1000, then geometrically thinned on a
     factor-1.05 grid; 0 and the final round are always included.
@@ -121,7 +120,6 @@ def record_points(iterations: int, stride: int | None = None,
             g *= 1.05
             pts.add(min(iterations, math.ceil(g)))
     pts.update((0, iterations))
-    pts.update(int(p) for p in extra if 0 <= int(p) <= iterations)
     return sorted(pts)
 
 
@@ -174,9 +172,9 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
                    iterations: int, seed: int, bits: int,
                    beta_clamp: float | None = 1.0, eta_mode: str = "body",
                    quantized: bool = True, replica: int = 0,
-                   record_stride: int | None = None,
-                   extra_record_points=()) -> diagnostics.Trace:
-    """Run one replica through the full iteration, returning its trace.
+                   record_at=None) -> diagnostics.Trace:
+    """Run one replica through the full iteration, returning its trace of the rounds
+    ``record_at`` holds (default ``record_points(iterations)``) up to ``iterations``.
 
     Deterministic for fixed arguments. A row's z_k = U_k / (k (k+1) / 2), z_0 = 0: U_k =
     sum_{t<k} (t+1) x_t added in round order, folded every RECORD_BLOCK rounds and divided
@@ -210,7 +208,7 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
                              seed if quantized else None)
         eta = diagnostics.eta_coupling(objective.mu, objective.lipschitz,
                                        schedule.spectral_gap, eta_mode)
-        points = set(record_points(iterations, record_stride, extra_record_points))
+        points = set(record_points(iterations) if record_at is None else record_at)
         for state in _run_rounds(objective, mixing, schedule, iterations=iterations,
                                  seed=seed, first=replica, replicas=1, quantized=quantized):
             if state.k in points:
@@ -229,12 +227,13 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
 
 
 def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
-                     iterations: int, seed: int, bits: int, replicas: int,
-                     beta_clamp: float | None = 1.0) -> diagnostics.EnsembleTrace:
-    """Run Monte Carlo replicas differing only in quantizer randomness, as one stack, and
-    collect their ``ensemble_statistics`` one call per block of at most RECORD_BLOCK rounds
-    and ENSEMBLE_BLOCK stack elements, transposed once into [replica, round] arrays."""
-    schedule = _schedule(objective, mixing, bits, beta_clamp, iterations, seed)
+                     iterations: int, seed: int, bits: int,
+                     replicas: int) -> diagnostics.EnsembleTrace:
+    """Run Monte Carlo replicas of the clamped (beta_clamp = 1) schedule differing only in
+    quantizer randomness, as one stack, and collect their ``ensemble_statistics`` one call
+    per block of at most RECORD_BLOCK rounds and ENSEMBLE_BLOCK stack elements, transposed
+    once into [replica, round] arrays."""
+    schedule = _schedule(objective, mixing, bits, 1.0, iterations, seed)
     size = max(1, replicas * objective.n * objective.dims)
     per_block = max(1, min(RECORD_BLOCK, ENSEMBLE_BLOCK // size))
     stats, held = np.empty((3, iterations + 1, replicas)), []  # [round, replica] rows

@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, quantizer
-from .algorithm import collect_ensemble, run_experiment
+from .algorithm import collect_ensemble, record_points, run_experiment
 from .config import ExperimentConfig, check_fields, load_config
-from .diagnostics import (MIN_REPLICAS, Trace, check_consensus_recursion,
+from .diagnostics import (ETA_MODES, MIN_REPLICAS, Trace, check_consensus_recursion,
                           check_descent_recursion, eta_coupling, rate_bound)
 from .errors import (ConfigError, DegenerateInstanceError, GradientBoundError,
                      GraphSamplingError)
@@ -102,7 +102,7 @@ def _write_trace(path: Path, cfg: ExperimentConfig, objective: RegressionObjecti
         trace = run_experiment(
             objective, mixing, iterations=cfg.iterations, seed=cfg.seed,
             bits=cfg.bits, beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode,
-            record_stride=cfg.record_stride, **kwargs)
+            record_at=record_points(cfg.iterations, cfg.record_stride), **kwargs)
     except Exception as exc:
         if hasattr(exc, "partial_trace"):
             exc.partial_trace.to_csv(path)
@@ -201,7 +201,7 @@ def cmd_verify(n: int, d: int, rounds: int, replicas: int, bits: int,
 
 
 def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
-    """CSV of (T, measured_gap, theoretical_bound, ratio) on a fresh run."""
+    """CSV of (T, measured_gap, theoretical_bound, ratio) on a fresh run recording 1 and T."""
     print("T,measured_gap,theoretical_bound,ratio")
     if not horizons:
         return EXIT_OK
@@ -211,8 +211,7 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
     _, objective, mixing, schedule = _instance(cfg)
     trace = run_experiment(
         objective, mixing, iterations=max(horizons), seed=cfg.seed, bits=cfg.bits,
-        beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode, quantized=True,
-        record_stride=cfg.record_stride, extra_record_points=horizons + [1])
+        beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode, record_at={1, *horizons})
     by_k = {rec.k: rec for rec in trace.records}
     for horizon in horizons:
         measured = by_k[horizon].f_gap_avg_max
@@ -243,35 +242,27 @@ def cmd_graph(args) -> int:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags of the instance and its schedule, which ``run`` and ``bound`` share."""
     sub.add_argument("--config", type=str, default=None, help="JSON config file")
     sub.add_argument("--n", type=int, default=None, help="agent count")
     sub.add_argument("--dims", type=int, default=None, help="problem dimension")
     sub.add_argument("--bits", type=int, default=None, help="bits per dimension")
-    sub.add_argument("--iterations", type=int, default=None, help="round count")
     sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--output-dir", type=str, default=None)
     sub.add_argument("--edge-probability", type=float, default=None)
     sub.add_argument("--edges-file", type=str, default=None,
                      help="load the graph from an edge-list file")
-    sub.add_argument("--baseline", action="store_true", default=None,
-                     help="also run the unquantized twin")
     sub.add_argument("--beta-clamp", type=float, default=None)
     sub.add_argument("--no-beta-clamp", action="store_true",
                      help="use the raw consensus step sequence")
-    sub.add_argument("--eta-mode", choices=["body", "appendix"], default=None)
-    sub.add_argument("--replicas", type=int, default=None)
-    sub.add_argument("--record-stride", type=int, default=None)
+    sub.add_argument("--eta-mode", choices=ETA_MODES, default=None)
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, **overrides) -> ExperimentConfig:
     return load_config(
-        args.config, n=args.n, d=args.dims, bits=args.bits,
-        iterations=args.iterations, seed=args.seed, output_dir=args.output_dir,
-        baseline=args.baseline, eta_mode=args.eta_mode, replicas=args.replicas,
-        record_stride=args.record_stride,
-        beta_clamp="off" if args.no_beta_clamp else args.beta_clamp,
+        args.config, n=args.n, d=args.dims, bits=args.bits, seed=args.seed,
+        eta_mode=args.eta_mode, beta_clamp="off" if args.no_beta_clamp else args.beta_clamp,
         graph={"edge_probability": args.edge_probability,
-               "edges_file": args.edges_file})
+               "edges_file": args.edges_file}, **overrides)
 
 
 def _horizons(text: str) -> list[int]:
@@ -300,6 +291,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     run_p = subs.add_parser("run", help="run an experiment")
     _add_config_flags(run_p)
+    run_p.add_argument("--iterations", type=int, default=None, help="round count")
+    run_p.add_argument("--output-dir", type=str, default=None)
+    run_p.add_argument("--baseline", action="store_true", default=None,
+                       help="also run the unquantized twin")
+    run_p.add_argument("--replicas", type=int, default=None)
+    run_p.add_argument("--record-stride", type=int, default=None)
 
     verify_p = subs.add_parser("verify", help="Monte Carlo inequality checks")
     verify_p.add_argument("--n", type=int, default=4)
@@ -314,11 +311,13 @@ def make_parser() -> argparse.ArgumentParser:
     bound_p.add_argument("--T", dest="horizons", type=str, default="",
                          help="comma-separated list of horizons")
 
+    defaults = ExperimentConfig()
     graph_p = subs.add_parser("graph", help="emit or inspect an edge list")
-    graph_p.add_argument("--n", type=int, default=40)
-    graph_p.add_argument("--edge-probability", type=float, default=0.158)
-    graph_p.add_argument("--seed", type=int, default=7)
-    graph_p.add_argument("--retry-limit", type=int, default=1000)
+    graph_p.add_argument("--n", type=int, default=defaults.n)
+    graph_p.add_argument("--edge-probability", type=float,
+                         default=defaults.graph.edge_probability)
+    graph_p.add_argument("--seed", type=int, default=defaults.seed)
+    graph_p.add_argument("--retry-limit", type=int, default=defaults.graph.retry_limit)
     graph_p.add_argument("--out", type=str, default="graph.edges")
     graph_p.add_argument("--load", type=str, default=None,
                          help="print stats for an existing edge-list file")
@@ -329,7 +328,10 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(_config_from_args(args))
+            return cmd_run(_config_from_args(
+                args, iterations=args.iterations, output_dir=args.output_dir,
+                baseline=args.baseline, replicas=args.replicas,
+                record_stride=args.record_stride))
         if args.command == "verify":
             return cmd_verify(args.n, args.dims, args.rounds, args.replicas,
                               args.bits, args.seed)

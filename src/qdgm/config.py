@@ -7,6 +7,7 @@ import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
+from .diagnostics import ETA_MODES
 from .errors import ConfigError
 
 
@@ -82,8 +83,8 @@ class ExperimentConfig:
              "must be >= 2 unless graph.edges_file is set"),
             ("replicas", self.replicas >= 1, "must be >= 1"),
             ("seed", self.seed >= 0, "must be >= 0"),
-            ("eta_mode", self.eta_mode in ("body", "appendix"),
-             "must be 'body' or 'appendix'"),
+            ("eta_mode", self.eta_mode in ETA_MODES,
+             "must be " + " or ".join(map(repr, ETA_MODES))),
             ("beta_clamp", self.beta_clamp is None or self.beta_clamp > 0,
              "must be positive or 'off'"),
             ("graph.edge_probability", 0.0 < self.graph.edge_probability <= 1.0,

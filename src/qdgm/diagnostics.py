@@ -107,14 +107,13 @@ def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
 
 def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
     """||x - 1 xbar^T||_F^2, ||xbar - x*||^2 and max_i f(x_i) of each (n, d) matrix of an
-    (S, n, d) stack, in one replica-minor pass over a transposed (n d, S) copy: the agents
-    added in order for the mean, the residuals from one (S n, d) @ (d, m) product, every
-    sum over n d, d or m terms by _pairwise_rows. A value does not depend on S."""
+    (S, n, d) stack, in one replica-minor pass over a transposed (n d, S) copy: the mean as
+    x.mean(axis=1) adds it (in order; pairwise at d = 1), the residuals from one (S n, d) @
+    (d, m) product, other sums by _pairwise_rows. A value does not depend on S."""
     size, n, d = x.shape
     cols = x.reshape(size, n * d).T.copy()
-    # numpy would add a lone column (d S = 1) pairwise; a second keeps the agents in order
-    agents = cols.reshape(n, -1) if d * size > 1 else np.broadcast_to(cols, (n, 2))
-    xbar = (np.add.reduce(agents, axis=0)[:d * size] / n).reshape(d, size)
+    sums = np.add.reduce(cols.reshape(n, -1), axis=0) if d > 1 else _pairwise_rows(cols)
+    xbar = (sums / n).reshape(d, size)
     deviations = cols.reshape(n, d, size) - xbar
     products = (x.reshape(size * n, d) @ objective.features.T).reshape(size, n, -1)
     residuals = np.subtract(products.T, objective.targets[:, None, None], order="C")

@@ -84,8 +84,8 @@ class MixingMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self, topology: NetworkTopology | None = None) -> None:
-        """Assert the doubly stochastic / symmetry / support invariants."""
+    def validate(self, topology: NetworkTopology) -> None:
+        """Assert the doubly stochastic / symmetry / support-on-``topology`` invariants."""
         a = self.entries
         if not np.allclose(a, a.T, atol=0, rtol=0):
             raise MixingError("mixing matrix is not symmetric")
@@ -95,10 +95,9 @@ class MixingMatrix:
             raise MixingError("row sums deviate from 1")
         if a.min() < 0.0 or a.max() > 1.0:
             raise MixingError("entries outside [0, 1]")
-        if topology is not None:
-            allowed = topology.adjacency() | np.eye(self.n, dtype=bool)
-            if np.any(a[~allowed] != 0.0):
-                raise MixingError("nonzero weight on a non-edge")
+        allowed = topology.adjacency() | np.eye(self.n, dtype=bool)
+        if np.any(a[~allowed] != 0.0):
+            raise MixingError("nonzero weight on a non-edge")
         if self.sigma2 >= 1.0 - STOCHASTICITY_TOL:
             raise MixingError("disconnected or periodic mixing")
 

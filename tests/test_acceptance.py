@@ -86,7 +86,7 @@ def test_criterion_2_growing_range_invariant(benchmark_setup):
     start = time.time()
     trace = run_experiment(objective, mixing, iterations=10_000,
                            seed=BENCH["seed"], bits=BENCH["bits"],
-                           record_stride=1)
+                           record_at=range(10_001))
     elapsed = time.time() - start
     max_coord = trace.column("max_coord")[1:]
     range_k = trace.column("range_k")[1:]

@@ -1,5 +1,4 @@
 import ast
-import functools
 import itertools
 import math
 import re
@@ -210,16 +209,18 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
         assert np.array_equal(from_zero[r], singles[r - 2][-1].x[0])
 
 
-def test_ensemble_statistics_match_single_run_records(small_instance,
-                                                      small_mixing):
-    # the batched statistics observer and make_record see the same states
-    ens = collect_ensemble(small_instance, small_mixing, iterations=30, seed=4,
-                           bits=5, replicas=3)
-    for rep in range(3):
-        trace = run_experiment(small_instance, small_mixing, iterations=30,
-                               seed=4, bits=5, replica=rep)
-        assert np.array_equal(ens.consensus_sq[rep], trace.column("consensus_sq"))
-        assert np.array_equal(ens.r_sq[rep], trace.column("r_sq"))
+def test_ensemble_statistics_match_single_run_records():
+    # the batched statistics observer and make_record see the same states and take
+    # the same agent mean, also at d = 1, where x.mean(axis=1) adds the agents pairwise
+    for n, d in [(4, 2), (8, 1), (16, 1)]:
+        objective = well_conditioned_instance(n, d)
+        mixing = lazy_metropolis(path_topology(n))
+        ens = collect_ensemble(objective, mixing, iterations=30, seed=4, bits=5, replicas=3)
+        for rep in range(3):
+            trace = run_experiment(objective, mixing, iterations=30, seed=4, bits=5,
+                                   replica=rep)
+            assert np.array_equal(ens.consensus_sq[rep], trace.column("consensus_sq")), (n, d)
+            assert np.array_equal(ens.r_sq[rep], trace.column("r_sq")), (n, d)
 
 
 def test_batched_range_violation_names_agent_and_replica():
@@ -240,9 +241,11 @@ def test_batched_range_violation_in_ensemble_names_its_replica(
         small_instance, small_mixing):
     # without the clamp the raw consensus weights push every replica out of
     # range; the error from a stack names a replica of it
+    sched = Schedule.of(small_instance, spectral_gap(small_mixing), 6, beta_clamp=None)
     with pytest.raises(GradientBoundError, match=r"agent \d of replica \d "):
-        collect_ensemble(small_instance, small_mixing, iterations=200, seed=2,
-                         bits=6, replicas=3, beta_clamp=None)
+        for _ in algorithm._run_rounds(small_instance, small_mixing, sched, iterations=200,
+                                       seed=2, first=0, replicas=3, quantized=True):
+            pass
 
 
 def test_support_violation_raises_typed_error(small_instance, small_mixing,
@@ -433,7 +436,17 @@ def test_record_points_policy():
     assert ratios.max() <= 1.06
     assert len(pts) < 1400
     assert record_points(10, stride=5) == [0, 5, 10]
-    assert record_points(20, extra=[7]) == sorted(set(range(21)))
+    assert record_points(12, stride=5) == [0, 5, 10, 12]
+
+
+def test_run_records_exactly_the_rounds_asked_for(small_instance, small_mixing):
+    # record_at is the whole set of recorded rounds: neither 0 nor the last round is
+    # added, and a round beyond the run is never reached
+    trace = run_experiment(small_instance, small_mixing, iterations=20, seed=1, bits=6,
+                           record_at={1, 7, 20, 99})
+    assert [rec.k for rec in trace.records] == [1, 7, 20]
+    every = run_experiment(small_instance, small_mixing, iterations=20, seed=1, bits=6)
+    assert np.array_equal(trace.table, every.table[[1, 7, 20]])
 
 
 def test_no_clamp_mode_aborts_with_range_violation(small_instance, small_mixing):
@@ -484,7 +497,7 @@ def test_block_boundaries_never_change_a_row(quantized):
     cfg = ExperimentConfig()
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(build_topology(cfg))
-    kwargs = dict(seed=7, bits=16, quantized=quantized, record_stride=1)
+    kwargs = dict(seed=7, bits=16, quantized=quantized, record_at=range(101))
     full = run_experiment(objective, mixing, iterations=100, **kwargs).table
     for iterations in (0, 30, 31, 32, 33, 63, 64):
         table = run_experiment(objective, mixing, iterations=iterations, **kwargs).table
@@ -519,11 +532,12 @@ def test_averaged_iterates_equal_a_sum_added_round_by_round(monkeypatch, quantiz
     # the sum is folded every 32 rounds and before each record block; records at
     # rounds 32 and 64 are the first rounds after a fold and read the carried sum,
     # and rounds 31-33 and 63-65 straddle the folds: every z equals the hand loop's
-    ks, xs, _ = _recorded(monkeypatch, iterations=100, quantized=quantized, record_stride=1)
+    ks, xs, _ = _recorded(monkeypatch, iterations=100, quantized=quantized,
+                          record_at=range(101))
     assert ks == list(range(101))
     reference = running_averages(list(xs))
     ks, _, zs = _recorded(monkeypatch, iterations=100, quantized=quantized,
-                          record_stride=stride)
+                          record_at=record_points(100, stride))
     assert {0, 32, 64, 100} <= set(ks) and (stride > 1 or {31, 33, 63, 65} <= set(ks))
     for k, z in zip(ks, zs):
         assert z.tobytes() == reference[k].tobytes(), k
@@ -546,7 +560,7 @@ def test_averaged_iterates_are_no_less_accurate_than_the_recursion(monkeypatch, 
         pytest.skip("np.longdouble is no wider than float64 here")
     rounds = 3000
     _, xs, zs = _recorded(monkeypatch, iterations=rounds, quantized=quantized,
-                          record_stride=1)
+                          record_at=range(rounds + 1))
     weights = np.arange(1, rounds + 1)
     exact = np.cumsum(weights[:, None, None] * xs[:-1].astype(np.longdouble), axis=0) \
         / (weights * (weights + 1) // 2)[:, None, None]
@@ -573,7 +587,8 @@ def test_held_records_keep_no_fold_buffer_alive():
         tracemalloc.start()
         try:
             run_experiment(objective, mixing, iterations=iterations, seed=1, bits=16,
-                           quantized=False, record_stride=algorithm.RECORD_BLOCK)
+                           quantized=False,
+                           record_at=record_points(iterations, algorithm.RECORD_BLOCK))
             return tracemalloc.get_traced_memory()[1] / (objective.n * objective.dims * 8)
         finally:
             tracemalloc.stop()
@@ -606,7 +621,7 @@ def _own_work(monkeypatch, iterations, quantized):
     mixing = lazy_metropolis(build_topology(cfg))
     CountedArray.calls = CountedArray.functions = 0
     run_experiment(objective, mixing, iterations=iterations, seed=cfg.seed, bits=cfg.bits,
-                   quantized=quantized, record_stride=iterations)
+                   quantized=quantized, record_at=(0, iterations))
     monkeypatch.undo()
     return CountedArray.calls + CountedArray.functions
 
@@ -869,8 +884,8 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     # the per-round expressions the ensemble was first collected with, written
     # out as the reference: one agent mean per round must keep every bit. The 41
     # rounds are no multiple of a block (32 rounds, or 10 at R = 100 and 2 at
-    # R = 500 at 4 x 2); 17 x 8 sums n d = 136 > 128 terms in halves. At d = 1,
-    # x.mean(axis=1) adds the agents pairwise, so the reference adds them in order
+    # R = 500 at 4 x 2); 17 x 8 sums n d = 136 > 128 terms in halves. The agent mean
+    # is x.mean(axis=1), as in make_record: in order at d >= 2, pairwise at d = 1
     objective = well_conditioned_instance(n, d)
     mixing = lazy_metropolis(path_topology(n))
     ens = collect_ensemble(objective, mixing, iterations=40, seed=11, bits=8,
@@ -881,11 +896,9 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     w, b, x_star = objective.features, objective.targets, objective.optimum
     for k in range(41):
         x = state.x
-        xbar = functools.reduce(np.add, x.transpose(1, 0, 2)) / n  # the agents in order
+        xbar = x.mean(axis=1)
         cons = np.sum(np.square(x - xbar[:, None]), axis=(1, 2))
-        if d > 1:
-            assert xbar.tobytes() == x.mean(axis=1).tobytes()
-            assert cons.tobytes() == consensus_error(x).tobytes()
+        assert cons.tobytes() == consensus_error(x).tobytes()
         r_sq = np.sum((xbar - x_star) ** 2, axis=1)
         f_worst = np.max(np.sum((x @ w.T - b) ** 2, axis=2), axis=1)
         assert ens.consensus_sq[:, k].tobytes() == cons.tobytes()

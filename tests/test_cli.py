@@ -449,8 +449,7 @@ def test_verify_rejects_bad_arguments_before_any_work(capsys, monkeypatch,
 
 def test_bound_reports_dominating_envelope(capsys):
     code = run_cli(["bound", "--n", "6", "--dims", "2", "--bits", "8",
-                    "--iterations", "1", "--edge-probability", "0.6",
-                    "--T", "10,100,400"])
+                    "--edge-probability", "0.6", "--T", "10,100,400"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "T,measured_gap,theoretical_bound,ratio"
@@ -459,6 +458,31 @@ def test_bound_reports_dominating_envelope(capsys):
     for _, measured, bound, ratio in rows:
         assert float(ratio) == pytest.approx(float(measured) / float(bound))
         assert float(ratio) <= 1.0
+
+
+def test_bound_records_only_round_one_and_the_horizons(monkeypatch):
+    # the table reads V_1 and the gap at each T, so the run records no other round
+    run_experiment, traces = cli.run_experiment, []
+
+    def kept(*args, **kwargs):
+        traces.append(run_experiment(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", kept)
+    assert run_cli(["bound", "--n", "6", "--dims", "2", "--T", "100,10,400,10"]) == 0
+    assert [rec.k for rec in traces[0].records] == [1, 10, 100, 400]
+
+
+@pytest.mark.parametrize("flag", [["--iterations", "5"], ["--output-dir", "out"],
+                                  ["--baseline"], ["--replicas", "2"],
+                                  ["--record-stride", "3"]])
+def test_bound_refuses_the_run_only_flags(capsys, flag):
+    # bound reads neither the round count nor anything run writes or repeats
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bound", *flag, "--T", "10"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag[0]}" in err
 
 
 def test_bound_empty_horizon_list(capsys):

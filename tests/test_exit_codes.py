@@ -127,9 +127,9 @@ def test_run_and_bound_end_in_a_known_exit_code(config, horizons):
         (root / "config.json").write_text(json.dumps(config))
         (root / "out").mkdir()
         (root / "out" / "kept.txt").write_text("kept")
-        common = ["--config", str(root / "config.json"), "--output-dir", str(root / "out")]
-        _check(root, ["run", *common])
-        _check(root, ["bound", *common, "--T", horizons])
+        config = ["--config", str(root / "config.json")]
+        _check(root, ["run", *config, "--output-dir", str(root / "out")])
+        _check(root, ["bound", *config, "--T", horizons])
 
 
 @FUZZ

@@ -9,7 +9,8 @@ Monte Carlo ensemble. ``LONG_RUN`` pins, by sha256, both traces of a
 3000-round run: 1,001 rows recorded every round, then 23 on the geometric
 record grid. ``LARGE_SEED_TRACE`` pins the trace of a 50-round run whose
 seed needs more than one 32-bit word, so the per-replica keying of seeds of
-2^32 and above stays fixed. ``data/golden_verify.json`` is the stdout of the
+2^32 and above stays fixed. Beside each whole-file digest sits one sha256
+per CSV column, so a digest test names the columns that moved. ``data/golden_verify.json`` is the stdout of the
 default ``qdgm verify`` and ``data/golden_bound.csv`` that of
 ``qdgm bound --T 10,100,1000,5000``, so the Monte Carlo checks and the decay
 envelope keep their constants to the last bit. A change that moves output bits on
@@ -35,6 +36,48 @@ LONG_RUN = {
     "baseline_trace.csv": "cb7cc3df26ee0002ffb42d890f97b6bdb31e3b137f8cac0aa43e9af6582f53c7",
 }
 LARGE_SEED_TRACE = "223a962518fe1329eaa5536926ec19d1ac45de303f61d39cde4a6052f09e5826"
+# each CSV column's sha256, its fields joined by newlines: a digest test names what moved
+LONG_RUN_COLUMNS = {
+    "trace.csv": {
+        "k": "3387e8d018d14daa3bccc6c4b2f1a68c2ff0233cdb9ffd20eaee3ec102fa9959",
+        "f_gap_last": "38348ab4afece6f831ffd901fde357a82c70da9e193c576f1dc8ea627d9eacdf",
+        "f_gap_avg_min": "305bfbf1576fc74799c493bd3f693b8b6ea753d927a9b5ae6453e9f7f2f33e09",
+        "f_gap_avg_max": "3cd888b2bcf900dca4517d72a4374867a67a3f9d7556a7a630bedaec0dcac6fd",
+        "consensus_sq": "ab7d398e6ddc8bd6d6cb8aad738f3ba7fcdb4d052196886eac03fd0ecfc5e0d3",
+        "r_sq": "8fee8e9aaac5a6dc84652f4851ef5b7397e2cac64e4e8f9dd053203c67cf9c8f",
+        "lyapunov": "035104f1f0ac4e0f62ba6118d6482b7346e0dced262fbaef8be903c86490224b",
+        "delta_k": "b5cd0e32d5427de36746c7cbc7eb818301f4f5c7a64d77351e4b5f2cba465ded",
+        "range_k": "24c6d050985cc0a29f9f169c38d438218d46abda34035d31eb2a0c13fbf2eb22",
+        "max_coord": "ab0e6671ad1dabd22c14f580a7ee7f0d08d94e4e2ebbfec2f223fc8534302809",
+        "gamma_k": "8857a5860e3838a1df4c20872ed95e8add05283b6cbcb783d821999ab0f5b36b",
+    },
+    "baseline_trace.csv": {
+        "k": "3387e8d018d14daa3bccc6c4b2f1a68c2ff0233cdb9ffd20eaee3ec102fa9959",
+        "f_gap_last": "12f40eb5e1040116140b83cdf1e28044042647d2f857e7740e753f9846a9a0ce",
+        "f_gap_avg_min": "d2cff3b6b9b6aaf8e43da5091c347bd52c12aa71008a2d5855b63fef3b9dd13d",
+        "f_gap_avg_max": "090d0f4b8669ea48e98cdd54a2bbf3096b1bac51eaf69f95f8bfd6cb0b1c700b",
+        "consensus_sq": "a3a98c474e5d93e1c6837e20d135e65cecf1888f901f2d34a7d36474187145ea",
+        "r_sq": "38e19dbb7f16642188b090fa5e36bb46b2939161be0b7711ca3717ab5b17a788",
+        "lyapunov": "f18bf431c715d0e12ca584d131a5c7e1d475cf8754bcbf591b51dd88351c8aba",
+        "delta_k": "b5cd0e32d5427de36746c7cbc7eb818301f4f5c7a64d77351e4b5f2cba465ded",
+        "range_k": "24c6d050985cc0a29f9f169c38d438218d46abda34035d31eb2a0c13fbf2eb22",
+        "max_coord": "bb6a275f848f269e9f665c294370c642375916535482dfa942f16d3291faa2ed",
+        "gamma_k": "8857a5860e3838a1df4c20872ed95e8add05283b6cbcb783d821999ab0f5b36b",
+    },
+}
+LARGE_SEED_TRACE_COLUMNS = {
+    "k": "eeab13db0435ae36361d92add9415b042e1de2fa41d53e8ab3b69708eda1c919",
+    "f_gap_last": "e5a29db11b4d8331bc6830b2cf87edc5a32f74614c1abf7ae277e9e347dd01e2",
+    "f_gap_avg_min": "ebd4cc7d77a7cff495c868ca80b43eb31dbfdb76e1abd87e6201f5cd4a081640",
+    "f_gap_avg_max": "198e788970e812f17e8f3af517f5769d79a4251f84f65278a0541fc411b41389",
+    "consensus_sq": "9e08803eb121ae7e99a568e377c4cce64cadf7ceb57a1fb2ce2f6473a4ab7867",
+    "r_sq": "fb4fd451427892131fa079b52f4ad052230347375561f239ec2ee2fe335a41df",
+    "lyapunov": "46248ecae39b1756f9d5b56b48292cab8a02e30d6e95899869630b90549e3edc",
+    "delta_k": "e6ea7cef3946c4aca6557a51992375d3082b871ca3833b21e91040e2525bc70d",
+    "range_k": "df9b5ef3a3264209742a70082de9e070634e6a725679014735799b6dfb68aba3",
+    "max_coord": "3a8409b9fadcb9d2191ce7e175f7fb82ed579d649e31e3e56a0bb11f77f5b796",
+    "gamma_k": "9dc1f65fb3a93a063043b3b7350de20903e9576a92667f39db7f83204719716e",
+}
 
 
 def _values(data: bytes) -> dict:
@@ -56,6 +99,23 @@ def _values(data: bytes) -> dict:
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     return dict(zip(lines[0].split(","), table.T))
+
+
+def _column_digests(data: bytes) -> dict:
+    """The sha256 of each CSV column's fields, joined by newlines, by column name."""
+    header, *rows = [line for line in data.decode().splitlines()
+                     if line and not line.startswith("#")]
+    return {name: hashlib.sha256("\n".join(fields).encode()).hexdigest()
+            for name, fields in zip(header.split(","), zip(*(row.split(",") for row in rows)))}
+
+
+def _assert_digests(data: bytes, digest: str, columns: dict, name: str) -> None:
+    """Fail unless the CSV ``data`` has the sha256 ``digest`` and each column its
+    sha256 in ``columns``, naming each column that moved."""
+    found = _column_digests(data)
+    moved = [column for column in {**columns, **found} if found.get(column) != columns.get(column)]
+    assert hashlib.sha256(data).hexdigest() == digest and not moved, (
+        f"{name} differs; columns moved: {', '.join(moved) or 'none: only the text differs'}")
 
 
 def _assert_same_bytes(written: bytes, golden: str) -> None:
@@ -104,7 +164,7 @@ def test_long_run_traces_match_golden_digest(tmp_path):
     for name, digest in LONG_RUN.items():
         data = (tmp_path / name).read_bytes()
         assert data.count(b"\r\n") == 1 + 1024, name
-        assert hashlib.sha256(data).hexdigest() == digest, name
+        _assert_digests(data, digest, LONG_RUN_COLUMNS[name], name)
 
 
 def test_ensemble_matches_golden_arrays():
@@ -120,8 +180,8 @@ def test_large_seed_trace_matches_golden_digest(tmp_path):
     args = ["run", "--seed", str(2**32 + 5), "--iterations", "50",
             "--output-dir", str(tmp_path)]
     assert cli_main(args) == 0
-    data = (tmp_path / "trace.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == LARGE_SEED_TRACE
+    _assert_digests((tmp_path / "trace.csv").read_bytes(), LARGE_SEED_TRACE,
+                    LARGE_SEED_TRACE_COLUMNS, "trace.csv")
 
 
 @pytest.mark.parametrize("args,golden", [
