@@ -27,7 +27,7 @@ from .config import ExperimentConfig, check_fields, load_config
 from .diagnostics import (ETA_MODES, MIN_REPLICAS, Trace, check_consensus_recursion,
                           check_descent_recursion, eta_coupling, rate_bound)
 from .errors import (ConfigError, DegenerateInstanceError, GradientBoundError,
-                     GraphSamplingError)
+                     GraphSamplingError, MixingError)
 from .graph import (NetworkTopology, generate_random_connected_graph,
                     lazy_metropolis, load_edge_list, path_topology,
                     save_edge_list, spectral_gap)
@@ -112,6 +112,12 @@ def _write_trace(path: Path, cfg: ExperimentConfig, objective: RegressionObjecti
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
+    check_fields([  # the fields only run reads; load_config checks only their types
+        ("iterations", cfg.iterations >= 1, "must be >= 1"),
+        ("replicas", cfg.replicas >= 1, "must be >= 1"),
+        ("record_stride", cfg.record_stride is None or cfg.record_stride >= 1,
+         "must be >= 1 when set"),
+    ])
     out_dir = Path(cfg.output_dir)
     _check_writable(out_dir, "output_dir", directory=True)
     topo, objective, mixing, _ = _instance(cfg)
@@ -180,21 +186,13 @@ def cmd_verify(n: int, d: int, rounds: int, replicas: int, bits: int,
     try:
         mixing.validate(topo)
         mixing_check = {"passed": True, "detail": {"sigma2": mixing.sigma2}}
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
+    except MixingError as exc:
         mixing_check = {"passed": False, "detail": str(exc)}
     checks = [{"name": "mixing_matrix", **mixing_check}]
     checks.extend(quantizer_property_checks(seed))
     ens = collect_ensemble(objective, mixing, iterations=rounds, seed=seed,
                            bits=bits, replicas=replicas)
-    for checker in (check_consensus_recursion, check_descent_recursion):
-        report = checker(ens)
-        checks.append({
-            "name": report.name,
-            "passed": report.passed,
-            "detail": {"replicas": report.replicas, "rounds": report.rounds,
-                       "violations": report.violations,
-                       "worst_margin": report.worst_margin},
-        })
+    checks += [check_consensus_recursion(ens), check_descent_recursion(ens)]
     passed = all(c["passed"] for c in checks)
     print(json.dumps({"passed": passed, "checks": checks}, indent=2))
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
@@ -241,6 +239,14 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _clamp(text: str) -> float | str:
+    """--beta-clamp's value: a number, or off as in the config file."""
+    try:
+        return text if text == "off" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number or off, not {text!r}") from None
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     """The flags of the instance and its schedule, which ``run`` and ``bound`` share."""
     sub.add_argument("--config", type=str, default=None, help="JSON config file")
@@ -251,16 +257,15 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--edge-probability", type=float, default=None)
     sub.add_argument("--edges-file", type=str, default=None,
                      help="load the graph from an edge-list file")
-    sub.add_argument("--beta-clamp", type=float, default=None)
-    sub.add_argument("--no-beta-clamp", action="store_true",
-                     help="use the raw consensus step sequence")
+    sub.add_argument("--beta-clamp", type=_clamp, default=None,
+                     help="clamp of the consensus steps, or off for the raw sequence")
     sub.add_argument("--eta-mode", choices=ETA_MODES, default=None)
 
 
 def _config_from_args(args, **overrides) -> ExperimentConfig:
     return load_config(
         args.config, n=args.n, d=args.dims, bits=args.bits, seed=args.seed,
-        eta_mode=args.eta_mode, beta_clamp="off" if args.no_beta_clamp else args.beta_clamp,
+        eta_mode=args.eta_mode, beta_clamp=args.beta_clamp,
         graph={"edge_probability": args.edge_probability,
                "edges_file": args.edges_file}, **overrides)
 
@@ -274,7 +279,14 @@ def _horizons(text: str) -> list[int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors (also of the subparsers) exit 64, like all bad input."""
+    """Usage errors (also of the subparsers) exit 64, like all bad input; a
+    subcommand reports an argument it does not know with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
     def error(self, message):
         self.print_usage(sys.stderr)

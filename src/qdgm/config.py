@@ -76,12 +76,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         check_fields([
             ("bits", 1 <= self.bits <= 32, "must be in [1, 32]"),
-            ("iterations", self.iterations >= 1, "must be >= 1"),
             ("d", self.d >= 1, "must be >= 1"),
             ("n", self.n >= self.d, "must be >= d"),
             ("n", self.n >= 2 or bool(self.graph.edges_file),
              "must be >= 2 unless graph.edges_file is set"),
-            ("replicas", self.replicas >= 1, "must be >= 1"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("eta_mode", self.eta_mode in ETA_MODES,
              "must be " + " or ".join(map(repr, ETA_MODES))),
@@ -94,8 +92,6 @@ class ExperimentConfig:
              "must be positive and finite"),
             ("data.target_high", 0.0 <= self.data.target_high < math.inf,
              "must be >= 0 and finite"),
-            ("record_stride", self.record_stride is None or self.record_stride >= 1,
-             "must be >= 1 when set"),
         ])
 
     def to_json_dict(self) -> dict:

@@ -231,21 +231,9 @@ class EnsembleTrace:
     schedule: Schedule
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    name: str
-    replicas: int
-    rounds: int
-    violations: int
-    worst_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def _mc_violations(name: str, lhs: np.ndarray, rhs: np.ndarray) -> InequalityReport:
-    """Paired Monte Carlo test: mean(lhs - rhs) must stay below 3 SE per round."""
+def _mc_violations(name: str, lhs: np.ndarray, rhs: np.ndarray) -> dict:
+    """Paired Monte Carlo test: mean(lhs - rhs) must stay below 3 SE per round.
+    Returns the check object ``qdgm verify`` prints: name, passed and detail."""
     diff = lhs - rhs
     m = diff.shape[0]
     if m < MIN_REPLICAS:
@@ -254,13 +242,10 @@ def _mc_violations(name: str, lhs: np.ndarray, rhs: np.ndarray) -> InequalityRep
     se = diff.std(axis=0, ddof=1) / math.sqrt(m)
     scale = np.maximum(1.0, np.abs(rhs).mean(axis=0))
     margins = mean - 3.0 * se - 1e-12 * scale
-    return InequalityReport(
-        name=name,
-        replicas=m,
-        rounds=diff.shape[1],
-        violations=int(np.sum(margins > 0.0)),
-        worst_margin=float(margins.max()),
-    )
+    violations = int(np.sum(margins > 0.0))
+    return {"name": name, "passed": violations == 0,
+            "detail": {"replicas": m, "rounds": diff.shape[1], "violations": violations,
+                       "worst_margin": float(margins.max())}}
 
 
 def _round_steps(ens: EnsembleTrace):
@@ -269,14 +254,15 @@ def _round_steps(ens: EnsembleTrace):
     return schedule.alpha(ks), schedule.beta(ks), schedule.dims * schedule.grid(ks).delta
 
 
-def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
+def check_consensus_recursion(ens: EnsembleTrace) -> dict:
     """Verify the expected one-step contraction of the consensus error.
 
     E[||Y_{k+1}||_F^2] <= (1 - (1-s)b_k)||Y_k||^2
                           + (1 + (1-s)b_0) b_k^2 n^2 Dv_k^2
                           + ((1-s)b_0 + 1)/(1-s) * L^2 a_k^2 / b_k
     with s = sigma2, Dv the d-scaled bin width, checked in Monte Carlo mean
-    with a 3-standard-error slack. It is no check of sigma2: the last term
+    with a 3-standard-error slack; returns the check object ``qdgm verify``
+    prints (``_mc_violations``). It is no check of sigma2: the last term
     dominates, so on the verify ensemble a schedule whose spectral gap (and the
     beta_k that follow it) is mis-stated as 1.0, 0.5 or -0.354 passes both checks.
     """
@@ -288,13 +274,14 @@ def check_consensus_recursion(ens: EnsembleTrace) -> InequalityReport:
     return _mc_violations("consensus_recursion", ens.consensus_sq[:, 1:], rhs)
 
 
-def check_descent_recursion(ens: EnsembleTrace) -> InequalityReport:
+def check_descent_recursion(ens: EnsembleTrace) -> dict:
     """Verify the expected one-step descent of the mean optimality distance.
 
     E[r_{k+1}] <= (1 - mu a_k / 2) r_k + a_k^2 L^2 + b_k^2 Dv_k^2
                   + 2 a_k (f* - f(x_k^worst))
                   + a_k (L + 8 L^2 / mu) ||Y_k||_F^2
-    checked in Monte Carlo mean with a 3-standard-error slack.
+    checked in Monte Carlo mean with a 3-standard-error slack; returns the
+    check object ``qdgm verify`` prints (``_mc_violations``).
     """
     a, b, dv = _round_steps(ens)
     mu, lip = ens.schedule.mu, ens.schedule.lipschitz

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GradientBoundError
+from .errors import GradientBoundError, QuantizationSupportError
 
 # relative width of the band around the interval ends that is clamped
 # rather than rejected; beyond it an input is a genuine model violation
@@ -89,17 +89,28 @@ def _stochastic_round(values, lower, delta, nbins, complements):
 def _quantize_values(x, grid: Grid, complements, checked_max: float):
     """The one quantize step: float indices, their decoded values and max |q - x|,
     for ``complements`` 1 - u of u = rng.random(x.shape) and checked_max, max |x|
-    if checked, or inf. Clamp-band inputs snap; farther out, or NaN, raises."""
+    if checked, or inf. Clamp-band inputs snap; farther out, or NaN, raises
+    GradientBoundError. A value farther from its input than one bin width plus the
+    clamp band, as at round 0 from any nonzero input, raises QuantizationSupportError."""
     if grid.k == 0:  # every index is zero and no uniform is drawn
-        zeros = np.zeros(x.shape)
-        return zeros, zeros, float(np.maximum.reduce(np.abs(x), axis=None))
-    if checked_max > grid.range * (1.0 + CLAMP_BAND):
-        checked_max = check_range(x, grid.range, grid.k)
-    values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
-    idx, q, worst = _stochastic_round(values, -grid.range, grid.delta, grid.bins, complements)
-    if values is not x:  # after a snap |q - x| differs
-        worst = np.maximum.reduce(np.abs(q - x), axis=None)
-    return idx, q, float(worst)
+        idx = q = np.zeros(x.shape)
+        worst = np.maximum.reduce(np.abs(x), axis=None)
+    else:
+        if checked_max > grid.range * (1.0 + CLAMP_BAND):
+            checked_max = check_range(x, grid.range, grid.k)
+        values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
+        idx, q, worst = _stochastic_round(values, -grid.range, grid.delta, grid.bins,
+                                          complements)
+        if values is not x:  # after a snap |q - x| differs
+            worst = np.maximum.reduce(np.abs(q - x), axis=None)
+    # the exact per-draw bound, plus the clamp-band displacement allowed for
+    # inputs right at the range boundary
+    worst, support = float(worst), grid.delta + 2.0 * grid.range * CLAMP_BAND
+    if not worst <= support:  # NaN fails too
+        raise QuantizationSupportError(
+            f"decoded value {worst} away from its input at round {grid.k}, "
+            f"beyond the support bound {support}")
+    return idx, q, worst
 
 
 def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
@@ -109,10 +120,9 @@ def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
     coordinate) in row-major order. Inputs inside the clamp band are snapped to
     the interval; farther out, or NaN, raises GradientBoundError before any draw."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if grid.k == 0:
-        return np.zeros(x.shape, dtype=np.int64)
     checked = check_range(x, grid.range, grid.k)
-    return _quantize_values(x, grid, 1.0 - rng.random(x.shape), checked)[0].astype(np.int64)
+    complements = None if grid.k == 0 else 1.0 - rng.random(x.shape)
+    return _quantize_values(x, grid, complements, checked)[0].astype(np.int64)
 
 
 def decode_matrix(indices: np.ndarray, grid: Grid) -> np.ndarray:

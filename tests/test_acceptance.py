@@ -173,15 +173,15 @@ def test_criterion_6_recursion_inequalities_monte_carlo():
     mixing = lazy_metropolis(path_topology(4))
     ens = collect_ensemble(objective, mixing, iterations=200, seed=321,
                            bits=6, replicas=500)
-    consensus = check_consensus_recursion(ens)
-    descent = check_descent_recursion(ens)
+    consensus = check_consensus_recursion(ens)["detail"]
+    descent = check_descent_recursion(ens)["detail"]
     elapsed = time.time() - start
-    ok = consensus.violations == 0 and descent.violations == 0 and elapsed < 120
+    ok = consensus["violations"] == 0 and descent["violations"] == 0 and elapsed < 120
     report_acceptance(6, ok, f"M=500, K=200: consensus violations="
-                             f"{consensus.violations}, descent violations="
-                             f"{descent.violations}, {elapsed:.1f}s")
-    assert consensus.violations == 0
-    assert descent.violations == 0
+                             f"{consensus['violations']}, descent violations="
+                             f"{descent['violations']}, {elapsed:.1f}s")
+    assert consensus["violations"] == 0
+    assert descent["violations"] == 0
     assert elapsed < 120.0
 
 

@@ -251,8 +251,8 @@ def test_batched_range_violation_in_ensemble_names_its_replica(
 def test_support_violation_raises_typed_error(small_instance, small_mixing,
                                               monkeypatch):
     # a rounding body whose values land two bins away breaks the per-draw
-    # support bound; the engine must refuse with a typed error, also under
-    # python -O
+    # support bound; the quantize step, and so the engine and the codec, must
+    # refuse with a typed error, also under python -O
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
     draws = ReplicaStreams(4, (1, obj.n, obj.dims))
@@ -268,6 +268,8 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     monkeypatch.setattr(quantizer, "_stochastic_round", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
         run_round(state, small_mixing, obj, *constants(sched, state.k), draws(1))
+    with pytest.raises(QuantizationSupportError, match="round 1"):
+        quantizer.quantize_matrix(state.x, sched.grid(1), np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("quantized", [True, False])

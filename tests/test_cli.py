@@ -11,6 +11,7 @@ from qdgm.config import ExperimentConfig, load_config
 from qdgm.diagnostics import Trace
 from qdgm.errors import (ConfigError, MixingError, NonFiniteIterateError,
                          QuantizationSupportError)
+from qdgm.graph import MixingMatrix
 
 
 def run_cli(argv):
@@ -122,6 +123,8 @@ def test_config_setting_jobs_is_rejected(tmp_path, capsys):
     (["--help"], 0),
     (["run", "--help"], 0),
     (["--version"], 0),
+    (["bound", "--beta-clamp", "x"], 64),
+    (["run", "--no-beta-clamp"], 64),
 ])
 def test_usage_errors_exit_64(capsys, argv, code):
     # 2 is the gradient-bound code, so argparse must not exit with it
@@ -351,8 +354,9 @@ def test_run_replicas_match_single_runs(tmp_path):
 def test_run_without_clamp_exits_2_and_flushes_partial_trace(tmp_path, capsys):
     code = run_cli(["run", "--n", "4", "--dims", "2", "--bits", "6",
                     "--iterations", "300", "--edge-probability", "0.9",
-                    "--no-beta-clamp", "--output-dir", str(tmp_path)])
+                    "--beta-clamp", "off", "--output-dir", str(tmp_path)])
     assert code == 2
+    assert json.loads((tmp_path / "config.json").read_text())["beta_clamp"] == "off"
     err = capsys.readouterr().err
     assert "gradient-bound violation" in err and "agent" in err
     partial = Trace.from_csv(tmp_path / "trace.csv")
@@ -422,6 +426,29 @@ def test_verify_detects_sabotaged_sigma2(capsys, monkeypatch):
     assert "consensus_recursion" in failing
 
 
+def test_verify_reports_a_refused_mixing_matrix(capsys, monkeypatch):
+    def refuse(self, topology):
+        raise MixingError("column sums deviate from 1")
+
+    monkeypatch.setattr(MixingMatrix, "validate", refuse)
+    code = run_cli(["verify", "--replicas", "100", "--rounds", "5"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["passed"] is False
+    assert report["checks"][0] == {"name": "mixing_matrix", "passed": False,
+                                   "detail": "column sums deviate from 1"}
+
+
+def test_verify_does_not_report_a_programming_error_as_a_check(capsys, monkeypatch):
+    def broken(self, topology):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(MixingMatrix, "validate", broken)
+    assert run_cli(["verify", "--replicas", "100", "--rounds", "5"]) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" in err and err.endswith("error: boom\n")
+
+
 @pytest.mark.parametrize("args,field", [
     (["--replicas", "5"], "replicas"),
     (["--replicas", "0"], "replicas"),
@@ -482,7 +509,24 @@ def test_bound_refuses_the_run_only_flags(capsys, flag):
         run_cli(["bound", *flag, "--T", "10"])
     assert exc.value.code == 64
     out, err = capsys.readouterr()
-    assert out == "" and f"unrecognized arguments: {flag[0]}" in err
+    assert out == "" and err.startswith("usage: qdgm bound [-h]")
+    assert f"qdgm bound: error: unrecognized arguments: {flag[0]}" in err
+
+
+def test_bound_reads_no_run_only_field_of_the_config(tmp_path, capsys):
+    # the file's run-only fields are type-checked, but only run reads their values
+    path, plain = tmp_path / "cfg.json", tmp_path / "plain.json"
+    path.write_text(json.dumps({"n": 6, "d": 2, "iterations": 0, "replicas": 0,
+                                "record_stride": 0}))
+    plain.write_text(json.dumps({"n": 6, "d": 2}))
+    assert run_cli(["bound", "--config", str(plain), "--T", "10"]) == 0
+    expected = capsys.readouterr().out
+    assert run_cli(["bound", "--config", str(path), "--T", "10"]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(path), "--output-dir", str(out)]) == 64
+    assert capsys.readouterr().err == "error: invalid field iterations: must be >= 1\n"
+    assert not out.exists()
 
 
 def test_bound_empty_horizon_list(capsys):

@@ -219,15 +219,16 @@ def small_ensemble():
 
 def test_consensus_recursion_holds(small_ensemble):
     report = check_consensus_recursion(small_ensemble)
-    assert report.passed
-    assert report.violations == 0
-    assert report.worst_margin < 0
+    assert report["name"] == "consensus_recursion"
+    assert report["passed"]
+    assert report["detail"]["violations"] == 0
+    assert report["detail"]["worst_margin"] < 0
 
 
 def test_descent_recursion_holds(small_ensemble):
     report = check_descent_recursion(small_ensemble)
-    assert report.passed
-    assert report.violations == 0
+    assert report["passed"]
+    assert report["detail"]["violations"] == 0
 
 
 def test_sabotaged_sigma2_is_detected(small_ensemble):
@@ -241,8 +242,8 @@ def test_sabotaged_sigma2_is_detected(small_ensemble):
     assert 1.0 - faulty.spectral_gap > 1.0
     bad = dataclasses.replace(small_ensemble, schedule=faulty)
     report = check_consensus_recursion(bad)
-    assert not report.passed
-    assert report.violations > 0
+    assert not report["passed"]
+    assert report["detail"]["violations"] > 0
 
 
 def test_insufficient_replicas_rejected(small_ensemble):
@@ -283,8 +284,8 @@ def test_noise_free_recursions_hold_deterministically():
         r_sq=np.tile(r_sq, (replicas, 1)),
         f_worst=np.tile(f_worst, (replicas, 1)),
         f_star=obj.f_star, schedule=sched)
-    assert check_consensus_recursion(ens).violations == 0
-    assert check_descent_recursion(ens).violations == 0
+    assert check_consensus_recursion(ens)["detail"]["violations"] == 0
+    assert check_descent_recursion(ens)["detail"]["violations"] == 0
 
 
 def test_fit_loglog_slope_recovers_power_law():

@@ -104,6 +104,19 @@ def test_spectral_gap_rejects_identity():
         spectral_gap(MixingMatrix(np.eye(3), 1.0))
 
 
+@pytest.mark.parametrize("entries, sigma2, message", [
+    ([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]], 0.5, "not symmetric"),
+    ([[0.5, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.5]], 0.5, "column sums deviate"),
+    ([[1.5, -0.5, 0.0], [-0.5, 1.0, 0.5], [0.0, 0.5, 0.5]], 0.5, "entries outside"),
+    ([[0.5, 0.25, 0.25], [0.25, 0.75, 0.0], [0.25, 0.0, 0.75]], 0.5, "on a non-edge"),
+    (np.eye(3), 1.0, "disconnected or periodic"),
+], ids=["asymmetric", "column-sums", "negative-entry", "non-edge", "disconnected"])
+def test_mixing_validate_refuses_each_broken_invariant(path3, entries, sigma2, message):
+    # each matrix breaks one invariant and keeps the ones checked before it
+    with pytest.raises(MixingError, match=message):
+        MixingMatrix(np.array(entries, dtype=float), sigma2).validate(path3)
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(4, 25), p=st.floats(0.2, 1.0), seed=st.integers(0, 10_000))
 def test_lazy_metropolis_invariants(n, p, seed):

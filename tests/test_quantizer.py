@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountedArray, schedule
-from qdgm.errors import GradientBoundError
+from qdgm.errors import GradientBoundError, QuantizationSupportError
 from qdgm.quantizer import (CLAMP_BAND, check_range, decode_matrix, pack_index_rows,
                             quantize_matrix, unpack_indices, _quantize_values,
                             _stochastic_round)
@@ -444,8 +444,15 @@ def test_engine_step_at_round_zero_sends_zeros():
     assert np.array_equal(idx, quantize_matrix(x, grid, None))
     assert np.array_equal(q, decode_matrix(quantize_matrix(x, grid, None), grid))
     assert err == 0.0
+    # round 0 sends zeros, so a nonzero input breaks the support bound
     x[1, 2, 0] = -0.5
-    assert _quantize_values(x, grid, None, math.inf)[2] == 0.5
+    with pytest.raises(QuantizationSupportError, match=(
+            "^decoded value 0.5 away from its input at round 0, beyond the "
+            "support bound 0.0$")):
+        _quantize_values(x, grid, None, math.inf)
+    # the codec refuses it too, as outside round 0's empty range
+    with pytest.raises(GradientBoundError, match="at round 0, outside"):
+        quantize_matrix(x, grid, None)
 
 
 def test_variance_bound():
