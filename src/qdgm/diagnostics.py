@@ -105,22 +105,29 @@ def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
     return sum(rows[whole:], lanes[0])
 
 
-def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
-    """||x - 1 xbar^T||_F^2, ||xbar - x*||^2 and max_i f(x_i) of each (n, d) matrix of an
-    (S, n, d) stack, in one replica-minor pass over a transposed (n d, S) copy: the mean as
-    x.mean(axis=1) adds it (in order; pairwise at d = 1), the residuals from one (S n, d) @
-    (d, m) product, other sums by _pairwise_rows. A value does not depend on S."""
+def stack_statistics(x: np.ndarray, optimum: np.ndarray):
+    """xbar as a (d, S) array, ||x - 1 xbar^T||_F^2 and ||xbar - x*||^2 of each (n, d)
+    matrix of an (S, n, d) stack, in one replica-minor pass over a transposed (n d, S)
+    copy: the mean as x.mean(axis=1) adds it (in order; pairwise at d = 1), other sums
+    by _pairwise_rows. A value does not depend on S."""
     size, n, d = x.shape
     cols = x.reshape(size, n * d).T.copy()
     sums = np.add.reduce(cols.reshape(n, -1), axis=0) if d > 1 else _pairwise_rows(cols)
     xbar = (sums / n).reshape(d, size)
     deviations = cols.reshape(n, d, size) - xbar
+    return (xbar, _pairwise_rows(np.square(deviations, out=deviations).reshape(n * d, size)),
+            _pairwise_rows(np.square(xbar - optimum[:, None])))
+
+
+def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
+    """The stack_statistics consensus_sq and r_sq, and max_i f(x_i), of each matrix of an
+    (S, n, d) stack; the residuals from one (S n, d) @ (d, m) product."""
+    size, n, d = x.shape
+    _, consensus_sq, r_sq = stack_statistics(x, objective.optimum)
     products = (x.reshape(size * n, d) @ objective.features.T).reshape(size, n, -1)
     residuals = np.subtract(products.T, objective.targets[:, None, None], order="C")
     f = _pairwise_rows(np.square(residuals, out=residuals).reshape(len(residuals), -1))
-    return (_pairwise_rows(np.square(deviations, out=deviations).reshape(n * d, size)),
-            _pairwise_rows(np.square(xbar - objective.optimum[:, None])),
-            f.reshape(n, size).max(axis=0))
+    return consensus_sq, r_sq, f.reshape(n, size).max(axis=0)
 
 
 def coupled_smoothness(mu: float, lipschitz: float) -> float:
@@ -200,12 +207,9 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
     iterates and xbar, and V_k, gamma_k and the grid are elementwise over the
     block, with libm's pow for each power as for one round."""
     ks = np.asarray(ks)
-    xbar = x_stack.mean(axis=1)
-    points = np.concatenate([z_stack, xbar[:, None]], axis=1)
+    xbar, cons, r_sq = stack_statistics(x_stack, objective.optimum)
+    points = np.concatenate([z_stack, xbar.T[:, None]], axis=1)
     gaps = optimality_gaps(objective, points.reshape(-1, objective.dims)).reshape(len(ks), -1)
-    centered = x_stack - xbar[:, None]  # the consensus deviation Y, from the one mean
-    cons = np.sum(np.square(centered, out=centered), axis=(1, 2))
-    r_sq = np.sum((xbar - objective.optimum) ** 2, axis=1)
     grid = schedule.grid(ks)
     return np.column_stack([
         ks, gaps[:, -1], gaps[:, :-1].min(axis=1), gaps[:, :-1].max(axis=1), cons, r_sq,

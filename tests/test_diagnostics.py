@@ -472,8 +472,10 @@ def test_record_gaps_are_at_least_as_accurate_as_direct_evaluation():
 
 
 # ufunc calls of one record block on its stacks and what derives from them:
-# the quadratic form about x* is 17 of them at d = 5
-RECORD_UFUNC_CALLS = 31
+# stack_statistics 16 at n d = 200 (the agent mean 2, the squared deviations 2,
+# their sums 9: two halves of lanes and three folds and their add, r_sq 3), the
+# quadratic form about x* 17 at d = 5, the gaps' min and max 2, V_k 2, max |x| 2
+RECORD_UFUNC_CALLS = 39
 
 
 def _record_work(rows):
