@@ -226,7 +226,8 @@ def collect_ensemble(objective: RegressionObjective, mixing: MixingMatrix, *,
     """Run Monte Carlo replicas of the clamped (beta_clamp = 1) schedule differing only in
     quantizer randomness, as one stack, and collect their ``ensemble_statistics`` one call
     per block of at most RECORD_BLOCK rounds and ENSEMBLE_BLOCK stack elements, transposed
-    once into [replica, round] arrays."""
+    once into [replica, round] arrays: consensus_sq and r_sq are the stack_statistics a
+    run's trace rows take, and every sum adds in order."""
     schedule = _schedule(objective, mixing, bits, 1.0, iterations, seed)
     size = max(1, replicas * objective.n * objective.dims)
     per_block = max(1, min(RECORD_BLOCK, ENSEMBLE_BLOCK // size))

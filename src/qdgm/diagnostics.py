@@ -9,9 +9,11 @@ constants is d * delta_k (coarser than the sqrt(d) * delta_k the codec
 actually guarantees, and therefore conservative). gamma_k, the envelope and
 the inequality checks read their constants from the run's schedules.Schedule,
 which Schedule.of(objective, spectral gap, bits) makes; the envelope's
-measured V_1 is an argument. A trace row's gaps f(p) - f* are a quadratic
-form about x*, and make_record builds a block of rows in one pass, so a
-row's bits depend only on its own round.
+measured V_1 is an argument. consensus_sq and r_sq have one definition,
+stack_statistics, which adds every sum in order; the trace rows (make_record)
+and verify's ensemble (ensemble_statistics) both read it. A trace row's gaps
+f(p) - f* are a quadratic form about x*, and make_record builds a block of
+rows in one pass, so a row's bits depend only on its own round.
 """
 from __future__ import annotations
 
@@ -87,47 +89,32 @@ class Trace:
         return cls(table, errors[-1] if errors else None)
 
 
-def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
-    """The column sums of an (L, S) array, each added in the order np.add.reduce adds a
-    contiguous row of L (numpy's pairwise_sum), by outer-axis adds: in order below 8
-    terms; to 128, eight lanes of every eighth term folded as ((r0+r1)+(r2+r3))+
-    ((r4+r5)+(r6+r7)), then the tail in order; above, the halves split at a multiple of 8."""
-    size = len(rows)
-    if size < 8:
-        return np.add.reduce(rows, axis=0)
-    if size > 128:
-        half = size // 2 - size // 2 % 8
-        return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
-    whole = size - size % 8
-    lanes = np.add.reduce(rows[:whole].reshape(-1, 8, rows.shape[1]), axis=0)
-    while len(lanes) > 1:
-        lanes = lanes[0::2] + lanes[1::2]
-    return sum(rows[whole:], lanes[0])
-
-
 def stack_statistics(x: np.ndarray, optimum: np.ndarray):
     """xbar as a (d, S) array, ||x - 1 xbar^T||_F^2 and ||xbar - x*||^2 of each (n, d)
-    matrix of an (S, n, d) stack, in one replica-minor pass over a transposed (n d, S)
-    copy: the mean as x.mean(axis=1) adds it (in order; pairwise at d = 1), other sums
-    by _pairwise_rows. A value does not depend on S."""
+    matrix of an (S, n, d) stack, from one transposed (n d, S) copy: every sum is an
+    outer-axis np.add.reduce, so it adds its terms in order and a value does not depend
+    on S. The one definition of both statistics, for the trace rows and for verify."""
     size, n, d = x.shape
-    cols = x.reshape(size, n * d).T.copy()
-    sums = np.add.reduce(cols.reshape(n, -1), axis=0) if d > 1 else _pairwise_rows(cols)
-    xbar = (sums / n).reshape(d, size)
-    deviations = cols.reshape(n, d, size) - xbar
-    return (xbar, _pairwise_rows(np.square(deviations, out=deviations).reshape(n * d, size)),
-            _pairwise_rows(np.square(xbar - optimum[:, None])))
+    cols = x.reshape(size, n * d).T
+    # numpy adds a lone contiguous column pairwise, so a lone matrix is read as two
+    cols = np.concatenate([cols, cols], axis=1) if size == 1 else cols.copy()
+    xbar = np.add.reduce(cols.reshape(n, d, -1), axis=0) / n
+    deviations = cols.reshape(n, d, -1) - xbar
+    consensus_sq = np.add.reduce(np.square(deviations, out=deviations).reshape(n * d, -1))
+    r_sq = np.add.reduce(np.square(xbar - optimum[:, None]))
+    return xbar[:, :size], consensus_sq[:size], r_sq[:size]
 
 
 def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
-    """The stack_statistics consensus_sq and r_sq, and max_i f(x_i), of each matrix of an
-    (S, n, d) stack; the residuals from one (S n, d) @ (d, m) product."""
+    """consensus_sq and r_sq of stack_statistics, and max_i f(x_i), of each matrix of an
+    (S, n, d) stack: f's residuals from one (S n, d) @ (d, m) product, their m squares
+    added in order by one outer-axis reduce."""
     size, n, d = x.shape
     _, consensus_sq, r_sq = stack_statistics(x, objective.optimum)
     products = (x.reshape(size * n, d) @ objective.features.T).reshape(size, n, -1)
     residuals = np.subtract(products.T, objective.targets[:, None, None], order="C")
-    f = _pairwise_rows(np.square(residuals, out=residuals).reshape(len(residuals), -1))
-    return consensus_sq, r_sq, f.reshape(n, size).max(axis=0)
+    f = np.add.reduce(np.square(residuals, out=residuals))
+    return consensus_sq, r_sq, f.max(axis=0)
 
 
 def coupled_smoothness(mu: float, lipschitz: float) -> float:
@@ -203,9 +190,9 @@ def make_record(ks, x_stack: np.ndarray, z_stack: np.ndarray,
     """The (B, len(TRACE_COLUMNS)) block of trace rows for the B rounds ``ks``
     (ints), from the (B, n, d) stacks of their iterates and averaged iterates,
     in the same number of numpy calls for any B. A row's bits depend only on its round:
-    the gaps are ``optimality_gaps`` about x* of every round's n averaged
-    iterates and xbar, and V_k, gamma_k and the grid are elementwise over the
-    block, with libm's pow for each power as for one round."""
+    xbar, consensus_sq and r_sq are stack_statistics', the gaps are ``optimality_gaps``
+    about x* of every round's n averaged iterates and xbar, and V_k, gamma_k and the
+    grid are elementwise over the block, with libm's pow for each power as for one round."""
     ks = np.asarray(ks)
     xbar, cons, r_sq = stack_statistics(x_stack, objective.optimum)
     points = np.concatenate([z_stack, xbar.T[:, None]], axis=1)
@@ -223,7 +210,8 @@ class EnsembleTrace:
     """Replica-by-round statistics collected for the inequality checks.
 
     Arrays are C-contiguous [replica, round], from ensemble_statistics, so a value
-    depends only on its replica and round; `f_worst` holds max_i f(x_k^i), the agent that
+    depends only on its replica and round; `consensus_sq` and `r_sq` are stack_statistics',
+    equal to a run's trace columns; `f_worst` holds max_i f(x_k^i), the agent that
     stresses the descent inequality hardest; `schedule` is the run's, and gives
     each round's alpha_k, beta_k and delta_k.
     """

@@ -159,7 +159,8 @@ def optimality_gaps(objective: RegressionObjective, points: np.ndarray) -> np.nd
     h = objective.grad_at_optimum[:, None] + objective.gram[:, :1] * e[0]
     for j in range(1, objective.dims):
         h += objective.gram[:, j:j + 1] * e[j]
-    return sum(h * e)  # the d rows in order
+    # the d rows in order: an outer-axis reduce, but a lone point's column adds pairwise
+    return np.add.reduce(h * e) if len(points) > 1 else sum(h * e)
 
 
 def save_instance_csv(objective: RegressionObjective, path) -> None:

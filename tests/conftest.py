@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -35,12 +38,21 @@ def constants(sched: Schedule, k: int) -> tuple:
     return sched.alpha(k), float(sched.beta(k)), sched.grid(k), float(sched.grid(k + 1).range)
 
 
+def in_order_sum(terms):
+    """Reference sum: the Python floats ``terms`` added one after another, in order."""
+    return functools.reduce(operator.add, terms)
+
+
 def consensus_error(x_rows):
     """Reference formula: the squared Frobenius deviation of the rows from their mean,
-    for one (n, d) matrix or for each matrix of an (R, n, d) stack."""
-    x = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-    centered = x - x.mean(axis=-2, keepdims=True)
-    return np.sum(centered * centered, axis=(-2, -1))
+    for one (n, d) matrix or for each matrix of an (R, n, d) stack, in Python floats
+    with every sum in order: the agents for the mean, then the n d squares row by row."""
+    x = np.asarray(x_rows, dtype=np.float64)
+    if x.ndim == 3:
+        return np.array([consensus_error(matrix) for matrix in x])
+    rows = np.atleast_2d(x).tolist()
+    xbar = [in_order_sum(column) / len(rows) for column in zip(*rows)]
+    return in_order_sum([(v - m) * (v - m) for row in rows for v, m in zip(row, xbar)])
 
 
 def global_value(objective, x):

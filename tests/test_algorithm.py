@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (CountedArray, ReplicaStreams, consensus_error, constants,
-                      running_averages, schedule)
+                      in_order_sum, running_averages, schedule)
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
@@ -210,9 +210,10 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
 
 
 def test_ensemble_statistics_match_single_run_records():
-    # the batched statistics observer and make_record see the same states and take
-    # the same agent mean, also at d = 1, where x.mean(axis=1) adds the agents pairwise
-    for n, d in [(4, 2), (8, 1), (16, 1)]:
+    # the batched statistics observer and make_record see the same states and read
+    # the one stack_statistics, which adds in order where numpy would add a contiguous
+    # run of 8 or more terms pairwise: the agents at d = 1, and the n d squares
+    for n, d in [(4, 2), (8, 1), (16, 1), (40, 5), (17, 8)]:
         objective = well_conditioned_instance(n, d)
         mixing = lazy_metropolis(path_topology(n))
         ens = collect_ensemble(objective, mixing, iterations=30, seed=4, bits=5, replicas=3)
@@ -883,11 +884,11 @@ def test_collect_ensemble_shapes(small_instance, small_mixing):
     (4, 2, 1), (5, 3, 7), (40, 5, 3), (4, 2, 100), (4, 2, 500), (17, 8, 2),
     (8, 1, 1), (8, 1, 3), (16, 1, 1), (16, 1, 3)])
 def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
-    # the per-round expressions the ensemble was first collected with, written
-    # out as the reference: one agent mean per round must keep every bit. The 41
-    # rounds are no multiple of a block (32 rounds, or 10 at R = 100 and 2 at
-    # R = 500 at 4 x 2); 17 x 8 sums n d = 136 > 128 terms in halves. The agent mean
-    # is x.mean(axis=1), as in make_record: in order at d >= 2, pairwise at d = 1
+    # each round's statistics in Python floats, every sum in order, as the
+    # reference: one agent mean per round must keep every bit. The 41 rounds are
+    # no multiple of a block (32 rounds, or 10 at R = 100 and 2 at R = 500 at
+    # 4 x 2); numpy would add a contiguous run of 8 or more terms pairwise, in
+    # halves above 128 (17 x 8). The residuals' products are numpy's, as x @ w.T
     objective = well_conditioned_instance(n, d)
     mixing = lazy_metropolis(path_topology(n))
     ens = collect_ensemble(objective, mixing, iterations=40, seed=11, bits=8,
@@ -897,15 +898,13 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     state = initial_state(n, d, replicas)
     w, b, x_star = objective.features, objective.targets, objective.optimum
     for k in range(41):
-        x = state.x
-        xbar = x.mean(axis=1)
-        cons = np.sum(np.square(x - xbar[:, None]), axis=(1, 2))
-        assert cons.tobytes() == consensus_error(x).tobytes()
-        r_sq = np.sum((xbar - x_star) ** 2, axis=1)
-        f_worst = np.max(np.sum((x @ w.T - b) ** 2, axis=2), axis=1)
-        assert ens.consensus_sq[:, k].tobytes() == cons.tobytes()
-        assert ens.r_sq[:, k].tobytes() == r_sq.tobytes()
-        assert ens.f_worst[:, k].tobytes() == f_worst.tobytes()
+        x, residuals = state.x, (state.x @ w.T - b).tolist()
+        for r in range(replicas):
+            xbar = [in_order_sum(column) / n for column in zip(*x[r].tolist())]
+            r_sq = in_order_sum([(m - o) * (m - o) for m, o in zip(xbar, x_star.tolist())])
+            f_worst = max(in_order_sum([v * v for v in agent]) for agent in residuals[r])
+            assert ens.consensus_sq[r, k] == consensus_error(x[r]), (r, k)
+            assert (ens.r_sq[r, k], ens.f_worst[r, k]) == (r_sq, f_worst), (r, k)
         state = run_round(state, mixing, objective, *constants(sched, state.k), draws(k))
     # the checks' means over axis 0 add the replicas in order on this layout
     for array in (ens.consensus_sq, ens.r_sq, ens.f_worst):

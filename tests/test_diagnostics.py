@@ -11,16 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CountedArray, ReplicaStreams, consensus_error, constants, global_value,
-                      running_averages, schedule)
+                      in_order_sum, running_averages, schedule)
 from qdgm.algorithm import (RECORD_BLOCK, collect_ensemble, initial_state, run_experiment,
                             run_round)
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, Trace, TraceRecord,
-                              _pairwise_rows, check_consensus_recursion,
-                              check_descent_recursion, ensemble_statistics, eta_coupling,
-                              fit_loglog_slope, gamma_k, lyapunov_value, make_record,
-                              rate_bound, rate_bound_terms)
+                              check_consensus_recursion, check_descent_recursion,
+                              ensemble_statistics, eta_coupling, fit_loglog_slope, gamma_k,
+                              lyapunov_value, make_record, rate_bound, rate_bound_terms,
+                              stack_statistics)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
 from qdgm.objective import optimality_gaps, well_conditioned_instance
 from qdgm.schedules import Schedule
@@ -391,9 +391,9 @@ def _form_gap(objective, p):
     """f(p) - f* as the quadratic form about x*, one point in Python floats,
     in the library's order: h_i = g_i + sum_j G_ij e_j, then sum_i e_i h_i."""
     e = (p - objective.optimum).tolist()
-    h = [sum((g_ij * e_j for g_ij, e_j in zip(row, e)), g_i)
+    h = [in_order_sum([g_i, *(g_ij * e_j for g_ij, e_j in zip(row, e))])
          for row, g_i in zip(objective.gram.tolist(), objective.grad_at_optimum.tolist())]
-    return sum(e_i * h_i for e_i, h_i in zip(e, h))
+    return in_order_sum([e_i * h_i for e_i, h_i in zip(e, h)])
 
 
 def _scalar_beta(sched, k):
@@ -412,12 +412,19 @@ def _scalar_gamma(sched, k):
                + 320.0 * coupled * sched.n ** 2 / (gap ** 2 * (k + 1) ** 1.75)) * quant)
 
 
+def _in_order_statistics(x, optimum):
+    """xbar, ||x - 1 xbar^T||_F^2 and ||xbar - x*||^2 of one (n, d) matrix in Python
+    floats, every sum in order: the agents for the mean, then the squares row by row."""
+    rows = x.tolist()
+    xbar = [in_order_sum(column) / len(rows) for column in zip(*rows)]
+    r_sq = in_order_sum([(m - o) * (m - o) for m, o in zip(xbar, optimum.tolist())])
+    return np.array(xbar), consensus_error(x), r_sq
+
+
 def _reference_row(state, objective, sched, eta):
     """One round's trace row evaluated on its own, one point at a time."""
     k, x, z = state.k, state.x[0], state.z[0]
-    xbar = x.mean(axis=0)
-    cons = consensus_error(x)
-    r_sq = float(np.sum((xbar - objective.optimum) ** 2))
+    xbar, cons, r_sq = _in_order_statistics(x, objective.optimum)
     gaps = [_form_gap(objective, p) for p in z]
     grid = sched.grid(k)
     return [k, _form_gap(objective, xbar), min(gaps), max(gaps), cons, r_sq,
@@ -472,10 +479,10 @@ def test_record_gaps_are_at_least_as_accurate_as_direct_evaluation():
 
 
 # ufunc calls of one record block on its stacks and what derives from them:
-# stack_statistics 16 at n d = 200 (the agent mean 2, the squared deviations 2,
-# their sums 9: two halves of lanes and three folds and their add, r_sq 3), the
-# quadratic form about x* 17 at d = 5, the gaps' min and max 2, V_k 2, max |x| 2
-RECORD_UFUNC_CALLS = 39
+# stack_statistics 8 (as in ensemble_statistics, below), the quadratic form about
+# x* 13 at d = 5 (e 1, h 3 and 2 per further coordinate, the products 1, their sum
+# 1), the gaps' min and max 2, V_k 2 and max |x| 2
+RECORD_UFUNC_CALLS = 27
 
 
 def _record_work(rows):
@@ -505,10 +512,10 @@ def test_record_block_work_does_not_grow_with_its_rows():
 
 
 # ufunc calls of one ensemble_statistics call at the verify shape (n = 4, d = 2):
-# the agent mean 2, the squared deviations 2 and their sums over n d = 8 terms 4
-# (the lanes and three folds), r_sq 3, the residuals 3 (product, difference,
+# the agent mean 2 (sum, division), the squared deviations 2 and their sum 1,
+# r_sq 3 (difference, square, sum), the residuals 3 (product, difference,
 # square), their sums over m = 4 terms 1 and f_worst 1
-ENSEMBLE_UFUNC_CALLS = 16
+ENSEMBLE_UFUNC_CALLS = 13
 
 
 def _ensemble_work(size):
@@ -536,17 +543,21 @@ def test_ensemble_statistics_work_does_not_grow_with_the_replicas():
     assert one[0] == ENSEMBLE_UFUNC_CALLS
 
 
-@pytest.mark.parametrize("columns", [1, 3, 2048])
-def test_pairwise_rows_add_in_the_order_of_a_contiguous_row_sum(columns):
-    # numpy's pairwise_sum order: in order below 8 terms, 8 lanes to 128, halves above
-    values = np.random.default_rng(columns).standard_normal((columns, 300))
-    terms_first = np.ascontiguousarray(values.T)
-    in_order_differs = False
-    for length in range(1, 301):
-        expected = np.add.reduce(values[:, :length], axis=1).tobytes()  # contiguous rows
-        assert _pairwise_rows(terms_first[:length]).tobytes() == expected, length
-        in_order_differs |= np.add.reduce(terms_first[:length], axis=0).tobytes() != expected
-    assert in_order_differs or columns == 1  # a sum in order would fail the check
+@pytest.mark.parametrize("size", [1, 2, 2048])
+@pytest.mark.parametrize("n, d", [(40, 5), (17, 8), (130, 3), (16, 1)])
+def test_stack_statistics_add_in_order(n, d, size):
+    # every sum adds its terms one after another, also where numpy would add a
+    # contiguous run of 8 or more terms pairwise: the n d squares, the agents at
+    # d = 1, and every sum of a lone matrix, whose copy is one contiguous column
+    x = np.random.default_rng(n * d + size).standard_normal((size, n, d))
+    x *= 10.0 ** np.random.default_rng(size).uniform(-3.0, 3.0, (size, n, 1))
+    optimum = np.random.default_rng(d).standard_normal(d)
+    xbar, cons, r_sq = stack_statistics(x, optimum)
+    assert xbar.shape == (d, size) and cons.shape == r_sq.shape == (size,)
+    for s in sorted({*range(0, size, 97), size - 1}):
+        ref_xbar, ref_cons, ref_r_sq = _in_order_statistics(x[s], optimum)
+        assert xbar[:, s].tobytes() == ref_xbar.tobytes(), s
+        assert (cons[s], r_sq[s]) == (ref_cons, ref_r_sq), s
 
 
 @pytest.mark.parametrize("name", ["golden_trace.csv", "golden_baseline_trace.csv",

@@ -32,10 +32,10 @@ from qdgm.objective import well_conditioned_instance
 
 DATA = Path(__file__).parent / "data"
 LONG_RUN = {
-    "trace.csv": "37ebf2fbcee1daa93bc54abb63819d1c6854c2943e0f1da118b0ef658c6e7207",
-    "baseline_trace.csv": "cb7cc3df26ee0002ffb42d890f97b6bdb31e3b137f8cac0aa43e9af6582f53c7",
+    "trace.csv": "125f5921c78927f6c29b73e975c643269a8bf2234aa65cdc34e90c58f68e68d5",
+    "baseline_trace.csv": "a72d1f82832d2e61bd0c14225fe9b586edfbb3b3859ad2b74ef8d33614a0cb08",
 }
-LARGE_SEED_TRACE = "223a962518fe1329eaa5536926ec19d1ac45de303f61d39cde4a6052f09e5826"
+LARGE_SEED_TRACE = "4bf33d8dc577d20a093908b5ddcd4802383c7d1265e25328b557e78027ba1d81"
 # each CSV column's sha256, its fields joined by newlines: a digest test names what moved
 LONG_RUN_COLUMNS = {
     "trace.csv": {
@@ -43,9 +43,9 @@ LONG_RUN_COLUMNS = {
         "f_gap_last": "38348ab4afece6f831ffd901fde357a82c70da9e193c576f1dc8ea627d9eacdf",
         "f_gap_avg_min": "305bfbf1576fc74799c493bd3f693b8b6ea753d927a9b5ae6453e9f7f2f33e09",
         "f_gap_avg_max": "3cd888b2bcf900dca4517d72a4374867a67a3f9d7556a7a630bedaec0dcac6fd",
-        "consensus_sq": "ab7d398e6ddc8bd6d6cb8aad738f3ba7fcdb4d052196886eac03fd0ecfc5e0d3",
+        "consensus_sq": "0f118843255d6423ace17ec589deb5f20071acd005283933977942f1412bc9d0",
         "r_sq": "8fee8e9aaac5a6dc84652f4851ef5b7397e2cac64e4e8f9dd053203c67cf9c8f",
-        "lyapunov": "035104f1f0ac4e0f62ba6118d6482b7346e0dced262fbaef8be903c86490224b",
+        "lyapunov": "ce3c94d7c5a035cd2c62a9b84467c04e72fb66784a1ce18b31c3bbbaf407732b",
         "delta_k": "b5cd0e32d5427de36746c7cbc7eb818301f4f5c7a64d77351e4b5f2cba465ded",
         "range_k": "24c6d050985cc0a29f9f169c38d438218d46abda34035d31eb2a0c13fbf2eb22",
         "max_coord": "ab0e6671ad1dabd22c14f580a7ee7f0d08d94e4e2ebbfec2f223fc8534302809",
@@ -56,9 +56,9 @@ LONG_RUN_COLUMNS = {
         "f_gap_last": "12f40eb5e1040116140b83cdf1e28044042647d2f857e7740e753f9846a9a0ce",
         "f_gap_avg_min": "d2cff3b6b9b6aaf8e43da5091c347bd52c12aa71008a2d5855b63fef3b9dd13d",
         "f_gap_avg_max": "090d0f4b8669ea48e98cdd54a2bbf3096b1bac51eaf69f95f8bfd6cb0b1c700b",
-        "consensus_sq": "a3a98c474e5d93e1c6837e20d135e65cecf1888f901f2d34a7d36474187145ea",
+        "consensus_sq": "7235f75c6cf479e0a90a39011dd1cea68de9907f7e076aa7a585b13843b6b95a",
         "r_sq": "38e19dbb7f16642188b090fa5e36bb46b2939161be0b7711ca3717ab5b17a788",
-        "lyapunov": "f18bf431c715d0e12ca584d131a5c7e1d475cf8754bcbf591b51dd88351c8aba",
+        "lyapunov": "42b21bc57a1e9023e49528b7c8214bbfaf1e84d0ae9f14cc32a44f6cfb456ee1",
         "delta_k": "b5cd0e32d5427de36746c7cbc7eb818301f4f5c7a64d77351e4b5f2cba465ded",
         "range_k": "24c6d050985cc0a29f9f169c38d438218d46abda34035d31eb2a0c13fbf2eb22",
         "max_coord": "bb6a275f848f269e9f665c294370c642375916535482dfa942f16d3291faa2ed",
@@ -70,9 +70,9 @@ LARGE_SEED_TRACE_COLUMNS = {
     "f_gap_last": "e5a29db11b4d8331bc6830b2cf87edc5a32f74614c1abf7ae277e9e347dd01e2",
     "f_gap_avg_min": "ebd4cc7d77a7cff495c868ca80b43eb31dbfdb76e1abd87e6201f5cd4a081640",
     "f_gap_avg_max": "198e788970e812f17e8f3af517f5769d79a4251f84f65278a0541fc411b41389",
-    "consensus_sq": "9e08803eb121ae7e99a568e377c4cce64cadf7ceb57a1fb2ce2f6473a4ab7867",
+    "consensus_sq": "eda3d800e7f7244ebb8ea2a90c322420676c9c140b05a2b393b167ebdf07d65e",
     "r_sq": "fb4fd451427892131fa079b52f4ad052230347375561f239ec2ee2fe335a41df",
-    "lyapunov": "46248ecae39b1756f9d5b56b48292cab8a02e30d6e95899869630b90549e3edc",
+    "lyapunov": "176847f15e372c4231b8b55c7ae8831cadc24be5574c609a6ee0c90e7a579f18",
     "delta_k": "e6ea7cef3946c4aca6557a51992375d3082b871ca3833b21e91040e2525bc70d",
     "range_k": "df9b5ef3a3264209742a70082de9e070634e6a725679014735799b6dfb68aba3",
     "max_coord": "3a8409b9fadcb9d2191ce7e175f7fb82ed579d649e31e3e56a0bb11f77f5b796",
