@@ -83,15 +83,20 @@ def build_objective_from_config(cfg: ExperimentConfig) -> RegressionObjective:
                              cfg.data.feature_high, cfg.data.target_high)
 
 
-def _instance(cfg: ExperimentConfig):
-    """A run's graph, objective, mixing and Schedule; eta alpha_0 / beta_0 must be finite."""
+def _instance(cfg: ExperimentConfig, last: int):
+    """A run's graph, objective, mixing and Schedule. Each V_k up to round ``last`` is finite
+    if eta (alpha_0 / beta_0) 8 n d range(last)^2 is: alpha_k / beta_k is largest at k = 0
+    and ||Y_k||^2 <= 4 n d range(last)^2 (1 + CLAMP_BAND)^2."""
     topo = build_topology(cfg)
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(topo)
     schedule = Schedule.of(objective, spectral_gap(mixing), cfg.bits, cfg.beta_clamp)
+    # range(last) = C (4 / mu) H_last <= C (4 / mu) (1 + ln last), with no alpha table
+    top = objective.grad_bound * (4.0 / objective.mu) * (1.0 + math.log(last))
     weight = eta_coupling(objective.mu, objective.lipschitz, schedule.spectral_gap,
                           cfg.eta_mode) * (schedule.alpha(0) / float(schedule.beta(0)))
-    check_fields([("beta_clamp", math.isfinite(weight), "makes the Lyapunov weight infinite")])
+    bound = weight * 8.0 * objective.n * objective.dims * top ** 2
+    check_fields([("beta_clamp", math.isfinite(bound), "makes the Lyapunov value infinite")])
     return topo, objective, mixing, schedule
 
 
@@ -120,7 +125,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     ])
     out_dir = Path(cfg.output_dir)
     _check_writable(out_dir, "output_dir", directory=True)
-    topo, objective, mixing, _ = _instance(cfg)
+    topo, objective, mixing, _ = _instance(cfg, cfg.iterations)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
     save_edge_list(topo, out_dir / "graph.edges")
@@ -206,7 +211,7 @@ def cmd_bound(cfg: ExperimentConfig, horizons: list[int]) -> int:
     if min(horizons) < 1:
         raise ConfigError("invalid field T: horizons must be >= 1")
     horizons = sorted(set(horizons))
-    _, objective, mixing, schedule = _instance(cfg)
+    _, objective, mixing, schedule = _instance(cfg, max(horizons))
     trace = run_experiment(
         objective, mixing, iterations=max(horizons), seed=cfg.seed, bits=cfg.bits,
         beta_clamp=cfg.beta_clamp, eta_mode=cfg.eta_mode, record_at={1, *horizons})

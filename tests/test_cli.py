@@ -214,9 +214,14 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
     # finite data whose W^T b overflows: x*, so C and (C d)^2, are NaN
     ("--config", '{"data": {"target_high": 1.7976931348623157e308}}',
      ("degenerate instance: L^3 or (C d)^2 is not finite",)),
-    # a subnormal clamp makes the Lyapunov weight eta alpha_0 / beta_0 overflow
+    # a subnormal clamp makes the Lyapunov weight eta alpha_0 / beta_0 overflow; a
+    # tiny one keeps it finite, but not the weighted consensus error of V_k
     ("--config", '{"beta_clamp": 5e-324}',
-     ("invalid field beta_clamp: makes the Lyapunov weight infinite",)),
+     ("invalid field beta_clamp: makes the Lyapunov value infinite",)),
+    ("--config", '{"beta_clamp": 1e-304}',
+     ("invalid field beta_clamp: makes the Lyapunov value infinite",)),
+    ("--config", '{"beta_clamp": 1e-302}',
+     ("invalid field beta_clamp: makes the Lyapunov value infinite",)),
     # an output directory below a regular file
     ("--output-dir", "a regular file",
      ("invalid field output_dir: cannot write", "input is not an existing directory")),
@@ -225,7 +230,8 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
         "seed-float", "replicas-float", "beta-clamp-str", "edges-file-int",
         "baseline-str", "graph-sampling", "degenerate-data", "feature-high-inf",
         "target-high-inf", "gram-overflow", "smoothness-overflow", "cube-overflow",
-        "bound-overflow", "optimum-overflow", "subnormal-beta-clamp", "output-below-file"])
+        "bound-overflow", "optimum-overflow", "subnormal-beta-clamp", "beta-clamp-1e-304",
+        "beta-clamp-1e-302", "output-below-file"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"
@@ -242,10 +248,12 @@ def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("clamp,code", [("5e-324", 64), ("1e-300", 0)])
+@pytest.mark.parametrize("clamp,code", [
+    ("5e-324", 64), ("1e-304", 64), ("1e-302", 64), ("1e-300", 64), ("1e-290", 0)])
 def test_bound_refuses_a_clamp_whose_lyapunov_weight_overflows(tmp_path, capsys, clamp, code):
-    # bound reads V_1, so it refuses the subnormal clamp as run does; at 1e-300
-    # the weight, and V_1 of about 6e304, stay finite and the table is printed
+    # bound reads V_1, so it refuses the clamps run refuses: their weighted consensus
+    # error can overflow by round T; at 1e-290 V_1 of about 6e294 stays finite and
+    # the table is printed
     config = tmp_path / "config.json"
     config.write_text(f'{{"beta_clamp": {clamp}}}')
     assert run_cli(["bound", "--config", str(config), "--n", "4", "--dims", "2",

@@ -1,8 +1,9 @@
 """Exit codes by property: every input to ``run``, ``bound``, ``verify`` and ``graph``
-ends in 0, 1, 2 or 64, never in 70, and an exit 64 leaves the output directory as it
-was; ``bound`` ends the same, with the same stdout, with or without values of a
-valid type in the fields only ``run`` reads. Edge values (signed zeros, subnormals,
-1e300, the largest double, inf, NaN, 2^63, 2^64 and wrong types) go only to fields
+ends in 0, 1, 2 or 64, never in 70, an exit 64 leaves the output directory as it
+was, and a ``run`` that ends in 0 writes no infinite trace value; ``bound`` ends the
+same, with the same stdout, with or without values of a valid type in the fields
+only ``run`` reads. Edge values (signed zeros, subnormals, 1e300, the largest double,
+inf, NaN, 2^63, 2^64, beta clamps of 1e-304 and 1e-302, and wrong types) go only to fields
 that do not set the amount of work; n, d, the round, replica and retry counts stay
 small. QDGM_EXIT_CODE_EXAMPLES
 sets the examples per command (default 40) for a longer run."""
@@ -66,7 +67,8 @@ CONFIG = mutated({
 }, {
     "n": small(-1, 8), "d": small(-1, 4), "iterations": small(-1, 40),
     "replicas": small(-1, 3), "bits": edge(EDGE_INTS), "seed": edge(EDGE_INTS),
-    "beta_clamp": st.one_of(EDGE_FLOATS, st.just("off"), WRONG_TYPES),
+    "beta_clamp": st.one_of(EDGE_FLOATS, st.sampled_from([1e-304, 1e-302]), st.just("off"),
+                            WRONG_TYPES),
     "eta_mode": st.sampled_from(["body", "appendix", "", "BODY", 3]),
     "baseline": st.one_of(st.booleans(), WRONG_TYPES),
     "record_stride": edge(EDGE_INTS), "unknown": st.just(1),
@@ -139,7 +141,9 @@ def test_run_and_bound_end_in_a_known_exit_code(config, horizons, run_only):
         (root / "out").mkdir()
         (root / "out" / "kept.txt").write_text("kept")
         flags = ["--config", str(root / "config.json")]
-        _check(root, ["run", *flags, "--output-dir", str(root / "out")])
+        if _check(root, ["run", *flags, "--output-dir", str(root / "out")])[0] == 0:
+            for trace in (root / "out").glob("*trace*.csv"):  # no infinite V_k, or any
+                assert b"inf" not in trace.read_bytes(), config
         _check(root, ["bound", *flags, "--T", horizons])
         if isinstance(config, dict):
             base = {key: value for key, value in config.items() if key not in run_only}
