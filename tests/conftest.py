@@ -55,6 +55,15 @@ def consensus_error(x_rows):
     return in_order_sum([(v - m) * (v - m) for row in rows for v, m in zip(row, xbar)])
 
 
+def in_order_statistics(x, optimum):
+    """Reference formula: xbar, ||x - 1 xbar^T||_F^2 and ||xbar - x*||^2 of one (n, d)
+    matrix in Python floats, every sum in order, as consensus_error adds."""
+    rows = x.tolist()
+    xbar = [in_order_sum(column) / len(rows) for column in zip(*rows)]
+    r_sq = in_order_sum([(m - o) * (m - o) for m, o in zip(xbar, optimum.tolist())])
+    return np.array(xbar), consensus_error(x), r_sq
+
+
 def global_value(objective, x):
     """Reference formula: f(x) = sum_i (w_i^T x - b_i)^2 at a point x (a float) or at
     each row of a (..., d) stack."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (CountedArray, ReplicaStreams, consensus_error, constants,
+from conftest import (CountedArray, ReplicaStreams, constants, in_order_statistics,
                       in_order_sum, running_averages, schedule)
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
@@ -900,11 +900,10 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
     for k in range(41):
         x, residuals = state.x, (state.x @ w.T - b).tolist()
         for r in range(replicas):
-            xbar = [in_order_sum(column) / n for column in zip(*x[r].tolist())]
-            r_sq = in_order_sum([(m - o) * (m - o) for m, o in zip(xbar, x_star.tolist())])
+            _, cons, r_sq = in_order_statistics(x[r], x_star)
             f_worst = max(in_order_sum([v * v for v in agent]) for agent in residuals[r])
-            assert ens.consensus_sq[r, k] == consensus_error(x[r]), (r, k)
-            assert (ens.r_sq[r, k], ens.f_worst[r, k]) == (r_sq, f_worst), (r, k)
+            assert (ens.consensus_sq[r, k], ens.r_sq[r, k], ens.f_worst[r, k]) == (
+                cons, r_sq, f_worst), (r, k)
         state = run_round(state, mixing, objective, *constants(sched, state.k), draws(k))
     # the checks' means over axis 0 add the replicas in order on this layout
     for array in (ens.consensus_sq, ens.r_sq, ens.f_worst):

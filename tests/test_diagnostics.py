@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CountedArray, ReplicaStreams, consensus_error, constants, global_value,
-                      in_order_sum, running_averages, schedule)
+                      in_order_statistics, in_order_sum, running_averages, schedule)
 from qdgm.algorithm import (RECORD_BLOCK, collect_ensemble, initial_state, run_experiment,
                             run_round)
 from qdgm.cli import build_objective_from_config, build_topology
@@ -412,19 +412,10 @@ def _scalar_gamma(sched, k):
                + 320.0 * coupled * sched.n ** 2 / (gap ** 2 * (k + 1) ** 1.75)) * quant)
 
 
-def _in_order_statistics(x, optimum):
-    """xbar, ||x - 1 xbar^T||_F^2 and ||xbar - x*||^2 of one (n, d) matrix in Python
-    floats, every sum in order: the agents for the mean, then the squares row by row."""
-    rows = x.tolist()
-    xbar = [in_order_sum(column) / len(rows) for column in zip(*rows)]
-    r_sq = in_order_sum([(m - o) * (m - o) for m, o in zip(xbar, optimum.tolist())])
-    return np.array(xbar), consensus_error(x), r_sq
-
-
 def _reference_row(state, objective, sched, eta):
     """One round's trace row evaluated on its own, one point at a time."""
     k, x, z = state.k, state.x[0], state.z[0]
-    xbar, cons, r_sq = _in_order_statistics(x, objective.optimum)
+    xbar, cons, r_sq = in_order_statistics(x, objective.optimum)
     gaps = [_form_gap(objective, p) for p in z]
     grid = sched.grid(k)
     return [k, _form_gap(objective, xbar), min(gaps), max(gaps), cons, r_sq,
@@ -555,7 +546,7 @@ def test_stack_statistics_add_in_order(n, d, size):
     xbar, cons, r_sq = stack_statistics(x, optimum)
     assert xbar.shape == (d, size) and cons.shape == r_sq.shape == (size,)
     for s in sorted({*range(0, size, 97), size - 1}):
-        ref_xbar, ref_cons, ref_r_sq = _in_order_statistics(x[s], optimum)
+        ref_xbar, ref_cons, ref_r_sq = in_order_statistics(x[s], optimum)
         assert xbar[:, s].tobytes() == ref_xbar.tobytes(), s
         assert (cons[s], r_sq[s]) == (ref_cons, ref_r_sq), s
 
