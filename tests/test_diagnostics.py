@@ -471,7 +471,7 @@ def test_record_gaps_are_at_least_as_accurate_as_direct_evaluation():
 
 # ufunc calls of one record block on its stacks and what derives from them:
 # stack_statistics 8 (as in ensemble_statistics, below), the quadratic form about
-# x* 13 at d = 5 (e 1, h 3 and 2 per further coordinate, the products 1, their sum
+# x* 13 at d = 5 (e 1, h 2 and 2 per further coordinate, the products 1, their sum
 # 1), the gaps' min and max 2, V_k 2 and max |x| 2
 RECORD_UFUNC_CALLS = 27
 

@@ -142,7 +142,7 @@ def test_run_and_bound_end_in_a_known_exit_code(config, horizons, run_only):
         (root / "out" / "kept.txt").write_text("kept")
         flags = ["--config", str(root / "config.json")]
         if _check(root, ["run", *flags, "--output-dir", str(root / "out")])[0] == 0:
-            for trace in (root / "out").glob("*trace*.csv"):  # no infinite V_k, or any
+            for trace in (root / "out").glob("*trace*.csv"):  # no infinite V_k or other value
                 assert b"inf" not in trace.read_bytes(), config
         _check(root, ["bound", *flags, "--T", horizons])
         if isinstance(config, dict):
