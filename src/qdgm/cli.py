@@ -86,7 +86,7 @@ def build_objective_from_config(cfg: ExperimentConfig) -> RegressionObjective:
 def _instance(cfg: ExperimentConfig, last: int):
     """A run's graph, objective, mixing and Schedule. Each V_k up to round ``last`` is finite
     if eta (alpha_0 / beta_0) 8 n d range(last)^2 is: alpha_k / beta_k is largest at k = 0
-    and ||Y_k||^2 <= 4 n d range(last)^2 (1 + CLAMP_BAND)^2."""
+    and ||Y_k||^2 <= 4 n d range(last)^2 (1 + CLAMP_BAND)^2; a clamp >= 1 keeps beta_0 >= 1."""
     topo = build_topology(cfg)
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(topo)
@@ -95,8 +95,10 @@ def _instance(cfg: ExperimentConfig, last: int):
     top = objective.grad_bound * (4.0 / objective.mu) * (1.0 + math.log(last))
     weight = eta_coupling(objective.mu, objective.lipschitz, schedule.spectral_gap,
                           cfg.eta_mode) * (schedule.alpha(0) / float(schedule.beta(0)))
-    bound = weight * 8.0 * objective.n * objective.dims * top ** 2
-    check_fields([("beta_clamp", math.isfinite(bound), "makes the Lyapunov value infinite")])
+    if not math.isfinite(weight * 8.0 * objective.n * objective.dims * top * top):
+        check_fields([("beta_clamp", (cfg.beta_clamp or 1.0) >= 1.0,
+                       "makes the Lyapunov value infinite")])
+        raise DegenerateInstanceError("degenerate instance: C / mu makes V_k infinite")
     return topo, objective, mixing, schedule
 
 

@@ -152,15 +152,14 @@ def gradient_matrix(objective: RegressionObjective, x_rows: np.ndarray) -> np.nd
 
 
 def optimality_gaps(objective: RegressionObjective, points: np.ndarray) -> np.ndarray:
-    """f(p) - f* = e^T (G e + grad f(x*)), e = p - x*, at each row p of an (m, d)
-    stack: exact for least squares, and evaluated elementwise, one coordinate
-    after another, so a point's bits do not depend on the rest of its stack."""
+    """f(p) - f* = e^T (G e + grad f(x*)), e = p - x*, at each row p of an (m, d) stack:
+    exact for least squares, evaluated one coordinate after another, and its d terms added
+    in order, so for m >= 2 a point's bits do not depend on the rest of its stack."""
     e = np.subtract(points.T, objective.optimum[:, None], order="C")
     h = objective.grad_at_optimum[:, None] + objective.gram[:, :1] * e[0]
     for j in range(1, objective.dims):
         h += objective.gram[:, j:j + 1] * e[j]
-    # the d rows in order: an outer-axis reduce, but a lone point's column adds pairwise
-    return np.add.reduce(h * e) if len(points) > 1 else sum(h * e)
+    return np.add.reduce(h * e)  # numpy adds a lone point's column pairwise
 
 
 def save_instance_csv(objective: RegressionObjective, path) -> None:

@@ -222,6 +222,12 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
      ("invalid field beta_clamp: makes the Lyapunov value infinite",)),
     ("--config", '{"beta_clamp": 1e-302}',
      ("invalid field beta_clamp: makes the Lyapunov value infinite",)),
+    # at the default clamp, data whose C / mu makes the bound on V_k overflow, and
+    # data whose bound on range(K) overflows when squared
+    ("--config", '{"data": {"target_high": 3e149}}',
+     ("degenerate instance: C / mu makes V_k infinite",)),
+    ("--config", '{"data": {"feature_high": 0.01, "target_high": 1e150}}',
+     ("degenerate instance: C / mu makes V_k infinite",)),
     # an output directory below a regular file
     ("--output-dir", "a regular file",
      ("invalid field output_dir: cannot write", "input is not an existing directory")),
@@ -231,7 +237,8 @@ DISCONNECTED_EDGES = "4 2\n0 1\n2 3\n"
         "baseline-str", "graph-sampling", "degenerate-data", "feature-high-inf",
         "target-high-inf", "gram-overflow", "smoothness-overflow", "cube-overflow",
         "bound-overflow", "optimum-overflow", "subnormal-beta-clamp", "beta-clamp-1e-304",
-        "beta-clamp-1e-302", "output-below-file"])
+        "beta-clamp-1e-302", "c-over-mu-overflow", "range-square-overflow",
+        "output-below-file"])
 def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
                                                 content, expected):
     path = tmp_path / "input"
