@@ -86,18 +86,16 @@ def _stochastic_round(values, lower, delta, nbins, complements):
     return idx, q, worst
 
 
-def _quantize_values(x, grid: Grid, complements, checked_max: float):
-    """The one quantize step: float indices, their decoded values and max |q - x|,
-    for ``complements`` 1 - u of u = rng.random(x.shape) and checked_max, max |x|
-    if checked, or inf. Clamp-band inputs snap; farther out, or NaN, raises
-    GradientBoundError. A value farther from its input than one bin width plus the
-    clamp band, as at round 0 from any nonzero input, raises QuantizationSupportError."""
+def _quantize_values(x, grid: Grid, complements):
+    """The one quantize step: float indices, their decoded values and max |q - x|, for
+    ``complements`` 1 - u of u = rng.random(x.shape). Clamp-band inputs snap; farther out,
+    or NaN, raises GradientBoundError; a value farther from its input than one bin width
+    plus the clamp band (at round 0: any nonzero input) raises QuantizationSupportError."""
     if grid.k == 0:  # every index is zero and no uniform is drawn
         idx = q = np.zeros(x.shape)
         worst = np.maximum.reduce(np.abs(x), axis=None)
     else:
-        if checked_max > grid.range * (1.0 + CLAMP_BAND):
-            checked_max = check_range(x, grid.range, grid.k)
+        checked_max = check_range(x, grid.range, grid.k)
         values = x if checked_max <= grid.range else np.clip(x, -grid.range, grid.range)
         idx, q, worst = _stochastic_round(values, -grid.range, grid.delta, grid.bins,
                                           complements)
@@ -120,9 +118,9 @@ def quantize_matrix(x: np.ndarray, grid: Grid, rng) -> np.ndarray:
     coordinate) in row-major order. Inputs inside the clamp band are snapped to
     the interval; farther out, or NaN, raises GradientBoundError before any draw."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    checked = check_range(x, grid.range, grid.k)
+    check_range(x, grid.range, grid.k)  # round 0's too, and before any draw
     complements = None if grid.k == 0 else 1.0 - rng.random(x.shape)
-    return _quantize_values(x, grid, complements, checked)[0].astype(np.int64)
+    return _quantize_values(x, grid, complements)[0].astype(np.int64)
 
 
 def decode_matrix(indices: np.ndarray, grid: Grid) -> np.ndarray:

@@ -4,8 +4,12 @@ import operator
 import numpy as np
 import pytest
 
+from qdgm import algorithm
+from qdgm.algorithm import RoundState, initial_state
+from qdgm.errors import GradientBoundError, NonFiniteIterateError
 from qdgm.graph import NetworkTopology, lazy_metropolis, path_topology
 from qdgm.objective import build_objective, well_conditioned_instance
+from qdgm.quantizer import check_range
 from qdgm.schedules import Schedule
 
 # collected by the acceptance tests; printed in the terminal summary so each
@@ -34,8 +38,8 @@ def schedule(**overrides) -> Schedule:
 
 def constants(sched: Schedule, k: int) -> tuple:
     """run_round's constants of round k, evaluated alone from the schedule: alpha_k,
-    beta_k, the grid and range(k + 1)."""
-    return sched.alpha(k), float(sched.beta(k)), sched.grid(k), float(sched.grid(k + 1).range)
+    beta_k and the grid."""
+    return sched.alpha(k), float(sched.beta(k)), sched.grid(k)
 
 
 def in_order_sum(terms):
@@ -123,6 +127,34 @@ class ReplicaStreams:
         if k == 0:
             return np.ones(self.shape)
         return 1.0 - np.stack([stream.random(self.shape[1:]) for stream in self.streams])
+
+
+def engine_states(blocks):
+    """The round states of the engine's (first round, iterates) blocks, in round order."""
+    for first, xs in blocks:
+        for j, x in enumerate(xs):
+            yield RoundState(first + j, x)
+
+
+def reference_rounds(objective, mixing, schedule, *, iterations, seed, first, replicas,
+                     quantized):
+    """algorithm._run_rounds written out round by round: each round's constants and
+    uniforms drawn on their own, and each new iterate checked against its range as soon
+    as it is made, a non-finite one reported as made by its round. Yields one-round
+    blocks, so a consumer of the engine reads it too."""
+    state = initial_state(objective.n, objective.dims, replicas)
+    draws = ReplicaStreams(seed, state.x.shape, first)
+    yield 0, state.x[None]
+    for k in range(iterations):
+        state = algorithm.run_round(state, mixing, objective, *constants(schedule, k),
+                                    draws(k) if quantized else None)
+        try:
+            check_range(state.x, float(schedule.grid(k + 1).range), k + 1)
+        except GradientBoundError:
+            if np.isfinite(state.x).all():
+                raise
+            raise NonFiniteIterateError(f"non-finite iterate at round {k}") from None
+        yield k + 1, state.x[None]
 
 
 @pytest.fixture

@@ -252,7 +252,7 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
         rangek, delta = sched.grid(k).range, sched.grid(k).delta
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
-        state = RoundState(k, np.array([[[x_val]]]), abs(x_val))
+        state = RoundState(k, np.array([[[x_val]]]))
         nxt = run_round(state, mixing, obj, *constants(sched, state.k),
                         ReplicaStreams(1, state.x.shape)(k))
         gd = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)

@@ -1,7 +1,5 @@
 import ast
 import itertools
-import math
-import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (CountedArray, ReplicaStreams, constants, in_order_statistics,
-                      in_order_sum, running_averages, schedule)
+from conftest import (CountedArray, ReplicaStreams, constants, engine_states,
+                      in_order_statistics, in_order_sum, running_averages, schedule)
 from qdgm import algorithm, diagnostics, quantizer
 from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
                             run_experiment, run_round, RoundState)
@@ -49,7 +47,7 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     rangek, delta = sched.grid(k).range, sched.grid(k).delta
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
-    state = RoundState(k, np.array([[[x_val]]]), abs(x_val))
+    state = RoundState(k, np.array([[[x_val]]]))
     nxt = run_round(state, mixing, obj, *constants(sched, state.k),
                     ReplicaStreams(3, state.x.shape)(k))
     expected = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)
@@ -62,7 +60,7 @@ def test_fixed_point_at_common_root(hand_objective):
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     sched = Schedule.of(hand_objective, 1.0, 8)
     x = np.tile(hand_objective.optimum, (1, 2, 1))
-    state = RoundState(3, x.copy(), np.abs(x).max())
+    state = RoundState(3, x.copy())
     nxt = run_round(state, mixing, hand_objective, *constants(sched, state.k), None)
     assert np.abs(nxt.x - x).max() <= 1e-12
 
@@ -74,7 +72,7 @@ def test_two_agents_average_in_one_round():
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     sched = Schedule.of(obj, 1.0, 8)
     assert sched.beta(0) == 1.0
-    state = RoundState(0, np.array([[[2.0], [4.0]]]), 4.0)
+    state = RoundState(0, np.array([[[2.0], [4.0]]]))
     nxt = run_round(state, mixing, obj, *constants(sched, state.k), None)
     assert np.allclose(nxt.x, 3.0, atol=1e-12)
 
@@ -87,7 +85,7 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     rng = np.random.default_rng(12)
     for k in (0, 2, 9):
         x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
-        state = RoundState(k, x, np.abs(x).max())
+        state = RoundState(k, x)
         nxt = run_round(state, small_mixing, obj, *constants(sched, state.k), None)
         residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
         gbar = (2.0 * obj.features * residuals[:, None]).mean(axis=0)
@@ -130,7 +128,7 @@ def test_averaged_output_hand_values():
 def test_averaged_output_of_constant_trajectory():
     obj, mixing, sched = single_agent_setup()
     c = 0.8  # the optimum: stays put under baseline dynamics
-    state = RoundState(0, np.array([[[c]]]), c)
+    state = RoundState(0, np.array([[[c]]]))
     xs = [state.x]
     for _ in range(10):
         state = run_round(state, mixing, obj, *constants(sched, state.k), None)
@@ -274,47 +272,48 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
 
 
 @pytest.mark.parametrize("quantized", [True, False])
-def test_one_range_check_per_round(small_instance, small_mixing, monkeypatch,
-                                   quantized):
-    # the quantize step reuses the maximum the previous round's check
-    # returned: K rounds make K checks, of rounds 1..K, not 2K - 1
-    checked = []
-    check_range = quantizer.check_range
+def test_one_range_check_per_block(small_instance, small_mixing, monkeypatch, quantized):
+    # the engine checks the iterates of rounds 1..K once, a block at a time: [1],
+    # [2..33], [34..65], [66..70]; a quantized round's quantize step also checks its
+    # own input, the iterates of rounds 1..K-1, and an exact round checks nothing
+    checked, blocks = [], []
+    check_range, check_block = quantizer.check_range, algorithm._check_range_invariant
 
     def counted(x, rangek, k):
         checked.append(k)
         return check_range(x, rangek, k)
 
+    def counted_block(xs, ranges):
+        blocks.append(len(xs))
+        return check_block(xs, ranges)
+
     monkeypatch.setattr(quantizer, "check_range", counted)
-    monkeypatch.setattr(algorithm, "_check_range_invariant", counted)
-    run_experiment(small_instance, small_mixing, iterations=25, seed=3, bits=6,
+    monkeypatch.setattr(algorithm, "_check_range_invariant", counted_block)
+    run_experiment(small_instance, small_mixing, iterations=70, seed=3, bits=6,
                    quantized=quantized)
-    assert checked == list(range(1, 26))
+    assert blocks == [1, 32, 32, 5]
+    assert checked == (list(range(1, 70)) if quantized else [])
 
 
 def test_hand_built_state_is_checked_before_quantizing(small_instance,
                                                        small_mixing):
-    # a hand-built state whose maximum is unchecked (inf) is checked by the quantize step
+    # the quantize step checks its own input, so a hand-built state out of range fails
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 6)
     rangek = sched.grid(3).range
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 2, 1] = 2.0 * rangek
     with pytest.raises(GradientBoundError) as excinfo:
-        run_round(RoundState(3, x, math.inf), small_mixing, obj, *constants(sched, 3),
+        run_round(RoundState(3, x), small_mixing, obj, *constants(sched, 3),
                   ReplicaStreams(3, x.shape)(3))
     message = (f"gradient-bound violation: agent 2 reached {2.0 * rangek} at "
                f"round 3, outside quantization range +-{rangek}")
     assert str(excinfo.value) == message
-    # a maximum carried from a wider range is checked against this one
-    with pytest.raises(GradientBoundError, match=f"^{re.escape(message)}$"):
-        run_round(RoundState(3, x, 2.0 * rangek), small_mixing,
-                  obj, *constants(sched, 3), ReplicaStreams(3, x.shape)(3))
     # a stack names the replica by its slice index
     x = np.zeros((2, obj.n, obj.dims))
     x[1, 3, 0] = -2.0 * rangek
     with pytest.raises(GradientBoundError, match="agent 3 of replica 1 reached"):
-        run_round(RoundState(3, x, math.inf), small_mixing, obj, *constants(sched, 3),
+        run_round(RoundState(3, x), small_mixing, obj, *constants(sched, 3),
                   ReplicaStreams(3, x.shape)(3))
     # round 0 sends all-zero values, so a nonzero start breaks the support bound
     x = np.zeros((1, obj.n, obj.dims))
@@ -322,24 +321,31 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     with pytest.raises(QuantizationSupportError, match=(
             "^decoded value 0.25 away from its input at round 0, beyond the "
             "support bound 0.0$")):
-        run_round(RoundState(0, x, 0.25), small_mixing, obj, *constants(sched, 0),
+        run_round(RoundState(0, x), small_mixing, obj, *constants(sched, 0),
                   ReplicaStreams(3, x.shape)(0))
-    assert initial_state(obj.n, obj.dims).checked_max == 0.0
 
 
 # ufunc calls of one round on its (R, n, d) stacks, for any R: the update's five
 # (the mixing product, beta W q, (1 - beta) x, their sum, minus the scaled
-# gradients) and the range check's two (|x| and its max); a quantized round
-# adds the rounding body's ten. The gradient's einsum returns a plain array, so
+# gradients); the engine checks the new iterates once per block, not here. A
+# quantized round adds its quantize step's check of its input (|x| and its max)
+# and the rounding body's ten. The gradient's einsum returns a plain array, so
 # its passes are not counted here; the Python-level calls are.
-EXACT_ROUND_UFUNC_CALLS = 7
+EXACT_ROUND_UFUNC_CALLS = 5
 QUANTIZED_ROUND_UFUNC_CALLS = 17
 # Python-level calls of one round, which reads its constants as arguments and
-# calls no Schedule method
-EXACT_ROUND_PYTHON_CALLS = 13
+# calls no Schedule method; the exact round lost its range check's two (the
+# check's own call and the max)
+EXACT_ROUND_PYTHON_CALLS = 11
 QUANTIZED_ROUND_PYTHON_CALLS = 16
-# run_experiment's numpy calls per RECORD_BLOCK rounds for the averaged output
+# run_experiment's numpy calls for the averaged output per block of RECORD_BLOCK
+# rounds that records no round: the buffer like the block, the weighted iterates
+# and their in-order sum onto the carried one
 FOLD_CALLS = 3
+# numpy calls of the engine's range check of one block, at any block length and
+# any R: |x|, its max per round, the ranges widened by the clamp band, the
+# comparison and its all()
+BLOCK_CHECK_CALLS = 5
 
 
 def _round_work(replicas, quantized):
@@ -357,8 +363,7 @@ def _round_work(replicas, quantized):
     complements, round5 = draws(5) if quantized else None, constants(sched, 5)
     run_round(state, mixing, objective, *round5, complements)  # caches filled
     CountedArray.calls = 0
-    run_round(RoundState(5, state.x.view(CountedArray), state.checked_max), mixing,
-              objective, *round5,
+    run_round(RoundState(5, state.x.view(CountedArray)), mixing, objective, *round5,
               None if complements is None else complements.view(CountedArray))
     events = []
     sys.setprofile(lambda frame, event, arg: events.append(event))
@@ -377,6 +382,16 @@ def test_round_work_does_not_grow_with_the_replicas(quantized, ufunc_calls, pyth
     one, stack = _round_work(1, quantized), _round_work(8, quantized)
     assert one == stack
     assert one == (ufunc_calls, python_calls)
+
+
+@pytest.mark.parametrize("rounds, replicas", [(1, 1), (32, 1), (5, 8), (32, 100)])
+def test_block_check_work_does_not_grow_with_the_block(rounds, replicas):
+    # one max |x| per round of the block: a per-round or per-replica check fails here
+    xs = np.random.default_rng(rounds).uniform(-1.0, 1.0, (rounds, replicas, 4, 2))
+    ranges = np.ones(rounds).view(CountedArray)
+    CountedArray.calls = CountedArray.functions = 0
+    assert algorithm._check_range_invariant(xs.view(CountedArray), ranges) == rounds
+    assert CountedArray.calls + CountedArray.functions == BLOCK_CHECK_CALLS
 
 
 def test_package_has_no_assert_statements():
@@ -516,7 +531,7 @@ def _recorded(monkeypatch, seed=7, **kwargs):
     record, seen = diagnostics.make_record, []
 
     def captured(ks, x, z, *rest):
-        seen.append((list(ks), x, z))
+        seen.append((list(ks), x.copy(), z))  # run_experiment reuses its record buffer
         return record(ks, x, z, *rest)
 
     monkeypatch.setattr(diagnostics, "make_record", captured)
@@ -553,6 +568,24 @@ def test_partial_trace_averages_equal_a_sum_added_round_by_round(monkeypatch):
     assert ks == list(range(len(ks))) and 1 < len(ks) < 32
     for k, (z, reference) in enumerate(zip(zs, running_averages(list(xs)))):
         assert z.tobytes() == reference.tobytes(), k
+
+
+def test_a_lone_coordinate_is_summed_in_order(monkeypatch):
+    # one agent in one dimension: numpy would add a block's rounds after its last record
+    # pairwise, which moves this run's z_200; the engine adds them in order
+    objective, mixing, _ = single_agent_setup()
+    record, seen = diagnostics.make_record, []
+
+    def captured(ks, x, z, *rest):
+        seen.append((x.copy(), z.copy()))
+        return record(ks, x, z, *rest)
+
+    monkeypatch.setattr(diagnostics, "make_record", captured)
+    for record_at in (range(201), (0, 200)):
+        run_experiment(objective, mixing, iterations=200, seed=1, bits=8, quantized=False,
+                       record_at=record_at)
+    xs = np.concatenate([x for x, _ in seen[:-1]])
+    assert seen[-1][1][-1].tobytes() == running_averages(list(xs[:, None]))[200][0].tobytes()
 
 
 @pytest.mark.parametrize("quantized", [True, False])
@@ -603,22 +636,23 @@ def test_held_records_keep_no_fold_buffer_alive():
 
 
 def _own_work(monkeypatch, iterations, quantized):
-    """The numpy calls run_experiment makes on its arrays outside run_round and
+    """The numpy calls run_experiment makes on its arrays outside the engine and
     make_record, ufunc calls and array functions, over a run recorded at its ends:
-    every state it is handed holds a CountedArray."""
-    def uncounted(fn, counted_state):
-        def call(*args):
-            counts = CountedArray.calls, CountedArray.functions
-            result = fn(*args)
-            CountedArray.calls, CountedArray.functions = counts
-            if counted_state:
-                return RoundState(result.k, result.x.view(CountedArray), result.checked_max)
-            return result
-        return call
+    every block it is handed holds a CountedArray."""
+    engine, record = algorithm._run_rounds, diagnostics.make_record
 
-    monkeypatch.setattr(algorithm, "initial_state", uncounted(initial_state, True))
-    monkeypatch.setattr(algorithm, "run_round", uncounted(run_round, True))
-    monkeypatch.setattr(diagnostics, "make_record", uncounted(diagnostics.make_record, False))
+    def counted_blocks(*args, **kwargs):
+        for first, xs in engine(*args, **kwargs):
+            yield first, xs.view(CountedArray)
+
+    def uncounted(*args):
+        counts = CountedArray.calls, CountedArray.functions
+        result = record(*args)
+        CountedArray.calls, CountedArray.functions = counts
+        return result
+
+    monkeypatch.setattr(algorithm, "_run_rounds", counted_blocks)
+    monkeypatch.setattr(diagnostics, "make_record", uncounted)
     cfg = ExperimentConfig()
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(build_topology(cfg))
@@ -631,8 +665,8 @@ def _own_work(monkeypatch, iterations, quantized):
 
 @pytest.mark.parametrize("quantized", [True, False])
 def test_averaged_output_costs_one_fold_per_block_of_rounds(monkeypatch, quantized):
-    # the averaged output adds FOLD_CALLS numpy calls per RECORD_BLOCK rounds
-    # (concatenate, scale, accumulate), so a per-round average fails here
+    # the averaged output adds FOLD_CALLS numpy calls per block of RECORD_BLOCK rounds
+    # that records no round, so a per-round average or bookkeeping fails here
     work = [_own_work(monkeypatch, 32 * blocks, quantized) for blocks in (2, 4, 6)]
     assert work[1] - work[0] == work[2] - work[1] == 2 * FOLD_CALLS
 
@@ -641,18 +675,18 @@ def test_averaged_output_costs_one_fold_per_block_of_rounds(monkeypatch, quantiz
 @pytest.mark.parametrize("replicas", [1, 3])
 def test_yielded_states_are_never_written(small_instance, small_mixing,
                                           quantized, replicas):
-    # run_experiment holds yielded states, recorded or not yet folded, without
-    # copying them, so no later round may write into an earlier one's arrays
+    # a consumer may hold a yielded block without copying it, so no later round may
+    # write into an earlier block's array; the blocks hold rounds 0..40 in order
     sched = algorithm._schedule(small_instance, small_mixing, 6, 1.0, 40, 3)
     held, snapshots = [], []
-    for state in algorithm._run_rounds(small_instance, small_mixing, sched,
-                                       iterations=40, seed=3, first=0,
-                                       replicas=replicas, quantized=quantized):
-        held.append(state)
-        snapshots.append(state.x.copy())
-    assert [state.k for state in held] == list(range(41))
-    for state, x in zip(held, snapshots):
-        assert np.array_equal(state.x, x), state.k
+    for first, xs in algorithm._run_rounds(small_instance, small_mixing, sched,
+                                           iterations=40, seed=3, first=0,
+                                           replicas=replicas, quantized=quantized):
+        held.append((first, xs))
+        snapshots.append(xs.copy())
+    assert [(first, len(xs)) for first, xs in held] == [(0, 1), (1, 1), (2, 32), (34, 7)]
+    for (first, xs), copy in zip(held, snapshots):
+        assert np.array_equal(xs, copy), first
 
 
 @pytest.mark.parametrize("iterations", [-1, -2])
@@ -671,61 +705,63 @@ def test_negative_round_count_is_refused_before_any_work(
                        seed=1, bits=5)
     assert excinfo.value.partial_trace.table.shape == (0, len(diagnostics.TRACE_COLUMNS))
 
-def test_non_finite_iterate_detected():
-    obj, mixing, sched = single_agent_setup()
-    state = RoundState(2, np.array([[[1e308]]]), 1e308)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteIterateError):
-        run_round(state, mixing, obj, *constants(sched, state.k), None)
-
-
-def _poison_gradient(monkeypatch, where, value):
-    """Make every later gradient call set entry ``where`` to ``value``."""
-    gradient = algorithm.gradient_matrix
+def _poison_gradient(monkeypatch, where, value, at=0):
+    """Make the gradient call of round ``at`` and every later one set entry ``where``
+    to ``value``."""
+    gradient, calls = algorithm.gradient_matrix, []
 
     def poisoned(objective, x):
+        calls.append(None)
         grads = gradient(objective, x)
-        grads[where] = value
+        if len(calls) > at:
+            grads[where] = value
         return grads
 
     monkeypatch.setattr(algorithm, "gradient_matrix", poisoned)
 
 
-def _stack_after_one_round(obj, mixing, replicas=3):
-    sched = Schedule.of(obj, 1.0 - mixing.sigma2, 6)
-    state = run_round(initial_state(obj.n, obj.dims, replicas), mixing, obj,
-                      *constants(sched, 0), ReplicaStreams(3, (replicas, obj.n, obj.dims))(0))
-    return state, sched
+def test_non_finite_iterate_detected(monkeypatch):
+    # a gradient that overflows once scaled by alpha_0 = 2 makes round 0's iterate
+    # infinite; the engine's block check reports it as non-finite
+    obj, mixing, _ = single_agent_setup()
+    _poison_gradient(monkeypatch, (0, 0, 0), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteIterateError, match="^non-finite iterate at round 0$"):
+        run_experiment(obj, mixing, iterations=5, seed=0, bits=8, quantized=False)
+
+
+def _stack_rounds(obj, mixing, replicas=3, iterations=5):
+    """Every block of a quantized run of the engine on a stack, up to its failure."""
+    sched = algorithm._schedule(obj, mixing, 6, 1.0, iterations, 3)
+    return list(algorithm._run_rounds(obj, mixing, sched, iterations=iterations, seed=3,
+                                      first=0, replicas=replicas, quantized=True))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_replica_in_a_stack_is_named_non_finite(
         small_instance, small_mixing, monkeypatch, value):
-    # the bad iterate fails the range check first; the round reports it as
+    # the bad iterate fails the range check first; the engine reports it as
     # non-finite, not as a gradient-bound violation of replica 1
-    state, sched = _stack_after_one_round(small_instance, small_mixing)
-    _poison_gradient(monkeypatch, (1, 2, 0), value)
+    _poison_gradient(monkeypatch, (1, 2, 0), value, at=1)
     with pytest.raises(NonFiniteIterateError, match="^non-finite iterate at round 1$"):
-        run_round(state, small_mixing, small_instance, *constants(sched, state.k),
-                  ReplicaStreams(3, state.x.shape)(1))
+        _stack_rounds(small_instance, small_mixing)
 
 
 def test_finite_escape_in_a_stack_keeps_the_range_message(
         small_instance, small_mixing, monkeypatch):
-    state, sched = _stack_after_one_round(small_instance, small_mixing)
-    _poison_gradient(monkeypatch, (2, 1, 0), 1e6)
+    _poison_gradient(monkeypatch, (2, 1, 0), 1e6, at=1)
     with pytest.raises(GradientBoundError, match=(
             r"^gradient-bound violation: agent 1 of replica 2 reached \S+ at "
             r"round 2, outside quantization range \+-\S+$")):
-        run_round(state, small_mixing, small_instance, *constants(sched, state.k),
-                  ReplicaStreams(3, state.x.shape)(1))
+        _stack_rounds(small_instance, small_mixing)
 
 
 def _stream_states(objective, mixing, *, seed, first, replicas, iterations=70):
     """Every state of a quantized run of the engine's one round loop."""
     sched = algorithm._schedule(objective, mixing, 6, 1.0, iterations, seed)
-    return list(algorithm._run_rounds(objective, mixing, sched,
-                                      iterations=iterations, seed=seed, first=first,
-                                      replicas=replicas, quantized=True))
+    return list(engine_states(algorithm._run_rounds(
+        objective, mixing, sched, iterations=iterations, seed=seed, first=first,
+        replicas=replicas, quantized=True)))
 
 
 @pytest.mark.parametrize("replicas", [1, 3])
@@ -755,19 +791,22 @@ def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, re
 def test_block_tables_equal_constants_evaluated_round_by_round(quantized):
     # the engine evaluates round 0's constants alone, then one table per block of
     # RECORD_BLOCK rounds; a loop that evaluates every round's constants on their
-    # own yields the same states, byte for byte, across rounds 0, 1, 32, 33, 64, 65
+    # own makes the same iterates, byte for byte, across rounds 0, 1, 32, 33, 64, 65,
+    # and the blocks hold rounds [0], [1], [2..33], [34..65], [66..70]
     cfg, iterations = ExperimentConfig(), 70
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(build_topology(cfg))
     sched = algorithm._schedule(objective, mixing, cfg.bits, 1.0, iterations, cfg.seed)
-    engine = algorithm._run_rounds(objective, mixing, sched, iterations=iterations,
-                                   seed=cfg.seed, first=0, replicas=2, quantized=quantized)
+    blocks = list(algorithm._run_rounds(objective, mixing, sched, iterations=iterations,
+                                        seed=cfg.seed, first=0, replicas=2,
+                                        quantized=quantized))
+    assert [(first, len(xs)) for first, xs in blocks] == [(0, 1), (1, 1), (2, 32), (34, 32),
+                                                          (66, 5)]
     state = initial_state(objective.n, objective.dims, 2)
     draws = ReplicaStreams(cfg.seed, state.x.shape)
-    for k, engine_state in enumerate(engine):
+    for k, engine_state in enumerate(engine_states(blocks)):
         assert engine_state.k == state.k == k
         assert engine_state.x.tobytes() == state.x.tobytes(), k
-        assert engine_state.checked_max == state.checked_max, k
         if k < iterations:
             state = run_round(state, mixing, objective, *constants(sched, k),
                               draws(k) if quantized else None)
@@ -826,10 +865,10 @@ def test_round_zero_is_handed_defined_complements(small_instance, small_mixing,
     first_complements = []
     engine_round = algorithm.run_round
 
-    def recording(state, *args):
+    def recording(state, mixing, objective, alpha, beta, grid, complements, *out):
         if state.k == 0:
-            first_complements.append(args[-1].copy())
-        return engine_round(state, *args)
+            first_complements.append(complements.copy())
+        return engine_round(state, mixing, objective, alpha, beta, grid, complements, *out)
 
     monkeypatch.setattr(algorithm, "run_round", recording)
     run_experiment(small_instance, small_mixing, iterations=40, seed=5, bits=6)
@@ -846,7 +885,8 @@ def test_a_huge_round_count_starts_without_listing_its_blocks(small_instance, sm
     sched = algorithm._schedule(small_instance, small_mixing, 6, 1.0, 2**64, 1)
     engine = algorithm._run_rounds(small_instance, small_mixing, sched, iterations=2**64,
                                    seed=1, first=0, replicas=2, quantized=True)
-    assert [state.k for state in itertools.islice(engine, 40)] == list(range(40))
+    states = itertools.islice(engine_states(engine), 40)
+    assert [state.k for state in states] == list(range(40))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3])
@@ -919,8 +959,9 @@ def test_collect_ensemble_equals_per_round_statistics(n, d, replicas):
     ens = collect_ensemble(objective, mixing, iterations=40, seed=3, bits=8,
                            replicas=replicas)
     sched = algorithm._schedule(objective, mixing, 8, 1.0, 40, 3)
-    for state in algorithm._run_rounds(objective, mixing, sched, iterations=40, seed=3,
-                                       first=0, replicas=replicas, quantized=True):
+    for state in engine_states(algorithm._run_rounds(
+            objective, mixing, sched, iterations=40, seed=3, first=0, replicas=replicas,
+            quantized=True)):
         alone = diagnostics.ensemble_statistics(state.x, objective)
         for array, value in zip((ens.consensus_sq, ens.r_sq, ens.f_worst), alone):
             assert array[:, state.k].tobytes() == value.tobytes(), state.k

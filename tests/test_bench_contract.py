@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qdgm import algorithm, cli, diagnostics, quantizer
 from qdgm.config import ExperimentConfig
@@ -79,9 +80,9 @@ def test_sweep_and_partial_trace_checks(tmp_path):
     assert read_back.final().k == 3 and len(read_back.records) == 4
 
 
-def test_property_checks_run_inside_the_quantizer_spans(monkeypatch):
-    # `qdgm verify`'s codec checks reach the quantizer through the names the
-    # harness wraps: three encode spans, each with its rounding span inside
+def _installed_tracer(monkeypatch):
+    """The harness's own tracer, installed as bench/child.py installs it; teardown
+    restores every name it wraps."""
     class Restore:
         """Registers each name the tracer will replace, so teardown restores it."""
 
@@ -92,13 +93,42 @@ def test_property_checks_run_inside_the_quantizer_spans(monkeypatch):
     child.install_tracer(Restore(), cli, algorithm, quantizer, diagnostics, np)
     tracer = _load("spans").Tracer(0)
     child.install_tracer(tracer, cli, algorithm, quantizer, diagnostics, np)
+    return tracer
+
+
+def _spans(tracer):
+    """Each recorded span's name and its parent span's name (None at the root)."""
+    names = [tracer.names[i] for i in tracer.name]
+    return list(zip(names, [names[p] if p >= 0 else None for p in tracer.parent]))
+
+
+def test_property_checks_run_inside_the_quantizer_spans(monkeypatch):
+    # `qdgm verify`'s codec checks reach the quantizer through the names the
+    # harness wraps: three encode spans, each with its rounding span inside
+    tracer = _installed_tracer(monkeypatch)
     checks = cli.quantizer_property_checks(7)
     assert all(check["passed"] for check in checks)
-    names = [tracer.names[i] for i in tracer.name]
-    parents = [names[p] for p in tracer.parent]
+    names, parents = zip(*_spans(tracer))
     encodes = [p for n, p in zip(names, parents) if n == "quantizer.encode"]
     rounds = [p for n, p in zip(names, parents) if n == "quantizer.round"]
     assert encodes == ["cli.property_checks"] * 3
     assert rounds == ["quantizer.encode"] * 3
     assert names.count("quantizer.decode") == 6  # the decoded block and the received rows
     assert tracer.counters["messages"] == 3 * cli.PROPERTY_DRAWS // 10
+
+
+@pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "exact"])
+def test_traced_layers_see_the_engine(monkeypatch, quantized):
+    # the engine's rounds, their gradients and its range checks reach the spans the
+    # harness wraps, inside the loop span: one round and one gradient span per round,
+    # and a check per block of the 70 rounds [1], [2..33], [34..65] and [66..70]
+    tracer = _installed_tracer(monkeypatch)
+    cfg = ExperimentConfig(seed=7, iterations=70)
+    objective = cli.build_objective_from_config(cfg)
+    mixing = cli.lazy_metropolis(cli.build_topology(cfg))
+    cli.run_experiment(objective, mixing, iterations=70, seed=7, bits=cfg.bits,
+                       quantized=quantized)
+    spans = _spans(tracer)
+    assert spans.count(("algorithm.round", "algorithm.loop")) == 70
+    assert spans.count(("objective.gradient", "algorithm.round")) == 70
+    assert spans.count(("algorithm.range_check", "algorithm.loop")) >= 4

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import CountedArray, schedule
 from qdgm.errors import GradientBoundError, QuantizationSupportError
-from qdgm.quantizer import (CLAMP_BAND, check_range, decode_matrix, pack_index_rows,
+from qdgm.quantizer import (CLAMP_BAND, decode_matrix, pack_index_rows,
                             quantize_matrix, unpack_indices, _quantize_values,
                             _stochastic_round)
 
@@ -327,7 +325,7 @@ def test_upper_end_with_zero_uniform_takes_the_last_index(bits):
     assert np.all(idx == grid.bins)
     payloads = pack_index_rows(idx, bits)
     assert np.array_equal([unpack_indices(p, bits, 3) for p in payloads], idx)
-    _, q, err = _quantize_values(x[None], grid, np.ones((1, 2, 3)), grid.range)
+    _, q, err = _quantize_values(x[None], grid, np.ones((1, 2, 3)))
     assert q[0].tobytes() == decode_matrix(idx, grid).tobytes()
     assert err <= grid.delta
 
@@ -393,15 +391,14 @@ class FixedUniforms:
 
 def assert_engine_step_is_the_codec(x, grid, make_rng):
     # the engine's values are the decoded wire indices bit for bit, and its
-    # error is their max distance from x, with a carried maximum or an unchecked (inf) one
+    # error is their max distance from x
     indices = quantize_matrix(x, grid, make_rng())
     decoded = decode_matrix(indices, grid)
-    for checked_max in (math.inf, check_range(x, grid.range, grid.k)):
-        idx, q, err = _quantize_values(x, grid, 1.0 - make_rng().random(x.shape), checked_max)
-        assert np.array_equal(idx, indices)
-        assert q.dtype == decoded.dtype and q.shape == decoded.shape
-        assert q.tobytes() == decoded.tobytes()
-        assert err == np.abs(decoded - x).max()
+    idx, q, err = _quantize_values(x, grid, 1.0 - make_rng().random(x.shape))
+    assert np.array_equal(idx, indices)
+    assert q.dtype == decoded.dtype and q.shape == decoded.shape
+    assert q.tobytes() == decoded.tobytes()
+    assert err == np.abs(decoded - x).max()
 
 
 @pytest.mark.parametrize("bits", [1, 2, 5, 16])
@@ -440,7 +437,7 @@ def test_engine_step_equals_the_codec_after_guard_flips(bits, replicas):
 def test_engine_step_at_round_zero_sends_zeros():
     grid = schedule(mu=4.0, bits=4).grid(0)
     x = np.zeros((2, 3, 2))
-    idx, q, err = _quantize_values(x, grid, None, math.inf)
+    idx, q, err = _quantize_values(x, grid, None)
     assert np.array_equal(idx, quantize_matrix(x, grid, None))
     assert np.array_equal(q, decode_matrix(quantize_matrix(x, grid, None), grid))
     assert err == 0.0
@@ -449,7 +446,7 @@ def test_engine_step_at_round_zero_sends_zeros():
     with pytest.raises(QuantizationSupportError, match=(
             "^decoded value 0.5 away from its input at round 0, beyond the "
             "support bound 0.0$")):
-        _quantize_values(x, grid, None, math.inf)
+        _quantize_values(x, grid, None)
     # the codec refuses it too, as outside round 0's empty range
     with pytest.raises(GradientBoundError, match="at round 0, outside"):
         quantize_matrix(x, grid, None)
