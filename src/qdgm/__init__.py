@@ -8,7 +8,7 @@ to verify its convergence behavior.
 
 __version__ = "0.1.0"
 
-from .algorithm import RoundState, initial_state, run_experiment, run_round
+from .algorithm import run_experiment, run_round
 from .config import ExperimentConfig, load_config
 from .diagnostics import Trace, TraceRecord, gamma_k, lyapunov_value, rate_bound
 from .graph import (MixingMatrix, NetworkTopology, generate_random_connected_graph,
@@ -19,9 +19,9 @@ from .schedules import Schedule
 
 __all__ = [
     "ExperimentConfig", "MixingMatrix", "NetworkTopology", "RegressionObjective",
-    "RoundState", "Schedule", "Trace", "TraceRecord", "decode_matrix",
-    "gamma_k", "generate_instance", "generate_random_connected_graph",
-    "initial_state", "lazy_metropolis", "load_config", "lyapunov_value",
-    "pack_index_rows", "quantize_matrix", "rate_bound", "run_experiment",
-    "run_round", "spectral_gap", "unpack_indices", "well_conditioned_instance",
+    "Schedule", "Trace", "TraceRecord", "decode_matrix", "gamma_k",
+    "generate_instance", "generate_random_connected_graph", "lazy_metropolis",
+    "load_config", "lyapunov_value", "pack_index_rows", "quantize_matrix",
+    "rate_bound", "run_experiment", "run_round", "spectral_gap", "unpack_indices",
+    "well_conditioned_instance",
 ]

@@ -10,14 +10,16 @@ where the mixing row includes the agent's own weight applied to its own
 matrix as a whole. The reported output per agent is the (t+1)-weighted
 running average of its past iterates, which :func:`run_experiment` keeps as a sum.
 
-A round advances a stack of R replicas held as (R, n, d) arrays, a state holds k and
-x, and one loop drives them: a single run or its exact twin is the stack with R = 1,
-the Monte Carlo ensemble the stack of all replicas. The hot loop takes the quantizer's
-one quantize step, which the wire codec runs too, and never packs. It runs round 0
-alone, then RECORD_BLOCK rounds at a time, whose iterates it writes into one
-(B, R, n, d) array, checks against the growing range at once and yields whole. A round
-reads its constants, alpha_k, beta_k and its Grid, as arguments, evaluated once per
-block by the Schedule's array methods, so a value depends only on its round.
+A round advances a stack of R replicas held as (R, n, d) arrays, and one loop drives
+them, carrying the round k itself: a single run or its exact twin is the stack with
+R = 1, the Monte Carlo ensemble the stack of all replicas. The hot loop takes the
+quantizer's one quantize step, which the wire codec runs too, and never packs. It runs
+round 0 alone, then RECORD_BLOCK rounds at a time, whose iterates it writes into one
+(B, R, n, d) array, checks against the growing range and yields whole; a quantized
+round's quantize step checks its input, so a quantized block whose every round ran
+checks only its last iterate. A round reads its constants, alpha_k, beta_k and its Grid
+(none if exact), as arguments, evaluated CHUNK rounds at a time by the Schedule's array
+methods, so a value depends only on its round.
 
 Replica r's uniforms u are the PCG64 stream of default_rng([seed, r]), read in order:
 each quantized round k >= 1 reads one per (agent, coordinate), in row-major order, and
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, pairwise, repeat
 from types import SimpleNamespace
 
@@ -44,36 +45,24 @@ from .quantizer import CLAMP_BAND, Grid
 from .schedules import Schedule
 
 RECORD_BLOCK = 32  # rounds per block of the engine; rows per make_record call
+CHUNK = 1024  # rounds per evaluation of the round constants: 32 blocks
 # stack elements (S n d) per ensemble_statistics call at most; 2^14 ran R = 100 slower at 4 x 2
 ENSEMBLE_BLOCK = 2 ** 13
 
 
-@dataclass
-class RoundState:
-    """Lockstep (R, n, d) iterates after ``k`` rounds, in arrays never written again."""
-
-    k: int
-    x: np.ndarray
-
-
-def initial_state(n: int, d: int, replicas: int = 1) -> RoundState:
-    """All iterates start at exactly zero; the range schedule depends on it."""
-    return RoundState(0, np.zeros((replicas, n, d)))
-
-
-def run_round(state: RoundState, mixing: MixingMatrix, objective: RegressionObjective,
-              alpha: float, beta: float, grid: Grid, complements: np.ndarray | None,
-              out: np.ndarray | None = None) -> RoundState:
-    """Advance every agent of every replica one synchronized round.
+def run_round(x: np.ndarray, mixing: MixingMatrix, objective: RegressionObjective,
+              alpha: float, beta: float, grid: Grid | None, complements: np.ndarray | None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Advance every agent of every replica of the (R, n, d) iterates ``x`` of round k one
+    synchronized round, returning the new iterates (in ``out`` if given).
 
     ``alpha`` and ``beta`` are round k's steps and ``grid`` its quantizer grid.
     ``complements`` holds 1 - u for slice r's round-k draws u in slice r; round 0
     reads none. With ``complements=None`` the exchanged values are the raw iterates
     (infinite-bandwidth twin) and ``grid`` is not read; everything else is identical.
-    The quantize step checks its input's range and support bound; the new iterates,
-    in ``out`` if given, are checked by the engine, a block at a time.
+    The quantize step checks its input's range and support bound; the new iterates
+    are checked by the engine, a block at a time.
     """
-    x = state.x
     q = x if complements is None else quantizer._quantize_values(x, grid, complements)[1]
     grads = gradient_matrix(objective, x)
     # (1 - beta) x + beta (W q) - alpha grads, in place, in the same order
@@ -82,7 +71,7 @@ def run_round(state: RoundState, mixing: MixingMatrix, objective: RegressionObje
     x_next += (1.0 - beta) * x
     grads *= alpha
     x_next -= grads
-    return RoundState(state.k + 1, x_next)
+    return x_next
 
 
 def _check_range_invariant(xs: np.ndarray, ranges: np.ndarray) -> int:
@@ -123,41 +112,52 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: 
     """The one round loop: yields rounds 0 to ``iterations`` of ``replicas`` replicas from
     ``first`` on as blocks (first round, (B, R, n, d) iterates, never written again). At the
     first iterate out of range, or failed round, it yields the rounds before it and raises."""
-    state = initial_state(objective.n, objective.dims, replicas)
-    yield 0, state.x[None]
+    x = np.zeros((replicas, objective.n, objective.dims))  # the range schedule needs x_0 = 0
+    yield 0, x[None]
     # round 0 runs alone on complements 1 (it reads no uniforms), then each block of
     # RECORD_BLOCK rounds reads one; a run of no rounds or the exact twin keys no stream.
     keyed = range(first, first + replicas) if quantized and iterations else ()
     streams = [np.random.default_rng([seed, r]) for r in keyed]
     uniforms = np.ones((len(streams), RECORD_BLOCK, objective.n, objective.dims))
+    rows = uniforms.swapaxes(0, 1) if streams else repeat(None)  # a block's rounds' 1 - u
 
-    def float_event(message):  # numpy's warning in round state.k, unheard past a failure
-        if _check_range_invariant(xs[:state.k - lo], ranges[:state.k - lo]) < state.k - lo:
+    def float_event(message):  # numpy's warning in round k, unheard past a failure
+        if _check_range_invariant(xs[:k - lo], ranges[:k - lo]) < k - lo:
             raise FloatingPointError(message)
         warnings.warn(message.removeprefix("Warning: ").rstrip(), RuntimeWarning, stacklevel=2)
 
     logged = {kind: "log" for kind, mode in np.geterr().items() if mode == "warn"}
+    base, end = 0, -1  # the chunk's constants: of rounds base..end - 1, ranges of base..end
     for lo, hi in pairwise(chain((0,), range(1, iterations, RECORD_BLOCK), (iterations,))):
         if streams and lo:
             for stream, out in zip(streams, uniforms):
                 stream.random(out=out)
             np.subtract(1.0, uniforms, out=uniforms)  # the rounding reads 1 - u
-        # by one evaluation: the block's constants (no grid if exact), its iterates' ranges
-        ks = np.arange(lo, hi + 1)
-        grid = schedule.grid(ks)
-        grids = (map(Grid, ks.tolist(), grid.range.tolist(), grid.delta.tolist(),
-                     repeat(grid.bins)) if quantized else repeat(None))
-        table = zip(schedule.alpha(ks[:-1]).tolist(), schedule.beta(ks[:-1]).tolist(), grids)
-        xs, ranges, failure = np.empty((hi - lo, *state.x.shape)), grid.range[1:], None
+        if hi > end:  # by one evaluation, the next CHUNK rounds' (round 0's chunk: one more)
+            base, end = lo, min((lo or 1) + CHUNK, iterations)
+            ks = np.arange(base, end + 1)
+            alphas, betas = schedule.alpha(ks[:-1]).tolist(), schedule.beta(ks[:-1]).tolist()
+            if quantized:  # one Grid per round
+                chunk = schedule.grid(ks)
+                limits, grids = chunk.range, list(map(
+                    Grid, ks[:-1].tolist(), chunk.range.tolist(), chunk.delta.tolist(),
+                    repeat(chunk.bins)))
+            else:  # no Grid: range_k alone, the product grid makes
+                limits, grids = schedule.grad_bound * schedule.alpha_sum(ks), [None] * len(ks)
+        part, xs, failure = slice(lo - base, hi - base), np.empty((hi - lo, *x.shape)), None
+        ranges = limits[lo - base + 1:hi - base + 1]
+        table = zip(range(lo, hi), alphas[part], betas[part], grids[part], rows, xs)
         try:
             with np.errstate(call=SimpleNamespace(write=float_event), **logged):
-                for j, constants in enumerate(table):
-                    state = run_round(state, mixing, objective, *constants,
-                                      uniforms[:, j] if streams else None, xs[j])
+                for k, alpha, beta, grid, complements, out in table:
+                    x = run_round(x, mixing, objective, alpha, beta, grid, complements, out)
         except Exception as exc:  # the rounds before it stand if they are in range
             failure = exc
-        done = state.k - lo
-        if good := _check_range_invariant(xs[:done], ranges[:done]):
+        done = k - lo if failure else hi - lo
+        # a clean quantized block's quantize steps checked every iterate but its last
+        skip = max(done - 1, 0) if streams and not failure else 0
+        good = skip + _check_range_invariant(xs[skip:done], ranges[skip:done])
+        if good:
             yield lo + 1, xs[:good]
         if good < done and np.isfinite(xs[good]).all():  # raises, as the max is the same
             quantizer.check_range(xs[good], float(ranges[good]), lo + good + 1)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qdgm import algorithm
-from qdgm.algorithm import RoundState, initial_state
 from qdgm.errors import GradientBoundError, NonFiniteIterateError
 from qdgm.graph import NetworkTopology, lazy_metropolis, path_topology
 from qdgm.objective import build_objective, well_conditioned_instance
@@ -130,10 +129,10 @@ class ReplicaStreams:
 
 
 def engine_states(blocks):
-    """The round states of the engine's (first round, iterates) blocks, in round order."""
+    """The (k, x_k) of the engine's (first round, iterates) blocks, in round order."""
     for first, xs in blocks:
         for j, x in enumerate(xs):
-            yield RoundState(first + j, x)
+            yield first + j, x
 
 
 def reference_rounds(objective, mixing, schedule, *, iterations, seed, first, replicas,
@@ -142,19 +141,19 @@ def reference_rounds(objective, mixing, schedule, *, iterations, seed, first, re
     uniforms drawn on their own, and each new iterate checked against its range as soon
     as it is made, a non-finite one reported as made by its round. Yields one-round
     blocks, so a consumer of the engine reads it too."""
-    state = initial_state(objective.n, objective.dims, replicas)
-    draws = ReplicaStreams(seed, state.x.shape, first)
-    yield 0, state.x[None]
+    x = np.zeros((replicas, objective.n, objective.dims))
+    draws = ReplicaStreams(seed, x.shape, first)
+    yield 0, x[None]
     for k in range(iterations):
-        state = algorithm.run_round(state, mixing, objective, *constants(schedule, k),
-                                    draws(k) if quantized else None)
+        x = algorithm.run_round(x, mixing, objective, *constants(schedule, k),
+                                draws(k) if quantized else None)
         try:
-            check_range(state.x, float(schedule.grid(k + 1).range), k + 1)
+            check_range(x, float(schedule.grid(k + 1).range), k + 1)
         except GradientBoundError:
-            if np.isfinite(state.x).all():
+            if np.isfinite(x).all():
                 raise
             raise NonFiniteIterateError(f"non-finite iterate at round {k}") from None
-        yield k + 1, state.x[None]
+        yield k + 1, x[None]
 
 
 @pytest.fixture

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import ReplicaStreams, constants, report_acceptance, schedule
-from qdgm.algorithm import collect_ensemble, initial_state, run_experiment, \
-    run_round, RoundState
+from qdgm.algorithm import collect_ensemble, run_experiment, run_round
 from qdgm.cli import main as cli_main
 from qdgm.diagnostics import (check_consensus_recursion, check_descent_recursion,
                               fit_loglog_slope, rate_bound)
@@ -252,18 +251,17 @@ def test_criterion_8_codec_and_gradient_descent_reduction():
         rangek, delta = sched.grid(k).range, sched.grid(k).delta
         m = int(round((0.8 + rangek) / delta))
         x_val = -rangek + m * delta
-        state = RoundState(k, np.array([[[x_val]]]))
-        nxt = run_round(state, mixing, obj, *constants(sched, state.k),
-                        ReplicaStreams(1, state.x.shape)(k))
+        x = np.array([[[x_val]]])
+        nxt = run_round(x, mixing, obj, *constants(sched, k), ReplicaStreams(1, x.shape)(k))
         gd = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)
-        worst = max(worst, abs(nxt.x[0, 0, 0] - gd))
+        worst = max(worst, abs(nxt[0, 0, 0] - gd))
     # and the exact-exchange twin is plain gradient descent along a full run
-    state = initial_state(1, 1)
+    x = np.zeros((1, 1, 1))
     oracle = 0.0
     for k in range(200):
-        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
+        x = run_round(x, mixing, obj, *constants(sched, k), None)
         oracle = oracle - sched.alpha(k) * 2.0 * (oracle - 0.8)
-        worst = max(worst, abs(state.x[0, 0, 0] - oracle))
+        worst = max(worst, abs(x[0, 0, 0] - oracle))
     ok = worst <= 1e-12
     report_acceptance(8, ok, f"{checked} codec round-trips exact; gradient-"
                              f"descent reduction max deviation {worst:.2e}")

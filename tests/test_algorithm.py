@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import (CountedArray, ReplicaStreams, constants, engine_states,
-                      in_order_statistics, in_order_sum, running_averages, schedule)
+                      in_order_statistics, in_order_sum, reference_rounds, running_averages,
+                      schedule)
 from qdgm import algorithm, diagnostics, quantizer
-from qdgm.algorithm import (collect_ensemble, initial_state, record_points,
-                            run_experiment, run_round, RoundState)
+from qdgm.algorithm import collect_ensemble, record_points, run_experiment, run_round
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import fit_loglog_slope
@@ -31,12 +31,12 @@ def single_agent_setup(target=0.8):
 
 def test_single_agent_baseline_is_plain_gradient_descent():
     obj, mixing, sched = single_agent_setup()
-    state = initial_state(1, 1)
+    x = np.zeros((1, 1, 1))
     oracle = 0.0
     for k in range(100):
-        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
+        x = run_round(x, mixing, obj, *constants(sched, k), None)
         oracle = oracle - sched.alpha(k) * 2.0 * (oracle - 0.8)
-        assert abs(state.x[0, 0, 0] - oracle) <= 1e-12
+        assert abs(x[0, 0, 0] - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 37])
@@ -47,11 +47,10 @@ def test_single_agent_lattice_point_reduces_to_gradient_step(k):
     rangek, delta = sched.grid(k).range, sched.grid(k).delta
     m = int(round((0.8 + rangek) / delta))  # grid point nearest the optimum
     x_val = -rangek + m * delta
-    state = RoundState(k, np.array([[[x_val]]]))
-    nxt = run_round(state, mixing, obj, *constants(sched, state.k),
-                    ReplicaStreams(3, state.x.shape)(k))
+    x = np.array([[[x_val]]])
+    nxt = run_round(x, mixing, obj, *constants(sched, k), ReplicaStreams(3, x.shape)(k))
     expected = x_val - sched.alpha(k) * 2.0 * (x_val - 0.8)
-    assert abs(nxt.x[0, 0, 0] - expected) <= 1e-12
+    assert abs(nxt[0, 0, 0] - expected) <= 1e-12
 
 
 def test_fixed_point_at_common_root(hand_objective):
@@ -60,9 +59,8 @@ def test_fixed_point_at_common_root(hand_objective):
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     sched = Schedule.of(hand_objective, 1.0, 8)
     x = np.tile(hand_objective.optimum, (1, 2, 1))
-    state = RoundState(3, x.copy())
-    nxt = run_round(state, mixing, hand_objective, *constants(sched, state.k), None)
-    assert np.abs(nxt.x - x).max() <= 1e-12
+    nxt = run_round(x.copy(), mixing, hand_objective, *constants(sched, 3), None)
+    assert np.abs(nxt - x).max() <= 1e-12
 
 
 def test_two_agents_average_in_one_round():
@@ -72,9 +70,8 @@ def test_two_agents_average_in_one_round():
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     sched = Schedule.of(obj, 1.0, 8)
     assert sched.beta(0) == 1.0
-    state = RoundState(0, np.array([[[2.0], [4.0]]]))
-    nxt = run_round(state, mixing, obj, *constants(sched, state.k), None)
-    assert np.allclose(nxt.x, 3.0, atol=1e-12)
+    nxt = run_round(np.array([[[2.0], [4.0]]]), mixing, obj, *constants(sched, 0), None)
+    assert np.allclose(nxt, 3.0, atol=1e-12)
 
 
 def test_mean_iterate_update_identity(small_instance, small_mixing):
@@ -85,12 +82,11 @@ def test_mean_iterate_update_identity(small_instance, small_mixing):
     rng = np.random.default_rng(12)
     for k in (0, 2, 9):
         x = rng.uniform(-0.2, 0.2, size=(1, obj.n, obj.dims))
-        state = RoundState(k, x)
-        nxt = run_round(state, small_mixing, obj, *constants(sched, state.k), None)
+        nxt = run_round(x, small_mixing, obj, *constants(sched, k), None)
         residuals = np.einsum("ij,ij->i", x[0], obj.features) - obj.targets
         gbar = (2.0 * obj.features * residuals[:, None]).mean(axis=0)
         expected = x[0].mean(axis=0) - sched.alpha(k) * gbar
-        assert np.abs(nxt.x[0].mean(axis=0) - expected).max() <= 1e-12
+        assert np.abs(nxt[0].mean(axis=0) - expected).max() <= 1e-12
 
 
 def test_consensus_stays_exact_with_identical_objectives():
@@ -99,23 +95,22 @@ def test_consensus_stays_exact_with_identical_objectives():
     obj = build_objective(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))
     mixing = lazy_metropolis(NetworkTopology.from_edges(2, [(0, 1)]))
     sched = Schedule.of(obj, 1.0, 8)
-    state = initial_state(2, 1)
-    for _ in range(30):
-        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
-        assert state.x[0, 0, 0] == state.x[0, 1, 0]
+    x = np.zeros((1, 2, 1))
+    for k in range(30):
+        x = run_round(x, mixing, obj, *constants(sched, k), None)
+        assert x[0, 0, 0] == x[0, 1, 0]
 
 
 def test_round_zero_sends_empty_payloads(small_instance, small_mixing):
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 6)
-    state = initial_state(obj.n, obj.dims)
-    sent = quantizer.quantize_matrix(state.x, sched.grid(0), np.random.default_rng(5))
+    x = np.zeros((1, obj.n, obj.dims))
+    sent = quantizer.quantize_matrix(x, sched.grid(0), np.random.default_rng(5))
     assert sent.shape == (1, obj.n, obj.dims) and np.all(sent == 0)
-    nxt = run_round(state, small_mixing, obj, *constants(sched, state.k),
-                    ReplicaStreams(5, state.x.shape)(0))
+    nxt = run_round(x, small_mixing, obj, *constants(sched, 0), ReplicaStreams(5, x.shape)(0))
     # first move is the pure gradient step from zero
     expected = -sched.alpha(0) * 2.0 * obj.features * (-obj.targets[:, None])
-    assert np.abs(nxt.x - expected).max() <= 1e-15
+    assert np.abs(nxt - expected).max() <= 1e-15
 
 
 def test_averaged_output_hand_values():
@@ -128,24 +123,20 @@ def test_averaged_output_hand_values():
 def test_averaged_output_of_constant_trajectory():
     obj, mixing, sched = single_agent_setup()
     c = 0.8  # the optimum: stays put under baseline dynamics
-    state = RoundState(0, np.array([[[c]]]))
-    xs = [state.x]
-    for _ in range(10):
-        state = run_round(state, mixing, obj, *constants(sched, state.k), None)
-        xs.append(state.x)
+    xs = [np.array([[[c]]])]
+    for k in range(10):
+        xs.append(run_round(xs[-1], mixing, obj, *constants(sched, k), None))
     assert running_averages(xs)[-1][0, 0, 0] == pytest.approx(c, abs=1e-14)
 
 
 def test_incremental_average_matches_recomputation(small_instance, small_mixing):
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 5)
-    state = initial_state(obj.n, obj.dims)
-    history = [state.x.copy()]
-    draws = ReplicaStreams(21, state.x.shape)
-    for _ in range(60):
-        state = run_round(state, small_mixing, obj, *constants(sched, state.k),
-                          draws(state.k))
-        history.append(state.x.copy())
+    history = [np.zeros((1, obj.n, obj.dims))]
+    draws = ReplicaStreams(21, history[0].shape)
+    for k in range(60):
+        history.append(run_round(history[-1], small_mixing, obj, *constants(sched, k),
+                                 draws(k)))
     weights = np.arange(1, len(history))  # x_0..x_{K-1} weighted 1..K
     recomputed = np.tensordot(weights, np.asarray(history[:-1]), axes=(0, 0)) \
         / weights.sum()
@@ -155,23 +146,22 @@ def test_incremental_average_matches_recomputation(small_instance, small_mixing)
 def test_run_round_is_reproducible(small_instance, small_mixing):
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
-    state = initial_state(obj.n, obj.dims)
-    draws = ReplicaStreams(9, state.x.shape)
-    for _ in range(3):
-        state = run_round(state, small_mixing, obj, *constants(sched, state.k),
-                          draws(state.k))
-    complements = draws(state.k)
-    a = run_round(state, small_mixing, obj, *constants(sched, state.k), complements)
-    b = run_round(state, small_mixing, obj, *constants(sched, state.k), complements)
-    assert np.array_equal(a.x, b.x)
+    x = np.zeros((1, obj.n, obj.dims))
+    draws = ReplicaStreams(9, x.shape)
+    for k in range(3):
+        x = run_round(x, small_mixing, obj, *constants(sched, k), draws(k))
+    complements = draws(3)
+    a = run_round(x, small_mixing, obj, *constants(sched, 3), complements)
+    b = run_round(x, small_mixing, obj, *constants(sched, 3), complements)
+    assert np.array_equal(a, b)
     # a different replica index rewires the randomness; one round's eight
     # rounding choices can agree by chance, five rounds do not
     later = {}
     for first in (0, 1):
-        c, draws = state, ReplicaStreams(9, state.x.shape, first)
-        for _ in range(5):
-            c = run_round(c, small_mixing, obj, *constants(sched, c.k), draws(c.k))
-        later[first] = c.x
+        c, draws = x, ReplicaStreams(9, x.shape, first)
+        for k in range(3, 8):
+            c = run_round(c, small_mixing, obj, *constants(sched, k), draws(k))
+        later[first] = c
     assert not np.array_equal(later[0], later[1])
 
 
@@ -182,29 +172,26 @@ def test_batched_round_matches_single_replica_rounds(small_instance, small_mixin
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
 
     def rounds(first, replicas):
-        state = initial_state(obj.n, obj.dims, replicas)
-        draws = ReplicaStreams(9, state.x.shape, first)
-        states = [state]
-        for _ in range(25):
-            state = run_round(state, small_mixing, obj, *constants(sched, state.k),
-                              draws(state.k))
-            states.append(state)
-        return states
+        xs = [np.zeros((replicas, obj.n, obj.dims))]
+        draws = ReplicaStreams(9, xs[0].shape, first)
+        for k in range(25):
+            xs.append(run_round(xs[-1], small_mixing, obj, *constants(sched, k), draws(k)))
+        return xs
 
     stack = rounds(2, 3)
     singles = [rounds(2 + r, 1) for r in range(3)]
-    stack_z = running_averages([s.x for s in stack])
-    singles_z = [running_averages([s.x for s in single]) for single in singles]
-    for k, state in enumerate(stack):
+    stack_z = running_averages(stack)
+    singles_z = [running_averages(single) for single in singles]
+    for k, x in enumerate(stack):
         for r, single in enumerate(singles):
-            assert np.array_equal(state.x[r], single[k].x[0])
+            assert np.array_equal(x[r], single[k][0])
             assert np.array_equal(stack_z[k][r], singles_z[r][k][0])
-    assert not np.array_equal(stack[-1].x[0], stack[-1].x[2])
+    assert not np.array_equal(stack[-1][0], stack[-1][2])
     # replicas 3 and 4 depend neither on the stack size nor on where it starts
-    from_zero, from_three = rounds(0, 5)[-1].x, rounds(3, 2)[-1].x
+    from_zero, from_three = rounds(0, 5)[-1], rounds(3, 2)[-1]
     for r in (3, 4):
         assert np.array_equal(from_zero[r], from_three[r - 3])
-        assert np.array_equal(from_zero[r], singles[r - 2][-1].x[0])
+        assert np.array_equal(from_zero[r], singles[r - 2][-1][0])
 
 
 def test_ensemble_statistics_match_single_run_records():
@@ -255,8 +242,8 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 4)
     draws = ReplicaStreams(4, (1, obj.n, obj.dims))
-    state = run_round(initial_state(obj.n, obj.dims), small_mixing, obj,
-                      *constants(sched, 0), draws(0))
+    x = run_round(np.zeros((1, obj.n, obj.dims)), small_mixing, obj, *constants(sched, 0),
+                  draws(0))
     stochastic_round = quantizer._stochastic_round
 
     def shifted(values, lower, delta, nbins, complements):
@@ -266,16 +253,17 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
 
     monkeypatch.setattr(quantizer, "_stochastic_round", shifted)
     with pytest.raises(QuantizationSupportError, match="round 1"):
-        run_round(state, small_mixing, obj, *constants(sched, state.k), draws(1))
+        run_round(x, small_mixing, obj, *constants(sched, 1), draws(1))
     with pytest.raises(QuantizationSupportError, match="round 1"):
-        quantizer.quantize_matrix(state.x, sched.grid(1), np.random.default_rng(4))
+        quantizer.quantize_matrix(x, sched.grid(1), np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("quantized", [True, False])
 def test_one_range_check_per_block(small_instance, small_mixing, monkeypatch, quantized):
     # the engine checks the iterates of rounds 1..K once, a block at a time: [1],
-    # [2..33], [34..65], [66..70]; a quantized round's quantize step also checks its
-    # own input, the iterates of rounds 1..K-1, and an exact round checks nothing
+    # [2..33], [34..65], [66..70]. A quantized round's quantize step checks its own
+    # input, the iterates of rounds 1..K-1, so a quantized block whose every round ran
+    # hands the block check its last iterate alone; an exact round checks nothing
     checked, blocks = [], []
     check_range, check_block = quantizer.check_range, algorithm._check_range_invariant
 
@@ -291,8 +279,96 @@ def test_one_range_check_per_block(small_instance, small_mixing, monkeypatch, qu
     monkeypatch.setattr(algorithm, "_check_range_invariant", counted_block)
     run_experiment(small_instance, small_mixing, iterations=70, seed=3, bits=6,
                    quantized=quantized)
-    assert blocks == [1, 32, 32, 5]
+    assert blocks == ([1, 1, 1, 1] if quantized else [1, 32, 32, 5])
     assert checked == (list(range(1, 70)) if quantized else [])
+
+
+# rounds of a run that crosses two chunks of constants: rounds 0..1024, 1025..2048 and
+# 2049..2099, in blocks [0], [1..32], ..., [2049..2080], [2081..2099]
+CHUNK_RUN = 2100
+BLOCK_ENDS = [1, *range(33, CHUNK_RUN, algorithm.RECORD_BLOCK), CHUNK_RUN]
+
+
+def _engine_blocks(objective, mixing, quantized, replicas, bits=6):
+    """The (first round, iterates) blocks of a CHUNK_RUN-round run of the engine."""
+    sched = algorithm._schedule(objective, mixing, bits, 1.0, CHUNK_RUN, 3)
+    return list(algorithm._run_rounds(objective, mixing, sched, iterations=CHUNK_RUN, seed=3,
+                                      first=0, replicas=replicas, quantized=quantized))
+
+
+@pytest.mark.parametrize("quantized, replicas", [(True, 1), (False, 1), (True, 3)],
+                         ids=["quantized", "exact", "stack"])
+def test_every_iterate_is_range_checked(small_instance, small_mixing, monkeypatch,
+                                        quantized, replicas):
+    # the quantize steps' checks and the block checks together see the iterate of
+    # every round 1..K; a quantized block whose every round ran hands the block check
+    # its last iterate alone, as the quantize steps checked the others
+    ranges_by_round = algorithm._schedule(small_instance, small_mixing, 6, 1.0, CHUNK_RUN,
+                                          3).grid(np.arange(CHUNK_RUN + 1)).range
+    checked, blocks = set(), []
+    check_range, check_block = quantizer.check_range, algorithm._check_range_invariant
+
+    def counted(x, rangek, k):
+        checked.add(k)
+        return check_range(x, rangek, k)
+
+    def counted_block(xs, ranges):  # the rounds of the iterates, by their ranges
+        rounds = np.searchsorted(ranges_by_round, ranges)
+        assert np.array_equal(ranges_by_round[rounds], ranges)
+        blocks.append(rounds.tolist())
+        return check_block(xs, ranges)
+
+    monkeypatch.setattr(quantizer, "check_range", counted)
+    monkeypatch.setattr(algorithm, "_check_range_invariant", counted_block)
+    _engine_blocks(small_instance, small_mixing, quantized, replicas)
+    assert checked | set(itertools.chain(*blocks)) == set(range(1, CHUNK_RUN + 1))
+    if quantized:
+        assert checked == set(range(1, CHUNK_RUN))
+        assert blocks == [[end] for end in BLOCK_ENDS]
+    else:
+        assert checked == set()
+        assert blocks == [list(range(lo + 1, hi + 1)) for lo, hi in
+                          zip([0, *BLOCK_ENDS], BLOCK_ENDS)]
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_constants_are_evaluated_once_per_chunk(small_instance, small_mixing, monkeypatch,
+                                                quantized):
+    # the engine evaluates beta_k and the grid of three chunks of rounds, not of its
+    # 67 blocks, and builds one Grid per quantized round; an exact run builds none
+    calls = {"beta": 0, "grid": 0, "Grid": 0}
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    counted(Schedule, "beta")
+    counted(Schedule, "grid")
+    counted(algorithm, "Grid")
+    _engine_blocks(small_instance, small_mixing, quantized, 1)
+    assert calls == ({"beta": 3, "grid": 3, "Grid": CHUNK_RUN} if quantized else
+                     {"beta": 3, "grid": 0, "Grid": 0})
+
+
+@pytest.mark.parametrize("quantized, replicas", [(True, 1), (False, 1), (True, 3)],
+                         ids=["quantized", "exact", "stack"])
+def test_chunk_boundaries_never_change_a_round(quantized, replicas):
+    # the engine's iterates across the chunks of constants at rounds 1025 and 2049 equal
+    # the per-round reference's, which evaluates each round's constants alone
+    cfg = ExperimentConfig()
+    objective = build_objective_from_config(cfg)
+    mixing = lazy_metropolis(build_topology(cfg))
+    sched = algorithm._schedule(objective, mixing, cfg.bits, 1.0, CHUNK_RUN, cfg.seed)
+    engine, reference = (np.concatenate([xs for _, xs in rounds(
+        objective, mixing, sched, iterations=CHUNK_RUN, seed=cfg.seed, first=0,
+        replicas=replicas, quantized=quantized)]) for rounds in (algorithm._run_rounds,
+                                                                 reference_rounds))
+    assert engine.shape == (CHUNK_RUN + 1, replicas, objective.n, objective.dims)
+    assert engine.tobytes() == reference.tobytes()
 
 
 def test_hand_built_state_is_checked_before_quantizing(small_instance,
@@ -304,8 +380,7 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 2, 1] = 2.0 * rangek
     with pytest.raises(GradientBoundError) as excinfo:
-        run_round(RoundState(3, x), small_mixing, obj, *constants(sched, 3),
-                  ReplicaStreams(3, x.shape)(3))
+        run_round(x, small_mixing, obj, *constants(sched, 3), ReplicaStreams(3, x.shape)(3))
     message = (f"gradient-bound violation: agent 2 reached {2.0 * rangek} at "
                f"round 3, outside quantization range +-{rangek}")
     assert str(excinfo.value) == message
@@ -313,16 +388,14 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
     x = np.zeros((2, obj.n, obj.dims))
     x[1, 3, 0] = -2.0 * rangek
     with pytest.raises(GradientBoundError, match="agent 3 of replica 1 reached"):
-        run_round(RoundState(3, x), small_mixing, obj, *constants(sched, 3),
-                  ReplicaStreams(3, x.shape)(3))
+        run_round(x, small_mixing, obj, *constants(sched, 3), ReplicaStreams(3, x.shape)(3))
     # round 0 sends all-zero values, so a nonzero start breaks the support bound
     x = np.zeros((1, obj.n, obj.dims))
     x[0, 1, 0] = 0.25
     with pytest.raises(QuantizationSupportError, match=(
             "^decoded value 0.25 away from its input at round 0, beyond the "
             "support bound 0.0$")):
-        run_round(RoundState(0, x), small_mixing, obj, *constants(sched, 0),
-                  ReplicaStreams(3, x.shape)(0))
+        run_round(x, small_mixing, obj, *constants(sched, 0), ReplicaStreams(3, x.shape)(0))
 
 
 # ufunc calls of one round on its (R, n, d) stacks, for any R: the update's five
@@ -335,9 +408,9 @@ EXACT_ROUND_UFUNC_CALLS = 5
 QUANTIZED_ROUND_UFUNC_CALLS = 17
 # Python-level calls of one round, which reads its constants as arguments and
 # calls no Schedule method; the exact round lost its range check's two (the
-# check's own call and the max)
-EXACT_ROUND_PYTHON_CALLS = 11
-QUANTIZED_ROUND_PYTHON_CALLS = 16
+# check's own call and the max), and both lost the RoundState they returned
+EXACT_ROUND_PYTHON_CALLS = 10
+QUANTIZED_ROUND_PYTHON_CALLS = 15
 # run_experiment's numpy calls for the averaged output per block of RECORD_BLOCK
 # rounds that records no round: the buffer like the block, the weighted iterates
 # and their in-order sum onto the carried one
@@ -355,20 +428,20 @@ def _round_work(replicas, quantized):
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(build_topology(cfg))
     sched = algorithm._schedule(objective, mixing, cfg.bits, 1.0, 6, cfg.seed)
-    state = initial_state(objective.n, objective.dims, replicas)
-    draws = ReplicaStreams(cfg.seed, state.x.shape)
+    x = np.zeros((replicas, objective.n, objective.dims))
+    draws = ReplicaStreams(cfg.seed, x.shape)
     for k in range(5):
-        state = run_round(state, mixing, objective, *constants(sched, k),
-                          draws(k) if quantized else None)
+        x = run_round(x, mixing, objective, *constants(sched, k),
+                      draws(k) if quantized else None)
     complements, round5 = draws(5) if quantized else None, constants(sched, 5)
-    run_round(state, mixing, objective, *round5, complements)  # caches filled
+    run_round(x, mixing, objective, *round5, complements)  # caches filled
     CountedArray.calls = 0
-    run_round(RoundState(5, state.x.view(CountedArray)), mixing, objective, *round5,
+    run_round(x.view(CountedArray), mixing, objective, *round5,
               None if complements is None else complements.view(CountedArray))
     events = []
     sys.setprofile(lambda frame, event, arg: events.append(event))
     try:
-        run_round(state, mixing, objective, *round5, complements)
+        run_round(x, mixing, objective, *round5, complements)
     finally:
         sys.setprofile(None)
     return CountedArray.calls, events.count("call") + events.count("c_call")
@@ -414,15 +487,13 @@ def test_growing_range_invariant_over_run(small_instance, small_mixing):
 def test_update_is_convex_combination_plus_gradient(small_instance, small_mixing):
     obj = small_instance
     sched = Schedule.of(obj, 1.0 - small_mixing.sigma2, 3)
-    state = initial_state(obj.n, obj.dims)
-    draws = ReplicaStreams(17, state.x.shape)
-    for _ in range(80):
-        nxt = run_round(state, small_mixing, obj, *constants(sched, state.k), draws(state.k))
-        k = state.k
-        cap = max(np.abs(state.x).max(), sched.grid(k).range) \
-            + sched.alpha(k) * obj.grad_bound
-        assert np.abs(nxt.x).max() <= cap + 1e-12
-        state = nxt
+    x = np.zeros((1, obj.n, obj.dims))
+    draws = ReplicaStreams(17, x.shape)
+    for k in range(80):
+        nxt = run_round(x, small_mixing, obj, *constants(sched, k), draws(k))
+        cap = max(np.abs(x).max(), sched.grid(k).range) + sched.alpha(k) * obj.grad_bound
+        assert np.abs(nxt).max() <= cap + 1e-12
+        x = nxt
 
 
 def test_run_experiment_deterministic(small_instance, small_mixing, tmp_path):
@@ -692,10 +763,10 @@ def test_yielded_states_are_never_written(small_instance, small_mixing,
 @pytest.mark.parametrize("iterations", [-1, -2])
 def test_negative_round_count_is_refused_before_any_work(
         small_instance, small_mixing, monkeypatch, iterations):
-    def no_state(*args, **kwargs):
-        raise AssertionError("a round state was built")
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the round engine was started")
 
-    monkeypatch.setattr(algorithm, "initial_state", no_state)
+    monkeypatch.setattr(algorithm, "_run_rounds", no_engine)
     message = "^iterations must be nonnegative$"
     with pytest.raises(ValueError, match=message):
         collect_ensemble(small_instance, small_mixing, iterations=iterations,
@@ -757,7 +828,7 @@ def test_finite_escape_in_a_stack_keeps_the_range_message(
 
 
 def _stream_states(objective, mixing, *, seed, first, replicas, iterations=70):
-    """Every state of a quantized run of the engine's one round loop."""
+    """Every (k, x_k) of a quantized run of the engine's one round loop."""
     sched = algorithm._schedule(objective, mixing, 6, 1.0, iterations, seed)
     return list(engine_states(algorithm._run_rounds(
         objective, mixing, sched, iterations=iterations, seed=seed, first=first,
@@ -772,27 +843,25 @@ def test_run_reads_each_replica_stream_in_order(small_instance, small_mixing, re
     states = _stream_states(small_instance, small_mixing, seed=11, first=0,
                             replicas=replicas)
     sched = algorithm._schedule(small_instance, small_mixing, 6, 1.0, 70, 11)
-    state = initial_state(small_instance.n, small_instance.dims, replicas)
-    draws = ReplicaStreams(11, state.x.shape)
-    reference = [state]
-    for k, engine in enumerate(states):
-        assert engine.k == state.k == k
-        assert np.array_equal(engine.x, state.x), k
+    reference = [np.zeros((replicas, small_instance.n, small_instance.dims))]
+    draws = ReplicaStreams(11, reference[0].shape)
+    for k, (engine_k, x) in enumerate(states):
+        assert engine_k == k
+        assert np.array_equal(x, reference[k]), k
         if k < 70:
-            state = run_round(state, small_mixing, small_instance,
-                              *constants(sched, state.k), draws(k))
-            reference.append(state)
-    for k, (z, z_ref) in enumerate(zip(running_averages([s.x for s in states]),
-                                       running_averages([s.x for s in reference]))):
+            reference.append(run_round(reference[k], small_mixing, small_instance,
+                                       *constants(sched, k), draws(k)))
+    for k, (z, z_ref) in enumerate(zip(running_averages([x for _, x in states]),
+                                       running_averages(reference))):
         assert np.array_equal(z, z_ref), k
 
 
 @pytest.mark.parametrize("quantized", [True, False])
 def test_block_tables_equal_constants_evaluated_round_by_round(quantized):
-    # the engine evaluates round 0's constants alone, then one table per block of
-    # RECORD_BLOCK rounds; a loop that evaluates every round's constants on their
-    # own makes the same iterates, byte for byte, across rounds 0, 1, 32, 33, 64, 65,
-    # and the blocks hold rounds [0], [1], [2..33], [34..65], [66..70]
+    # the engine evaluates its constants in one table of the run's rounds and slices it
+    # per block of RECORD_BLOCK rounds; a loop that evaluates every round's constants on
+    # their own makes the same iterates, byte for byte, across rounds 0, 1, 32, 33, 64,
+    # 65, and the blocks hold rounds [0], [1], [2..33], [34..65], [66..70]
     cfg, iterations = ExperimentConfig(), 70
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(build_topology(cfg))
@@ -802,14 +871,14 @@ def test_block_tables_equal_constants_evaluated_round_by_round(quantized):
                                         quantized=quantized))
     assert [(first, len(xs)) for first, xs in blocks] == [(0, 1), (1, 1), (2, 32), (34, 32),
                                                           (66, 5)]
-    state = initial_state(objective.n, objective.dims, 2)
-    draws = ReplicaStreams(cfg.seed, state.x.shape)
-    for k, engine_state in enumerate(engine_states(blocks)):
-        assert engine_state.k == state.k == k
-        assert engine_state.x.tobytes() == state.x.tobytes(), k
+    reference = np.zeros((2, objective.n, objective.dims))
+    draws = ReplicaStreams(cfg.seed, reference.shape)
+    for k, (engine_k, x) in enumerate(engine_states(blocks)):
+        assert engine_k == k
+        assert x.tobytes() == reference.tobytes(), k
         if k < iterations:
-            state = run_round(state, mixing, objective, *constants(sched, k),
-                              draws(k) if quantized else None)
+            reference = run_round(reference, mixing, objective, *constants(sched, k),
+                                  draws(k) if quantized else None)
     assert k == iterations
 
 
@@ -822,13 +891,13 @@ def test_stack_slice_is_the_single_run_of_its_replica(small_instance, small_mixi
     for r in range(replicas):
         single = _stream_states(small_instance, small_mixing, seed=9, first=first + r,
                                 replicas=1)
-        averages = zip(running_averages([s.x for s in stack]),
-                       running_averages([s.x for s in single]))
-        for k, (state, alone, (z, z_alone)) in enumerate(zip(stack, single, averages)):
-            assert np.array_equal(state.x[r], alone.x[0]), (r, k)
+        averages = zip(running_averages([x for _, x in stack]),
+                       running_averages([x for _, x in single]))
+        for k, ((_, x), (_, alone), (z, z_alone)) in enumerate(zip(stack, single, averages)):
+            assert np.array_equal(x[r], alone[0]), (r, k)
             assert np.array_equal(z[r], z_alone[0]), (r, k)
     if replicas > 1:  # the replicas' streams differ, and so do their paths
-        assert any(not np.array_equal(state.x[0], state.x[1]) for state in stack)
+        assert any(not np.array_equal(x[0], x[1]) for _, x in stack)
 
 
 def test_quantized_run_keys_one_generator_per_replica(
@@ -865,10 +934,10 @@ def test_round_zero_is_handed_defined_complements(small_instance, small_mixing,
     first_complements = []
     engine_round = algorithm.run_round
 
-    def recording(state, mixing, objective, alpha, beta, grid, complements, *out):
-        if state.k == 0:
+    def recording(x, mixing, objective, alpha, beta, grid, complements, *out):
+        if grid.k == 0:
             first_complements.append(complements.copy())
-        return engine_round(state, mixing, objective, alpha, beta, grid, complements, *out)
+        return engine_round(x, mixing, objective, alpha, beta, grid, complements, *out)
 
     monkeypatch.setattr(algorithm, "run_round", recording)
     run_experiment(small_instance, small_mixing, iterations=40, seed=5, bits=6)
@@ -886,7 +955,7 @@ def test_a_huge_round_count_starts_without_listing_its_blocks(small_instance, sm
     engine = algorithm._run_rounds(small_instance, small_mixing, sched, iterations=2**64,
                                    seed=1, first=0, replicas=2, quantized=True)
     states = itertools.islice(engine_states(engine), 40)
-    assert [state.k for state in states] == list(range(40))
+    assert [k for k, _ in states] == list(range(40))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3])
@@ -895,10 +964,10 @@ def test_negative_seed_is_refused_before_any_work(small_instance, small_mixing,
     # seeds of one, two and three 32-bit words, negated
     seed = -seed - 1
 
-    def no_state(*args, **kwargs):
-        raise AssertionError("a round state was built")
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the round engine was started")
 
-    monkeypatch.setattr(algorithm, "initial_state", no_state)
+    monkeypatch.setattr(algorithm, "_run_rounds", no_engine)
     message = f"^seed must be nonnegative, got {seed}$"
     with pytest.raises(ValueError, match=message):
         collect_ensemble(small_instance, small_mixing, iterations=5, seed=seed,
@@ -935,16 +1004,16 @@ def test_collect_ensemble_equals_per_round_formulas(n, d, replicas):
                            replicas=replicas)
     sched = Schedule.of(objective, spectral_gap(mixing), 8)
     draws = ReplicaStreams(11, (replicas, n, d))
-    state = initial_state(n, d, replicas)
+    stack = np.zeros((replicas, n, d))
     w, b, x_star = objective.features, objective.targets, objective.optimum
     for k in range(41):
-        x, residuals = state.x, (state.x @ w.T - b).tolist()
+        x, residuals = stack, (stack @ w.T - b).tolist()
         for r in range(replicas):
             _, cons, r_sq = in_order_statistics(x[r], x_star)
             f_worst = max(in_order_sum([v * v for v in agent]) for agent in residuals[r])
             assert (ens.consensus_sq[r, k], ens.r_sq[r, k], ens.f_worst[r, k]) == (
                 cons, r_sq, f_worst), (r, k)
-        state = run_round(state, mixing, objective, *constants(sched, state.k), draws(k))
+        stack = run_round(stack, mixing, objective, *constants(sched, k), draws(k))
     # the checks' means over axis 0 add the replicas in order on this layout
     for array in (ens.consensus_sq, ens.r_sq, ens.f_worst):
         assert array.shape == (replicas, 41) and array.flags.c_contiguous
@@ -959,12 +1028,12 @@ def test_collect_ensemble_equals_per_round_statistics(n, d, replicas):
     ens = collect_ensemble(objective, mixing, iterations=40, seed=3, bits=8,
                            replicas=replicas)
     sched = algorithm._schedule(objective, mixing, 8, 1.0, 40, 3)
-    for state in engine_states(algorithm._run_rounds(
+    for k, x in engine_states(algorithm._run_rounds(
             objective, mixing, sched, iterations=40, seed=3, first=0, replicas=replicas,
             quantized=True)):
-        alone = diagnostics.ensemble_statistics(state.x, objective)
+        alone = diagnostics.ensemble_statistics(x, objective)
         for array, value in zip((ens.consensus_sq, ens.r_sq, ens.f_worst), alone):
-            assert array[:, state.k].tobytes() == value.tobytes(), state.k
+            assert array[:, k].tobytes() == value.tobytes(), k
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (CountedArray, ReplicaStreams, consensus_error, constants, global_value,
                       in_order_statistics, in_order_sum, running_averages, schedule)
-from qdgm.algorithm import (RECORD_BLOCK, collect_ensemble, initial_state, run_experiment,
-                            run_round)
+from qdgm.algorithm import RECORD_BLOCK, collect_ensemble, run_experiment, run_round
 from qdgm.cli import build_objective_from_config, build_topology
 from qdgm.config import ExperimentConfig
 from qdgm.diagnostics import (TRACE_COLUMNS, Trace, TraceRecord,
@@ -261,23 +260,22 @@ def test_noise_free_recursions_hold_deterministically():
     # replica-degenerate ensemble from the unquantized dynamics: a bin width of
     # 2^-31 of the range at 32 bits, zero Monte Carlo slack, and the inequalities
     # must still hold
-    from qdgm.algorithm import initial_state, run_round
     from qdgm.diagnostics import EnsembleTrace
 
     obj = well_conditioned_instance(4, 2)
     mixing = lazy_metropolis(path_topology(4))
     sched = Schedule.of(obj, 1.0 - mixing.sigma2, 32)
     rounds = 40
-    state = initial_state(4, 2)
+    stack = np.zeros((1, 4, 2))
     cons, r_sq, f_worst = [], [], []
     for k in range(rounds + 1):
-        x = state.x[0]
+        x = stack[0]
         cons.append(consensus_error(x))
         r_sq.append(float(np.sum((x.mean(axis=0) - obj.optimum) ** 2)))
         f_worst.append(max(float(np.sum((obj.features @ xi - obj.targets) ** 2))
                            for xi in x))
         if k < rounds:
-            state = run_round(state, mixing, obj, *constants(sched, state.k), None)
+            stack = run_round(stack, mixing, obj, *constants(sched, k), None)
     replicas = 100
     ens = EnsembleTrace(
         consensus_sq=np.tile(cons, (replicas, 1)),
@@ -346,13 +344,11 @@ class Recorded(NamedTuple):
 def _states(objective, mixing, rounds, quantized):
     """Rounds 0..rounds of one replica, with the schedule that made them."""
     sched = Schedule.of(objective, spectral_gap(mixing), 16)
-    state = initial_state(objective.n, objective.dims)
-    xs = [state.x]
-    draws = ReplicaStreams(7, state.x.shape)
-    for _ in range(rounds):
-        state = run_round(state, mixing, objective, *constants(sched, state.k),
-                          draws(state.k) if quantized else None)
-        xs.append(state.x)
+    xs = [np.zeros((1, objective.n, objective.dims))]
+    draws = ReplicaStreams(7, xs[0].shape)
+    for k in range(rounds):
+        xs.append(run_round(xs[-1], mixing, objective, *constants(sched, k),
+                            draws(k) if quantized else None))
     return sched, [Recorded(k, x, z) for k, (x, z) in enumerate(zip(xs, running_averages(xs)))]
 
 

@@ -23,6 +23,10 @@ ITERATIONS = 70
 # the poisoned round: the first, a middle and the last round of the block of rounds
 # 33..64, and the run's final round, in the partial block of rounds 65..69
 ROUNDS = [33, 48, 64, 69]
+# and, in a run of CHUNK_ITERATIONS rounds, the last round whose constants the first
+# chunk holds (rounds 0..1024) and the first round of the second chunk
+CHUNK_ITERATIONS = 1040
+CHUNK_ROUNDS = [1024, 1025]
 VALUES = [1e6, np.nan, np.inf, -np.inf]
 ENGINES = [algorithm._run_rounds, reference_rounds]
 
@@ -42,16 +46,21 @@ def _poison_gradient(monkeypatch, where, value, call):
     monkeypatch.setattr(algorithm, "gradient_matrix", poisoned)
 
 
+def _iterations(at):
+    """The length of the runs poisoned at round ``at``."""
+    return ITERATIONS if at < ITERATIONS else CHUNK_ITERATIONS
+
+
 def _run_cli(tmp_path, capsys, engine, baseline, at, value):
-    """`qdgm run` of the default instance for ITERATIONS rounds with the gradient of
-    round ``at`` of its last run (the exact twin with ``baseline``) poisoned: the exit
+    """`qdgm run` of the default instance for _iterations(at) rounds with the gradient
+    of round ``at`` of its last run (the exact twin with ``baseline``) poisoned: the exit
     code, stderr, that run's trace bytes and every warning raised."""
-    out = tmp_path / engine.__name__
+    out, iterations = tmp_path / engine.__name__, _iterations(at)
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _poison_gradient(patch, (0, 3, 1), value, (ITERATIONS if baseline else 0) + at + 1)
+        _poison_gradient(patch, (0, 3, 1), value, (iterations if baseline else 0) + at + 1)
         patch.setattr(algorithm, "_run_rounds", engine)
-        code = cli.main(["run", "--iterations", str(ITERATIONS), "--output-dir", str(out)]
+        code = cli.main(["run", "--iterations", str(iterations), "--output-dir", str(out)]
                         + ["--baseline"] * baseline)
     trace = out / ("baseline_trace.csv" if baseline else "trace.csv")
     return code, capsys.readouterr().err, trace.read_bytes(), [
@@ -59,7 +68,7 @@ def _run_cli(tmp_path, capsys, engine, baseline, at, value):
 
 
 @pytest.mark.parametrize("value", VALUES, ids=["escape", "nan", "inf", "-inf"])
-@pytest.mark.parametrize("at", ROUNDS)
+@pytest.mark.parametrize("at", ROUNDS + CHUNK_ROUNDS)
 @pytest.mark.parametrize("baseline", [False, True], ids=["quantized", "exact"])
 def test_run_fails_as_a_per_round_check_fails(tmp_path, capsys, baseline, at, value):
     engine, reference = (_run_cli(tmp_path, capsys, engine, baseline, at, value)
@@ -75,22 +84,22 @@ def test_run_fails_as_a_per_round_check_fails(tmp_path, capsys, baseline, at, va
     assert err == reference[1] if finite else "GradientBoundError" not in err
 
 
-def _stack_blocks(engine, quantized, replicas=3):
-    """The iterates a 3-replica stack of the small instance yields for ITERATIONS
+def _stack_blocks(engine, quantized, iterations, replicas=3):
+    """The iterates a 3-replica stack of the small instance yields for ``iterations``
     rounds, joined, and the error that ends it."""
     objective = well_conditioned_instance(4, 2)
     mixing = lazy_metropolis(path_topology(4))
-    sched = algorithm._schedule(objective, mixing, 6, 1.0, ITERATIONS, 3)
+    sched = algorithm._schedule(objective, mixing, 6, 1.0, iterations, 3)
     blocks = []
     with pytest.raises((GradientBoundError, NonFiniteIterateError)) as excinfo:
-        for _, xs in engine(objective, mixing, sched, iterations=ITERATIONS, seed=3, first=0,
+        for _, xs in engine(objective, mixing, sched, iterations=iterations, seed=3, first=0,
                             replicas=replicas, quantized=quantized):
             blocks.append(xs.copy())
     return np.concatenate(blocks), excinfo.value
 
 
 @pytest.mark.parametrize("value", VALUES, ids=["escape", "nan", "inf", "-inf"])
-@pytest.mark.parametrize("at", ROUNDS)
+@pytest.mark.parametrize("at", ROUNDS + CHUNK_ROUNDS)
 @pytest.mark.parametrize("quantized", [True, False], ids=["quantized", "exact"])
 def test_stack_fails_as_a_per_round_check_fails(quantized, at, value):
     # replica 1 fails; the error names it by its slice index, as check_range does
@@ -100,7 +109,7 @@ def test_stack_fails_as_a_per_round_check_fails(quantized, at, value):
                 record=True) as caught:
             warnings.simplefilter("always")
             _poison_gradient(patch, (1, 2, 0), value, at + 1)
-            results.append((*_stack_blocks(engine, quantized), caught))
+            results.append((*_stack_blocks(engine, quantized, _iterations(at)), caught))
     (xs, error, caught), (ref_xs, ref_error, _) = results
     assert xs.shape == ref_xs.shape == (at + 1, 3, 4, 2)
     assert xs.tobytes() == ref_xs.tobytes()
