@@ -15,11 +15,10 @@ them, carrying the round k itself: a single run or its exact twin is the stack w
 R = 1, the Monte Carlo ensemble the stack of all replicas. The hot loop takes the
 quantizer's one quantize step, which the wire codec runs too, and never packs. It runs
 round 0 alone, then RECORD_BLOCK rounds at a time, whose iterates it writes into one
-(B, R, n, d) array, checks against the growing range and yields whole; a quantized
-round's quantize step checks its input, so a quantized block whose every round ran
-checks only its last iterate. A round reads its constants, alpha_k, beta_k and its Grid
-(none if exact), as arguments, evaluated CHUNK rounds at a time by the Schedule's array
-methods, so a value depends only on its round.
+(B, R, n, d) array, checks against the growing range at once and yields whole. A
+round reads its constants, alpha_k, beta_k and its Grid (none if exact), as arguments,
+evaluated CHUNK rounds at a time by the Schedule's array methods, so a value depends
+only on its round.
 
 Replica r's uniforms u are the PCG64 stream of default_rng([seed, r]), read in order:
 each quantized round k >= 1 reads one per (agent, coordinate), in row-major order, and
@@ -137,15 +136,11 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: 
             base, end = lo, min((lo or 1) + CHUNK, iterations)
             ks = np.arange(base, end + 1)
             alphas, betas = schedule.alpha(ks[:-1]).tolist(), schedule.beta(ks[:-1]).tolist()
-            if quantized:  # one Grid per round
-                chunk = schedule.grid(ks)
-                limits, grids = chunk.range, list(map(
-                    Grid, ks[:-1].tolist(), chunk.range.tolist(), chunk.delta.tolist(),
-                    repeat(chunk.bins)))
-            else:  # no Grid: range_k alone, the product grid makes
-                limits, grids = schedule.grad_bound * schedule.alpha_sum(ks), [None] * len(ks)
+            chunk = schedule.grid(ks)
+            grids = list(map(Grid, ks[:-1].tolist(), chunk.range.tolist(), chunk.delta.tolist(),
+                             repeat(chunk.bins))) if quantized else [None] * len(ks)
         part, xs, failure = slice(lo - base, hi - base), np.empty((hi - lo, *x.shape)), None
-        ranges = limits[lo - base + 1:hi - base + 1]
+        ranges = chunk.range[lo - base + 1:hi - base + 1]
         table = zip(range(lo, hi), alphas[part], betas[part], grids[part], rows, xs)
         try:
             with np.errstate(call=SimpleNamespace(write=float_event), **logged):
@@ -154,10 +149,7 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: 
         except Exception as exc:  # the rounds before it stand if they are in range
             failure = exc
         done = k - lo if failure else hi - lo
-        # a clean quantized block's quantize steps checked every iterate but its last
-        skip = max(done - 1, 0) if streams and not failure else 0
-        good = skip + _check_range_invariant(xs[skip:done], ranges[skip:done])
-        if good:
+        if good := _check_range_invariant(xs[:done], ranges[:done]):
             yield lo + 1, xs[:good]
         if good < done and np.isfinite(xs[good]).all():  # raises, as the max is the same
             quantizer.check_range(xs[good], float(ranges[good]), lo + good + 1)

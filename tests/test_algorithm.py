@@ -261,9 +261,8 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
 @pytest.mark.parametrize("quantized", [True, False])
 def test_one_range_check_per_block(small_instance, small_mixing, monkeypatch, quantized):
     # the engine checks the iterates of rounds 1..K once, a block at a time: [1],
-    # [2..33], [34..65], [66..70]. A quantized round's quantize step checks its own
-    # input, the iterates of rounds 1..K-1, so a quantized block whose every round ran
-    # hands the block check its last iterate alone; an exact round checks nothing
+    # [2..33], [34..65], [66..70]; a quantized round's quantize step also checks its
+    # own input, the iterates of rounds 1..K-1, and an exact round checks nothing
     checked, blocks = [], []
     check_range, check_block = quantizer.check_range, algorithm._check_range_invariant
 
@@ -279,14 +278,23 @@ def test_one_range_check_per_block(small_instance, small_mixing, monkeypatch, qu
     monkeypatch.setattr(algorithm, "_check_range_invariant", counted_block)
     run_experiment(small_instance, small_mixing, iterations=70, seed=3, bits=6,
                    quantized=quantized)
-    assert blocks == ([1, 1, 1, 1] if quantized else [1, 32, 32, 5])
+    assert blocks == [1, 32, 32, 5]
     assert checked == (list(range(1, 70)) if quantized else [])
 
 
-# rounds of a run that crosses two chunks of constants: rounds 0..1024, 1025..2048 and
-# 2049..2099, in blocks [0], [1..32], ..., [2049..2080], [2081..2099]
-CHUNK_RUN = 2100
+# rounds of a run that crosses two chunks of constants of SMALL_CHUNK rounds: rounds
+# 0..64, 65..128 and 129..149, in blocks [0], [1..32], ..., [97..128], [129..149]; the
+# chunk boundaries do not depend on CHUNK's value, and test_golden's LONG_RUN crosses
+# those of the real CHUNK
+SMALL_CHUNK = 2 * algorithm.RECORD_BLOCK
+CHUNK_RUN = 150
 BLOCK_ENDS = [1, *range(33, CHUNK_RUN, algorithm.RECORD_BLOCK), CHUNK_RUN]
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    """The engine evaluates its constants SMALL_CHUNK rounds at a time."""
+    monkeypatch.setattr(algorithm, "CHUNK", SMALL_CHUNK)
 
 
 def _engine_blocks(objective, mixing, quantized, replicas, bits=6):
@@ -296,13 +304,13 @@ def _engine_blocks(objective, mixing, quantized, replicas, bits=6):
                                       first=0, replicas=replicas, quantized=quantized))
 
 
+@pytest.mark.usefixtures("small_chunk")
 @pytest.mark.parametrize("quantized, replicas", [(True, 1), (False, 1), (True, 3)],
                          ids=["quantized", "exact", "stack"])
 def test_every_iterate_is_range_checked(small_instance, small_mixing, monkeypatch,
                                         quantized, replicas):
-    # the quantize steps' checks and the block checks together see the iterate of
-    # every round 1..K; a quantized block whose every round ran hands the block check
-    # its last iterate alone, as the quantize steps checked the others
+    # the block checks see the iterate of every round 1..K, whole blocks across the
+    # chunks of constants, and a quantized run's quantize steps also see rounds 1..K-1
     ranges_by_round = algorithm._schedule(small_instance, small_mixing, 6, 1.0, CHUNK_RUN,
                                           3).grid(np.arange(CHUNK_RUN + 1)).range
     checked, blocks = set(), []
@@ -321,21 +329,17 @@ def test_every_iterate_is_range_checked(small_instance, small_mixing, monkeypatc
     monkeypatch.setattr(quantizer, "check_range", counted)
     monkeypatch.setattr(algorithm, "_check_range_invariant", counted_block)
     _engine_blocks(small_instance, small_mixing, quantized, replicas)
-    assert checked | set(itertools.chain(*blocks)) == set(range(1, CHUNK_RUN + 1))
-    if quantized:
-        assert checked == set(range(1, CHUNK_RUN))
-        assert blocks == [[end] for end in BLOCK_ENDS]
-    else:
-        assert checked == set()
-        assert blocks == [list(range(lo + 1, hi + 1)) for lo, hi in
-                          zip([0, *BLOCK_ENDS], BLOCK_ENDS)]
+    assert blocks == [list(range(lo + 1, hi + 1)) for lo, hi in
+                      zip([0, *BLOCK_ENDS], BLOCK_ENDS)]
+    assert checked == (set(range(1, CHUNK_RUN)) if quantized else set())
 
 
+@pytest.mark.usefixtures("small_chunk")
 @pytest.mark.parametrize("quantized", [True, False])
 def test_constants_are_evaluated_once_per_chunk(small_instance, small_mixing, monkeypatch,
                                                 quantized):
     # the engine evaluates beta_k and the grid of three chunks of rounds, not of its
-    # 67 blocks, and builds one Grid per quantized round; an exact run builds none
+    # 6 blocks, and builds one Grid per quantized round; an exact run builds none
     calls = {"beta": 0, "grid": 0, "Grid": 0}
 
     def counted(owner, name):
@@ -350,14 +354,14 @@ def test_constants_are_evaluated_once_per_chunk(small_instance, small_mixing, mo
     counted(Schedule, "grid")
     counted(algorithm, "Grid")
     _engine_blocks(small_instance, small_mixing, quantized, 1)
-    assert calls == ({"beta": 3, "grid": 3, "Grid": CHUNK_RUN} if quantized else
-                     {"beta": 3, "grid": 0, "Grid": 0})
+    assert calls == {"beta": 3, "grid": 3, "Grid": CHUNK_RUN if quantized else 0}
 
 
+@pytest.mark.usefixtures("small_chunk")
 @pytest.mark.parametrize("quantized, replicas", [(True, 1), (False, 1), (True, 3)],
                          ids=["quantized", "exact", "stack"])
 def test_chunk_boundaries_never_change_a_round(quantized, replicas):
-    # the engine's iterates across the chunks of constants at rounds 1025 and 2049 equal
+    # the engine's iterates across the chunks of constants at rounds 65 and 129 equal
     # the per-round reference's, which evaluates each round's constants alone
     cfg = ExperimentConfig()
     objective = build_objective_from_config(cfg)

@@ -23,10 +23,12 @@ ITERATIONS = 70
 # the poisoned round: the first, a middle and the last round of the block of rounds
 # 33..64, and the run's final round, in the partial block of rounds 65..69
 ROUNDS = [33, 48, 64, 69]
-# and, in a run of CHUNK_ITERATIONS rounds, the last round whose constants the first
-# chunk holds (rounds 0..1024) and the first round of the second chunk
-CHUNK_ITERATIONS = 1040
-CHUNK_ROUNDS = [1024, 1025]
+# and, in a run of CHUNK_ITERATIONS rounds with constants evaluated SMALL_CHUNK rounds
+# at a time (chunks of rounds 0..64, 65..128, 129..149), the last round of the second
+# chunk and the first of the third: the boundaries do not depend on CHUNK's value
+SMALL_CHUNK = 2 * algorithm.RECORD_BLOCK
+CHUNK_ITERATIONS = 150
+CHUNK_ROUNDS = [128, 129]
 VALUES = [1e6, np.nan, np.inf, -np.inf]
 ENGINES = [algorithm._run_rounds, reference_rounds]
 
@@ -46,18 +48,23 @@ def _poison_gradient(monkeypatch, where, value, call):
     monkeypatch.setattr(algorithm, "gradient_matrix", poisoned)
 
 
-def _iterations(at):
-    """The length of the runs poisoned at round ``at``."""
-    return ITERATIONS if at < ITERATIONS else CHUNK_ITERATIONS
+def _run_length(patch, at):
+    """The length of the runs poisoned at round ``at``, with ``patch`` setting the
+    engine's chunk of constants to SMALL_CHUNK rounds for the longer runs."""
+    if at < ITERATIONS:
+        return ITERATIONS
+    patch.setattr(algorithm, "CHUNK", SMALL_CHUNK)
+    return CHUNK_ITERATIONS
 
 
 def _run_cli(tmp_path, capsys, engine, baseline, at, value):
-    """`qdgm run` of the default instance for _iterations(at) rounds with the gradient
+    """`qdgm run` of the default instance for _run_length(at) rounds with the gradient
     of round ``at`` of its last run (the exact twin with ``baseline``) poisoned: the exit
     code, stderr, that run's trace bytes and every warning raised."""
-    out, iterations = tmp_path / engine.__name__, _iterations(at)
+    out = tmp_path / engine.__name__
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        iterations = _run_length(patch, at)
         _poison_gradient(patch, (0, 3, 1), value, (iterations if baseline else 0) + at + 1)
         patch.setattr(algorithm, "_run_rounds", engine)
         code = cli.main(["run", "--iterations", str(iterations), "--output-dir", str(out)]
@@ -109,7 +116,8 @@ def test_stack_fails_as_a_per_round_check_fails(quantized, at, value):
                 record=True) as caught:
             warnings.simplefilter("always")
             _poison_gradient(patch, (1, 2, 0), value, at + 1)
-            results.append((*_stack_blocks(engine, quantized, _iterations(at)), caught))
+            results.append((*_stack_blocks(engine, quantized, _run_length(patch, at)),
+                            caught))
     (xs, error, caught), (ref_xs, ref_error, _) = results
     assert xs.shape == ref_xs.shape == (at + 1, 3, 4, 2)
     assert xs.tobytes() == ref_xs.tobytes()
