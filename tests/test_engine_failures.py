@@ -24,11 +24,11 @@ ITERATIONS = 70
 # 33..64, and the run's final round, in the partial block of rounds 65..69
 ROUNDS = [33, 48, 64, 69]
 # and, in a run of CHUNK_ITERATIONS rounds with constants evaluated SMALL_CHUNK rounds
-# at a time (chunks of rounds 0..64, 65..128, 129..149), the last round of the second
-# chunk and the first of the third: the boundaries do not depend on CHUNK's value
-SMALL_CHUNK = 2 * algorithm.RECORD_BLOCK
-CHUNK_ITERATIONS = 150
-CHUNK_ROUNDS = [128, 129]
+# at a time (chunks of rounds 0..96 and 97..109), the last round of the first chunk and
+# the first of the second: the boundaries do not depend on CHUNK's value
+SMALL_CHUNK = 3 * algorithm.RECORD_BLOCK
+CHUNK_ITERATIONS = 110
+CHUNK_ROUNDS = [96, 97]
 VALUES = [1e6, np.nan, np.inf, -np.inf]
 ENGINES = [algorithm._run_rounds, reference_rounds]
 
