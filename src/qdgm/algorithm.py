@@ -39,7 +39,7 @@ import numpy as np
 from . import diagnostics, quantizer
 from .errors import NonFiniteIterateError
 from .graph import MixingMatrix, spectral_gap
-from .objective import RegressionObjective, gradient_matrix
+from .objective import RegressionObjective, add_in_order, gradient_matrix
 from .quantizer import CLAMP_BAND, Grid
 from .schedules import Schedule
 
@@ -169,7 +169,7 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
 
     Deterministic for fixed arguments. A row's z_k = U_k / (k (k+1) / 2), z_0 = 0: U_k =
     sum_{t<k} (t+1) x_t added in round order, as bench/oracle.py does: accumulated to a
-    block's last recorded round, and the rest by one outer-axis reduce (k (k+1) / 2 is exact
+    block's last recorded round, and the rest by one add_in_order (k (k+1) / 2 is exact
     below k = 1.3e8). On a failure the rows so far are attached as ``partial_trace``.
     """
     n, d = objective.n, objective.dims
@@ -200,9 +200,7 @@ def run_experiment(objective: RegressionObjective, mixing: MixingMatrix, *,
             last = rows[-1] if rows else 0
             if last:  # U_first, ..., U_last, in order
                 np.add.accumulate(running[:last + 1], out=running[:last + 1])
-            # numpy adds a lone element's column pairwise: it is accumulated instead
-            total = (np.add.reduce(running[last:]) if n * d > 1
-                     else np.add.accumulate(running[last:])[-1])
+            total = add_in_order(running[last:])
             while rows:  # into the record block, flushed when full
                 take, rows = rows[:RECORD_BLOCK - len(ks)], rows[RECORD_BLOCK - len(ks):]
                 held[:, len(ks):len(ks) + len(take)] = xs[take], running[take]

@@ -10,10 +10,10 @@ actually guarantees, and therefore conservative). gamma_k, the envelope and
 the inequality checks read their constants from the run's schedules.Schedule,
 which Schedule.of(objective, spectral gap, bits) makes; the envelope's
 measured V_1 is an argument. consensus_sq and r_sq have one definition,
-stack_statistics, which adds every sum in order; the trace rows (make_record)
-and verify's ensemble (ensemble_statistics) both read it. A trace row's gaps
-f(p) - f* are a quadratic form about x*, and make_record builds a block of
-rows in one pass, so a row's bits depend only on its own round.
+stack_statistics, read by the trace rows (make_record) and verify's ensemble
+(ensemble_statistics). A row's gaps f(p) - f* are a quadratic form about x*. Every
+sum adds its terms in order by objective.add_in_order, which holds numpy's lone-column
+rule, so a row's bits depend only on its round, not on its block of rows or stack.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objective import RegressionObjective, optimality_gaps
+from .objective import RegressionObjective, add_in_order, optimality_gaps
 from .schedules import Schedule, libm_power
 
 TRACE_COLUMNS = [
@@ -92,28 +92,25 @@ class Trace:
 def stack_statistics(x: np.ndarray, optimum: np.ndarray):
     """xbar as a (d, S) array, ||x - 1 xbar^T||_F^2 and ||xbar - x*||^2 of each (n, d)
     matrix of an (S, n, d) stack, from one transposed (n d, S) copy: every sum is an
-    outer-axis np.add.reduce, so it adds its terms in order and a value does not depend
+    outer-axis add_in_order, so it adds its terms in order and a value does not depend
     on S. The one definition of both statistics, for the trace rows and for verify."""
     size, n, d = x.shape
-    cols = x.reshape(size, n * d).T
-    # numpy adds a lone contiguous column pairwise, so a lone matrix is read as two
-    cols = np.concatenate([cols, cols], axis=1) if size == 1 else cols.copy()
-    xbar = np.add.reduce(cols.reshape(n, d, -1), axis=0) / n
-    deviations = cols.reshape(n, d, -1) - xbar
-    consensus_sq = np.add.reduce(np.square(deviations, out=deviations).reshape(n * d, -1))
-    r_sq = np.add.reduce(np.square(xbar - optimum[:, None]))
-    return xbar[:, :size], consensus_sq[:size], r_sq[:size]
+    cols = x.reshape(size, n * d).T.copy()
+    xbar = add_in_order(cols.reshape(n, d, size)) / n
+    deviations = cols.reshape(n, d, size) - xbar
+    consensus_sq = add_in_order(np.square(deviations, out=deviations).reshape(n * d, size))
+    return xbar, consensus_sq, add_in_order(np.square(xbar - optimum[:, None]))
 
 
 def ensemble_statistics(x: np.ndarray, objective: RegressionObjective):
     """consensus_sq and r_sq of stack_statistics, and max_i f(x_i), of each matrix of an
     (S, n, d) stack: f's residuals from one (S n, d) @ (d, m) product, their m squares
-    added in order by one outer-axis reduce."""
+    added in order by one outer-axis add_in_order."""
     size, n, d = x.shape
     _, consensus_sq, r_sq = stack_statistics(x, objective.optimum)
     products = (x.reshape(size * n, d) @ objective.features.T).reshape(size, n, -1)
     residuals = np.subtract(products.T, objective.targets[:, None, None], order="C")
-    f = np.add.reduce(np.square(residuals, out=residuals))
+    f = add_in_order(np.square(residuals, out=residuals))
     return consensus_sq, r_sq, f.max(axis=0)
 
 

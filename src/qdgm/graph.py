@@ -97,8 +97,7 @@ class MixingMatrix:
         allowed = topology.adjacency() | np.eye(self.n, dtype=bool)
         if np.any(a[~allowed] != 0.0):
             raise MixingError("nonzero weight on a non-edge")
-        if self.sigma2 >= 1.0 - STOCHASTICITY_TOL:
-            raise MixingError("disconnected or periodic mixing")
+        spectral_gap(self)
 
 
 def generate_random_connected_graph(

@@ -151,15 +151,21 @@ def gradient_matrix(objective: RegressionObjective, x_rows: np.ndarray) -> np.nd
     return objective.twice_features * residuals[..., None]
 
 
+def add_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of the C-contiguous ``terms``, added one term after another:
+    np.add.reduce adds a lone column pairwise, so that one is accumulated instead."""
+    return np.add.reduce(terms) if terms.size > len(terms) else np.add.accumulate(terms)[-1]
+
+
 def optimality_gaps(objective: RegressionObjective, points: np.ndarray) -> np.ndarray:
     """f(p) - f* = e^T (G e + grad f(x*)), e = p - x*, at each row p of an (m, d) stack:
     exact for least squares, evaluated one coordinate after another, and its d terms added
-    in order, so for m >= 2 a point's bits do not depend on the rest of its stack."""
+    by add_in_order, so a point's bits do not depend on the rest of its stack."""
     e = np.subtract(points.T, objective.optimum[:, None], order="C")
     h = objective.grad_at_optimum[:, None] + objective.gram[:, :1] * e[0]
     for j in range(1, objective.dims):
         h += objective.gram[:, j:j + 1] * e[j]
-    return np.add.reduce(h * e)  # numpy adds a lone point's column pairwise
+    return add_in_order(h * e)
 
 
 def save_instance_csv(objective: RegressionObjective, path) -> None:

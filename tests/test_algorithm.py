@@ -481,6 +481,23 @@ def test_package_has_no_assert_statements():
         assert lines == [], f"assert in {path.name} at lines {lines}"
 
 
+def test_only_add_in_order_calls_add_reduce():
+    # numpy's lone-column rule lives in one helper: every other sum of the package
+    # that must add in order goes through it, not through a bare np.add.reduce
+    paths = sorted(Path(quantizer.__file__).parent.glob("*.py"))
+    sites = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helpers = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   and node.name == "add_in_order"]
+        inside = {id(node) for helper in helpers for node in ast.walk(helper)}
+        sites += [(path.name, node.lineno, id(node) in inside) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "reduce"
+                  and ast.unparse(node.value) in ("np.add", "numpy.add")]
+    assert [site for site in sites if not site[2]] == []
+    assert [name for name, _, _ in sites] == ["objective.py"]
+
+
 def test_growing_range_invariant_over_run(small_instance, small_mixing):
     trace = run_experiment(small_instance, small_mixing, iterations=300,
                            seed=3, bits=3)

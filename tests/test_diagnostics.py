@@ -21,7 +21,7 @@ from qdgm.diagnostics import (TRACE_COLUMNS, Trace, TraceRecord,
                               lyapunov_value, make_record, rate_bound, rate_bound_terms,
                               stack_statistics)
 from qdgm.graph import lazy_metropolis, path_topology, spectral_gap
-from qdgm.objective import optimality_gaps, well_conditioned_instance
+from qdgm.objective import generate_instance, optimality_gaps, well_conditioned_instance
 from qdgm.schedules import Schedule
 
 
@@ -463,6 +463,17 @@ def test_record_gaps_are_at_least_as_accurate_as_direct_evaluation():
     form = worst(optimality_gaps(objective, points))
     direct = worst(global_value(objective, points) - objective.f_star)
     assert form <= direct, (form, direct)
+
+
+def test_a_lone_point_gap_adds_its_terms_in_order():
+    # one point alone is a lone column of d = 17 terms, more than numpy's pairwise
+    # sum adds in order: its gap must still be the in-order quadratic form
+    objective = generate_instance(40, 17, seed=17)
+    rng = np.random.default_rng(17)
+    for p in objective.optimum + rng.uniform(-1.0, 1.0, size=(10, 17)):
+        gap = optimality_gaps(objective, p[None])
+        assert gap.shape == (1,)
+        assert gap[0].tobytes() == np.float64(_form_gap(objective, p)).tobytes()
 
 
 # ufunc calls of one record block on its stacks and what derives from them:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import global_value
+from conftest import global_value, in_order_sum
 from qdgm.errors import DegenerateInstanceError
-from qdgm.objective import (build_objective, generate_instance, gradient_matrix,
+from qdgm.objective import (add_in_order, build_objective, generate_instance, gradient_matrix,
                             save_instance_csv, well_conditioned_instance)
 
 
@@ -190,3 +190,33 @@ def test_values_never_below_optimum():
     rng = np.random.default_rng(6)
     for _ in range(200):
         assert global_value(obj, rng.uniform(-2, 2, size=3)) >= obj.f_star
+
+
+def _spread_terms(shape, seed):
+    """Signed terms whose magnitudes span 1e-8 to 1e8, so the order of the adds shows."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 9, 129])
+@pytest.mark.parametrize("term_shape", [(), (1,), (1, 1), (2,), (3, 5)])
+def test_add_in_order_adds_the_terms_one_after_another(m, term_shape):
+    # every C-contiguous shape, a lone column included, sums its first axis in order
+    terms = _spread_terms((m, *term_shape), seed=m)
+    columns = terms.reshape(m, -1).T.tolist()
+    expected = np.array([in_order_sum(column) for column in columns]).reshape(term_shape)
+    result = np.asarray(add_in_order(terms))
+    assert result.shape == term_shape
+    assert result.tobytes() == expected.tobytes()
+
+
+def test_bare_reduce_adds_a_lone_column_out_of_order():
+    # numpy's rule that add_in_order guards against: without its accumulate
+    # branch, some lone column would not be summed in order
+    misses = 0
+    for seed in range(5):
+        for shape in [(129,), (129, 1), (129, 1, 1)]:
+            terms = _spread_terms(shape, seed)
+            expected = in_order_sum(terms.ravel().tolist())
+            misses += float(np.add.reduce(terms).ravel()[0]) != expected
+    assert misses >= 1
