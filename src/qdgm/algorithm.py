@@ -12,13 +12,15 @@ running average of its past iterates, which :func:`run_experiment` keeps as a su
 
 A round advances a stack of R replicas held as (R, n, d) arrays, and one loop drives
 them, carrying the round k itself: a single run or its exact twin is the stack with
-R = 1, the Monte Carlo ensemble the stack of all replicas. The hot loop takes the
-quantizer's one quantize step, which the wire codec runs too, and never packs. It runs
+R = 1, the Monte Carlo ensemble the stack of all replicas. It never packs. It runs
 round 0 alone, then RECORD_BLOCK rounds at a time, whose iterates it writes into one
 (B, R, n, d) array, checks against the growing range at once and yields whole. A
-round reads its constants, alpha_k, beta_k and its Grid (none if exact), as arguments,
-evaluated CHUNK rounds at a time by the Schedule's array methods, so a value depends
-only on its round.
+quantized block rounds bare, numpy's events raised, and is checked whole; from its
+first round that fails a check or raises it is replayed through the quantize step the
+wire codec runs too, which alone snaps, flips, raises or warns. A round reads its
+constants, alpha_k, beta_k and its Grid (none if exact), as arguments, evaluated
+CHUNK rounds at a time by the Schedule's array methods, so a value depends only on
+its round.
 
 Replica r's uniforms u are the PCG64 stream of default_rng([seed, r]), read in order:
 each quantized round k >= 1 reads one per (agent, coordinate), in row-major order, and
@@ -31,7 +33,8 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from itertools import chain, pairwise, repeat
+from contextlib import suppress
+from itertools import chain, pairwise, repeat, starmap
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,7 +54,7 @@ ENSEMBLE_BLOCK = 2 ** 13
 
 def run_round(x: np.ndarray, mixing: MixingMatrix, objective: RegressionObjective,
               alpha: float, beta: float, grid: Grid | None, complements: np.ndarray | None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, q: np.ndarray | None = None) -> np.ndarray:
     """Advance every agent of every replica of the (R, n, d) iterates ``x`` of round k one
     synchronized round, returning the new iterates (in ``out`` if given).
 
@@ -59,10 +62,15 @@ def run_round(x: np.ndarray, mixing: MixingMatrix, objective: RegressionObjectiv
     ``complements`` holds 1 - u for slice r's round-k draws u in slice r; round 0
     reads none. With ``complements=None`` the exchanged values are the raw iterates
     (infinite-bandwidth twin) and ``grid`` is not read; everything else is identical.
-    The quantize step checks its input's range and support bound; the new iterates
-    are checked by the engine, a block at a time.
+    The quantize step checks its input's range and support bound. Given a buffer ``q``,
+    a quantized round rounds bare into it, unchecked, and ``grid`` may be any tuple of a
+    Grid's fields: the engine checks such rounds a block at a time (_check_rounding).
+    The new iterates are checked by the engine, a block at a time.
     """
-    q = x if complements is None else quantizer._quantize_values(x, grid, complements)[1]
+    if q is not None:
+        quantizer._round_values(x, -grid[1], grid[2], grid[3], complements, q)
+    else:
+        q = x if complements is None else quantizer._quantize_values(x, grid, complements)[1]
     grads = gradient_matrix(objective, x)
     # (1 - beta) x + beta (W q) - alpha grads, in place, in the same order
     x_next = np.matmul(mixing.entries, q, out=out)
@@ -78,6 +86,17 @@ def _check_range_invariant(xs: np.ndarray, ranges: np.ndarray) -> int:
     clamp band: one max |x| per round, in a fixed number of numpy calls."""
     within = np.maximum.reduce(np.abs(xs), axis=(1, 2, 3)) <= ranges * (1.0 + CLAMP_BAND)
     return len(xs) if within.all() else int(within.argmin())  # NaN fails too
+
+
+@np.errstate(all="ignore")  # NaN and inf fail the comparisons, unreported
+def _check_rounding(xs, qs, ranges, deltas) -> int:
+    """How many leading rounds of a block rounded their inputs ``xs`` to ``qs`` (which it
+    overwrites) as the quantize step would: no input beyond its range, so none snaps, no
+    value beyond one bin width, so none flips. In a fixed number of numpy calls."""
+    top = np.maximum.reduce(np.abs(xs), axis=(1, 2, 3))
+    err = np.maximum.reduce(np.abs(np.subtract(qs, xs, out=qs), out=qs), axis=(1, 2, 3))
+    taken = (top <= ranges) & (err <= deltas)
+    return len(xs) if taken.all() else int(taken.argmin())
 
 
 def record_points(iterations: int, stride: int | None = None) -> list[int]:
@@ -118,13 +137,15 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: 
     keyed = range(first, first + replicas) if quantized and iterations else ()
     streams = [np.random.default_rng([seed, r]) for r in keyed]
     uniforms = np.ones((len(streams), RECORD_BLOCK, objective.n, objective.dims))
-    rows = uniforms.swapaxes(0, 1) if streams else repeat(None)  # a block's rounds' 1 - u
+    rows = uniforms.swapaxes(0, 1) if streams else [None] * RECORD_BLOCK  # rounds' 1 - u
+    qs = np.empty((RECORD_BLOCK, len(streams), objective.n, objective.dims))  # q of a block
 
     def float_event(message):  # numpy's warning in round k, unheard past a failure
         if _check_range_invariant(xs[:k - lo], ranges[:k - lo]) < k - lo:
             raise FloatingPointError(message)
         warnings.warn(message.removeprefix("Warning: ").rstrip(), RuntimeWarning, stacklevel=2)
 
+    raised = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
     logged = {kind: "log" for kind, mode in np.geterr().items() if mode == "warn"}
     base, end = 0, -1  # the chunk's constants: of rounds base..end - 1, ranges of base..end
     for lo, hi in pairwise(chain((0,), range(1, iterations, RECORD_BLOCK), (iterations,))):
@@ -137,11 +158,26 @@ def _run_rounds(objective: RegressionObjective, mixing: MixingMatrix, schedule: 
             ks = np.arange(base, end + 1)
             alphas, betas = schedule.alpha(ks[:-1]).tolist(), schedule.beta(ks[:-1]).tolist()
             chunk = schedule.grid(ks)
-            grids = list(map(Grid, ks[:-1].tolist(), chunk.range.tolist(), chunk.delta.tolist(),
-                             repeat(chunk.bins))) if quantized else [None] * len(ks)
-        part, xs, failure = slice(lo - base, hi - base), np.empty((hi - lo, *x.shape)), None
+            grids = list(zip(ks.tolist(), chunk.range.tolist(), chunk.delta.tolist(),
+                             repeat(chunk.bins))) if quantized else None  # a Grid's fields
+        part, held, failure = slice(lo - base, hi - base), np.empty((hi - lo + 1, *x.shape)), None
+        held[0], xs, k = x, held[1:], lo  # the block's input, then its iterates
         ranges = chunk.range[lo - base + 1:hi - base + 1]
-        table = zip(range(lo, hi), alphas[part], betas[part], grids[part], rows, xs)
+        if quantized and lo:  # rounded bare, then checked whole: the rounds before k stand
+            table = zip(range(lo, hi), alphas[part], betas[part], grids[part], rows, xs, qs)
+            # any exception, numpy's events raised among them, stops the pass at round k
+            with suppress(Exception), np.errstate(**raised):
+                for k, alpha, beta, grid, complements, out, q in table:
+                    x = run_round(x, mixing, objective, alpha, beta, grid, complements, out, q)
+                k = hi
+            made = slice(lo - base, k - base)
+            k = lo + _check_rounding(held[:k - lo], qs[:k - lo], chunk.range[made],
+                                     chunk.delta[made])
+            x = held[k - lo]
+        part = slice(k - base, hi - base)  # rounds k..hi - 1 on the checked path
+        table = zip(range(k, hi), alphas[part], betas[part],
+                    starmap(Grid, grids[part]) if quantized else repeat(None),
+                    rows[k - lo:], xs[k - lo:])
         try:
             with np.errstate(call=SimpleNamespace(write=float_event), **logged):
                 for k, alpha, beta, grid, complements, out in table:

@@ -98,7 +98,9 @@ def build_objective(features, targets) -> RegressionObjective:
         grad_bound=bound,
         operating_radius=radius,
     )
-    if np.linalg.norm(objective.grad_at_optimum) > OPTIMALITY_TOL:
+    # relative to the data's scale: ||2 W^T b||, the gradient's norm at x = 0
+    if np.linalg.norm(objective.grad_at_optimum) > OPTIMALITY_TOL * max(
+            1.0, 2.0 * float(np.linalg.norm(moment))):
         raise DegenerateInstanceError("normal-equation solve left a gradient residual")
     return objective
 

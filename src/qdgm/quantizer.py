@@ -16,13 +16,15 @@ Index 0 is round 0, where every iterate is exactly zero and the range is
 empty: every index is zero, no randomness is drawn and nothing needs to
 cross a link.
 
-One quantize step, :func:`_quantize_values`, serves the engine and the codec:
-from iterates and one complement 1 - u per entry it makes the float indices,
-their values and max |q - x|. The engine reads the values, and
-:func:`quantize_matrix` the indices, as int64; a test ties the values bit for
-bit to :func:`decode_matrix` of the indices. :func:`pack_index_rows` packs
-each row's d indices MSB-first in coordinate order, zero-padded to
-ceil(d*b/8) bytes, and :func:`unpack_indices` is its exact inverse.
+One rounding body makes the float indices and their values from iterates and
+one complement 1 - u per entry; the engine's hot loop takes it bare. One checked
+quantize step, :func:`_quantize_values`, serves the codec and the engine's
+replays: it adds max |q - x|, the range and support checks, snaps and flips.
+The engine reads the values, and :func:`quantize_matrix` the indices, as int64;
+a test ties the values bit for bit to :func:`decode_matrix` of the indices.
+:func:`pack_index_rows` packs each row's d indices MSB-first in coordinate
+order, zero-padded to ceil(d*b/8) bytes, and :func:`unpack_indices` is its
+exact inverse.
 """
 from __future__ import annotations
 
@@ -62,17 +64,22 @@ def check_range(x: np.ndarray, rangek: float, k: int) -> float:
     return worst
 
 
-def _stochastic_round(values, lower, delta, nbins, complements):
+def _round_values(values, lower, delta, nbins, complements, out=None):
     """The one rounding body: float indices idx = min(floor(t + v), nbins) for
-    t = (values - lower)/delta and complements v = 1 - u in (0, 1], their values
-    q = lower + idx * delta, and max |q - values|. With values in [lower,
+    t = (values - lower)/delta and complements v = 1 - u in (0, 1], and their values
+    q = lower + idx * delta (in ``out`` if given), unchecked. With values in [lower,
     lower + nbins*delta] and delta > 0, t >= 0, so no index needs a clip at 0."""
     idx = values - lower  # t, until the complements are added
     idx /= delta
     idx += complements
     np.floor(idx, out=idx)
     np.minimum(idx, nbins, out=idx)
-    q = lower + idx * delta
+    return idx, np.add(lower, idx * delta, out=out)
+
+
+def _stochastic_round(values, lower, delta, nbins, complements):
+    """The rounding body, with max |q - values|: a pick more than a bin width away flips."""
+    idx, q = _round_values(values, lower, delta, nbins, complements)
     err = q - values
     worst = np.maximum.reduce(np.abs(err, out=err), axis=None)
     if worst > delta:
@@ -90,7 +97,8 @@ def _quantize_values(x, grid: Grid, complements):
     """The one quantize step: float indices, their decoded values and max |q - x|, for
     ``complements`` 1 - u of u = rng.random(x.shape). Clamp-band inputs snap; farther out,
     or NaN, raises GradientBoundError; a value farther from its input than one bin width
-    plus the clamp band (at round 0: any nonzero input) raises QuantizationSupportError."""
+    plus the clamp band (at round 0: any nonzero input) raises QuantizationSupportError.
+    The engine runs it on round 0 and on the rounds of a block its check replays."""
     if grid.k == 0:  # every index is zero and no uniform is drawn
         idx = q = np.zeros(x.shape)
         worst = np.maximum.reduce(np.abs(x), axis=None)

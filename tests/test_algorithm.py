@@ -261,10 +261,12 @@ def test_support_violation_raises_typed_error(small_instance, small_mixing,
 @pytest.mark.parametrize("quantized", [True, False])
 def test_one_range_check_per_block(small_instance, small_mixing, monkeypatch, quantized):
     # the engine checks the iterates of rounds 1..K once, a block at a time: [1],
-    # [2..33], [34..65], [66..70]; a quantized round's quantize step also checks its
-    # own input, the iterates of rounds 1..K-1, and an exact round checks nothing
-    checked, blocks = [], []
-    check_range, check_block = quantizer.check_range, algorithm._check_range_invariant
+    # [2..33], [34..65], [66..70]; a quantized block's rounding check also sees its
+    # inputs, the iterates of rounds 1..K-1, a block at a time: [1..32], [33..64],
+    # [65..69]. No round checks its own input, and an exact round checks nothing
+    checked, blocks, inputs = [], [], []
+    check_range = quantizer.check_range
+    check_block, check_rounding = algorithm._check_range_invariant, algorithm._check_rounding
 
     def counted(x, rangek, k):
         checked.append(k)
@@ -274,12 +276,18 @@ def test_one_range_check_per_block(small_instance, small_mixing, monkeypatch, qu
         blocks.append(len(xs))
         return check_block(xs, ranges)
 
+    def counted_rounding(xs, qs, ranges, deltas):
+        inputs.append(len(xs))
+        return check_rounding(xs, qs, ranges, deltas)
+
     monkeypatch.setattr(quantizer, "check_range", counted)
     monkeypatch.setattr(algorithm, "_check_range_invariant", counted_block)
+    monkeypatch.setattr(algorithm, "_check_rounding", counted_rounding)
     run_experiment(small_instance, small_mixing, iterations=70, seed=3, bits=6,
                    quantized=quantized)
     assert blocks == [1, 32, 32, 5]
-    assert checked == (list(range(1, 70)) if quantized else [])
+    assert inputs == ([32, 32, 5] if quantized else [])
+    assert checked == []
 
 
 # rounds of a run that crosses two chunks of constants of SMALL_CHUNK rounds: rounds
@@ -309,29 +317,56 @@ def _engine_blocks(objective, mixing, quantized, replicas, bits=6):
                          ids=["quantized", "exact", "stack"])
 def test_every_iterate_is_range_checked(small_instance, small_mixing, monkeypatch,
                                         quantized, replicas):
-    # the block checks see the iterate of every round 1..K, whole blocks across the
-    # chunks of constants, and a quantized run's quantize steps also see rounds 1..K-1
-    ranges_by_round = algorithm._schedule(small_instance, small_mixing, 6, 1.0, CHUNK_RUN,
-                                          3).grid(np.arange(CHUNK_RUN + 1)).range
-    checked, blocks = set(), []
-    check_range, check_block = quantizer.check_range, algorithm._check_range_invariant
+    # the block checks see the iterate of every round 1..K against its range with the
+    # clamp band, whole blocks across the chunks of constants, and a quantized run's
+    # rounding checks see every input, the iterates of rounds 1..K-1, against its range
+    # strictly and its value against its bin width
+    grid = algorithm._schedule(small_instance, small_mixing, 6, 1.0, CHUNK_RUN,
+                               3).grid(np.arange(CHUNK_RUN + 1))
+    blocks, inputs = [], []
+    check_block, check_rounding = algorithm._check_range_invariant, algorithm._check_rounding
 
-    def counted(x, rangek, k):
-        checked.add(k)
-        return check_range(x, rangek, k)
+    def rounds_of(ranges):  # the rounds of the iterates, by their ranges
+        rounds = np.searchsorted(grid.range, ranges)
+        assert np.array_equal(grid.range[rounds], ranges)
+        return rounds
 
-    def counted_block(xs, ranges):  # the rounds of the iterates, by their ranges
-        rounds = np.searchsorted(ranges_by_round, ranges)
-        assert np.array_equal(ranges_by_round[rounds], ranges)
-        blocks.append(rounds.tolist())
+    def counted_block(xs, ranges):
+        blocks.append(rounds_of(ranges).tolist())
         return check_block(xs, ranges)
 
-    monkeypatch.setattr(quantizer, "check_range", counted)
+    def counted_rounding(xs, qs, ranges, deltas):
+        rounds = rounds_of(ranges)
+        assert np.array_equal(grid.delta[rounds], deltas)
+        inputs.append(rounds.tolist())
+        return check_rounding(xs, qs, ranges, deltas)
+
     monkeypatch.setattr(algorithm, "_check_range_invariant", counted_block)
+    monkeypatch.setattr(algorithm, "_check_rounding", counted_rounding)
     _engine_blocks(small_instance, small_mixing, quantized, replicas)
     assert blocks == [list(range(lo + 1, hi + 1)) for lo, hi in
                       zip([0, *BLOCK_ENDS], BLOCK_ENDS)]
-    assert checked == (set(range(1, CHUNK_RUN)) if quantized else set())
+    assert inputs == ([list(range(lo, hi)) for lo, hi in itertools.pairwise(BLOCK_ENDS)]
+                      if quantized else [])
+
+
+def test_inputs_are_checked_strictly_and_iterates_with_the_band():
+    # an iterate inside the clamp band passes the block check; as a round's input it
+    # fails the rounding check, as that round's quantize step would snap it; so does a
+    # value more than one bin width from its input, which the step would flip, and NaN
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1.0, 1.0, (6, 2, 4, 2))
+    ranges, deltas = np.ones(6), np.full(6, 0.5)
+    qs = xs + rng.uniform(-0.5, 0.5, xs.shape)
+    xs[2, 1, 3, 0] = 1.0 + 0.5 * quantizer.CLAMP_BAND
+    assert algorithm._check_range_invariant(xs, ranges) == 6
+    assert algorithm._check_rounding(xs, qs.copy(), ranges, deltas) == 2
+    assert algorithm._check_rounding(xs[:2], qs[:2].copy(), ranges[:2], deltas[:2]) == 2
+    qs[1, 0, 0, 1] = xs[1, 0, 0, 1] + np.nextafter(0.5, 1.0)
+    assert algorithm._check_rounding(xs, qs.copy(), ranges, deltas) == 1
+    xs[0, 0, 2, 1] = np.nan
+    assert algorithm._check_range_invariant(xs, ranges) == 0
+    assert algorithm._check_rounding(xs, qs.copy(), ranges, deltas) == 0
 
 
 @pytest.mark.usefixtures("small_chunk")
@@ -339,7 +374,8 @@ def test_every_iterate_is_range_checked(small_instance, small_mixing, monkeypatc
 def test_constants_are_evaluated_once_per_chunk(small_instance, small_mixing, monkeypatch,
                                                 quantized):
     # the engine evaluates beta_k and the grid of three chunks of rounds, not of its
-    # 6 blocks, and builds one Grid per quantized round; an exact run builds none
+    # 6 blocks; a quantized run builds a Grid only for a round of the checked path,
+    # here round 0 alone, as every block passes its check; an exact run builds none
     calls = {"beta": 0, "grid": 0, "Grid": 0}
 
     def counted(owner, name):
@@ -354,7 +390,7 @@ def test_constants_are_evaluated_once_per_chunk(small_instance, small_mixing, mo
     counted(Schedule, "grid")
     counted(algorithm, "Grid")
     _engine_blocks(small_instance, small_mixing, quantized, 1)
-    assert calls == {"beta": 3, "grid": 3, "Grid": CHUNK_RUN if quantized else 0}
+    assert calls == {"beta": 3, "grid": 3, "Grid": 1 if quantized else 0}
 
 
 @pytest.mark.usefixtures("small_chunk")
@@ -405,16 +441,20 @@ def test_hand_built_state_is_checked_before_quantizing(small_instance,
 # ufunc calls of one round on its (R, n, d) stacks, for any R: the update's five
 # (the mixing product, beta W q, (1 - beta) x, their sum, minus the scaled
 # gradients); the engine checks the new iterates once per block, not here. A
-# quantized round adds its quantize step's check of its input (|x| and its max)
-# and the rounding body's ten. The gradient's einsum returns a plain array, so
-# its passes are not counted here; the Python-level calls are.
+# quantized round of the engine adds the bare rounding's seven (t, its scaling, the
+# complements, floor, the clip at 2^b - 1, idx delta and lower + idx delta): it
+# checks nothing, and the engine checks its block's roundings whole. The
+# gradient's einsum returns a plain array, so its passes are not counted here;
+# the Python-level calls are.
 EXACT_ROUND_UFUNC_CALLS = 5
-QUANTIZED_ROUND_UFUNC_CALLS = 17
+QUANTIZED_ROUND_UFUNC_CALLS = 12
 # Python-level calls of one round, which reads its constants as arguments and
 # calls no Schedule method; the exact round lost its range check's two (the
-# check's own call and the max), and both lost the RoundState they returned
+# check's own call and the max), and both lost the RoundState they returned. The
+# engine's quantized round adds one, the bare rounding: none of the quantize
+# step's, its range check, the two max and the rounding body's
 EXACT_ROUND_PYTHON_CALLS = 10
-QUANTIZED_ROUND_PYTHON_CALLS = 15
+QUANTIZED_ROUND_PYTHON_CALLS = 11
 # run_experiment's numpy calls for the averaged output per block of RECORD_BLOCK
 # rounds that records no round: the buffer like the block, the weighted iterates
 # and their in-order sum onto the carried one
@@ -423,11 +463,16 @@ FOLD_CALLS = 3
 # any R: |x|, its max per round, the ranges widened by the clamp band, the
 # comparison and its all()
 BLOCK_CHECK_CALLS = 5
+# numpy calls of the engine's check of one quantized block's roundings, at any
+# block length and any R: |x| and its max per round, q - x, its absolute value
+# and its max per round, the two comparisons, their conjunction and its all()
+ROUNDING_CHECK_CALLS = 9
 
 
 def _round_work(replicas, quantized):
-    """The ufunc calls on the stacks, and the Python-level calls, of round 5 of
-    ``replicas`` replicas of the default 40x5 instance."""
+    """The ufunc calls on the stacks, and the Python-level calls, of the engine's round
+    5 of ``replicas`` replicas of the default 40x5 instance: a quantized round rounds
+    bare into a buffer, as the engine's rounds do before their block is checked."""
     cfg = ExperimentConfig()
     objective = build_objective_from_config(cfg)
     mixing = lazy_metropolis(build_topology(cfg))
@@ -438,14 +483,16 @@ def _round_work(replicas, quantized):
         x = run_round(x, mixing, objective, *constants(sched, k),
                       draws(k) if quantized else None)
     complements, round5 = draws(5) if quantized else None, constants(sched, 5)
-    run_round(x, mixing, objective, *round5, complements)  # caches filled
+    q = np.empty_like(x) if quantized else None
+    run_round(x, mixing, objective, *round5, complements, q=q)  # caches filled
     CountedArray.calls = 0
     run_round(x.view(CountedArray), mixing, objective, *round5,
-              None if complements is None else complements.view(CountedArray))
+              None if complements is None else complements.view(CountedArray),
+              q=None if q is None else q.view(CountedArray))
     events = []
     sys.setprofile(lambda frame, event, arg: events.append(event))
     try:
-        run_round(x, mixing, objective, *round5, complements)
+        run_round(x, mixing, objective, *round5, complements, q=q)
     finally:
         sys.setprofile(None)
     return CountedArray.calls, events.count("call") + events.count("c_call")
@@ -469,6 +516,19 @@ def test_block_check_work_does_not_grow_with_the_block(rounds, replicas):
     CountedArray.calls = CountedArray.functions = 0
     assert algorithm._check_range_invariant(xs.view(CountedArray), ranges) == rounds
     assert CountedArray.calls + CountedArray.functions == BLOCK_CHECK_CALLS
+
+
+@pytest.mark.parametrize("rounds, replicas", [(1, 1), (32, 1), (5, 8), (32, 100)])
+def test_rounding_check_work_does_not_grow_with_the_block(rounds, replicas):
+    # one max |x| and one max |q - x| per round of the block, however long and tall
+    rng = np.random.default_rng(rounds)
+    xs = rng.uniform(-1.0, 1.0, (rounds, replicas, 4, 2))
+    qs = xs + rng.uniform(-0.25, 0.25, xs.shape)
+    ranges, deltas = np.ones(rounds), np.full(rounds, 0.25).view(CountedArray)
+    CountedArray.calls = CountedArray.functions = 0
+    assert algorithm._check_rounding(xs.view(CountedArray), qs.view(CountedArray), ranges,
+                                     deltas) == rounds
+    assert CountedArray.calls + CountedArray.functions == ROUNDING_CHECK_CALLS
 
 
 def test_package_has_no_assert_statements():

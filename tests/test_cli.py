@@ -1,6 +1,10 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,16 @@ from qdgm.graph import MixingMatrix
 
 def run_cli(argv):
     return main(argv)
+
+
+def run_process(*args, cwd, env=()):
+    """`python *args` in a fresh process with this checkout's src first on the import
+    path and ``env`` set: its exit code, stdout and stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path, **dict(env)}, timeout=120)
+    return result.returncode, result.stdout, result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +269,22 @@ def test_bad_input_file_exits_64_before_writing(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_c_over_mu_overflow_is_refused_under_another_blas_kernel(tmp_path):
+    # OpenBLAS's Haswell kernel solves the normal equations of targets near 3e149 with
+    # a larger absolute gradient residual than the default kernel here; the residual
+    # check is relative to the data's scale, so the run reaches the C / mu refusal on
+    # both, not a refusal of every draw. Without OpenBLAS the variable is unread
+    config = tmp_path / "config.json"
+    config.write_text('{"data": {"target_high": 3e149}}')
+    code, _, err = run_process("-m", "qdgm.cli", "run", "--n", "4", "--dims", "2",
+                               "--iterations", "5", "--output-dir", str(tmp_path / "out"),
+                               "--config", str(config), cwd=tmp_path,
+                               env={"OPENBLAS_CORETYPE": "Haswell"})
+    assert code == 64
+    assert err == "error: degenerate instance: C / mu makes V_k infinite\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("clamp,code", [
     ("5e-324", 64), ("1e-304", 64), ("1e-302", 64), ("1e-300", 64), ("1e-290", 0)])
 def test_bound_refuses_a_clamp_whose_lyapunov_weight_overflows(tmp_path, capsys, clamp, code):
@@ -376,6 +406,27 @@ def test_run_without_clamp_exits_2_and_flushes_partial_trace(tmp_path, capsys):
     assert "gradient-bound violation" in err and "agent" in err
     partial = Trace.from_csv(tmp_path / "trace.csv")
     assert partial.error is not None
+
+
+@pytest.mark.parametrize("argv", [["run", "--seed", "20", "--iterations", "50"],
+                                  ["verify", "--bits", "1"]], ids=["run", "verify"])
+def test_failures_are_typed_errors_under_python_O(tmp_path, argv):
+    # python -O strips asserts: a run and a verify that leave the range exit 2 with the
+    # same stderr and partial trace with or without it, as their checks and the
+    # engine's replay raise typed errors
+    results = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"out{len(flags)}"
+        code, stdout, err = run_process(
+            *flags, "-m", "qdgm.cli", *argv, *(["--output-dir", str(out)] * (argv[0] == "run")),
+            cwd=tmp_path)
+        trace = (out / "trace.csv").read_bytes() if argv[0] == "run" else None
+        results.append((code, stdout, err, trace))
+    assert results[0] == results[1]
+    code, _, err, trace = results[0]
+    assert code == 2 and err.startswith("error: gradient-bound violation: agent ")
+    if trace is not None:
+        assert len(Trace.from_csv(tmp_path / "out0" / "trace.csv").records) == 4
 
 
 @pytest.mark.parametrize("value,code,message", [
